@@ -35,7 +35,6 @@ from .connection import (
     CyclicVectorNotFound,
     Derivation,
     PCurvatureReport,
-    apply_derivation,
     cyclic_vector,
     frobenius_twist_multiplier,
     gauge_transform,

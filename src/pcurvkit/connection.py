@@ -2,9 +2,10 @@
 
 The derivation is u*d/dx for a nonzero rational multiplier u.  The central
 computation is the p-curvature: the matrix of nabla(D)^p - nabla(D^p) over a
-prime field, obtained from the power recursion A_{k+1} = D(A_k) + A*A_k and
-the twist multiplier v = D^{p-1}(u), which satisfies D^p = (v/u)*D on the
-reduced function field.  A prime is good when the whole input reduces mod p
+prime field, obtained from the power recursion A_{k+1} = D(A_k) + A*A_k
+(run on cleared denominators, see nabla_power_matrix) and the twist
+multiplier v = D^{p-1}(u), which satisfies D^p = (v/u)*D on the reduced
+function field.  A prime is good when the whole input reduces mod p
 without hitting a coefficient denominator and the multiplier keeps its
 degree; scans report per-prime and never guess at bad primes.
 """
@@ -13,10 +14,12 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .fields import GF, ReductionError, primes_in
 from .linalg import Matrix
+from .poly import PolynomialRing, poly_gcd
 from .ratfunc import FunctionField, RationalFunction, reduce_rational_mod_p
 
 
@@ -73,10 +76,6 @@ class Derivation:
         return f"({self.u})*d/d{self.variable}"
 
 
-def apply_derivation(D: Derivation, f) -> RationalFunction:
-    return D(f)
-
-
 class ConnectionMatrix:
     """Matrix A together with the derivation defining nabla(D)v = Av + D(v)."""
 
@@ -89,10 +88,6 @@ class ConnectionMatrix:
             raise ValueError("matrix entries and derivation live in different fields")
         self.matrix = matrix
         self.derivation = derivation
-
-    @classmethod
-    def from_rows(cls, field: FunctionField, rows, derivation: Derivation):
-        return cls(Matrix(field, [[field(e) for e in r] for r in rows]), derivation)
 
     @property
     def rank(self) -> int:
@@ -181,14 +176,41 @@ def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
 
 
 def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
-    """Matrix A_k of nabla(D)^k: A_1 = A, A_{k+1} = D(A_k) + A*A_k."""
+    """Matrix A_k of nabla(D)^k: A_1 = A, A_{k+1} = D(A_k) + A*A_k.
+
+    The recursion runs on cleared denominators.  With D = (a/b)*d/dx and h
+    the monic lcm of b and every entry denominator, B = h*A is a polynomial
+    matrix and A_k = N_k / h^m_k, where N_1 = B, m_1 = 1 and
+
+        b = 1:  N_{k+1} = a*(N_k' h - m_k h' N_k) + B N_k,        m_{k+1} = m_k + 1
+        else:   N_{k+1} = a c (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
+
+    with c = h/b.  Every step is polynomial arithmetic; each entry of
+    N_k / h^m_k is reduced to lowest terms once, at the end.
+    """
     if k < 1:
         raise ValueError("power must be at least 1")
-    D = A.derivation
-    acc = A.matrix
+    field = A.field
+    u = A.derivation.u
+    h = u.den
+    for row in A.matrix.rows:
+        for e in row:
+            if e.den.degree() > 0:
+                h = h // poly_gcd(h, e.den) * e.den
+    ring = PolynomialRing(field.base, field.var)
+    B = A.matrix.map_entries(lambda e: e.num * (h // e.den), ring)
+    if u.den.is_one():
+        step, lift, hB = 1, u.num, B
+    else:
+        step, lift, hB = 2, u.num * (h // u.den), B.scale(h)
+    dh = h.derivative()
+    N, m = B, 1
     for _ in range(k - 1):
-        acc = D(acc) + A.matrix * acc
-    return acc
+        mdh = dh * m
+        N = N.map_entries(lambda f: lift * (f.derivative() * h - f * mdh)) + hB * N
+        m += step
+    hm = h ** m
+    return N.map_entries(lambda f: RationalFunction(field, f, hm), field)
 
 
 def _reduce_for_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
@@ -234,7 +256,10 @@ def scan_primes(A: ConnectionMatrix, p_min: int, p_max: int,
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(_p_curvature_star, [(A, p) for p in primes]))
-        except (OSError, RuntimeError):
+        except (OSError, BrokenProcessPool):
+            # the pool could not start or lost a worker process: compute in
+            # this process instead.  An exception raised by p_curvature in a
+            # worker is re-raised here with its own type and propagates.
             pass
     return [p_curvature(A, p) for p in primes]
 

@@ -150,8 +150,8 @@ class GFElement:
         return GFElement(self.p, w * pow(self.v, -1, self.p))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return GFElement(self.p, pow(self.v, e, self.p))
+        if e < 0 and self.v == 0:
+            raise ZeroDivisionError(f"negative power of zero in GF({self.p})")
         return GFElement(self.p, pow(self.v, e, self.p))
 
     def __neg__(self):

@@ -5,13 +5,21 @@ the p-th power of the connection operator: nabla = D + A acting on column
 vectors, expanded into all 2^p compositions of the two summands.  Summing
 every word applied to a standard basis vector rebuilds nabla^p column by
 column, with no reference to the recursion the library uses internally.
+
+The second oracle is the plain recursion A_{k+1} = D(A_k) + A*A_k on
+reduced rational functions, one normalisation per entry and step, which
+the library's denominator-cleared kernel replaces.
 """
 
+import multiprocessing
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from pcurvkit import connection
 from pcurvkit import (
     GF,
     QQ,
@@ -24,6 +32,7 @@ from pcurvkit import (
     gauge_transform,
     nabla_power_matrix,
     p_curvature,
+    poly_gcd,
     scan_primes,
 )
 from pcurvkit.connection import CyclicVectorNotFound
@@ -221,6 +230,162 @@ def test_word_expansion_matches_recursion():
             assert nabla_power_matrix(A, p) == nabla_power_by_words(A, p)
 
 
+def nabla_power_by_recursion(A: ConnectionMatrix, k: int) -> Matrix:
+    """A_k by A_1 = A, A_{k+1} = D(A_k) + A*A_k on reduced entries."""
+    D = A.derivation
+    acc = A.matrix
+    for _ in range(k - 1):
+        acc = D(acc) + A.matrix * acc
+    return acc
+
+
+def rand_scalar(base, rng):
+    """A small element of the coefficient field; over a tower k(q) it is
+    a + b*q or a + b/q, the latter a q-adic pole as in `pcurv analyze`."""
+    c = base(rng.randint(-3, 3))
+    if isinstance(base, FunctionField):
+        q = base.gen()
+        c = c + base(rng.randint(-1, 1)) * rng.choice([q, base.one / q])
+    return c
+
+
+def rand_unit(base, rng):
+    c = rand_scalar(base, rng)
+    while not c:
+        c = rand_scalar(base, rng)
+    return c
+
+
+def rand_entry(K, rng):
+    """Small random entry.  Over a flat field: degree <= 2 over 1, s*x + c
+    or x^2 + c (s, c != 0).  Over a tower k(q)(x), where every coefficient
+    operation is itself a gcd over k[q]: degree <= 1 over 1 or x + c."""
+    x = K.gen()
+    if isinstance(K.base, FunctionField):
+        num = K.from_poly(K.polynomial([rand_scalar(K.base, rng) for _ in range(2)]))
+        return num / rng.choice([K.one, x + K(rng.randint(1, 2))])
+    num = K.from_poly(K.polynomial([rand_scalar(K.base, rng) for _ in range(3)]))
+    den = rng.choice([
+        K.one,
+        K(rand_unit(K.base, rng)) * x + K(rand_unit(K.base, rng)),
+        x * x + K(rand_unit(K.base, rng)),
+    ])
+    return num / den
+
+
+def rand_matrix(K, rng):
+    """A random 2x2 connection matrix; over a tower companion-shaped
+    [[0, 1], [f, g]], which keeps the q-degrees of psi small."""
+    if isinstance(K.base, FunctionField):
+        return Matrix(K, [[K.zero, K.one], [rand_entry(K, rng), rand_entry(K, rng)]])
+    return Matrix(K, [[rand_entry(K, rng) for _ in range(2)] for _ in range(2)])
+
+
+def multipliers(K):
+    """d/dx, x*d/dx and the rational multipliers 1/(x+c), (x^2+x+1)/(x+c)."""
+    x = K.gen()
+    c = K(2)
+    return [
+        Derivation.d_dx(K),
+        Derivation.x_d_dx(K),
+        Derivation(K.one / (x + c)),
+        Derivation((x * x + x + K.one) / (x + c)),
+    ]
+
+
+def kernel_cases():
+    """(field, powers) for GF(p)(x), QQ(x) and GF(p)(q)(x)."""
+    for p in (3, 5, 7):
+        yield FunctionField(GF(p), "x"), (1, 2, 3, p)
+    yield FunctionField(QQ, "x"), (1, 2, 3, 4)
+    yield FunctionField(FunctionField(GF(3), "q"), "x"), (1, 2, 3)
+
+
+def test_kernel_matches_recursion_oracle():
+    rng = random.Random(20261017)
+    for K, powers in kernel_cases():
+        for D in multipliers(K):
+            for _ in range(2):
+                A = ConnectionMatrix(rand_matrix(K, rng), D)
+                for k in powers:
+                    assert nabla_power_matrix(A, k) == nabla_power_by_recursion(A, k), \
+                        (K, D, k)
+
+
+def test_kernel_on_polynomial_and_constant_entries():
+    # h = 1 (no denominators at all) and a rank-1 constant matrix
+    K = FunctionField(GF(5), "x")
+    x = K.gen()
+    for D in multipliers(K):
+        A = ConnectionMatrix(Matrix(K, [[x, K.one], [x * x, K.zero]]), D)
+        B = ConnectionMatrix(Matrix(K, [[3]]), D)
+        for k in (1, 2, 5):
+            assert nabla_power_matrix(A, k) == nabla_power_by_recursion(A, k)
+            assert nabla_power_matrix(B, k) == nabla_power_by_recursion(B, k)
+
+
+@pytest.fixture(scope="module")
+def psi_instances():
+    """(A, psi_p(A)) over GF(p)(x) for p = 5, 7, 11 and over GF(3)(q)(x),
+    one random connection per multiplier."""
+    rng = random.Random(5150)
+    fields = [FunctionField(GF(p), "x") for p in (5, 7, 11)]
+    fields.append(FunctionField(FunctionField(GF(3), "q"), "x"))
+    out = []
+    for K in fields:
+        for D in multipliers(K):
+            A = ConnectionMatrix(rand_matrix(K, rng), D)
+            out.append((A, p_curvature(A, K.characteristic()).psi))
+    return out
+
+
+def test_p_curvature_is_horizontal(psi_instances):
+    """nabla commutes with psi_p: D(psi) + A psi - psi A = 0."""
+    for A, psi in psi_instances:
+        D, M = A.derivation, A.matrix
+        assert (D(psi) + M * psi - psi * M).is_zero(), A
+
+
+def test_p_curvature_trace_and_det_are_p_th_powers(psi_instances):
+    """trace(psi) and det(psi) lie in F(x^p), so their d/dx vanishes."""
+    for A, psi in psi_instances:
+        assert psi.trace().derivative().is_zero(), A
+        assert psi.det().derivative().is_zero(), A
+
+
+def _hypergeometric(K):
+    # the rank-2 Gauss connection with (a, b, c) = (1/2, -1/2, 1/2)
+    x = K.gen()
+    den = x * (x - K.one)
+    return ConnectionMatrix(Matrix(K, [
+        [K.zero, K.one],
+        [K(Fraction(1, 4)) / den, (K(Fraction(1, 2)) - x) / den],
+    ]), Derivation.d_dx(K))
+
+
+def test_nabla_power_gcd_count_does_not_grow_with_p(monkeypatch):
+    """The kernel normalises once at the end, so the number of gcds it
+    makes does not depend on the power; a per-step reduction would make
+    it grow linearly in p."""
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pcurvkit" and getattr(mod, "poly_gcd", None) is poly_gcd:
+            monkeypatch.setattr(mod, "poly_gcd", counting_gcd)
+    A = _hypergeometric(qq_line())
+    counts = []
+    for p in (23, 47):
+        Abar = A.reduce_mod(p)
+        calls.clear()
+        nabla_power_matrix(Abar, p)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_nabla_power_first_steps():
     K = qq_line()
     D = Derivation.d_dx(K)
@@ -290,6 +455,38 @@ def test_scan_primes_parallel_agrees():
     par = scan_primes(A, 2, 11, jobs=2)
     assert [(r.prime, r.good_prime, r.vanishes) for r in seq] == \
            [(r.prime, r.good_prime, r.vanishes) for r in par]
+
+
+def test_scan_primes_falls_back_when_no_pool_starts(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("no worker processes on this host")
+
+    monkeypatch.setattr(connection, "ProcessPoolExecutor", NoPool)
+    K = qq_line()
+    A = ConnectionMatrix(Matrix(K, [[3]]), Derivation.x_d_dx(K))
+    reports = scan_primes(A, 2, 13, jobs=2)
+    assert [r.prime for r in reports] == [2, 3, 5, 7, 11, 13]
+    assert all(r.vanishes for r in reports)
+
+
+def test_scan_primes_worker_error_propagates(monkeypatch):
+    """An exception raised in a worker is not retried in sequence."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched p_curvature reaches the workers only by fork")
+    parent = os.getpid()
+    real = connection.p_curvature
+
+    def fails_in_worker(A, p):
+        if os.getpid() != parent:
+            raise CyclicVectorNotFound(f"raised in a worker at p = {p}")
+        return real(A, p)
+
+    monkeypatch.setattr(connection, "p_curvature", fails_in_worker)
+    K = qq_line()
+    A = ConnectionMatrix(Matrix(K, [[3]]), Derivation.x_d_dx(K))
+    with pytest.raises(CyclicVectorNotFound, match="raised in a worker"):
+        scan_primes(A, 2, 13, jobs=2)
 
 
 # -- cyclic vectors ---------------------------------------------------------------

@@ -98,3 +98,13 @@ def test_field_equality_and_hash():
     assert GF(7) != GF(11)
     assert hash(GF(7)) == hash(GF(7))
     assert QQ == QQ
+
+
+def test_gf_negative_powers():
+    F = GF(7)
+    assert F(3) ** -1 == F(5)
+    assert F(3) ** -2 == F(5) * F(5)
+    assert F(0) ** 0 == F(1)
+    assert F(0) ** 3 == F(0)
+    with pytest.raises(ZeroDivisionError):
+        F(0) ** -1
