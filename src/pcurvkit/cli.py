@@ -82,9 +82,6 @@ def pcurv_main(argv=None) -> int:
         "analyze", help="Newton polygon and nonvanishing prediction for a "
                         "companion connection over GF(p)(q)(x)")
     analyze.add_argument("spec", help="path to a JSON companion spec")
-    analyze.add_argument("--precision-cap", type=int, default=24, metavar="BITS",
-                         help="accepted for interface parity; the computation "
-                              "is exact")
     analyze.add_argument("--seed", type=int, default=0, metavar="S")
 
     args = parser.parse_args(argv)
@@ -182,9 +179,6 @@ def rep_main(argv=None) -> int:
     certify.add_argument("--precision-cap", type=int, default=24, metavar="BITS",
                          help="reported enclosures have width below "
                               "1/2^BITS; verdicts are exact regardless")
-    certify.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="accepted for interface parity; the closure "
-                              "is sequential")
     certify.add_argument("--seed", type=int, default=0, metavar="S")
     certify.add_argument("--projective", action="store_true",
                          help="certify the image in PSL2/PGL2 instead")

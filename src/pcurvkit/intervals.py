@@ -107,10 +107,6 @@ class RatInterval:
             raise ZeroDivisionError("interval reciprocal across zero")
         return RatInterval(1 / self.hi, 1 / self.lo)
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
@@ -227,6 +223,14 @@ def _as_box(x) -> BoxC:
     if isinstance(x, RatInterval):
         return BoxC(x, RatInterval.point(0))
     return BoxC.point(Fraction(x))
+
+
+def eval_poly_interval(coeffs: list[Fraction], x: RatInterval) -> RatInterval:
+    """Horner evaluation of a rational-coefficient polynomial on an interval."""
+    acc = RatInterval.point(0)
+    for c in reversed(coeffs):
+        acc = acc * x + RatInterval.point(c)
+    return acc
 
 
 def eval_poly_box(coeffs: list[Fraction], z: BoxC) -> BoxC:

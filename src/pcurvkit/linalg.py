@@ -115,9 +115,6 @@ class Matrix:
             n >>= 1
         return acc
 
-    def transpose(self):
-        return Matrix(self.ring, [list(c) for c in zip(*self.rows)])
-
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a nonsquare matrix")

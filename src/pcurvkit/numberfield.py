@@ -26,6 +26,7 @@ from .intervals import (
     PrecisionExceeded,
     certified_root_enclosures,
     eval_poly_box,
+    eval_poly_interval,
     refine_box,
 )
 
@@ -339,18 +340,6 @@ def is_algebraic_integer(e: NumberFieldElement) -> bool:
     return all(Fraction(m.coeff(i)).denominator == 1 for i in range(m.degree() + 1))
 
 
-def _x_power_mod(n: int, m: Polynomial) -> Polynomial:
-    x = Polynomial.x(QQ)
-    acc = Polynomial.one(QQ)
-    base = x % m
-    while n:
-        if n & 1:
-            acc = (acc * base) % m
-        base = (base * base) % m if n > 1 else base
-        n >>= 1
-    return acc
-
-
 def root_of_unity_candidates(d: int) -> list[int]:
     """All n with euler_phi(n) <= d, ascending."""
     bound = 2 * d * d + 1
@@ -368,9 +357,9 @@ def is_root_of_unity(e: NumberFieldElement):
         raise ValueError("zero is not a root of unity")
     m = minimal_polynomial(e)
     d = m.degree()
-    one = Polynomial.one(QQ)
+    x = Polynomial.x(QQ)
     for n in root_of_unity_candidates(d):
-        if _x_power_mod(n, m) == one:
+        if pow(x, n, m).is_one():
             return n
     return None
 
@@ -395,7 +384,7 @@ def embedding_absolute_values(e: NumberFieldElement, tolerance,
     for iv in reals:
         lo, hi = iv.lo, iv.hi
         for _ in range(max_rounds):
-            val = _eval_real_interval(coeffs, RatInterval(lo, hi)).abs()
+            val = eval_poly_interval(coeffs, RatInterval(lo, hi)).abs()
             if val.width() <= tol:
                 out.append(val)
                 break
@@ -417,13 +406,6 @@ def embedding_absolute_values(e: NumberFieldElement, tolerance,
         else:
             raise PrecisionExceeded("complex embedding refinement exhausted")
     return out
-
-
-def _eval_real_interval(coeffs: list[Fraction], x: RatInterval) -> RatInterval:
-    acc = RatInterval.point(0)
-    for c in reversed(coeffs):
-        acc = acc * x + RatInterval.point(c)
-    return acc
 
 
 def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):

@@ -2,10 +2,11 @@
 
 Coefficients live in any field object from ``fields`` (or a NumberField);
 they are stored ascending with no trailing zeros.  The module also carries
-the integer-polynomial machinery needed to certify irreducibility over the
-rationals: rational root test, modular irreducibility certificates, and a
-bounded Zassenhaus search (squarefree factor lists mod p, Hensel lifting,
-subset recombination) for degrees up to 8.
+the irreducibility test over the rationals: rational root test, Ben-Or
+certificates mod several small primes, and a bounded Zassenhaus search
+(distinct- and equal-degree factoring mod p, Hensel lifting, subset
+recombination) for degrees up to 8.  The mod-p work runs on ``Polynomial``
+over ``GF(p)``; only the lifts mod p^k are plain integer lists.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from .fields import QQ, PrimeField, is_prime
+from .fields import GF, QQ, is_prime
 
 
 class Polynomial:
@@ -129,16 +130,21 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
+    def __pow__(self, e: int, mod: Polynomial | None = None):
+        """self**e, or with a modulus self**e % mod (``pow(f, e, m)``)."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.field)
-        base = self
+
+        def reduce(f):
+            return f if mod is None else f % mod
+
+        result, base = reduce(Polynomial.one(self.field)), reduce(self)
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
             e >>= 1
+            if e:
+                base = reduce(base * base)
         return result
 
     def __divmod__(self, other):
@@ -350,14 +356,6 @@ def count_real_roots_closed(f: Polynomial, a: Fraction, b: Fraction) -> int:
     return _variations_at(chain, a) - _variations_at(chain, b) + extra
 
 
-def all_roots_in_closed(f: Polynomial, a: Fraction, b: Fraction) -> bool:
-    """True iff every complex root of f is real and lies in [a, b]."""
-    g = squarefree_part(f)
-    if g.degree() < 1:
-        return True
-    return count_real_roots_closed(g, a, b) == g.degree()
-
-
 def cauchy_bound(f: Polynomial) -> Fraction:
     """Strict bound M with every root magnitude < M."""
     lead = f.leading()
@@ -369,11 +367,11 @@ def rational_roots(f: Polynomial) -> list[Fraction]:
     if f.is_zero():
         raise ValueError("zero polynomial")
     zf = _int_primitive(f)
-    while zf[0] == 0:
-        zf = zf[1:]
     roots = []
-    if len(zf) < len(_int_primitive(f)):
+    if zf[0] == 0:
         roots.append(Fraction(0))
+        while zf[0] == 0:
+            zf = zf[1:]
     a0, ad = abs(zf[0]), abs(zf[-1])
     for p in _divisors(a0):
         for q in _divisors(ad):
@@ -474,20 +472,6 @@ def _int_primitive(f: Polynomial) -> list[int]:
     return ints
 
 
-def _has_rational_root(zf: list[int]) -> bool:
-    if zf[0] == 0:
-        return True
-    for p in _divisors(zf[0]):
-        for q in _divisors(zf[-1]):
-            for num in (p, -p):
-                acc = 0
-                for c in reversed(zf):
-                    acc = acc * Fraction(num, q) + c
-                if acc == 0:
-                    return True
-    return False
-
-
 def is_irreducible_q(f: Polynomial) -> bool:
     """Exact irreducibility over the rationals.
 
@@ -503,23 +487,16 @@ def is_irreducible_q(f: Polynomial) -> bool:
         raise ValueError("constants are neither reducible nor irreducible here")
     if d == 1:
         return True
-    zf = _int_primitive(f)
-    if _has_rational_root(zf):
+    if rational_roots(f):
         return False
     if d <= 3:
         return True
     if poly_gcd(f, f.derivative()).degree() > 0:
         return False
-    p = 3
-    tried = 0
-    while tried < 10 and p < 200:
-        if zf[-1] % p != 0:
-            fp = [c % p for c in zf]
-            if _zp_is_squarefree(fp, p):
-                tried += 1
-                if _zp_is_irreducible(fp, p):
-                    return True
-        p = _next_prime(p)
+    zf = _int_primitive(f)
+    for fp in itertools.islice(_good_reductions(zf, 200), 10):
+        if _is_irreducible_mod_p(fp):
+            return True
     if d > 8:
         raise IrreducibilityUndecided(
             f"degree {d} exceeds the bounded factorization fallback"
@@ -527,190 +504,98 @@ def is_irreducible_q(f: Polynomial) -> bool:
     return _zassenhaus_irreducible(zf)
 
 
-def _next_prime(p: int) -> int:
-    p += 2
-    while not is_prime(p):
-        p += 2
-    return p
+# -- factoring over GF(p) ---------------------------------------------------
 
 
-# -- arithmetic on dense integer lists mod p --------------------------------
+def _good_reductions(zf: list[int], below: int):
+    """Monic reductions of zf mod each odd prime p < below at which the
+    degree is kept and the reduction stays squarefree."""
+    for p in range(3, below, 2):
+        if is_prime(p) and zf[-1] % p:
+            fp = Polynomial(GF(p), zf).monic()
+            if poly_gcd(fp, fp.derivative()).degree() == 0:
+                yield fp
 
 
-def _zp_norm(a, p):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _distinct_degree(f: Polynomial):
+    """Distinct-degree factorization of a monic f over GF(p).
 
-
-def _zp_add(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _zp_norm(out, p)
-
-
-def _zp_sub(a, b, p):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _zp_norm(out, p)
-
-
-def _zp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _zp_norm(out, p)
-
-
-def _zp_divmod(a, b, p):
-    a = _zp_norm(a, p)
-    b = _zp_norm(b, p)
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    if len(rem) < len(b):
-        return [], rem
-    quot = [0] * (len(rem) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        top = rem[k + len(b) - 1] % p
-        if top:
-            q = top * inv % p
-            quot[k] = q
-            for j, c in enumerate(b):
-                rem[k + j] -= q * c
-    return _zp_norm(quot, p), _zp_norm(rem, p)
-
-
-def _zp_gcd(a, b, p):
-    a, b = _zp_norm(a, p), _zp_norm(b, p)
-    while b:
-        a, b = b, _zp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = _zp_norm([c * inv for c in a], p)
-    return a
-
-
-def _zp_powmod(base, e, mod, p):
-    result = [1]
-    base = _zp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _zp_divmod(_zp_mul(result, base, p), mod, p)[1]
-        base = _zp_divmod(_zp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _zp_is_squarefree(f, p):
-    f = _zp_norm(f, p)
-    deriv = _zp_norm([c * i for i, c in enumerate(f)][1:], p)
-    if not deriv:
-        return False
-    return len(_zp_gcd(f, deriv, p)) == 1
-
-
-def _zp_is_irreducible(f, p):
-    f = _zp_norm(f, p)
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    x = [0, 1]
-    # x^(p^d) must reduce to x, and x^(p^(d/l)) - x must be coprime to f
-    # for every prime l dividing d
-    xq = _zp_powmod(x, p ** d, f, p)
-    if _zp_norm(_zp_sub(xq, x, p), p):
-        return False
-    for l in set(_prime_factors(d)):
-        xe = _zp_powmod(x, p ** (d // l), f, p)
-        if len(_zp_gcd(_zp_sub(xe, x, p), f, p)) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _zp_factor(f, p, rng: random.Random):
-    """Monic irreducible factors of a monic squarefree f mod p (p odd)."""
-    out = []
-    g = _zp_norm(f, p)
-    k = 0
-    xq = [0, 1]
-    while len(g) - 1 >= 2 * (k + 1):
+    Yields (k, h) with h the product of the degree-k irreducible factors of
+    f (f squarefree); the cofactor left once 2k exceeds its degree is
+    irreducible and comes last, with k its degree.
+    """
+    x = Polynomial.x(f.field)
+    p = f.field.characteristic()
+    g, xq, k = f, x, 0
+    while g.degree() >= 2 * (k + 1):
         k += 1
-        xq = _zp_powmod(xq, p, g, p)
-        h = _zp_gcd(_zp_sub(xq, [0, 1], p), g, p)
-        if len(h) > 1:
-            out.extend(_zp_split_equal_degree(h, k, p, rng))
-            g = _zp_divmod(g, h, p)[0]
-            xq = _zp_divmod(xq, g, p)[1] if len(g) > 1 else [0]
-    if len(g) > 1:
-        out.append(g)
+        xq = pow(xq, p, g)
+        h = poly_gcd(xq - x, g)
+        if h.degree() > 0:
+            yield k, h
+            g = g // h
+            xq = xq % g
+    if g.degree() > 0:
+        yield g.degree(), g
+
+
+def _is_irreducible_mod_p(f: Polynomial) -> bool:
+    """Ben-Or test for a monic f of degree >= 1 over GF(p): f is irreducible
+    iff gcd(x^(p^k) - x, f) = 1 for every k <= deg f / 2."""
+    return next(_distinct_degree(f))[0] == f.degree()
+
+
+def _factor_mod_p(f: Polynomial, rng: random.Random) -> list[Polynomial]:
+    """Monic irreducible factors of a monic squarefree f over GF(p), p odd."""
+    out = []
+    for k, h in _distinct_degree(f):
+        out.extend(_split_equal_degree(h, k, rng))
     return out
 
 
-def _zp_split_equal_degree(h, k, p, rng: random.Random):
-    if len(h) - 1 == k:
+def _split_equal_degree(h: Polynomial, k: int, rng: random.Random):
+    """Cantor-Zassenhaus splitting of a product of degree-k irreducibles."""
+    if h.degree() == k:
         return [h]
+    F = h.field
+    p = F.characteristic()
     e = (p ** k - 1) // 2
     while True:
-        a = [rng.randrange(p) for _ in range(len(h) - 1)]
-        a = _zp_norm(a, p)
-        if len(a) < 1:
-            continue
-        d0 = _zp_gcd(a, h, p)
-        if 1 < len(d0) < len(h):
-            cof = _zp_divmod(h, d0, p)[0]
-            return _zp_split_equal_degree(d0, k, p, rng) + _zp_split_equal_degree(cof, k, p, rng)
-        b = _zp_sub(_zp_powmod(a, e, h, p), [1], p)
-        d1 = _zp_gcd(b, h, p)
-        if 1 < len(d1) < len(h):
-            cof = _zp_divmod(h, d1, p)[0]
-            return _zp_split_equal_degree(d1, k, p, rng) + _zp_split_equal_degree(cof, k, p, rng)
+        a = Polynomial(F, [rng.randrange(p) for _ in range(h.degree())])
+        for d in (poly_gcd(a, h), poly_gcd(pow(a, e, h) - 1, h)):
+            if 0 < d.degree() < h.degree():
+                return (_split_equal_degree(d, k, rng)
+                        + _split_equal_degree(h // d, k, rng))
 
 
 # -- Hensel lifting and recombination ---------------------------------------
 
 
-def _hensel_pair(F, G, H, p, pk):
-    """Lift F = G*H from mod p to mod pk = p^K (all monic, coprime mod p)."""
-    g1, s, t = _zp_xgcd(G, H, p)
-    assert len(g1) == 1
+def _hensel_pair(F: list[int], g: Polynomial, h: Polynomial, pk: int):
+    """Lift F = g*h from mod p to mod pk = p^K.
+
+    F is a monic integer list; g and h are monic and coprime over GF(p).
+    Each step solves g*dh + h*dg = E over GF(p); the lifts stay integer
+    lists, since Z/p^k is not a field.
+    """
+    Fp = g.field
+    p = Fp.characteristic()
+    _, s, t = poly_xgcd(g, h)
+    G, H = _residues(g), _residues(h)
     modulus = p
-    G = list(G)
-    H = list(H)
     while modulus < pk:
         step = modulus * p
         prod = _int_poly_mul(G, H)
-        E = [((fc - pc) // modulus) % p for fc, pc in _zip_pad(F, prod)]
-        E = _zp_norm(E, p)
-        q, dh = _zp_divmod(_zp_mul(s, E, p), H, p)
-        dg = _zp_divmod(_zp_add(_zp_mul(t, E, p), _zp_mul(q, G, p), p), G, p)[1]
-        G = [(a + modulus * b) % step for a, b in _zip_pad(G, dg)]
-        H = [(a + modulus * b) % step for a, b in _zip_pad(H, dh)]
+        E = Polynomial(Fp, [(fc - pc) // modulus for fc, pc in _zip_pad(F, prod)])
+        dg, dh = (t * E) % g, (s * E) % h
+        G = [(a + modulus * b) % step for a, b in _zip_pad(G, _residues(dg))]
+        H = [(a + modulus * b) % step for a, b in _zip_pad(H, _residues(dh))]
         modulus = step
     return G, H
+
+
+def _residues(f: Polynomial) -> list[int]:
+    return [c.v for c in f.coeffs]
 
 
 def _zip_pad(a, b):
@@ -729,55 +614,28 @@ def _int_poly_mul(a, b):
     return out
 
 
-def _zp_xgcd(a, b, p):
-    r0, r1 = _zp_norm(a, p), _zp_norm(b, p)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _zp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
-        t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
-    inv = pow(r0[-1], -1, p)
-    return (
-        _zp_norm([c * inv for c in r0], p),
-        _zp_norm([c * inv for c in s0], p),
-        _zp_norm([c * inv for c in t0], p),
-    )
-
-
-def _hensel_tree(F, factors, p, pk):
-    """Lift a list of pairwise-coprime monic factors of monic F to mod pk."""
+def _hensel_tree(F: list[int], factors: list[Polynomial], pk: int):
+    """Lift pairwise-coprime monic factors over GF(p) of monic F to mod pk."""
     if len(factors) == 1:
         return [[c % pk for c in F]]
     half = len(factors) // 2
     left, right = factors[:half], factors[half:]
-    G1 = [1]
-    for f in left:
-        G1 = _zp_mul(G1, f, p)
-    H1 = [1]
-    for f in right:
-        H1 = _zp_mul(H1, f, p)
-    G, H = _hensel_pair(F, G1, H1, p, pk)
-    return _hensel_tree(G, left, p, pk) + _hensel_tree(H, right, p, pk)
+    one = Polynomial.one(factors[0].field)
+    G, H = _hensel_pair(F, math.prod(left, start=one),
+                        math.prod(right, start=one), pk)
+    return _hensel_tree(G, left, pk) + _hensel_tree(H, right, pk)
 
 
 def _zassenhaus_irreducible(zf: list[int]) -> bool:
     d = len(zf) - 1
     lc = zf[-1]
-    p = 3
-    while True:
-        if lc % p != 0 and _zp_is_squarefree([c % p for c in zf], p):
-            break
-        p = _next_prime(p)
-        if p > 10000:  # disc has finitely many prime factors; unreachable
-            raise IrreducibilityUndecided("no usable prime found")
-    rng = random.Random(0x5EED)
-    factors = _zp_factor(
-        _zp_norm([c * pow(lc % p, -1, p) for c in zf], p), p, rng
-    )
+    fp = next(_good_reductions(zf, 10000), None)
+    if fp is None:  # disc has finitely many prime factors; unreachable
+        raise IrreducibilityUndecided("no usable prime found")
+    factors = _factor_mod_p(fp, random.Random(0x5EED))
     if len(factors) == 1:
         return True
+    p = fp.field.characteristic()
     norm2 = math.isqrt(sum(c * c for c in zf)) + 1
     bound = 2 * (2 ** d) * norm2 * abs(lc)
     pk = p
@@ -785,8 +643,8 @@ def _zassenhaus_irreducible(zf: list[int]) -> bool:
         pk *= p
     lc_inv = pow(lc % pk, -1, pk)
     F = [c * lc_inv % pk for c in zf]
-    lifted = _hensel_tree(F, factors, p, pk)
-    fq = Polynomial(QQ, [Fraction(c) for c in zf])
+    lifted = _hensel_tree(F, factors, pk)
+    fq = Polynomial(QQ, zf)
     for size in range(1, len(lifted) // 2 + 1):
         for subset in itertools.combinations(range(len(lifted)), size):
             g = [lc % pk]
@@ -797,11 +655,7 @@ def _zassenhaus_irreducible(zf: list[int]) -> bool:
                 g.pop()
             if len(g) <= 1:
                 continue
-            cont = 0
-            for c in g:
-                cont = math.gcd(cont, c)
-            g = [c // cont for c in g]
-            gq = Polynomial(QQ, [Fraction(c) for c in g])
-            if (fq % gq).is_zero():
+            cont = math.gcd(*g)
+            if Polynomial(QQ, [c // cont for c in g]).divides(fq):
                 return False
     return True

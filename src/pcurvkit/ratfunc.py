@@ -102,18 +102,8 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num.coeff(0)
-
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} has a nontrivial denominator")
-        return self.num
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .exprs import ParseError, parse_expression
 from .fields import GF, QQ, is_prime
 from .linalg import Matrix
 from .numberfield import NumberField
-from .poly import IrreducibilityUndecided, Polynomial
+from .poly import IrreducibilityUndecided, Polynomial, is_irreducible_q
 from .ratfunc import FunctionField
 from .surface import Representation, SurfacePresentation
 from .valuation import standard_tower
@@ -219,12 +219,16 @@ def number_field_from_spec(obj) -> NumberField:
             'field spec needs {"min_poly": [c0, ..., 1]} coefficients')
     coeffs = [parse_frac(c) for c in obj["min_poly"]]
     name = obj.get("name", "w")
+    f = Polynomial(QQ, coeffs)
+    if f.degree() < 1:
+        raise SpecError("bad number field: min_poly must be nonconstant")
     try:
-        return NumberField(Polynomial(QQ, coeffs), name)
+        irreducible = is_irreducible_q(f)
     except IrreducibilityUndecided as exc:
         raise SpecError(f"cannot certify the field polynomial: {exc}") from exc
-    except ValueError as exc:
-        raise SpecError(f"bad number field: {exc}") from exc
+    if not irreducible:
+        raise SpecError(f"bad number field: {f.monic()} is reducible over Q")
+    return NumberField(f, name, check=False)
 
 
 def parse_nf_element(obj, K: NumberField):

@@ -180,9 +180,6 @@ class SurfacePresentation:
             letters.append((f"c{j}", 1))
         return Word(letters).inverse()
 
-    def optimal_sequence(self) -> list[Word]:
-        return [Word.gen(name) for name in self.generator_names()]
-
     def __repr__(self):
         return f"Surface(genus={self.genus}, punctures={self.punctures})"
 
@@ -613,7 +610,7 @@ def arch_check(rho: Representation, words, tolerance=Fraction(1, 1024)) -> ArchR
 
 def _locate_arch_witness(t: NumberFieldElement, tol: Fraction) -> int | None:
     """Index of an embedding provably sending t outside [-2, 2]."""
-    from .intervals import eval_poly_box, refine_box, RatInterval
+    from .intervals import eval_poly_box, eval_poly_interval, refine_box, RatInterval
     from .poly import refine_real_root
 
     K = t.field
@@ -624,7 +621,7 @@ def _locate_arch_witness(t: NumberFieldElement, tol: Fraction) -> int | None:
     for iv in reals:
         lo, hi = iv.lo, iv.hi
         for _ in range(80):
-            val = _horner_interval(coeffs, RatInterval(lo, hi))
+            val = eval_poly_interval(coeffs, RatInterval(lo, hi))
             if val.lo > 2 or val.hi < -2:
                 return idx
             if val.hi <= 2 and val.lo >= -2:
@@ -645,15 +642,6 @@ def _locate_arch_witness(t: NumberFieldElement, tol: Fraction) -> int | None:
             current = refine_box(f, current, current.width() / 4)
         idx += 2
     return None
-
-
-def _horner_interval(coeffs, x):
-    from .intervals import RatInterval
-
-    acc = RatInterval.point(0)
-    for c in reversed(coeffs):
-        acc = acc * x + RatInterval.point(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------

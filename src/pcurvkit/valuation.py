@@ -193,12 +193,8 @@ def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPredicti
         False, "all entries are q-integral; no claim", p, r, profile)
 
 
-def verify_prediction(c: CompanionConnection, p: int, precision=None) -> bool:
-    """Exact oracle: compute psi_p over GF(p)(q)(x) and report nonvanishing.
-
-    The precision argument is accepted for interface parity and ignored:
-    entries are rational in q, so the computation is exact.
-    """
+def verify_prediction(c: CompanionConnection, p: int) -> bool:
+    """Exact oracle: compute psi_p over GF(p)(q)(x) and report nonvanishing."""
     report = p_curvature(c.matrix(), p)
     if not report.good_prime:
         raise ValueError(f"p = {p} is bad for this companion connection")

@@ -244,6 +244,27 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("main, command, flag, doc", [
+    (pcurv_main, "analyze", ["--precision-cap", "24"], ANALYZE_DOC),
+    (rep_main, "certify", ["--jobs", "1"], QUATERNION_DOC),
+])
+def test_removed_flags_exit_64(tmp_path, capsys, main, command, flag, doc):
+    """analyze --precision-cap and certify --jobs were accepted and ignored;
+    they are gone, so passing them is a usage error."""
+    spec = write_spec(tmp_path, "spec.json", doc)
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec] + flag)
+    assert exc.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_certify_keeps_precision_cap(tmp_path, capsys):
+    spec = write_spec(tmp_path, "rep.json", QUATERNION_DOC)
+    code, report = run(capsys, rep_main, ["certify", spec, "--precision-cap", "30"])
+    assert code == 0
+    assert report["results"]["verdict"] == {"kind": "finite", "order": 8}
+
+
 def test_spec_errors_exit_65(tmp_path, capsys):
     assert pcurv_main(["scan", str(tmp_path / "missing.json")]) == 65
     bad = tmp_path / "bad.json"

@@ -1,13 +1,18 @@
 """Polynomial arithmetic, gcds, Sturm counting, and irreducibility checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from pcurvkit import GF, QQ, Polynomial, poly_gcd
+import pcurvkit.poly as poly
 from pcurvkit.poly import (
     IrreducibilityUndecided,
+    _factor_mod_p,
+    _is_irreducible_mod_p,
     cauchy_bound,
     count_real_roots_closed,
     is_irreducible_q,
@@ -175,6 +180,132 @@ def test_irreducibility_abstains_past_degree_bound():
     f = (x ** 2 + 1) * (x ** 8 - x - 1)
     with pytest.raises(IrreducibilityUndecided):
         is_irreducible_q(f)
+
+
+def test_modular_pow_matches_power_then_remainder():
+    rng = random.Random(2718)
+    for F in (GF(3), GF(7), QQ):
+        for _ in range(20):
+            f = Polynomial(F, [rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
+            m = Polynomial(F, [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] + [1])
+            for e in (0, 1, 2, rng.randint(3, 13)):
+                assert pow(f, e, m) == (f ** e) % m, (F, f, e, m)
+    x = Polynomial.x(GF(5))
+    assert pow(x, 0, x + 1) == Polynomial.one(GF(5))
+    with pytest.raises(ValueError):
+        pow(x, -1, x + 1)
+
+
+# -- the mod-p machinery against brute force --------------------------------
+
+
+def monic_polys(F, d):
+    for tail in itertools.product(range(F.p), repeat=d):
+        yield Polynomial(F, list(tail) + [1])
+
+
+def irreducible_by_trial_division(f):
+    return not any(g.divides(f)
+                   for k in range(1, f.degree() // 2 + 1)
+                   for g in monic_polys(f.field, k))
+
+
+def seeded_monic(rng, F, d):
+    return Polynomial(F, [rng.randrange(F.p) for _ in range(d)] + [1])
+
+
+def test_ben_or_matches_trial_division_over_gf3():
+    F = GF(3)
+    for d in (2, 3, 4):
+        for f in monic_polys(F, d):
+            assert _is_irreducible_mod_p(f) == irreducible_by_trial_division(f), f
+
+
+def test_ben_or_matches_trial_division_seeded():
+    rng = random.Random(4242)
+    for F in (GF(5), GF(7)):
+        for d in (5, 6):
+            found = set()
+            for _ in range(12):
+                f = seeded_monic(rng, F, d)
+                expected = irreducible_by_trial_division(f)
+                assert _is_irreducible_mod_p(f) == expected, (F, f)
+                found.add(expected)
+            assert found == {True, False}
+
+
+def test_factor_mod_p_returns_irreducible_factors():
+    rng = random.Random(777)
+    cases = []
+    for F in (GF(3), GF(5), GF(7)):
+        for d in (2, 3, 4, 5, 6):
+            cases.append(seeded_monic(rng, F, d))
+        # two and three distinct irreducibles of one degree, so the
+        # equal-degree split has work to do
+        for k, count in ((1, 3), (2, 2), (2, 3), (3, 2)):
+            irreducibles = [g for g in monic_polys(F, k) if _is_irreducible_mod_p(g)]
+            cases.append(math.prod(rng.sample(irreducibles, count),
+                                  start=Polynomial.one(F)))
+    rng = random.Random(99)
+    split = 0
+    for f in cases:
+        if poly_gcd(f, f.derivative()).degree() > 0:
+            continue
+        factors = _factor_mod_p(f, rng)
+        product = Polynomial.one(f.field)
+        for g in factors:
+            assert g.leading() == 1
+            assert g.degree() >= 1 and irreducible_by_trial_division(g), (f, g)
+            product = product * g
+        assert product == f
+        assert len(set(factors)) == len(factors)
+        split += len(factors) > 1
+    assert split >= 12
+
+
+def eisenstein_at_2(rng, d):
+    middle = [2 * rng.randint(-3, 3) for _ in range(d - 1)]
+    return P(2 * rng.choice([1, -1, 3, -3]), *middle, rng.choice([1, 3, 5]))
+
+
+def test_irreducible_eisenstein_family():
+    rng = random.Random(1618)
+    for d in range(4, 9):
+        for _ in range(3):
+            f = eisenstein_at_2(rng, d)
+            assert is_irreducible_q(f), f
+
+
+def test_reducible_products_family():
+    rng = random.Random(1414)
+    for _ in range(30):
+        da = rng.randint(1, 4)
+        db = rng.randint(1, 8 - da)
+        a = P(*[rng.randint(-5, 5) for _ in range(da)], rng.choice([1, 2, -3]))
+        b = P(*[rng.randint(-5, 5) for _ in range(db)], rng.choice([1, 1, 2]))
+        assert not is_irreducible_q(a * b), (a, b)
+
+
+@pytest.mark.parametrize("c", range(-3, 4))
+def test_reducible_mod_every_prime_goes_through_zassenhaus(monkeypatch, c):
+    """No prime certifies these, so the answer comes from Hensel lifting
+    and recombination."""
+    calls = []
+    real = poly._zassenhaus_irreducible
+
+    def spy(zf):
+        calls.append(zf)
+        return real(zf)
+
+    monkeypatch.setattr(poly, "_zassenhaus_irreducible", spy)
+    y = Polynomial.x(QQ) + c
+    for f, expected in ((y ** 4 + 1, True),
+                        (y ** 4 - 10 * y ** 2 + 1, True),
+                        (y ** 8 + 1, True),
+                        ((y ** 2 - 2) * (y ** 2 - 3), False)):
+        calls.clear()
+        assert is_irreducible_q(f) == expected, f
+        assert len(calls) == 1, f
 
 
 def test_to_str_round_readability():

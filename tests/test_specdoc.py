@@ -147,8 +147,30 @@ def test_number_field_from_spec():
     assert number_field_from_spec(None).degree == 1
     with pytest.raises(SpecError):
         number_field_from_spec({"min_poly": ["-1", "0", "1"]})  # reducible
+    with pytest.raises(SpecError, match="reducible"):
+        number_field_from_spec({"min_poly": ["1", "0", "2", "0", "1"]})  # (x^2+1)^2
+    with pytest.raises(SpecError, match="nonconstant"):
+        number_field_from_spec({"min_poly": ["3"]})
+    with pytest.raises(SpecError, match="cannot certify"):
+        # (x^2+1)(x^8-x-1): degree 10, no modular certificate
+        number_field_from_spec(
+            {"min_poly": ["-1", "-1", "-1", "-1", "0", "0", "0", "0", "1", "0", "1"]})
     with pytest.raises(SpecError):
         number_field_from_spec({"name": "w"})
+
+
+def test_number_field_spec_lets_internal_errors_through(monkeypatch):
+    """A ValueError raised inside the irreducibility test is a bug in the
+    program, not a bad spec: it must not come back as SpecError."""
+    import pcurvkit.poly as poly
+
+    def broken(f):
+        raise ValueError("mixed moduli")
+
+    monkeypatch.setattr(poly, "_is_irreducible_mod_p", broken)
+    with pytest.raises(ValueError, match="mixed moduli") as exc:
+        number_field_from_spec({"min_poly": ["-1", "0", "-1", "0", "1"]})  # x^4-x^2-1
+    assert not isinstance(exc.value, SpecError)
 
 
 def test_parse_nf_element_forms():

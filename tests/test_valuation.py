@@ -166,6 +166,8 @@ def test_predict_and_verify_pole_column():
     assert pred.predicted
     assert "negative" in pred.reason
     assert verify_prediction(c, 5)
+    with pytest.raises(TypeError):
+        verify_prediction(c, 5, 24)  # the ignored precision argument is gone
 
 
 def test_predict_declines_integral_column():
