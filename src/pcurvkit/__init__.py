@@ -19,7 +19,6 @@ from .laurent import INF, TruncatedLaurentSeries, ValuationUndecided
 from .intervals import BoxC, PrecisionExceeded, RatInterval, certified_root_enclosures
 from .linalg import Matrix
 from .numberfield import (
-    AlgebraicNumber,
     CompositumError,
     NumberField,
     NumberFieldElement,

@@ -16,8 +16,10 @@ from fractions import Fraction
 from . import specdoc
 from .connection import scan_primes
 from .deformation import normalize_family, step_conjugate
+from .fields import primes_in
 from .intervals import PrecisionExceeded
-from .surface import Finite, Obstructed, certify_finiteness
+from .surface import Finite, FinitenessCertificate, Inconclusive, Obstructed, \
+    certify_finiteness
 from .valuation import newton_polygon, predict_nonvanishing, verify_prediction
 
 EXIT_OK = 0
@@ -93,7 +95,7 @@ def pcurv_main(argv=None) -> int:
             results = _run_scan(doc, args)
         else:
             results = _run_analyze(doc, args)
-    except (specdoc.SpecError, ValueError) as exc:
+    except specdoc.SpecError as exc:
         return _fail_spec(exc)
     _emit(specdoc.make_report(echo, results, started))
     return EXIT_OK
@@ -102,6 +104,12 @@ def pcurv_main(argv=None) -> int:
 def _run_scan(doc: dict, args) -> dict:
     A = specdoc.connection_from_spec(doc)
     p_min, p_max = args.primes
+    char = A.field.characteristic()
+    other = [p for p in primes_in(p_min, p_max) if p != char]
+    if char and other:
+        raise specdoc.SpecError(
+            f"the base has characteristic {char}, so --primes may hold no "
+            f"other prime, got {other[0]}")
     reports = scan_primes(A, p_min, p_max, jobs=max(1, args.jobs))
     table = []
     vanishing = nonvanishing = bad = 0
@@ -200,26 +208,16 @@ def rep_main(argv=None) -> int:
     if max_elements < 1 or max_order < 1:
         return _fail_spec("caps must be positive")
     tolerance = Fraction(1, 2 ** args.precision_cap)
+    projective = projective or args.projective
     try:
         cert = certify_finiteness(
             rho, max_elements=max_elements, max_order=max_order,
-            tolerance=tolerance, projective=projective or args.projective)
+            tolerance=tolerance, projective=projective)
     except PrecisionExceeded as exc:
-        results = {
-            "kind": "certify",
-            "seed": args.seed,
-            "target": rho.target,
-            "projective": projective or args.projective,
-            "caps": {"max_elements": max_elements, "max_order": max_order},
-            "verdict": {"kind": "inconclusive",
-                        "reason": f"undecided at precision cap: {exc}"},
-            "element_count": 0,
-            "max_order_seen": 0,
-            "evidence": {"nonarch_passed": None, "arch_passed": None,
-                         "det_orders": None},
-        }
-        _emit(specdoc.make_report(echo, results, started))
-        return EXIT_INCONCLUSIVE
+        cert = FinitenessCertificate(
+            Inconclusive(f"undecided at precision cap: {exc}"),
+            element_count=0, max_order_seen=0, nonarch_passed=None,
+            arch_passed=None, det_orders=None)
 
     verdict = cert.verdict
     if isinstance(verdict, Finite):
@@ -239,7 +237,7 @@ def rep_main(argv=None) -> int:
         "kind": "certify",
         "seed": args.seed,
         "target": rho.target,
-        "projective": projective or args.projective,
+        "projective": projective,
         "caps": {"max_elements": max_elements, "max_order": max_order},
         "verdict": verdict_doc,
         "element_count": cert.element_count,
@@ -288,7 +286,7 @@ def deform_main(argv=None) -> int:
             results, status = _run_normalize(doc, args)
         else:
             results, status = _run_conjugate(doc, args)
-    except (specdoc.SpecError, ValueError) as exc:
+    except specdoc.SpecError as exc:
         return _fail_spec(exc)
     _emit(specdoc.make_report(echo, results, started))
     return status

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .fields import GF, ReductionError, primes_in
 from .linalg import Matrix
-from .poly import PolynomialRing, poly_gcd
-from .ratfunc import FunctionField, RationalFunction, reduce_rational_mod_p
+from .poly import PolynomialRing
+from .ratfunc import FunctionField, RationalFunction, common_denominator, reduce_rational_mod_p
 
 
 class CyclicVectorNotFound(RuntimeError):
@@ -192,11 +192,7 @@ def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
         raise ValueError("power must be at least 1")
     field = A.field
     u = A.derivation.u
-    h = u.den
-    for row in A.matrix.rows:
-        for e in row:
-            if e.den.degree() > 0:
-                h = h // poly_gcd(h, e.den) * e.den
+    h = common_denominator([u] + [e for row in A.matrix.rows for e in row])
     ring = PolynomialRing(field.base, field.var)
     B = A.matrix.map_entries(lambda e: e.num * (h // e.den), ring)
     if u.den.is_one():

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .connection import ConnectionMatrix, Derivation, frobenius_twist_multiplier, \
     nabla_power_matrix, p_curvature
 from .linalg import Matrix
-from .poly import Polynomial, poly_gcd
-from .ratfunc import RationalFunction
+from .poly import Polynomial
+from .ratfunc import RationalFunction, common_denominator
 
 
 class BlockExtension:
@@ -115,17 +115,6 @@ class DeformationSolution:
     ansatz_degree: int
 
 
-def _common_denominator(entries):
-    den = None
-    for f in entries:
-        d = f.den
-        if den is None:
-            den = d
-        else:
-            den = ((den * d) // poly_gcd(den, d)).monic()
-    return den
-
-
 def _poly_coords(f: RationalFunction, common_den: Polynomial, width: int):
     num = f.num * (common_den // f.den)
     return [num.coeff(i) for i in range(width)]
@@ -157,7 +146,7 @@ def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
 
     all_entries = [e for img in images for row in img.rows for e in row]
     all_entries += [e for row in B.rows for e in row]
-    common_den = _common_denominator(all_entries)
+    common_den = common_denominator(all_entries)
     width = 1 + max(
         (f.num.degree() + (common_den.degree() - f.den.degree())
          for f in all_entries if not f.is_zero()),
@@ -341,6 +330,22 @@ def normalize_family(F: TruncatedFamily, ansatz_degree: int) -> NormalizationRes
     return NormalizationResult(tuple(gauges), current, None, None)
 
 
+def conjugation_obstacle(sigma_gens, tau_gens, m: int) -> str | None:
+    """Why ``step_conjugate(sigma_gens, tau_gens, m)`` does not apply, or None."""
+    if m < 1:
+        return "conjugation layer must be positive"
+    if len(sigma_gens) != len(tau_gens):
+        return "generator count mismatch"
+    if any(sigma.shape() != sigma_gens[0].shape() for sigma in sigma_gens):
+        return "sigma matrices have unequal sizes"
+    for sigma, tau_layers in zip(sigma_gens, tau_gens):
+        if len(tau_layers) != m + 1:
+            return f"tau needs exactly {m + 1} layers (q^0..q^{m})"
+        if tau_layers[0] != sigma or any(not L.is_zero() for L in tau_layers[1:m]):
+            return "tau does not agree with sigma mod q^m"
+    return None
+
+
 def step_conjugate(sigma_gens, tau_gens, m: int):
     """Solve (I + q^m M)^{-1} tau (I + q^m M) = sigma mod q^{m+1}.
 
@@ -350,19 +355,12 @@ def step_conjugate(sigma_gens, tau_gens, m: int):
     full conjugation identity is re-verified before returning.  None means
     the layers are not conjugate.
     """
-    if m < 1:
-        raise ValueError("conjugation layer must be positive")
-    if len(sigma_gens) != len(tau_gens):
-        raise ValueError("generator count mismatch")
+    obstacle = conjugation_obstacle(sigma_gens, tau_gens, m)
+    if obstacle is not None:
+        raise ValueError(obstacle)
     ring = sigma_gens[0].ring
     n = sigma_gens[0].nrows
-    deltas = []
-    for sigma, tau_layers in zip(sigma_gens, tau_gens):
-        if len(tau_layers) != m + 1:
-            raise ValueError(f"tau needs exactly {m + 1} layers (q^0..q^{m})")
-        if tau_layers[0] != sigma or any(not L.is_zero() for L in tau_layers[1:m]):
-            raise ValueError("tau does not agree with sigma mod q^m")
-        deltas.append(tau_layers[m])
+    deltas = [tau_layers[m] for tau_layers in tau_gens]
 
     basis = []
     for i in range(n):

@@ -2,10 +2,12 @@
 
 A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
-bounded primitive-element search over theta1 + k*theta2 and returns the
-joint field together with embedding maps.  Embedding data is certified: real
-roots come from Sturm isolation, complex roots from interval Newton, and
-every absolute-value query refines until the requested tolerance is met.
+bounded primitive-element search over theta1 + k*theta2, powering the
+multiplication matrix of that element on the tensor product, and returns
+the joint field together with embedding maps.  Embedding data is
+certified: real roots come from Sturm isolation, complex roots from interval
+Newton, and every absolute-value query refines until the requested tolerance
+is met.
 """
 
 from __future__ import annotations
@@ -292,47 +294,28 @@ class NumberFieldElement:
         return " + ".join(terms) if terms else "0"
 
 
-class AlgebraicNumber:
-    """A number field element bundled with its (lazily computed) min poly."""
-
-    __slots__ = ("element", "_min_poly")
-
-    def __init__(self, element: NumberFieldElement, min_poly: Polynomial | None = None):
-        self.element = element
-        self._min_poly = min_poly
-
-    def min_poly(self) -> Polynomial:
-        if self._min_poly is None:
-            self._min_poly = minimal_polynomial(self.element)
-        return self._min_poly
-
-    def degree(self) -> int:
-        return self.min_poly().degree()
-
-    def is_algebraic_integer(self) -> bool:
-        return is_algebraic_integer(self.element)
-
-    def is_root_of_unity(self):
-        return is_root_of_unity(self.element)
-
-
 def minimal_polynomial(e: NumberFieldElement) -> Polynomial:
     """Monic minimal polynomial over Q, found as the first linear dependency
     among the powers 1, e, e^2, ..."""
     K = e.field
-    d = K.degree
     powers = [K.one]
-    for _ in range(d):
+    for _ in range(K.degree):
         powers.append(powers[-1] * e)
-    for k in range(1, d + 1):
-        cols = Matrix(QQ, [[powers[t].coords[i] for t in range(k)]
-                           for i in range(d)])
-        rhs = Matrix.column(QQ, list(powers[k].coords))
-        sol = cols.solve(rhs)
-        if sol is not None:
-            coeffs = [-sol.entry(t, 0) for t in range(k)] + [Fraction(1)]
-            return Polynomial(QQ, coeffs)
-    raise RuntimeError("powers of an element failed to become dependent")
+    return _first_dependency([x.coords for x in powers])
+
+
+def _first_dependency(vectors) -> Polynomial:
+    """Monic X^k + c_{k-1} X^{k-1} + ... + c_0 for the least k with
+    vectors[k] + c_{k-1} vectors[k-1] + ... + c_0 vectors[0] = 0.
+
+    The vectors are the orbit v, Av, A^2 v, ... of one linear map A, one
+    more than their dimension, so the first k are independent and every
+    later one depends on them.  One row reduction of the matrix with these
+    columns finds k as its rank, and column k reduces to -c_0..-c_{k-1}.
+    """
+    red, pivots = Matrix(QQ, list(zip(*vectors))).rref()
+    k = len(pivots)
+    return Polynomial(QQ, [-red.entry(t, k) for t in range(k)] + [Fraction(1)])
 
 
 def is_algebraic_integer(e: NumberFieldElement) -> bool:
@@ -421,39 +404,39 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
             return _K.element(e.coords)
         return F1, same1, same1
     if F1.degree == 1:
-        c = F1.gen.rational_value()
-        return F2, (lambda e, _c=c, _K=F2: _K(e.coords[0])), (lambda e, _K=F2: _K.element(e.coords))
+        return F2, (lambda e, _K=F2: _K(e.coords[0])), (lambda e, _K=F2: _K.element(e.coords))
     if F2.degree == 1:
         return F1, (lambda e, _K=F1: _K.element(e.coords)), (lambda e, _K=F1: _K(e.coords[0]))
 
+    # theta1 and theta2 act on Q[theta1] (x) Q[theta2], basis theta1^i theta2^j
+    # at index i*d2 + j, by T1 = C1 (x) I and T2 = I (x) C2, where column a
+    # of the multiplication matrix C_n holds the coordinates of theta_n^(a+1).
     d1, d2 = F1.degree, F2.degree
     D = d1 * d2
-    ks = []
-    for k in range(1, k_range + 1):
-        ks.extend((k, -k))
-    for k in ks:
-        mu = _TensorElt.gen1(F1, F2) + _TensorElt.gen2(F1, F2).scale(k)
-        powers = [_TensorElt.one(F1, F2)]
+    t1, t2 = F1._pow_table, F2._pow_table
+    index = [(i, j) for i in range(d1) for j in range(d2)]
+    T1 = Matrix(QQ, [[t1[a + 1][i] if j == b else 0 for a, b in index] for i, j in index])
+    T2 = Matrix(QQ, [[t2[b + 1][j] if i == a else 0 for a, b in index] for i, j in index])
+    # theta1 = T1 * 1 and theta2 = T2 * 1 are unit vectors of the tensor basis
+    gens = Matrix(QQ, [[int(t == d2), int(t == 1)] for t in range(D)])
+    for k in (s * n for n in range(1, k_range + 1) for s in (1, -1)):
+        mu = T1 + T2.scale(k)
+        vectors = [[1] + [0] * (D - 1)]  # mu^t * 1 for t = 0..D
         for _ in range(D):
-            powers.append(powers[-1] * mu)
-        base_cols = Matrix(QQ, [[powers[t].flat()[i] for t in range(D)]
-                                for i in range(D)])
-        if base_cols.rank() != D:
+            vectors.append([sum(a * b for a, b in zip(row, vectors[-1]))
+                            for row in mu.rows])
+        m = _first_dependency(vectors)
+        if m.degree() < D:
             continue
-        rhs = Matrix.column(QQ, list(powers[D].flat()))
-        sol = base_cols.solve(rhs)
-        m_coeffs = [-sol.entry(t, 0) for t in range(D)] + [Fraction(1)]
-        m = Polynomial(QQ, m_coeffs)
         try:
             if not is_irreducible_q(m):
                 continue
         except IrreducibilityUndecided:
             continue
         K = NumberField(m, name="w", check=False)
-        th1 = base_cols.solve(Matrix.column(QQ, list(_TensorElt.gen1(F1, F2).flat())))
-        th2 = base_cols.solve(Matrix.column(QQ, list(_TensorElt.gen2(F1, F2).flat())))
-        g1 = K.element([th1.entry(t, 0) for t in range(D)])
-        g2 = K.element([th2.entry(t, 0) for t in range(D)])
+        images = Matrix(QQ, list(zip(*vectors[:D]))).solve(gens)
+        g1 = K.element([images.entry(t, 0) for t in range(D)])
+        g2 = K.element([images.entry(t, 1) for t in range(D)])
 
         def make_embed(gen_img, _K=K):
             def embed(e):
@@ -467,84 +450,3 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
     raise CompositumError(
         f"no primitive element theta1 + k*theta2 with |k| <= {k_range} reaches "
         f"degree {D}; are the fields linearly disjoint?")
-
-
-class _TensorElt:
-    """Element of Q[theta1] (x) Q[theta2] as a d1 x d2 coefficient grid."""
-
-    __slots__ = ("F1", "F2", "grid")
-
-    def __init__(self, F1, F2, grid):
-        self.F1 = F1
-        self.F2 = F2
-        self.grid = [[Fraction(c) for c in row] for row in grid]
-
-    @classmethod
-    def zero_grid(cls, F1, F2):
-        return [[Fraction(0)] * F2.degree for _ in range(F1.degree)]
-
-    @classmethod
-    def one(cls, F1, F2):
-        g = cls.zero_grid(F1, F2)
-        g[0][0] = Fraction(1)
-        return cls(F1, F2, g)
-
-    @classmethod
-    def gen1(cls, F1, F2):
-        g = cls.zero_grid(F1, F2)
-        if F1.degree == 1:
-            g[0][0] = -F1.min_poly.coeff(0)
-        else:
-            g[1][0] = Fraction(1)
-        return cls(F1, F2, g)
-
-    @classmethod
-    def gen2(cls, F1, F2):
-        g = cls.zero_grid(F1, F2)
-        if F2.degree == 1:
-            g[0][0] = -F2.min_poly.coeff(0)
-        else:
-            g[0][1] = Fraction(1)
-        return cls(F1, F2, g)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return _TensorElt(self.F1, self.F2,
-                          [[c * v for v in row] for row in self.grid])
-
-    def __add__(self, other):
-        return _TensorElt(self.F1, self.F2, [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.grid, other.grid)
-        ])
-
-    def __mul__(self, other):
-        d1, d2 = self.F1.degree, self.F2.degree
-        t1, t2 = self.F1._pow_table, self.F2._pow_table
-        raw = [[Fraction(0)] * (2 * d2 - 1) for _ in range(2 * d1 - 1)]
-        for i, row in enumerate(self.grid):
-            for j, a in enumerate(row):
-                if not a:
-                    continue
-                for u, orow in enumerate(other.grid):
-                    for v, b in enumerate(orow):
-                        if b:
-                            raw[i + u][j + v] += a * b
-        out = _TensorElt.zero_grid(self.F1, self.F2)
-        for i in range(2 * d1 - 1):
-            for j in range(2 * d2 - 1):
-                c = raw[i][j]
-                if not c:
-                    continue
-                r1 = t1[i]
-                r2 = t2[j]
-                for a in range(d1):
-                    if r1[a]:
-                        ca = c * r1[a]
-                        for b in range(d2):
-                            if r2[b]:
-                                out[a][b] += ca * r2[b]
-        return _TensorElt(self.F1, self.F2, out)
-
-    def flat(self):
-        return tuple(c for row in self.grid for c in row)

@@ -25,7 +25,7 @@ class Polynomial:
     def __init__(self, field, coeffs):
         self.field = field
         cs = [c if not isinstance(c, (int, Fraction, str)) else field(c) for c in coeffs]
-        while cs and not _nonzero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
@@ -70,7 +70,7 @@ class Polynomial:
     def order_at_zero(self) -> int:
         """Index of the first nonzero coefficient; -1 for the zero polynomial."""
         for i, c in enumerate(self.coeffs):
-            if _nonzero(c):
+            if c:
                 return i
         return -1
 
@@ -122,7 +122,7 @@ class Polynomial:
             return Polynomial.zero(self.field)
         out = [self.field.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if not _nonzero(ai):
+            if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
@@ -159,7 +159,7 @@ class Polynomial:
         inv_lead = self.field.one / o.leading()
         for k in range(dq, -1, -1):
             top = rem[k + o.degree()]
-            if _nonzero(top):
+            if top:
                 q = top * inv_lead
                 quot[k] = q
                 for j, c in enumerate(o.coeffs):
@@ -210,7 +210,7 @@ class Polynomial:
         parts = []
         for i in range(self.degree(), -1, -1):
             c = self.coeff(i)
-            if not _nonzero(c):
+            if not c:
                 continue
             cs = _coeff_str(c)
             if i == 0:
@@ -223,10 +223,6 @@ class Polynomial:
 
     def __repr__(self):
         return self.to_str()
-
-
-def _nonzero(c) -> bool:
-    return bool(c != 0) if isinstance(c, (int, Fraction)) else bool(c)
 
 
 def _coeff_str(c) -> str:

@@ -102,9 +102,6 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.degree() <= 0 and self.den.degree() == 0
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
     # -- arithmetic -----------------------------------------------------------
 
     def _wrap(self, other):
@@ -215,6 +212,18 @@ class RationalFunction:
 
     def __repr__(self):
         return self.to_str()
+
+
+def common_denominator(fs) -> Polynomial:
+    """Monic lcm of the denominators of a nonempty iterable of rational
+    functions.  Denominators are monic, so those of degree 0 are 1 and
+    skipped."""
+    fs = iter(fs)
+    h = next(fs).den
+    for f in fs:
+        if f.den.degree() > 0:
+            h = h // poly_gcd(h, f.den) * f.den
+    return h
 
 
 def reduce_rational_mod_p(f: RationalFunction, target: FunctionField) -> RationalFunction:

@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from .connection import CompanionConnection, ConnectionMatrix, Derivation
-from .deformation import TruncatedFamily
+from .deformation import TruncatedFamily, conjugation_obstacle
 from .exprs import ParseError, parse_expression
 from .fields import GF, QQ, is_prime
 from .linalg import Matrix
@@ -21,7 +21,7 @@ from .numberfield import NumberField
 from .poly import IrreducibilityUndecided, Polynomial, is_irreducible_q
 from .ratfunc import FunctionField
 from .surface import Representation, SurfacePresentation
-from .valuation import standard_tower
+from .valuation import prediction_obstacle, standard_tower
 
 TOOL_NAME = "pcurvkit"
 TOOL_VERSION = "0.1.0"
@@ -181,7 +181,11 @@ def companion_from_spec(doc: dict):
     if not isinstance(col, list) or not col:
         raise SpecError('companion spec needs a nonempty "last_column"')
     entries = [parse_field_expression(e, tower) for e in col]
-    return CompanionConnection(entries, D), p
+    c = CompanionConnection(entries, D)
+    obstacle = prediction_obstacle(c, p)
+    if obstacle is not None:
+        raise SpecError(obstacle)
+    return c, p
 
 
 def family_from_spec(doc: dict):
@@ -313,11 +317,13 @@ def conjugation_from_spec(doc: dict):
         raise SpecError('"tau" must list one layer stack per sigma generator')
     sigma = [parse_nf_matrix(rows, K) for rows in sigma_doc]
     tau = []
-    for stack in tau_doc:
+    for s, stack in zip(sigma, tau_doc):
         if not isinstance(stack, list) or not stack:
             raise SpecError("each tau entry must be a list of layer matrices")
-        tau.append([parse_nf_matrix(rows, K, size=sigma[0].nrows)
-                    for rows in stack])
+        tau.append([parse_nf_matrix(rows, K, size=s.nrows) for rows in stack])
+    obstacle = conjugation_obstacle(sigma, tau, m)
+    if obstacle is not None:
+        raise SpecError(obstacle)
     return sigma, tau, m
 
 

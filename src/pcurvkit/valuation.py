@@ -166,23 +166,28 @@ class NonvanishingPrediction:
     profile: ValuationProfile
 
 
-def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPrediction:
-    """Negative q-valuation in the companion column predicts nonzero
-    p-curvature, under p > rank, a nu-integral derivation, and a derivation
-    fixed by the p-th power map."""
-    r = c.rank
-    if p <= r:
-        raise ValueError(f"prediction requires p > rank, got p={p}, rank={r}")
+def prediction_obstacle(c: CompanionConnection, p: int) -> str | None:
+    """Why ``predict_nonvanishing(c, p)`` does not apply, or None: it needs
+    p > rank, a nu-integral derivation, and a derivation fixed by the p-th
+    power map."""
+    if p <= c.rank:
+        return f"prediction requires p > rank, got p={p}, rank={c.rank}"
     D = c.derivation
     if q_valuation(D.u) < 0:
-        raise ValueError(
-            "derivation is not nu-integral: its multiplier has a q-pole")
-    char = D.field.characteristic()
-    if char == p:
-        v = frobenius_twist_multiplier(D, p)
-        if v != D.u:
-            raise ValueError(
-                "derivation does not satisfy D^p = D over the prime field")
+        return "derivation is not nu-integral: its multiplier has a q-pole"
+    if D.field.characteristic() == p and frobenius_twist_multiplier(D, p) != D.u:
+        return "derivation does not satisfy D^p = D over the prime field"
+    return None
+
+
+def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPrediction:
+    """Negative q-valuation in the companion column predicts nonzero
+    p-curvature; raises ValueError when ``prediction_obstacle`` names a
+    reason the prediction does not apply."""
+    obstacle = prediction_obstacle(c, p)
+    if obstacle is not None:
+        raise ValueError(obstacle)
+    r = c.rank
     profile = ValuationProfile.of(c)
     if profile.min_valuation != INF and profile.min_valuation < 0:
         return NonvanishingPrediction(

@@ -150,6 +150,63 @@ def test_analyze_rejects_small_prime(tmp_path, capsys):
     assert "p > rank" in err
 
 
+@pytest.mark.parametrize("main, argv, doc, message", [
+    (pcurv_main, ["analyze"], dict(ANALYZE_DOC, p=2),
+     "prediction requires p > rank, got p=2, rank=2"),
+    (pcurv_main, ["analyze"], dict(ANALYZE_DOC, derivation={"multiplier": "x/q"}),
+     "derivation is not nu-integral: its multiplier has a q-pole"),
+    (pcurv_main, ["analyze"], dict(ANALYZE_DOC, derivation={"multiplier": "q*x"}),
+     "derivation does not satisfy D^p = D over the prime field"),
+    (pcurv_main, ["scan", "--primes", "2..7"], dict(SCAN_DOC, base={"p": 5}),
+     "the base has characteristic 5, so --primes may hold no other prime, got 2"),
+    (pcurv_main, ["scan", "--primes", "5..11"], dict(SCAN_DOC, base={"p": 5}),
+     "the base has characteristic 5, so --primes may hold no other prime, got 7"),
+    (deform_main, ["conjugate"],
+     dict(CONJUGATE_OK_DOC, sigma=[[[1, 2], [0, 1]], [[1]]],
+          tau=[CONJUGATE_OK_DOC["tau"][0], [[[1]], [[0]]]]),
+     "sigma matrices have unequal sizes"),
+    (deform_main, ["conjugate"], dict(CONJUGATE_FAIL_DOC, m=2),
+     "tau needs exactly 3 layers (q^0..q^2)"),
+    (deform_main, ["conjugate"],
+     dict(CONJUGATE_FAIL_DOC, tau=[[[[1, 1], [0, 1]], [[0, 1], [0, 0]]]]),
+     "tau does not agree with sigma mod q^m"),
+    (deform_main, ["conjugate"],
+     dict(CONJUGATE_FAIL_DOC, m=2, tau=[[[[1, 0], [0, 1]], [[0, 1], [0, 0]],
+                                         [[0, 1], [0, 0]]]]),
+     "tau does not agree with sigma mod q^m"),
+])
+def test_precondition_specs_exit_65(tmp_path, capsys, main, argv, doc, message):
+    spec = write_spec(tmp_path, "spec.json", doc)
+    assert main(argv[:1] + [spec] + argv[1:]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_scan_at_the_base_characteristic(tmp_path, capsys):
+    spec = write_spec(tmp_path, "scan5.json", dict(SCAN_DOC, base={"p": 5}))
+    code, report = run(capsys, pcurv_main, ["scan", spec, "--primes", "4..6"])
+    assert code == 0
+    assert [row["prime"] for row in report["results"]["primes"]] == [5]
+
+
+@pytest.mark.parametrize("main, argv, name, doc", [
+    (pcurv_main, ["scan", "--primes", "2..5"], "scan_primes", SCAN_DOC),
+    (deform_main, ["conjugate"], "step_conjugate", CONJUGATE_OK_DOC),
+])
+def test_internal_value_error_is_not_a_spec_error(tmp_path, capsys, monkeypatch,
+                                                  main, argv, name, doc):
+    """A ValueError from inside the computation is a bug, not a bad spec: it
+    propagates instead of exiting 65."""
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(f"pcurvkit.cli.{name}", broken)
+    spec = write_spec(tmp_path, "spec.json", doc)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(argv[:1] + [spec] + argv[1:])
+
+
 def test_certify_finite(tmp_path, capsys):
     spec = write_spec(tmp_path, "rep.json", QUATERNION_DOC)
     code, report = run(capsys, rep_main, ["certify", spec])
@@ -256,6 +313,31 @@ def test_removed_flags_exit_64(tmp_path, capsys, main, command, flag, doc):
         main([command, spec] + flag)
     assert exc.value.code == 64
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_certify_precision_exceeded_exit_3(tmp_path, capsys, monkeypatch):
+    from pcurvkit.intervals import PrecisionExceeded
+
+    def exhausted(*args, **kwargs):
+        raise PrecisionExceeded("refinement exhausted")
+
+    monkeypatch.setattr("pcurvkit.cli.certify_finiteness", exhausted)
+    spec = write_spec(tmp_path, "rep.json", QUATERNION_DOC)
+    code, report = run(capsys, rep_main, ["certify", spec, "--seed", "3"])
+    assert code == 3
+    assert report["results"] == {
+        "kind": "certify",
+        "seed": 3,
+        "target": "SL2",
+        "projective": False,
+        "caps": {"max_elements": 10000, "max_order": 10000},
+        "verdict": {"kind": "inconclusive",
+                    "reason": "undecided at precision cap: refinement exhausted"},
+        "element_count": 0,
+        "max_order_seen": 0,
+        "evidence": {"nonarch_passed": None, "arch_passed": None,
+                     "det_orders": None},
+    }
 
 
 def test_certify_keeps_precision_cap(tmp_path, capsys):

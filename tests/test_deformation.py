@@ -306,3 +306,6 @@ def test_step_conjugate_validates_input():
         step_conjugate([I, I], [[I, Matrix.zeros(F, 2)]], 1)
     with pytest.raises(ValueError):
         step_conjugate([I], [[I, Matrix.zeros(F, 2)]], 0)
+    J = Matrix.identity(F, 3)
+    with pytest.raises(ValueError, match="unequal sizes"):
+        step_conjugate([I, J], [[I, Matrix.zeros(F, 2)], [J, Matrix.zeros(F, 3)]], 1)

@@ -191,6 +191,100 @@ def test_compositum_rejects_overlap():
         compositum(F1, F2, k_range=2)
 
 
+# Minimal polynomials of the compositum's field and the images of the two
+# generators, as coordinates in its power basis.  Coefficients ascend.
+FIELDS = {
+    "golden": (-1, -1, 1),
+    "i": (1, 0, 1),
+    "i+1": (2, 2, 1),  # root -1 + i: Q(i) again, under another polynomial
+    "sqrt2": (-2, 0, 1),
+    "sqrt3": (-3, 0, 1),
+    "sqrt5": (-5, 0, 1),
+    "sqrt8": (-8, 0, 1),
+    "cbrt2": (-2, 0, 0, 1),
+    "cbrt3": (-3, 0, 0, 1),
+    "2^(1/4)": (-2, 0, 0, 0, 1),
+    "zeta3": (1, 1, 1),
+    "zeta5": (1, 1, 1, 1, 1),
+    "1/2": (Fraction(-1, 2), 1),
+}
+
+COMPOSITA = [
+    ("golden", "i", "5 0 1 -2 1",
+     "2/9 4/9 1/3 -2/9", "-2/9 5/9 -1/3 2/9"),
+    ("sqrt2", "sqrt3", "1 0 -10 0 1",
+     "0 -9/2 0 1/2", "0 11/2 0 -1/2"),
+    ("i", "cbrt2", "5 12 3 -4 3 0 1",
+     "-91/22 -39/11 39/11 -20/11 9/22 -6/11",
+     "91/22 50/11 -39/11 20/11 -9/22 6/11"),
+    ("sqrt2", "zeta3", "7 -2 -1 2 1",
+     "5/11 9/11 -3/11 -2/11", "-5/11 2/11 3/11 2/11"),
+    ("zeta3", "i", "1 4 5 2 1",
+     "-4 -8 -3 -2", "4 9 3 2"),
+    ("cbrt2", "sqrt5", "-121 -60 75 -4 -15 0 1",
+     "2275/4054 -1714/2027 195/2027 500/2027 -9/4054 -30/2027",
+     "-2275/4054 3741/2027 -195/2027 -500/2027 9/4054 30/2027"),
+    ("i", "zeta5", "1 -4 -2 10 16 10 7 2 1",
+     "-1651/541 1575/541 8515/541 11280/541 6895/541 4496/541 1305/541 600/541",
+     "1651/541 -1034/541 -8515/541 -11280/541 -6895/541 -4496/541 -1305/541 -600/541"),
+    ("1/2", "i", "1 0 1", "1/2 0", "0 1"),
+    ("i", "1/2", "1 0 1", "0 1", "1/2 0"),
+    ("i", "i", "1 0 1", "0 1", "0 1"),
+]
+
+
+def field(name):
+    return NumberField(P(*FIELDS[name]), name)
+
+
+def coords(text):
+    return [Fraction(c) for c in text.split()]
+
+
+def compositum_rows():
+    for a, b, m, g1, g2 in COMPOSITA:
+        F1, F2 = field(a), field(b)
+        yield pytest.param(F1, F2, coords(m), coords(g1), coords(g2), id=f"{a}*{b}")
+
+
+@pytest.mark.parametrize("F1, F2, m, g1, g2", list(compositum_rows()))
+def test_compositum_frozen(F1, F2, m, g1, g2):
+    K, f1, f2 = compositum(F1, F2)
+    assert K.min_poly == Polynomial(QQ, m)
+    assert list(f1(F1.gen).coords) == g1
+    assert list(f2(F2.gen).coords) == g2
+
+
+@pytest.mark.parametrize("F1, F2, m, g1, g2", list(compositum_rows()))
+def test_compositum_embeddings_are_ring_homomorphisms(F1, F2, m, g1, g2):
+    K, f1, f2 = compositum(F1, F2)
+    rng = random.Random(f"{F1!r} {F2!r}")
+    for F, f in ((F1, f1), (F2, f2)):
+        assert f(F.one) == K.one
+        assert minimal_polynomial(f(F.gen)) == F.min_poly
+        for _ in range(4):
+            a, b = (F.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(F.degree)]) for _ in range(2))
+            assert f(a + b) == f(a) + f(b)
+            assert f(a * b) == f(a) * f(b)
+    assert f1(F1.gen) * f2(F2.gen) == f2(F2.gen) * f1(F1.gen)
+
+
+@pytest.mark.parametrize("a, b, degree", [
+    ("sqrt5", "golden", 4),   # minimal polynomials reducible for every k
+    ("sqrt2", "sqrt8", 4),
+    ("i", "i+1", 4),          # mu of degree 3 at k = 1 and k = -1
+    ("sqrt2", "2^(1/4)", 8),
+    ("cbrt2", "cbrt3", 9),    # degree 9: irreducibility undecided, k skipped
+])
+def test_compositum_error_frozen(a, b, degree):
+    with pytest.raises(CompositumError) as exc:
+        compositum(field(a), field(b), k_range=2)
+    assert str(exc.value) == (
+        f"no primitive element theta1 + k*theta2 with |k| <= 2 reaches "
+        f"degree {degree}; are the fields linearly disjoint?")
+
+
 def test_rational_value_round_trip():
     K = gaussian()
     e = K(Fraction(7, 3))

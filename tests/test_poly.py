@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcurvkit import GF, QQ, Polynomial, poly_gcd
+from pcurvkit import GF, QQ, FunctionField, NumberField, Polynomial, poly_gcd
 import pcurvkit.poly as poly
 from pcurvkit.poly import (
     IrreducibilityUndecided,
@@ -35,6 +35,24 @@ def test_degree_and_coeff_access():
     assert f.coeff(2) == 3
     assert f.coeff(17) == 0
     assert Polynomial.zero(QQ).degree() == -1
+
+
+def _coefficient_samples():
+    K = NumberField(P(1, 0, 1), "i")
+    R = FunctionField(GF(3), "t")
+    return [(QQ, 0, 2), (QQ, Fraction(0), Fraction(1, 2)), (GF(5), GF(5)(0), GF(5)(3)),
+            (R, R.zero, R.gen() / (R.gen() + R.one)), (K, K.zero, K.gen)]
+
+
+@pytest.mark.parametrize("field, zero, nonzero", _coefficient_samples())
+def test_zero_coefficients_are_falsy_and_trimmed(field, zero, nonzero):
+    assert not zero and zero == 0
+    assert nonzero and nonzero != 0
+    f = Polynomial(field, [nonzero, zero, nonzero, zero, zero])
+    assert f.degree() == 2
+    assert Polynomial(field, [zero, zero]).is_zero()
+    assert Polynomial(field, [zero, nonzero]).order_at_zero() == 1
+    assert (f * f).degree() == 4
 
 
 def test_arithmetic_ring_identities():

@@ -5,7 +5,7 @@ import pytest
 
 from pcurvkit import GF, QQ, FunctionField
 from pcurvkit.fields import ReductionError
-from pcurvkit.ratfunc import reduce_rational_mod_p
+from pcurvkit.ratfunc import common_denominator, reduce_rational_mod_p
 
 
 def rand_elt(K, rng, size=3):
@@ -117,3 +117,24 @@ def test_is_zero_and_bool():
     assert K.zero.is_zero()
     assert not K.one.is_zero()
     assert bool(K.gen())
+
+
+@pytest.mark.parametrize("base", [QQ, GF(7)])
+def test_common_denominator_is_the_monic_lcm(base):
+    K = FunctionField(base, "x")
+    x = K.gen()
+    fs = [K(3), K.one / (K(2) * x * (x - K.one)), x / (x - K.one) ** 2,
+          K.one / x ** 2, x ** 3]
+    assert common_denominator(fs) == K.polynomial([0, 0, 1, -2, 1])  # x^2 (x-1)^2
+    assert common_denominator([K(5), x]).is_one()
+    rng = random.Random(71)
+    for _ in range(10):
+        fs = [rand_elt(K, rng) for _ in range(4)]
+        h = common_denominator(fs)
+        assert h.leading() == base.one
+        assert all(f.den.divides(h) for f in fs)
+        # least: dropping any linear factor of h loses some denominator
+        for c in range(-4, 5):
+            r = K.polynomial([-c, 1])
+            if r.divides(h):
+                assert not all(f.den.divides(h // r) for f in fs)
