@@ -61,7 +61,6 @@ from .deformation import (
     TruncatedFamily,
     block_p_curvature_check,
     block_power_pair,
-    build_self_extension,
     commutant_kernel,
     gauge_family,
     normalize_family,
@@ -80,7 +79,6 @@ from .surface import (
     Representation,
     SurfacePresentation,
     TracePolynomial,
-    UndecidedOrder,
     Word,
     arch_check,
     certify_finiteness,

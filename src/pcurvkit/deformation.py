@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from .connection import ConnectionMatrix, Derivation, frobenius_twist_multiplier, \
     nabla_power_matrix, p_curvature
 from .linalg import Matrix
-from .poly import Polynomial
-from .ratfunc import RationalFunction, common_denominator
+from .ratfunc import common_denominator
 
 
 class BlockExtension:
@@ -57,10 +56,6 @@ class BlockExtension:
                                  for i in range(r)])
 
         return sub(0, 0), sub(0, r), sub(r, 0), sub(r, r)
-
-
-def build_self_extension(A: ConnectionMatrix, B: Matrix) -> BlockExtension:
-    return BlockExtension(A, B)
 
 
 def block_power_pair(ext: BlockExtension, j: int):
@@ -115,57 +110,58 @@ class DeformationSolution:
     ansatz_degree: int
 
 
-def _poly_coords(f: RationalFunction, common_den: Polynomial, width: int):
-    num = f.num * (common_den // f.den)
-    return [num.coeff(i) for i in range(width)]
+def _commutator_terms(P, i, j):
+    """(k, l, coefficient of the unknown Y_ij in entry (k, l) of PY - YP):
+    [l == j] P[k][i] - [k == i] P[j][l]."""
+    r = len(P)
+    return [(k, j, P[k][i]) for k in range(r)] + [(i, l, -P[j][l]) for l in range(r)]
 
 
 def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
     """Linear system for B + A Y - Y A + D(Y) = 0 over the coefficient field.
 
-    Returns (system matrix, rhs column, basis builder): columns index the
-    ansatz basis E_ij * x^t; rows index (entry, x-power) coordinates.
+    With h the common denominator of u, A and B, the equation times h is
+    polynomial: hB + (hA)Y - Y(hA) + (hu) Y'.  Column (i*r + j)*(d+1) + t
+    is the coefficient of x^t in Y_ij; row (k*r + l)*width + s is the x^s
+    coefficient of entry (k, l).  Returns (system matrix, rhs column).
     """
     field = A.field
-    base = field.base
-    D = A.derivation
     r = A.rank
     d = ansatz_degree
+    u = A.derivation.u
+    h = common_denominator([u] + [e for M in (A.matrix, B) for row in M.rows for e in row])
 
-    basis = []
-    images = []
+    def cleared(f):
+        return f.num * (h // f.den)
+
+    P = [[cleared(e) for e in row] for row in A.matrix.rows]
+    hu = cleared(u)
+    hB = [cleared(e) for row in B.rows for e in row]
+    width = 1 + max([0, d - 1 + hu.degree()] + [d + f.degree() for row in P for f in row]
+                    + [f.degree() for f in hB])
+
+    zero = field.base.zero
+    sys_rows = [[zero] * (r * r * (d + 1)) for _ in range(r * r * width)]
     for i in range(r):
         for j in range(r):
+            terms = _commutator_terms(P, i, j)
             for t in range(d + 1):
-                E = Matrix.zeros(field, r)
-                rows = [list(row) for row in E.rows]
-                rows[i][j] = field.gen() ** t
-                Yb = Matrix(field, rows)
-                basis.append(Yb)
-                images.append(A.matrix * Yb - Yb * A.matrix + D(Yb))
+                col = (i * r + j) * (d + 1) + t
+                # P x^t on the commutator entries, plus h D(x^t) = t (hu) x^(t-1)
+                placed = [(k, l, f, t) for k, l, f in terms] + [(i, j, hu * t, t - 1)]
+                for k, l, f, shift in placed:
+                    for s, c in enumerate(f.coeffs):
+                        sys_rows[(k * r + l) * width + shift + s][col] += c
+    rhs_rows = [[-f.coeff(s)] for f in hB for s in range(width)]
+    return Matrix(field.base, sys_rows), Matrix(field.base, rhs_rows)
 
-    all_entries = [e for img in images for row in img.rows for e in row]
-    all_entries += [e for row in B.rows for e in row]
-    common_den = common_denominator(all_entries)
-    width = 1 + max(
-        (f.num.degree() + (common_den.degree() - f.den.degree())
-         for f in all_entries if not f.is_zero()),
-        default=0,
-    )
 
-    sys_rows = []
-    rhs_rows = []
-    for i in range(r):
-        for j in range(r):
-            img_coords = [_poly_coords(img.rows[i][j], common_den, width)
-                          for img in images]
-            b_coords = _poly_coords(B.rows[i][j], common_den, width)
-            for k in range(width):
-                sys_rows.append([img_coords[b][k] for b in range(len(basis))])
-                rhs_rows.append([-b_coords[k]])
-    system = Matrix(base, sys_rows)
-    rhs = Matrix(base, rhs_rows)
-    return system, rhs, basis
+def _ansatz_matrix(A: ConnectionMatrix, column: Matrix, ansatz_degree: int) -> Matrix:
+    """Y with Y_ij = sum_t column[(i*r + j)*(d+1) + t] x^t."""
+    field, r, w = A.field, A.rank, ansatz_degree + 1
+    vec = [row[0] for row in column.rows]
+    polys = [field.from_poly(field.polynomial(vec[b * w:(b + 1) * w])) for b in range(r * r)]
+    return Matrix(field, [polys[i * r:(i + 1) * r] for i in range(r)])
 
 
 def solve_deformation(A: ConnectionMatrix, B: Matrix,
@@ -175,15 +171,11 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
     The row-reduced solve assigns zero to every free parameter, so the
     returned Y is deterministic.  None means no solution in this ansatz.
     """
-    system, rhs, basis = _deformation_system(A, B, ansatz_degree)
+    system, rhs = _deformation_system(A, B, ansatz_degree)
     sol = system.solve(rhs)
     if sol is None:
         return None
-    Y = Matrix.zeros(A.field, A.rank)
-    for b, Yb in enumerate(basis):
-        c = sol.entry(b, 0)
-        if c:
-            Y = Y + Yb.scale(A.field(c))
+    Y = _ansatz_matrix(A, sol, ansatz_degree)
     D = A.derivation
     residual = B + A.matrix * Y - Y * A.matrix + D(Y)
     if not residual.is_zero():
@@ -193,17 +185,8 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
 
 def commutant_kernel(A: ConnectionMatrix, ansatz_degree: int) -> list[Matrix]:
     """Basis of {Y in the ansatz : AY - YA + D(Y) = 0}."""
-    B = Matrix.zeros(A.field, A.rank)
-    system, _, basis = _deformation_system(A, B, ansatz_degree)
-    out = []
-    for vec in system.kernel_basis():
-        Y = Matrix.zeros(A.field, A.rank)
-        for b, Yb in enumerate(basis):
-            c = vec.entry(b, 0)
-            if c:
-                Y = Y + Yb.scale(A.field(c))
-        out.append(Y)
-    return out
+    system, _ = _deformation_system(A, Matrix.zeros(A.field, A.rank), ansatz_degree)
+    return [_ansatz_matrix(A, vec, ansatz_degree) for vec in system.kernel_basis()]
 
 
 class TruncatedFamily:
@@ -360,31 +343,21 @@ def step_conjugate(sigma_gens, tau_gens, m: int):
         raise ValueError(obstacle)
     ring = sigma_gens[0].ring
     n = sigma_gens[0].nrows
-    deltas = [tau_layers[m] for tau_layers in tau_gens]
 
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            E = [[ring.zero] * n for _ in range(n)]
-            E[i][j] = ring.one
-            basis.append(Matrix(ring, E))
-    sys_rows = []
-    rhs_rows = []
-    for sigma, delta in zip(sigma_gens, deltas):
-        images = [Eb * sigma - sigma * Eb for Eb in basis]
+    # M sigma - sigma M = PM - MP with P = -sigma; row g*n*n + k*n + l is
+    # entry (k, l) for generator g, column i*n + j the unknown M_ij
+    sys_rows = [[ring.zero] * (n * n) for _ in range(len(sigma_gens) * n * n)]
+    for g, sigma in enumerate(sigma_gens):
+        P = [[-e for e in row] for row in sigma.rows]
         for i in range(n):
             for j in range(n):
-                sys_rows.append([img.rows[i][j] for img in images])
-                rhs_rows.append([delta.rows[i][j]])
-    system = Matrix(ring, sys_rows)
-    sol = system.solve(Matrix(ring, rhs_rows))
+                for k, l, c in _commutator_terms(P, i, j):
+                    sys_rows[(g * n + k) * n + l][i * n + j] += c
+    rhs_rows = [[e] for tau_layers in tau_gens for row in tau_layers[m].rows for e in row]
+    sol = Matrix(ring, sys_rows).solve(Matrix(ring, rhs_rows))
     if sol is None:
         return None
-    M = Matrix.zeros(ring, n)
-    for b, Eb in enumerate(basis):
-        c = sol.entry(b, 0)
-        if c:
-            M = M + Eb.scale(c)
+    M = Matrix(ring, [[sol.entry(i * n + j, 0) for j in range(n)] for i in range(n)])
 
     # full verification mod q^{m+1}: since 2m >= m+1, the inverse gauge is
     # exactly I - q^m M at this truncation

@@ -395,9 +395,10 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
     """One field containing both, via a primitive element theta1 + k*theta2.
 
     Returns (K, embed1, embed2) where embed_i maps elements of F_i into K.
-    Requires the composite to have full degree deg(F1)*deg(F2); when no k
-    in [-k_range, k_range] yields that (the fields are not linearly
-    disjoint), CompositumError is raised.
+    Requires the composite to have full degree deg(F1)*deg(F2).  Raises
+    CompositumError at the first k whose minimal polynomial has that degree
+    and is reducible (the fields are not linearly disjoint), when every such
+    k was undecided, or when no k in [-k_range, k_range] reaches that degree.
     """
     if F1.min_poly == F2.min_poly:
         def same1(e, _K=F1):
@@ -419,6 +420,7 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
     T2 = Matrix(QQ, [[t2[b + 1][j] if i == a else 0 for a, b in index] for i, j in index])
     # theta1 = T1 * 1 and theta2 = T2 * 1 are unit vectors of the tensor basis
     gens = Matrix(QQ, [[int(t == d2), int(t == 1)] for t in range(D)])
+    undecided = False
     for k in (s * n for n in range(1, k_range + 1) for s in (1, -1)):
         mu = T1 + T2.scale(k)
         vectors = [[1] + [0] * (D - 1)]  # mu^t * 1 for t = 0..D
@@ -429,10 +431,16 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
         if m.degree() < D:
             continue
         try:
-            if not is_irreducible_q(m):
-                continue
+            irreducible = is_irreducible_q(m)
         except IrreducibilityUndecided:
+            undecided = True
             continue
+        if not irreducible:
+            # Q[theta1] (x) Q[theta2] = Q[X]/(m), so every other k fails too
+            raise CompositumError(
+                f"theta1 + k*theta2 at k = {k} has a reducible minimal polynomial of "
+                f"degree {D}: the tensor product is not a field, so the fields are "
+                f"not linearly disjoint")
         K = NumberField(m, name="w", check=False)
         images = Matrix(QQ, list(zip(*vectors[:D]))).solve(gens)
         g1 = K.element([images.entry(t, 0) for t in range(D)])
@@ -447,6 +455,11 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
             return embed
 
         return K, make_embed(g1), make_embed(g2)
+    if undecided:
+        raise CompositumError(
+            f"irreducibility of the degree-{D} minimal polynomials of theta1 + k*theta2, "
+            f"|k| <= {k_range}, is undecided, so whether the fields are linearly "
+            f"disjoint is undecided")
     raise CompositumError(
         f"no primitive element theta1 + k*theta2 with |k| <= {k_range} reaches "
         f"degree {D}; are the fields linearly disjoint?")

@@ -471,11 +471,6 @@ class InfiniteOrder:
     reason: str
 
 
-@dataclass(frozen=True)
-class UndecidedOrder:
-    reason: str
-
-
 def _eigenvalue_power_order(t: NumberFieldElement, bound_degree: int):
     """Order of a root of X^2 - t*X + 1 when it is a root of unity.
 
@@ -769,11 +764,6 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                 if isinstance(res, InfiniteOrder):
                     return FinitenessCertificate(
                         Obstructed(nw.to_str(), res.reason),
-                        len(seen), max_order_seen,
-                        nonarch_passed, arch_passed, det_orders)
-                if isinstance(res, UndecidedOrder):
-                    return FinitenessCertificate(
-                        Inconclusive(f"order undecided: {res.reason}"),
                         len(seen), max_order_seen,
                         nonarch_passed, arch_passed, det_orders)
                 if res.n > max_order:

@@ -45,7 +45,7 @@ from pcurvkit import (
     step_conjugate,
     verify_prediction,
 )
-from pcurvkit.deformation import block_power_pair, build_self_extension
+from pcurvkit.deformation import BlockExtension, block_power_pair
 from pcurvkit.fields import primes_in
 from pcurvkit.surface import Finite, FiniteOrder, Obstructed, TracePolynomial
 from pcurvkit.valuation import ValuationProfile
@@ -275,7 +275,7 @@ def test_criterion_07_block_structure():
                            for _ in range(2)]), D)
             Bm = Matrix(K, [[_poly_entry(K, rng, 1) for _ in range(2)]
                             for _ in range(2)])
-            ext = build_self_extension(A, Bm)
+            ext = BlockExtension(A, Bm)
             for j in range(1, 8):
                 P, Q = block_power_pair(ext, j)
                 full = nabla_power_matrix(ext.M, j)

@@ -18,9 +18,11 @@ from pcurvkit import (
     compositum,
     embedding_absolute_values,
     is_algebraic_integer,
+    is_irreducible_q,
     is_root_of_unity,
     minimal_polynomial,
 )
+from pcurvkit import numberfield
 from pcurvkit.numberfield import CompositumError, euler_phi_upto, root_of_unity_candidates
 
 
@@ -270,19 +272,53 @@ def test_compositum_embeddings_are_ring_homomorphisms(F1, F2, m, g1, g2):
     assert f1(F1.gen) * f2(F2.gen) == f2(F2.gen) * f1(F1.gen)
 
 
-@pytest.mark.parametrize("a, b, degree", [
-    ("sqrt5", "golden", 4),   # minimal polynomials reducible for every k
-    ("sqrt2", "sqrt8", 4),
-    ("i", "i+1", 4),          # mu of degree 3 at k = 1 and k = -1
-    ("sqrt2", "2^(1/4)", 8),
-    ("cbrt2", "cbrt3", 9),    # degree 9: irreducibility undecided, k skipped
+def not_disjoint(k, degree):
+    return (f"theta1 + k*theta2 at k = {k} has a reducible minimal polynomial of "
+            f"degree {degree}: the tensor product is not a field, so the fields are "
+            f"not linearly disjoint")
+
+
+@pytest.mark.parametrize("a, b, degree, message", [
+    # m reducible at the first k of full degree: stop there
+    pytest.param("sqrt5", "golden", 4, not_disjoint(1, 4), id="sqrt5-golden-4"),
+    pytest.param("sqrt2", "sqrt8", 4, not_disjoint(1, 4), id="sqrt2-sqrt8-4"),
+    # mu of degree 3 at k = 1 and k = -1, full degree and reducible at k = 2
+    pytest.param("i", "i+1", 4, not_disjoint(2, 4), id="i-i+1-4"),
+    pytest.param("sqrt2", "2^(1/4)", 8, not_disjoint(1, 8), id="sqrt2-2^(1/4)-8"),
+    # degree 9: irreducibility undecided at every k
+    pytest.param("cbrt2", "cbrt3", 9,
+                 "irreducibility of the degree-9 minimal polynomials of theta1 + k*theta2, "
+                 "|k| <= 2, is undecided, so whether the fields are linearly disjoint is "
+                 "undecided", id="cbrt2-cbrt3-9"),
 ])
-def test_compositum_error_frozen(a, b, degree):
+def test_compositum_error_frozen(a, b, degree, message):
     with pytest.raises(CompositumError) as exc:
         compositum(field(a), field(b), k_range=2)
+    assert str(exc.value) == message
+
+
+def test_compositum_error_when_no_k_reaches_full_degree():
+    with pytest.raises(CompositumError) as exc:
+        compositum(field("i"), field("i+1"), k_range=1)
     assert str(exc.value) == (
-        f"no primitive element theta1 + k*theta2 with |k| <= 2 reaches "
-        f"degree {degree}; are the fields linearly disjoint?")
+        "no primitive element theta1 + k*theta2 with |k| <= 1 reaches degree 4; "
+        "are the fields linearly disjoint?")
+
+
+def test_compositum_stops_at_first_reducible_full_degree(monkeypatch):
+    """One reducible m of full degree proves the tensor product is not a
+    field, so no further k is tried."""
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return is_irreducible_q(f)
+
+    F1, F2 = field("sqrt2"), field("2^(1/4)")
+    monkeypatch.setattr(numberfield, "is_irreducible_q", spy)
+    with pytest.raises(CompositumError, match="at k = 1 "):
+        compositum(F1, F2)
+    assert len(calls) == 1
 
 
 def test_rational_value_round_trip():
