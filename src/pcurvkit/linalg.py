@@ -142,12 +142,15 @@ class Matrix:
             if sel is None:
                 continue
             rows[rank], rows[sel] = rows[sel], rows[rank]
-            inv = self.ring.one / rows[rank][col]
-            rows[rank] = [inv * e for e in rows[rank]]
+            # rows at or below rank are zero left of col, so the pivot row
+            # acts only from col on
+            pivot = rows[rank]
+            inv = self.ring.one / pivot[col]
+            pivot[col:] = [inv * e for e in pivot[col:]]
             for i in range(self.nrows):
                 if i != rank and rows[i][col]:
                     f = rows[i][col]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                    rows[i][col:] = [a - f * b for a, b in zip(rows[i][col:], pivot[col:])]
             pivots.append(col)
             rank += 1
             if rank == self.nrows:

@@ -1,5 +1,11 @@
 """Number fields Q[X]/(f) with exact element arithmetic and certified embeddings.
 
+An element is stored cleared of denominators: an integer coordinate vector
+over one positive common denominator, reduced so the pair is canonical
+(Cohen, GTM 138, 4.2).  Products are an integer convolution reduced by a
+table of theta^d..theta^(2d-2) kept as integers over one lcm, then divided
+by one gcd; ``coords`` builds the Fraction coordinates on demand.
+
 A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
 bounded primitive-element search over theta1 + k*theta2, powering the
@@ -13,6 +19,7 @@ is met.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import QQ
 from .poly import (
@@ -61,39 +68,25 @@ class NumberField:
         self.name = name
         self.degree = min_poly.degree()
         d = self.degree
-        # theta^k for k = 0..2d-2 as coordinate vectors, so products reduce
-        # by table lookup.
-        table = []
-        for k in range(d):
-            v = [Fraction(0)] * d
-            v[k] = Fraction(1)
-            table.append(v)
+        # theta^k for k = d..2d-2 as integer rows over one common denominator
+        # _int_den, so products reduce by table lookup on integers.
         top = [-min_poly.coeff(i) for i in range(d)]
-        for _ in range(d - 1):
-            prev = table[-1]
-            shifted = [Fraction(0)] + list(prev[: d - 1])
-            lead = prev[d - 1]
-            table.append([s + lead * t for s, t in zip(shifted, top)])
-        self._pow_table = table
+        high = [top] if d > 1 else []
+        while len(high) < d - 1:
+            prev = high[-1]
+            high.append([s + prev[d - 1] * t
+                         for s, t in zip([Fraction(0)] + prev[:d - 1], top)])
+        self._int_den = lcm(*(c.denominator for r in high for c in r))
+        self._int_table = [[int(c * self._int_den) for c in r] for r in high]
         self._enclosures = None
-
-    @property
-    def zero(self):
-        return NumberFieldElement(self, [Fraction(0)] * self.degree)
-
-    @property
-    def one(self):
-        coords = [Fraction(0)] * self.degree
-        coords[0] = Fraction(1)
-        return NumberFieldElement(self, coords)
+        self.zero = NumberFieldElement(self, [0] * d, 1)
+        self.one = NumberFieldElement(self, [1] + [0] * (d - 1), 1)
 
     @property
     def gen(self):
         if self.degree == 1:
             return self(-self.min_poly.coeff(0))
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return NumberFieldElement(self, coords)
+        return NumberFieldElement(self, [0, 1] + [0] * (self.degree - 2), 1)
 
     def characteristic(self) -> int:
         return 0
@@ -106,16 +99,18 @@ class NumberField:
                 return self(x.rational_value())
             raise ValueError("cannot coerce element of a different number field")
         if isinstance(x, (int, Fraction, str)):
-            coords = [Fraction(0)] * self.degree
-            coords[0] = Fraction(x)
-            return NumberFieldElement(self, coords)
+            c = Fraction(x)
+            return NumberFieldElement(
+                self, [c.numerator] + [0] * (self.degree - 1), c.denominator)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     def element(self, coords):
         coords = [Fraction(c) for c in coords]
         if len(coords) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(coords)}")
-        return NumberFieldElement(self, coords)
+        den = lcm(*(c.denominator for c in coords))
+        return NumberFieldElement(
+            self, [c.numerator * (den // c.denominator) for c in coords], den)
 
     # -- embeddings -------------------------------------------------------
 
@@ -160,23 +155,32 @@ class NumberField:
 
 
 class NumberFieldElement:
-    __slots__ = ("field", "coords")
+    """sum(num[k] * theta^k) / den, with den > 0 and gcd(den, *num) == 1, so
+    equal elements have equal (num, den)."""
 
-    def __init__(self, field: NumberField, coords):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den: int):
+        g = gcd(den, *num)
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.num = tuple(num) if g == 1 else tuple(n // g for n in num)
+        self.den = den // g
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is irrational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def _wrap(self, x):
         if isinstance(x, NumberFieldElement):
-            if x.field != self.field:
+            if x.field is not self.field and x.field != self.field:
                 raise ValueError("mixed number fields")
             return x
         if isinstance(x, (int, Fraction)):
@@ -187,20 +191,20 @@ class NumberFieldElement:
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElement(self.field,
-                                  [a + b for a, b in zip(self.coords, o.coords)])
+        da, db = self.den, o.den
+        return NumberFieldElement(
+            self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, [-a for a in self.coords])
+        return NumberFieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return NumberFieldElement(self.field,
-                                  [a - b for a, b in zip(self.coords, o.coords)])
+        return self + -o
 
     def __rsub__(self, other):
         o = self._wrap(other)
@@ -209,38 +213,37 @@ class NumberFieldElement:
         return o - self
 
     def __mul__(self, other):
+        """Integer convolution of the numerators, then theta^k for k >= d
+        replaced by table rows over the common denominator _int_den."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        d = self.field.degree
-        table = self.field._pow_table
-        out = [Fraction(0)] * d
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(o.coords):
-                if not b:
-                    continue
-                ab = a * b
-                row = table[i + j]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += ab * row[t]
-        return NumberFieldElement(self.field, out)
+        K = self.field
+        d = K.degree
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(o.num):
+                    conv[i + j] += a * b
+        D = K._int_den
+        out = conv[:d] if D == 1 else [c * D for c in conv[:d]]
+        for c, row in zip(conv[d:], K._int_table):
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        return NumberFieldElement(K, out, self.den * o.den * D)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("number field zero division")
-        a = Polynomial(QQ, list(self.coords))
+        a = Polynomial(QQ, self.num)
         g, s, _ = poly_xgcd(a, self.field.min_poly)
         if g.degree() != 0:
             raise ZeroDivisionError("element shares a factor with the modulus")
-        inv_poly = s * Polynomial.constant(QQ, QQ.one / g.coeff(0))
+        inv_poly = s * Polynomial.constant(QQ, self.den / g.coeff(0))
         inv_poly = inv_poly % self.field.min_poly
-        coords = [inv_poly.coeff(i) for i in range(self.field.degree)]
-        return NumberFieldElement(self.field, coords)
+        return self.field.element([inv_poly.coeff(i) for i in range(self.field.degree)])
 
     def __truediv__(self, other):
         o = self._wrap(other)
@@ -267,17 +270,18 @@ class NumberFieldElement:
         return acc
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field(other)
         if not isinstance(other, NumberFieldElement):
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return self.num == other.num and self.den == other.den \
+            and (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         name = self.field.name
@@ -414,10 +418,10 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
     # of the multiplication matrix C_n holds the coordinates of theta_n^(a+1).
     d1, d2 = F1.degree, F2.degree
     D = d1 * d2
-    t1, t2 = F1._pow_table, F2._pow_table
+    t1, t2 = ([(F.gen ** (a + 1)).coords for a in range(F.degree)] for F in (F1, F2))
     index = [(i, j) for i in range(d1) for j in range(d2)]
-    T1 = Matrix(QQ, [[t1[a + 1][i] if j == b else 0 for a, b in index] for i, j in index])
-    T2 = Matrix(QQ, [[t2[b + 1][j] if i == a else 0 for a, b in index] for i, j in index])
+    T1 = Matrix(QQ, [[t1[a][i] if j == b else 0 for a, b in index] for i, j in index])
+    T2 = Matrix(QQ, [[t2[b][j] if i == a else 0 for a, b in index] for i, j in index])
     # theta1 = T1 * 1 and theta2 = T2 * 1 are unit vectors of the tensor basis
     gens = Matrix(QQ, [[int(t == d2), int(t == 1)] for t in range(D)])
     undecided = False

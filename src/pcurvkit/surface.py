@@ -497,14 +497,21 @@ def element_order(M: Matrix):
     noncentral parabolic (infinite); all remaining cases reduce to whether
     an eigenvalue is a root of unity, decided exactly.
     """
-    K = M.ring
-    if M.det() != K.one:
+    if M.det() != M.ring.one:
         raise ValueError("element_order requires determinant 1")
-    ident = Matrix.identity(K, 2)
-    if M == ident:
-        return FiniteOrder(1)
-    if M == -ident:
-        return FiniteOrder(2)
+    return _sl2_order(M)
+
+
+def _is_scalar(M: Matrix) -> bool:
+    (a, b), (c, d) = M.rows
+    return not b and not c and a == d
+
+
+def _sl2_order(M: Matrix):
+    """element_order for an M already known to have determinant 1."""
+    K = M.ring
+    if _is_scalar(M):
+        return FiniteOrder(1 if M.rows[0][0] == K.one else 2)
     t = M.trace()
     two = K(2)
     if t == two or t == -two:
@@ -519,8 +526,7 @@ def element_order(M: Matrix):
 def _projective_order(M: Matrix):
     """Order of the image of M in PGL2 (smallest n with M^n scalar)."""
     K = M.ring
-    if M.rows[0][1] == K.zero and M.rows[1][0] == K.zero \
-            and M.rows[0][0] == M.rows[1][1]:
+    if _is_scalar(M):
         return FiniteOrder(1)
     det = M.det()
     if not det:
@@ -670,13 +676,63 @@ class FinitenessCertificate:
 
 
 def _matrix_key(M: Matrix):
-    return tuple(e.coords for row in M.rows for e in row)
+    return tuple((e.num, e.den) for row in M.rows for e in row)
 
 
 def _matrix_key_projective(M: Matrix):
     k1 = _matrix_key(M)
     k2 = _matrix_key(-M)
     return min(k1, k2)
+
+
+def _cached_order(K: NumberField, gl2: bool, projective: bool):
+    """Element orders for one certification closure over K.  A noncentral
+    order depends only on the trace in SL2 and on (t^2, det) in PGL2, so it
+    is cached by that key.  Words in SL2 generators have determinant 1, so
+    that path never recomputes it."""
+    order = _projective_order if projective else _sl2_order
+    orders = {}
+
+    def order_of(M):
+        if gl2 and not projective:
+            det = M.det()
+            dord = is_root_of_unity(det) if det != K.one else 1
+            if dord is None:
+                return InfiniteOrder("determinant is not a root of unity")
+            return _gl2_element_order(M, dord)
+        if _is_scalar(M):
+            return order(M)
+        t = M.trace()
+        key = (t * t, M.det() if gl2 else K.one) if projective else t
+        if key not in orders:
+            orders[key] = order(M)
+        return orders[key]
+
+    return order_of
+
+
+# (order, largest element order) of the exceptional finite subgroups:
+# binary tetrahedral, octahedral, icosahedral in SL2(C); A4, S4, A5 in PGL2(C)
+_KLEIN_SL2 = {(24, 6), (48, 8), (120, 10)}
+_KLEIN_PGL2 = {(12, 3), (24, 4), (60, 5)}
+
+
+def _check_klein(n: int, max_order: int, projective: bool) -> None:
+    """Raise unless (n, max_order) fits a finite subgroup of SL2(C) (cyclic,
+    binary dihedral of order 4m with m >= 2, binary polyhedral) or of
+    PGL2(C) (cyclic, dihedral of order 2m with m >= 2, A4, S4, A5).  A
+    mismatch is an internal bug.  Finite subgroups of GL2(C) include every
+    scalar extension of these, so GL2 images are left unchecked."""
+    m = max_order
+    if projective:
+        ok = n == m or (n == 2 * m and m >= 2) or (n, m) in _KLEIN_PGL2
+    else:
+        ok = n == m or (n == 2 * m and m >= 4 and m % 2 == 0) or (n, m) in _KLEIN_SL2
+    if not ok:
+        group = "PGL2(C)" if projective else "SL2(C)"
+        raise AssertionError(
+            f"closure of order {n} with largest element order {m} is no finite "
+            f"subgroup of {group}")
 
 
 def certify_finiteness(rho: Representation, max_elements: int = 10000,
@@ -730,17 +786,7 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                 0, 0, True, False, None)
 
     key_of = _matrix_key_projective if projective else _matrix_key
-
-    def order_of(M):
-        if projective:
-            return _projective_order(M)
-        if gl2:
-            dord = is_root_of_unity(M.det()) if M.det() != K.one else 1
-            if dord is None:
-                return InfiniteOrder("determinant is not a root of unity")
-            return _gl2_element_order(M, dord)
-        return element_order(M)
-
+    order_of = _cached_order(K, gl2, projective)
     ident = Matrix.identity(K, 2)
     names = rho.bfs_generator_names()
     steps = []
@@ -780,6 +826,8 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                         nonarch_passed, arch_passed, det_orders)
                 new_frontier.append((N, nw))
         frontier = new_frontier
+    if not gl2 or projective:
+        _check_klein(len(seen), max_order_seen, projective)
     return FinitenessCertificate(
         Finite(len(seen)), len(seen), max_order_seen,
         nonarch_passed, arch_passed, det_orders)

@@ -8,6 +8,7 @@ against the usual surd identities.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -327,3 +328,87 @@ def test_rational_value_round_trip():
     assert e.is_rational()
     assert e.rational_value() == Fraction(7, 3)
     assert not (K.gen + K.one).is_rational()
+
+
+# -- the cleared representation against the Fraction reference ----------------------
+
+
+def fraction_mul(a, b):
+    """Product coordinates by the Fraction loop the cleared representation
+    replaced: theta^k for k = 0..2d-2 as Fraction rows, one term at a time."""
+    f, d = a.field.min_poly, a.field.degree
+    table = [[Fraction(int(t == k)) for t in range(d)] for k in range(d)]
+    top = [-f.coeff(i) for i in range(d)]
+    for _ in range(d - 1):
+        prev = table[-1]
+        table.append([s + prev[d - 1] * t for s, t in zip([Fraction(0)] + prev[:d - 1], top)])
+    out = [Fraction(0)] * d
+    for i, x in enumerate(a.coords):
+        for j, y in enumerate(b.coords):
+            for t in range(d):
+                out[t] += x * y * table[i + j][t]
+    return tuple(out)
+
+
+CLEARED_FIELDS = {
+    "i": (1, 0, 1),
+    "quartic": (5, 0, 1, -2, 1),  # the certification field x^4 - 2x^3 + x^2 + 5
+    "x^3-x/2+1/3": (Fraction(1, 3), Fraction(-1, 2), 0, 1),
+}
+
+
+def assert_canonical(e):
+    assert e.den > 0 and gcd(e.den, *e.num) == 1
+    assert all(isinstance(n, int) for n in e.num)
+
+
+def random_element(K, rng):
+    return K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(K.degree)])
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_cleared_arithmetic_matches_fraction_reference(name):
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    if name == "x^3-x/2+1/3":
+        assert K._int_den > 1
+    rng = random.Random(f"cleared {name}")
+    for _ in range(60):
+        a, b = random_element(K, rng), random_element(K, rng)
+        square = K.element(fraction_mul(a, a))
+        results = [
+            (a * b, fraction_mul(a, b)),
+            (a + b, tuple(x + y for x, y in zip(a.coords, b.coords))),
+            (a - b, tuple(x - y for x, y in zip(a.coords, b.coords))),
+            (-a, tuple(-x for x in a.coords)),
+            (a ** 3, fraction_mul(a, square)),
+        ]
+        if a:
+            inv = a.inverse()
+            results.append((inv, inv.coords))
+            assert fraction_mul(a, inv) == K.one.coords
+        for e, want in results:
+            assert_canonical(e)
+            assert e.coords == want
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_equal_elements_by_different_paths_compare_and_hash_equal(name):
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    rng = random.Random(f"paths {name}")
+    for _ in range(30):
+        a, b, c = (random_element(K, rng) for _ in range(3))
+        pairs = [
+            ((a + b) * c, a * c + b * c),
+            (a * b, b * a),
+            ((a - b) + b, a),
+            (K.element((a * b).coords), a * b),
+            (a * K(Fraction(2, 3)), (a + a) / K(3)),
+        ]
+        if b:
+            pairs.append(((a * b) / b, a))
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert (x.num, x.den) == (y.num, y.den)
+    zero = a - a
+    assert zero == K.zero and (zero.num, zero.den) == ((0,) * K.degree, 1)
+    assert not zero and K(Fraction(-4, 6)) == Fraction(-2, 3)

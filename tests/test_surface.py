@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pcurvkit import surface
 from pcurvkit import (
     QQ,
     Matrix,
@@ -32,6 +33,9 @@ from pcurvkit.surface import (
     InfiniteOrder,
     Obstructed,
     TracePolynomial,
+    _check_klein,
+    _is_scalar,
+    _projective_order,
     evaluate,
 )
 
@@ -143,6 +147,10 @@ def test_representation_rejects_wrong_determinant():
     bad = Matrix(K, [[K(2), K.zero], [K.zero, K.one]])
     with pytest.raises(ValueError, match="determinant"):
         Representation(K, pres, {"a1": bad, "b1": Matrix.identity(K, 2)})
+    # det -1 with trace 0: the certification BFS relies on this rejection
+    swap = Matrix(K, [[K.zero, K.one], [K.one, K.zero]])
+    with pytest.raises(ValueError, match="generator b1 has determinant"):
+        Representation(K, pres, {"a1": Matrix.identity(K, 2), "b1": swap})
 
 
 def test_representation_enforces_closed_relation():
@@ -281,6 +289,10 @@ def test_element_order_requires_det_one():
     K = rational_field()
     with pytest.raises(ValueError):
         element_order(Matrix(K, [[K(2), K.zero], [K.zero, K.one]]))
+    # det -1 and trace 0: without the check this would read as order 4
+    K = gaussian()
+    with pytest.raises(ValueError, match="determinant 1"):
+        element_order(Matrix(K, [[K.zero, K.gen], [-K.gen, K.zero]]))
 
 
 def test_element_order_golden_rotations():
@@ -459,8 +471,8 @@ def test_conjugate_representation_preserves_verdicts():
     assert nonarch_check(rho, words).passed == nonarch_check(rho2, words).passed
 
 
-def test_icosahedral_binary_group():
-    """The golden-ratio quaternion pair generates the order-120 group."""
+def icosahedral_pair():
+    """The golden-ratio quaternion pair over Q(phi, i)."""
     F1 = NumberField(P(-1, -1, 1), "w")
     F2 = gaussian()
     K, f1, f2 = compositum(F1, F2)
@@ -471,6 +483,12 @@ def test_icosahedral_binary_group():
     s = Matrix(K, [[(w + winv * i) * half, half], [-half, (w - winv * i) * half]])
     t = Matrix(K, [[(K.one + i) * half, half + half * i],
                    [-half + half * i, (K.one - i) * half]])
+    return K, s, t
+
+
+def test_icosahedral_binary_group():
+    """The golden-ratio quaternion pair generates the order-120 group."""
+    K, s, t = icosahedral_pair()
     assert s.det() == K.one and t.det() == K.one
     pres = SurfacePresentation(1, 1)
     rho = Representation(K, pres, {"a1": s, "b1": t})
@@ -479,3 +497,119 @@ def test_icosahedral_binary_group():
     cert = certify_finiteness(rho)
     assert cert.verdict == Finite(120)
     assert cert.max_order_seen == 10
+
+
+# -- the order cache of the certification closure ----------------------------------
+
+
+def closure_reps():
+    """The representations of acceptance criteria 11 and 13, seeded conjugates
+    of the icosahedral pair, and -I beside a parabolic of trace -2."""
+    K = gaussian()
+    pres = SurfacePresentation(1, 1)
+    reps = {"quaternion": quaternion_rep()}
+    L, s, t = icosahedral_pair()
+    reps["icosahedral"] = Representation(L, pres, {"a1": s, "b1": t})
+    Q = rational_field()
+    reps["parabolic"] = Representation(Q, pres, {
+        "a1": Matrix(Q, [[Q.one, Q.one], [Q.zero, Q.one]]),
+        "b1": Matrix.identity(Q, 2)})
+    # -I comes first and has trace -2, like the parabolic b1: a trace key
+    # read before the central check would give b1 order 2
+    reps["central-first"] = Representation(Q, pres, {
+        "a1": -Matrix.identity(Q, 2),
+        "b1": Matrix(Q, [[-Q.one, Q.one], [Q.zero, -Q.one]])})
+    rng = random.Random(131313)
+    half = K(Fraction(1, 2))
+    for idx in range(5):
+        if idx < 3:
+            gens = {"a1": unimodular(K, rng), "b1": unimodular(K, rng)}
+        else:
+            u = half + half * K.gen  # a non-integral trace on purpose
+            gens = {"a1": Matrix(K, [[u, K.zero], [K.zero, K.one / u]]),
+                    "b1": unimodular(K, rng)}
+        reps[f"galois{idx}"] = Representation(K, pres, gens)
+    for seed in range(3):
+        C = unimodular(L, random.Random(seed))
+        Cinv = C.inverse()
+        reps[f"icosahedral^{seed}"] = Representation(
+            L, pres, {"a1": C * s * Cinv, "b1": C * t * Cinv})
+    return reps
+
+
+def certify_recording_orders(monkeypatch, rho, projective):
+    """certify_finiteness, plus every (M, order) its closure took from the
+    order cache and the number of uncached order computations behind them."""
+    drawn, computed = [], []
+    for name in ("_sl2_order", "_projective_order"):
+        real = getattr(surface, name)
+        monkeypatch.setattr(surface, name,
+                            lambda M, _real=real: computed.append(M) or _real(M))
+    real_cached = surface._cached_order
+
+    def cached(*args):
+        order_of = real_cached(*args)
+
+        def spy(M):
+            res = order_of(M)
+            drawn.append((M, res))
+            return res
+        return spy
+
+    monkeypatch.setattr(surface, "_cached_order", cached)
+    cert = certify_finiteness(rho, projective=projective)
+    monkeypatch.undo()
+    return cert, drawn, len(computed)
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["SL2", "PSL2"])
+@pytest.mark.parametrize("name", list(closure_reps()))
+def test_cached_orders_equal_uncached(monkeypatch, name, projective):
+    rho = closure_reps()[name]
+    cert, drawn, computed = certify_recording_orders(monkeypatch, rho, projective)
+    keys = set()
+    for M, res in drawn:
+        assert res == (_projective_order(M) if projective else element_order(M))
+        t = M.trace()
+        keys.add(id(M) if _is_scalar(M) else (t * t if projective else t))
+    # one computation per central element and per noncentral trace key
+    assert computed == len(keys)
+    if isinstance(cert.verdict, Finite):
+        assert cert.element_count == len(drawn) + 1
+        assert cert.max_order_seen == max(res.n for _, res in drawn)
+    if name == "central-first":
+        assert cert.verdict == Obstructed("b1", "parabolic noncentral")
+    if name.startswith("icosahedral"):
+        assert cert.verdict == (Finite(60) if projective else Finite(120))
+        assert computed < len(drawn) // 4
+
+
+@pytest.mark.parametrize("n, max_order, projective", [
+    (7, 7, False), (8, 4, False), (12, 6, False), (24, 6, False), (48, 8, False),
+    (120, 10, False), (7, 7, True), (4, 2, True), (10, 5, True), (12, 3, True),
+    (24, 4, True), (60, 5, True),
+])
+def test_klein_check_accepts_finite_subgroups(n, max_order, projective):
+    _check_klein(n, max_order, projective)
+
+
+@pytest.mark.parametrize("n, max_order, projective", [
+    (4, 2, False),     # Klein four-group: SL2(C) has one involution
+    (6, 3, False),     # S3
+    (8, 2, False),
+    (60, 5, False),    # A5 lifts to the binary icosahedral group only
+    (120, 5, False),
+    (8, 2, True),
+    (60, 10, True),
+    (24, 6, True),
+])
+def test_klein_check_rejects_wrong_pair(n, max_order, projective):
+    with pytest.raises(AssertionError, match="no finite subgroup"):
+        _check_klein(n, max_order, projective)
+
+
+def test_certify_raises_on_closure_that_fits_no_finite_subgroup(monkeypatch):
+    """A wrong element order is an internal bug: no Finite verdict comes out."""
+    monkeypatch.setattr(surface, "_sl2_order", lambda M: FiniteOrder(3))
+    with pytest.raises(AssertionError, match="order 8 with largest element order 3"):
+        certify_finiteness(quaternion_rep())
