@@ -185,8 +185,10 @@ def rep_main(argv=None) -> int:
     certify.add_argument("--max-order", type=int, default=None, metavar="N",
                          help="element order cap (overrides the spec)")
     certify.add_argument("--precision-cap", type=int, default=24, metavar="BITS",
-                         help="reported enclosures have width below "
-                              "1/2^BITS; verdicts are exact regardless")
+                         help="tolerance 1/2^BITS of the interval enclosures "
+                              "in the archimedean check; when they cannot be "
+                              "refined that far the verdict is inconclusive. "
+                              "The check's pass/fail is exact regardless")
     certify.add_argument("--seed", type=int, default=0, metavar="S")
     certify.add_argument("--projective", action="store_true",
                          help="certify the image in PSL2/PGL2 instead")

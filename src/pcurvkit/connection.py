@@ -2,12 +2,30 @@
 
 The derivation is u*d/dx for a nonzero rational multiplier u.  The central
 computation is the p-curvature: the matrix of nabla(D)^p - nabla(D^p) over a
-prime field, obtained from the power recursion A_{k+1} = D(A_k) + A*A_k
-(run on cleared denominators, see nabla_power_matrix) and the twist
-multiplier v = D^{p-1}(u), which satisfies D^p = (v/u)*D on the reduced
-function field.  A prime is good when the whole input reduces mod p
-without hitting a coefficient denominator and the multiplier keeps its
-degree; scans report per-prime and never guess at bad primes.
+prime field,
+
+    psi = A_p - (v/u)*A,
+
+where A_k is the matrix of nabla(D)^k (the recursion A_{k+1} = D(A_k) +
+A*A_k, run on cleared denominators, see nabla_power_matrix) and v =
+D^{p-1}(u) is the twist multiplier, D^p = (v/u)*D on the reduced function
+field.  For u = a/b the twist has a closed form: (d/dx)^{p-1} keeps only the
+exponents kp + p - 1 of a polynomial, times (p-1)! = -1, and
+
+    v = u*s/b^p,   s = sum_k [x^{kp+p-1}](a^{p-1} b) * x^{kp}.
+
+p_curvature never forms A_p or v/u as reduced rational functions: from the
+kernel's numerators (A = B/h, A_p = N/h^m) it builds
+
+    psi = (b^p N - s h^{m-1} B) / (b^p h^m)     (psi = N/h^m when s = 0)
+
+and reduces each entry once.  Over a tower k(q)(x) the kernel also clears
+q-denominators, so its loop runs over k[q][x] and makes no gcd at all, and
+the one reduction per entry takes its gcd over k[q][x] as well.
+
+A prime is good when the whole input reduces mod p without hitting a
+coefficient denominator and the multiplier keeps its degree; scans report
+per-prime and never guess at bad primes.
 """
 
 from __future__ import annotations
@@ -16,10 +34,11 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import reduce
 
 from .fields import GF, ReductionError, primes_in
 from .linalg import Matrix
-from .poly import PolynomialRing
+from .poly import Polynomial, PolynomialRing, poly_gcd
 from .ratfunc import FunctionField, RationalFunction, common_denominator, reduce_rational_mod_p
 
 
@@ -55,11 +74,6 @@ class Derivation:
             return f.map_entries(self)
         f = self.field(f)
         return self.u * f.derivative()
-
-    def iterate(self, f, k: int):
-        for _ in range(k):
-            f = self(f)
-        return f
 
     def reduce_mod(self, target: FunctionField) -> "Derivation":
         return Derivation(reduce_rational_mod_p(self.u, target))
@@ -160,8 +174,106 @@ class PCurvatureReport:
             raise ValueError("vanishes flag contradicts the matrix")
 
 
+def _clear(base, polys):
+    """(c, [c*f for f in polys]): polynomials over base moved to a ring
+    without denominators.
+
+    Over a tower base = k(q), c is the monic lcm of the q-denominators of
+    every coefficient, and each c*f is returned over k[q], as a Polynomial
+    whose coefficients are Polynomials over k: arithmetic on it makes no
+    gcd.  Over any other base nothing is cleared, c = 1 and the polynomials
+    come back as they are.  c is returned as a constant polynomial of the
+    same ring, so it multiplies them directly.
+    """
+    if not isinstance(base, FunctionField):
+        return Polynomial.one(base), list(polys)
+    c = common_denominator([base.one] + [a for f in polys for a in f.coeffs])
+    ring = PolynomialRing(base.base, base.var)
+    cleared = [Polynomial(ring, [a.num * (c // a.den) for a in f.coeffs]) for f in polys]
+    return Polynomial(ring, (c,)), cleared
+
+
+def _primitive(f: Polynomial) -> Polynomial:
+    """f over k[q][x] divided by the monic gcd of its coefficients."""
+    c = reduce(poly_gcd, f.coeffs)
+    return f if c.is_one() else Polynomial(f.field, [a // c for a in f.coeffs])
+
+
+def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
+    """lc(b)^(deg a - deg b + 1) a mod b over k[q][x], without division."""
+    r, db, lb = list(a.coeffs), b.degree(), b.leading()
+    for k in range(len(r) - 1 - db, -1, -1):
+        t = r[k + db]
+        r = [c * lb for c in r[:k + db]]
+        for j, c in enumerate(b.coeffs[:-1]):
+            r[k + j] = r[k + j] - t * c
+    return Polynomial(a.field, r)
+
+
+def _exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a/b over k[q][x] when b divides a there."""
+    r, db, lb = list(a.coeffs), b.degree(), b.leading()
+    quot = [None] * (len(r) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        t = quot[k] = r[k + db] // lb
+        for j, c in enumerate(b.coeffs):
+            r[k + j] = r[k + j] - t * c
+    return Polynomial(a.field, quot)
+
+
+def _fraction(field: FunctionField, num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den in lowest terms, for num and den over the ring of _clear.
+
+    Over a tower k(q)(x) the gcd is taken over k[q][x] by the primitive
+    remainder sequence, whose contents are gcds over k[q]; only the final
+    coefficients, divided by the new leading coefficient of den, are
+    reduced over k(q).  A gcd over k(q)[x] would reduce every coefficient
+    of every remainder.
+    """
+    base = field.base
+    if not isinstance(base, FunctionField):
+        return RationalFunction(field, num, den)
+    if not num:
+        return field.zero
+    a, b = _primitive(num), _primitive(den)
+    if a.degree() < b.degree():
+        a, b = b, a
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, _primitive(r) if r else r
+    if a.degree() > 0:
+        num, den = _exact_quotient(num, a), _exact_quotient(den, a)
+    lc = den.leading()
+    num, den = (Polynomial(base, [RationalFunction(base, c, lc) for c in f.coeffs])
+                for f in (num, den))
+    return RationalFunction(field, num, den, normalize=False)
+
+
+def _twist_ratio(u: RationalFunction, p: int):
+    """(S, E) over the ring of _clear with v/u = S/E for v = D^{p-1}(u),
+    D = u*d/dx in characteristic p.
+
+    For u = a/b, v/u = s/b^p with s the coefficients of a^{p-1} b at the
+    exponents kp + p - 1, moved to kp.  Computed on the cleared c_a a and
+    c_b b instead, s picks up c_a^{p-1} c_b and b^p picks up c_b^p, so
+    S = c_b^{p-1} s and E = c_a^{p-1} (c_b b)^p.
+    """
+    base = u.field.base
+    ca, (a,) = _clear(base, [u.num])
+    cb, (b,) = _clear(base, [u.den])
+    top = (a ** (p - 1) * b).coeffs[p - 1::p]
+    coeffs = [a.field.zero] * (p * len(top))
+    coeffs[::p] = top
+    return Polynomial(a.field, coeffs) * cb ** (p - 1), b ** p * ca ** (p - 1)
+
+
 def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
     """v = D^{p-1}(u) over the characteristic-p field, so D^p = (v/u)*D.
+
+    Closed form: for u = a/b, v = u*s/b^p, where s takes the coefficients
+    of a^{p-1} b at the exponents kp + p - 1 and moves them to kp.  This is
+    v = -u*(d/dx)^{p-1}(a^{p-1} b)/b^p, since b^p is a d/dx-constant and
+    (d/dx)^{p-1} x^{kp+p-1} = (p-1)! x^{kp} = -x^{kp}.
 
     Accepts a characteristic-0 derivation (reduced mod p first) or one
     already over characteristic p.
@@ -172,41 +284,72 @@ def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
         D = D.reduce_mod(target)
     elif char != p:
         raise ValueError(f"derivation has characteristic {char}, wanted {p}")
-    return D.iterate(D.u, p - 1)
+    S, E = _twist_ratio(D.u, p)
+    _, (a, b) = _clear(D.field.base, [D.u.num, D.u.den])
+    return _fraction(D.field, a * S, b * E)
 
 
-def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
-    """Matrix A_k of nabla(D)^k: A_1 = A, A_{k+1} = D(A_k) + A*A_k.
+def _nabla_kernel(A: ConnectionMatrix, k: int):
+    """Cleared numerators of nabla(D)^k: (N, B, h, m) with A = B/h and
+    A_k = N/h^m, all polynomials over the ring of _clear.
 
-    The recursion runs on cleared denominators.  With D = (a/b)*d/dx and h
-    the monic lcm of b and every entry denominator, B = h*A is a polynomial
-    matrix and A_k = N_k / h^m_k, where N_1 = B, m_1 = 1 and
+    With D = u*d/dx, N_1 = B, m_1 = 1 and
 
-        b = 1:  N_{k+1} = a*(N_k' h - m_k h' N_k) + B N_k,        m_{k+1} = m_k + 1
-        else:   N_{k+1} = a c (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
+        u = L:    N_{k+1} = L (N_k' h - m_k h' N_k) + B N_k,      m_{k+1} = m_k + 1
+        u = L/h:  N_{k+1} = L (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
 
-    with c = h/b.  Every step is polynomial arithmetic; each entry of
-    N_k / h^m_k is reduced to lowest terms once, at the end.
+    The first form applies when u is a polynomial over that ring; h need
+    not be monic.
     """
-    if k < 1:
-        raise ValueError("power must be at least 1")
     field = A.field
+    base = field.base
     u = A.derivation.u
-    h = common_denominator([u] + [e for row in A.matrix.rows for e in row])
-    ring = PolynomialRing(field.base, field.var)
-    B = A.matrix.map_entries(lambda e: e.num * (h // e.den), ring)
-    if u.den.is_one():
-        step, lift, hB = 1, u.num, B
+    entries = [e for row in A.matrix.rows for e in row]
+    h = common_denominator([u] + entries)
+    hA = [e.num * (h // e.den) for e in entries]
+    c, (lift,) = _clear(base, [u.num])
+    if u.den.is_one() and c.is_one():
+        step = 1
+        _, (h, *hA) = _clear(base, [h] + hA)
     else:
-        step, lift, hB = 2, u.num * (h // u.den), B.scale(h)
+        step = 2
+        _, (h, lift, *hA) = _clear(base, [h, u.num * (h // u.den)] + hA)
+    n = A.rank
+    B = Matrix(PolynomialRing(h.field, field.var), [hA[i * n:(i + 1) * n] for i in range(n)])
+    hB = B if step == 1 else B.scale(h)
     dh = h.derivative()
     N, m = B, 1
     for _ in range(k - 1):
         mdh = dh * m
         N = N.map_entries(lambda f: lift * (f.derivative() * h - f * mdh)) + hB * N
         m += step
-    hm = h ** m
-    return N.map_entries(lambda f: RationalFunction(field, f, hm), field)
+    return N, B, h, m
+
+
+def _reduced(field: FunctionField, N: Matrix, den: Polynomial) -> Matrix:
+    """The matrix N/den over field, each entry reduced once."""
+    return N.map_entries(lambda f: _fraction(field, f, den), field)
+
+
+def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
+    """Matrix A_k of nabla(D)^k: A_1 = A, A_{k+1} = D(A_k) + A*A_k.
+
+    The recursion runs on cleared denominators.  With D = (a/b)*d/dx and h
+    the lcm of b and every entry denominator, B = h*A is a polynomial
+    matrix and A_k = N_k / h^m_k, where N_1 = B, m_1 = 1 and
+
+        b = 1:  N_{k+1} = a*(N_k' h - m_k h' N_k) + B N_k,        m_{k+1} = m_k + 1
+        else:   N_{k+1} = a c (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
+
+    with c = h/b.  Over a tower k(q)(x), h, B and a (or a c) are first
+    scaled by their q-denominators, so every step is polynomial arithmetic
+    over k[q][x].  Each entry of N_k / h^m_k is reduced to lowest terms
+    once, at the end.
+    """
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    N, _, h, m = _nabla_kernel(A, k)
+    return _reduced(A.field, N, h ** m)
 
 
 def _reduce_for_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
@@ -223,6 +366,13 @@ def _reduce_for_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
 
 
 def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
+    """psi_p = A_p - (v/u)*A, after reducing A mod p when it has
+    characteristic 0 (a bad prime gives a report without psi).
+
+    psi is assembled from the kernel's numerators (A = B/h, A_p = N/h^m)
+    and the cleared twist v/u = s/b^p as (b^p N - s h^{m-1} B)/(b^p h^m),
+    or N/h^m when s = 0, and each entry is reduced once.
+    """
     char = A.field.characteristic()
     if char == 0:
         Abar = _reduce_for_prime(A, p)
@@ -232,10 +382,12 @@ def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
         Abar = A
     else:
         raise ValueError(f"entries have characteristic {char}, wanted {p}")
-    Ap = nabla_power_matrix(Abar, p)
-    v = frobenius_twist_multiplier(Abar.derivation, p)
-    twist = v / Abar.derivation.u
-    psi = Ap - Abar.matrix.scale(twist)
+    N, B, h, m = _nabla_kernel(Abar, p)
+    S, E = _twist_ratio(Abar.derivation.u, p)
+    if S:
+        psi = _reduced(Abar.field, N.scale(E) - B.scale(S * h ** (m - 1)), E * h ** m)
+    else:
+        psi = _reduced(Abar.field, N, h ** m)
     return PCurvatureReport(p, True, psi, psi.is_zero())
 
 

@@ -19,12 +19,18 @@ from fractions import Fraction
 from .fields import GF, QQ, is_prime
 
 
+# plain Python scalars that Polynomial coerces into its field; matched by
+# exact type, since an isinstance test against Fraction's abstract base
+# class is slow for every other coefficient type
+_COERCED = frozenset((int, bool, Fraction, str))
+
+
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = [c if not isinstance(c, (int, Fraction, str)) else field(c) for c in coeffs]
+        cs = [field(c) if type(c) in _COERCED else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -55,6 +61,9 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one

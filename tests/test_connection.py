@@ -8,7 +8,9 @@ column, with no reference to the recursion the library uses internally.
 
 The second oracle is the plain recursion A_{k+1} = D(A_k) + A*A_k on
 reduced rational functions, one normalisation per entry and step, which
-the library's denominator-cleared kernel replaces.
+the library's denominator-cleared kernel replaces.  The twist multiplier
+v = D^{p-1}(u) has the same kind of oracle: p - 1 applications of D, which
+the library's closed form replaces.
 """
 
 import multiprocessing
@@ -57,6 +59,13 @@ def rand_connection(K, D, rng, n=2):
     return ConnectionMatrix(Matrix(K, rows), D)
 
 
+def iterate(D, f, k):
+    """D applied k times to f."""
+    for _ in range(k):
+        f = D(f)
+    return f
+
+
 # -- derivations -------------------------------------------------------------
 
 
@@ -76,7 +85,7 @@ def test_x_d_dx_on_monomials():
     x = K.gen()
     assert D(x ** 4) == K(4) * x ** 4
     assert D(K.one / x) == -K.one / x
-    assert D.iterate(x, 3) == x
+    assert iterate(D, x, 3) == x
 
 
 def test_derivation_iterate_matches_composition():
@@ -84,8 +93,8 @@ def test_derivation_iterate_matches_composition():
     D = Derivation.d_dx(K)
     x = K.gen()
     f = x ** 5
-    assert D.iterate(f, 2) == K(20) * x ** 3
-    assert D.iterate(f, 0) == f
+    assert iterate(D, f, 2) == K(20) * x ** 3
+    assert iterate(D, f, 0) == f
 
 
 # -- Frobenius twist ----------------------------------------------------------
@@ -121,6 +130,47 @@ def test_twist_multiplier_frozen_quadratic():
     x3 = K3.gen()
     assert v == K3(6) * x3 ** 4  # reduces to 0 mod 3
     assert v.is_zero()
+
+
+def rand_multiplier(K, rng, deg_a=3, deg_b=2):
+    """A random nonzero a/b over K with deg a <= deg_a and deg b <= deg_b;
+    coefficients come from rand_scalar, so over a tower they carry
+    q-denominators."""
+    a = K.polynomial([rand_scalar(K.base, rng) for _ in range(rng.randint(1, deg_a + 1))])
+    while a.is_zero():
+        a = K.polynomial([rand_unit(K.base, rng)])
+    b = K.polynomial([rand_scalar(K.base, rng) for _ in range(rng.randint(0, deg_b))]
+                     + [rand_unit(K.base, rng)])
+    return K.from_poly(a) / K.from_poly(b)
+
+
+def test_closed_form_twist_matches_iteration_over_prime_fields():
+    rng = random.Random(1013)
+    for p in (2, 3, 5, 7, 11, 13):
+        K = FunctionField(GF(p), "x")
+        for _ in range(6):
+            D = Derivation(rand_multiplier(K, rng))
+            assert frobenius_twist_multiplier(D, p) == iterate(D, D.u, p - 1), (p, D)
+
+
+def test_closed_form_twist_matches_iteration_over_tower():
+    rng = random.Random(1014)
+    for p in (2, 3, 5, 7):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        for _ in range(4):
+            # degrees kept small: every coefficient operation over the
+            # tower, the oracle's above all, is a gcd over GF(p)[q]
+            D = Derivation(rand_multiplier(K, rng, 1, 1))
+            assert frobenius_twist_multiplier(D, p) == iterate(D, D.u, p - 1), (p, D)
+
+
+def test_closed_form_twist_reduces_characteristic_zero_input():
+    K = qq_line()
+    x = K.gen()
+    D = Derivation((x * x + K(3)) / (x + K(Fraction(1, 2))))
+    for p in (3, 5, 7):
+        Dp = D.reduce_mod(FunctionField(GF(p), "x"))
+        assert frobenius_twist_multiplier(D, p) == iterate(Dp, Dp.u, p - 1)
 
 
 # -- p-curvature: frozen examples ---------------------------------------------
@@ -322,6 +372,66 @@ def test_kernel_on_polynomial_and_constant_entries():
         for k in (1, 2, 5):
             assert nabla_power_matrix(A, k) == nabla_power_by_recursion(A, k)
             assert nabla_power_matrix(B, k) == nabla_power_by_recursion(B, k)
+
+
+def p_curvature_by_recursion(A: ConnectionMatrix, p: int) -> Matrix:
+    """psi = A_p - (v/u)*A from the plain recursion and the iterated twist."""
+    D = A.derivation
+    twist = iterate(D, D.u, p - 1) / D.u
+    return nabla_power_by_recursion(A, p) - A.matrix.scale(twist)
+
+
+def test_p_curvature_matches_oracle_for_rational_multiplier_over_tower():
+    """Multipliers over GF(p)(q)(x) with q-denominators in the entries and
+    in the multiplier: the kernel runs the u = L/h form over GF(p)[q][x]
+    for a rational u and for x/q (not a polynomial over GF(p)[q]), the
+    u = L form for q*x, and psi is assembled with a nonzero twist."""
+    rng = random.Random(2719)
+    for p in (2, 3):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        q, x = K(K.base.gen()), K.gen()
+        for u in (K.one / (x + K(2)), (x + q) / (x + K.one / q), x / q, q * x):
+            A = ConnectionMatrix(rand_matrix(K, rng), Derivation(u))
+            assert p_curvature(A, p).psi == p_curvature_by_recursion(A, p), (p, u)
+
+
+def test_p_curvature_matches_oracle_over_prime_fields():
+    rng = random.Random(3141)
+    for p in (2, 3, 5):
+        K = FunctionField(GF(p), "x")
+        for D in multipliers(K) + [Derivation(rand_multiplier(K, rng))]:
+            A = ConnectionMatrix(rand_matrix(K, rng), D)
+            assert p_curvature(A, p).psi == p_curvature_by_recursion(A, p), (p, D)
+
+
+# -- p-curvature: rank-1 Jacobson formula ---------------------------------------
+
+
+def jacobson_rank_one(a, p):
+    """a^p + (d/dx)^{p-1}(a): psi_p of d/dx + a in rank 1 (Jacobson)."""
+    return a ** p + iterate(lambda f: f.derivative(), a, p - 1)
+
+
+def test_rank_one_jacobson_formula_over_prime_fields():
+    rng = random.Random(1729)
+    for p in (2, 3, 5, 7, 11, 13):
+        K = FunctionField(GF(p), "x")
+        D = Derivation.d_dx(K)
+        for _ in range(4):
+            a = rand_entry(K, rng)
+            psi = p_curvature(ConnectionMatrix(Matrix(K, [[a]]), D), p).psi
+            assert psi.entry(0, 0) == jacobson_rank_one(a, p), (p, a)
+
+
+def test_rank_one_jacobson_formula_over_tower():
+    rng = random.Random(1730)
+    for p in (2, 3, 5, 7):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        D = Derivation.d_dx(K)
+        for _ in range(3):
+            a = rand_entry(K, rng)
+            psi = p_curvature(ConnectionMatrix(Matrix(K, [[a]]), D), p).psi
+            assert psi.entry(0, 0) == jacobson_rank_one(a, p), (p, a)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from pcurvkit import GF, QQ, FunctionField, NumberField, Polynomial, poly_gcd
 import pcurvkit.poly as poly
 from pcurvkit.poly import (
     IrreducibilityUndecided,
+    PolynomialRing,
     _factor_mod_p,
     _is_irreducible_mod_p,
     cauchy_bound,
@@ -53,6 +54,29 @@ def test_zero_coefficients_are_falsy_and_trimmed(field, zero, nonzero):
     assert Polynomial(field, [zero, zero]).is_zero()
     assert Polynomial(field, [zero, nonzero]).order_at_zero() == 1
     assert (f * f).degree() == 4
+
+
+def test_polynomial_coefficients_are_trimmed():
+    """Over k[q] the coefficients are Polynomials: a zero one must be
+    falsy, so a zero top coefficient is dropped and the degree is right."""
+    R = PolynomialRing(GF(5), "q")
+    q, zero = R.gen(), R.zero
+    assert not zero and q
+    f = Polynomial(R, [q, R.one, zero, zero])
+    assert f.coeffs == (q, R.one)
+    assert f.degree() == 1
+    assert f == Polynomial(R, [q, R.one])
+    assert Polynomial(R, [zero, zero]).is_zero()
+    assert not (f - f)
+    assert (f * Polynomial(R, [q * q, zero, zero])).degree() == 1
+
+
+def test_plain_scalars_are_coerced():
+    f = Polynomial(GF(5), [True, 7, Fraction(1, 2), False])
+    assert f.coeffs == (GF(5)(1), GF(5)(2), GF(5)(3))
+    g = Polynomial(QQ, [Fraction(1, 3), True, "2/5"])
+    assert g.coeffs == (Fraction(1, 3), Fraction(1), Fraction(2, 5))
+    assert all(type(c) is Fraction for c in g.coeffs)
 
 
 def test_arithmetic_ring_identities():
