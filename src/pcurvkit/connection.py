@@ -293,13 +293,8 @@ def _nabla_kernel(A: ConnectionMatrix, k: int):
     """Cleared numerators of nabla(D)^k: (N, B, h, m) with A = B/h and
     A_k = N/h^m, all polynomials over the ring of _clear.
 
-    With D = u*d/dx, N_1 = B, m_1 = 1 and
-
-        u = L:    N_{k+1} = L (N_k' h - m_k h' N_k) + B N_k,      m_{k+1} = m_k + 1
-        u = L/h:  N_{k+1} = L (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
-
-    The first form applies when u is a polynomial over that ring; h need
-    not be monic.
+    The recursion is the one of nabla_power_matrix; its first form applies
+    when u is a polynomial over that ring.  h need not be monic.
     """
     field = A.field
     base = field.base
@@ -334,17 +329,17 @@ def _reduced(field: FunctionField, N: Matrix, den: Polynomial) -> Matrix:
 def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
     """Matrix A_k of nabla(D)^k: A_1 = A, A_{k+1} = D(A_k) + A*A_k.
 
-    The recursion runs on cleared denominators.  With D = (a/b)*d/dx and h
-    the lcm of b and every entry denominator, B = h*A is a polynomial
-    matrix and A_k = N_k / h^m_k, where N_1 = B, m_1 = 1 and
+    The recursion runs on cleared denominators.  With D = u*d/dx and h the
+    lcm of the denominators of u and of every entry, B = h*A is a
+    polynomial matrix and A_k = N_k / h^m_k, where N_1 = B, m_1 = 1 and,
+    for a polynomial L,
 
-        b = 1:  N_{k+1} = a*(N_k' h - m_k h' N_k) + B N_k,        m_{k+1} = m_k + 1
-        else:   N_{k+1} = a c (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
+        u = L:    N_{k+1} = L (N_k' h - m_k h' N_k) + B N_k,      m_{k+1} = m_k + 1
+        u = L/h:  N_{k+1} = L (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
 
-    with c = h/b.  Over a tower k(q)(x), h, B and a (or a c) are first
-    scaled by their q-denominators, so every step is polynomial arithmetic
-    over k[q][x].  Each entry of N_k / h^m_k is reduced to lowest terms
-    once, at the end.
+    Over a tower k(q)(x), h, B and L are first scaled by their
+    q-denominators, so every step is polynomial arithmetic over k[q][x].
+    Each entry of N_k / h^m_k is reduced to lowest terms once, at the end.
     """
     if k < 1:
         raise ValueError("power must be at least 1")
