@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from .connection import ConnectionMatrix, Derivation, frobenius_twist_multiplier, \
     nabla_power_matrix, p_curvature
 from .linalg import Matrix
-from .ratfunc import common_denominator
+from .poly import PolynomialRing
+from .ratfunc import RationalFunction, common_denominator
 
 
 class BlockExtension:
@@ -117,6 +118,11 @@ def _commutator_terms(P, i, j):
     return [(k, j, P[k][i]) for k in range(r)] + [(i, l, -P[j][l]) for l in range(r)]
 
 
+def _cleared(f, h):
+    """h*f as a polynomial, for h a multiple of the denominator of f."""
+    return f.num * (h // f.den)
+
+
 def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
     """Linear system for B + A Y - Y A + D(Y) = 0 over the coefficient field.
 
@@ -131,12 +137,9 @@ def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
     u = A.derivation.u
     h = common_denominator([u] + [e for M in (A.matrix, B) for row in M.rows for e in row])
 
-    def cleared(f):
-        return f.num * (h // f.den)
-
-    P = [[cleared(e) for e in row] for row in A.matrix.rows]
-    hu = cleared(u)
-    hB = [cleared(e) for row in B.rows for e in row]
+    P = [[_cleared(e, h) for e in row] for row in A.matrix.rows]
+    hu = _cleared(u, h)
+    hB = [_cleared(e, h) for row in B.rows for e in row]
     width = 1 + max([0, d - 1 + hu.degree()] + [d + f.degree() for row in P for f in row]
                     + [f.degree() for f in hB])
 
@@ -248,36 +251,55 @@ def _layers_mul(a, b, m, ring, r):
 
 
 def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
-    """Apply the gauge G = I + q^k Y to the family, truncating at its order."""
+    """Apply the gauge G = I + q^k Y to the family, truncating at its order.
+
+    Y must be polynomial (every entry has denominator 1), as every Y from
+    solve_deformation is; a rational Y raises ValueError.  With H the common
+    denominator of all layers and N_b = H L_b over k[x], the gauge, its
+    alternating-series inverse and D(G) = u G' are polynomial too, and layer
+    n of G^-1 A G + G^-1 D(G) is
+
+        (sum G^-1_a N_b G_c u.den + u.num H sum G^-1_a G'_c) / (H u.den),
+
+    summed over a + b + c = n and a + c = n, reduced once per entry.
+    """
     if k < 1:
         raise ValueError("gauge layer must be positive")
+    if not all(e.den.is_one() for row in Y.rows for e in row):
+        raise ValueError("gauge entries must be polynomial")
     m = F.order
-    ring = F.layers[0].ring
+    field = F.layers[0].ring
     r = F.rank
+    ring = PolynomialRing(field.base, field.var)
+    H = common_denominator(e for L in F.layers for row in L.rows for e in row)
+    N = [Matrix(ring, [[_cleared(e, H) for e in row] for row in L.rows]) for L in F.layers]
+    Yp = Y.map_entries(lambda e: e.num, ring)
     ident = Matrix.identity(ring, r)
     zero = Matrix.zeros(ring, r)
 
     G = [zero] * m
     G[0] = ident
+    dG = [zero] * m
     if k < m:
-        G[k] = Y
+        G[k] = Yp
+        dG[k] = Yp.map_entries(lambda e: e.derivative())
     # inverse of I + q^k Y is the alternating geometric series, truncated
     Ginv = [zero] * m
     Ginv[0] = ident
     power = ident
-    sign = 1
     for j in range(1, (m - 1) // k + 1):
-        power = power * Y
-        sign = -sign
-        Ginv[j * k] = power.scale(ring(sign))
+        power = power * Yp
+        Ginv[j * k] = power if j % 2 == 0 else -power
 
-    D = F.derivation
-    DG = [D(L) for L in G]
-    AG = _layers_mul(list(F.layers), G, m, ring, r)
-    new_layers = [x + y for x, y in
-                  zip(_layers_mul(Ginv, AG, m, ring, r),
-                      _layers_mul(Ginv, DG, m, ring, r))]
-    return TruncatedFamily(D, new_layers, F.qvar)
+    u = F.derivation.u
+    uH, den = u.num * H, H * u.den
+    gauged = _layers_mul(Ginv, _layers_mul(N, G, m, ring, r), m, ring, r)
+    twist = _layers_mul(Ginv, dG, m, ring, r)
+    new_layers = [
+        Matrix(field, [[RationalFunction(field, a * u.den + uH * b, den)
+                        for a, b in zip(ra, rb)] for ra, rb in zip(S.rows, T.rows)])
+        for S, T in zip(gauged, twist)]
+    return TruncatedFamily(F.derivation, new_layers, F.qvar)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,23 @@
 The ring object only has to provide ``zero``, ``one``, ``__call__`` for
 coercion, and ``characteristic()``; entries must support field arithmetic.
 That covers Fractions, prime fields, number fields, rational function
-towers, and truncated series alike.  Elimination is plain Gauss-Jordan
-with exact division, which is the right trade at the matrix sizes this
-package sees (ranks up to a dozen or so).
+towers, and truncated series alike.
+
+Elimination is Gauss-Jordan.  Over QQ it runs fraction-free on integer
+rows (each row cleared of its denominators once, every row operation
+``a*row - f*pivot`` followed by removal of the row's content, in the spirit
+of Bareiss, Math. Comp. 1968) and turns the pivot rows back into
+``Fraction`` once at the end; the reduced row echelon form of a row space
+is unique, so the result is the one exact division would give.  Every
+other ring divides exactly at each pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+from .fields import RationalField
 
 
 class Matrix:
@@ -130,6 +139,8 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
+        if type(self.ring) is RationalField:
+            return self._rref_integer()
         rows = [list(r) for r in self.rows]
         pivots = []
         rank = 0
@@ -156,6 +167,58 @@ class Matrix:
             if rank == self.nrows:
                 break
         return Matrix(self.ring, rows), pivots
+
+    def _rref_integer(self):
+        """rref over QQ by fraction-free Gauss-Jordan on cleared integer rows.
+
+        Each row is scaled by the lcm of its denominators.  Eliminating with
+        pivot value a replaces a row by a*row - f*pivot over the whole row
+        (rows above the pivot carry their own pivots left of it), and then
+        divides it by its content.  Pivot row i is converted back once, as
+        row / row[pivots[i]].
+        """
+        rows = []
+        for r in self.rows:
+            den = lcm(*(e.denominator for e in r))
+            row = [e.numerator * (den // e.denominator) for e in r]
+            g = gcd(*row)
+            rows.append([e // g for e in row] if g > 1 else row)
+        pivots = []
+        rank = 0
+        for col in range(self.ncols):
+            sel = None
+            for i in range(rank, self.nrows):
+                if rows[i][col]:
+                    sel = i
+                    break
+            if sel is None:
+                continue
+            rows[rank], rows[sel] = rows[sel], rows[rank]
+            pivot = rows[rank]
+            a = pivot[col]
+            for i in range(self.nrows):
+                row = rows[i]
+                f = row[col]
+                if i == rank or not f:
+                    continue
+                # the pivot row is zero left of col
+                row = [a * e for e in row[:col]] + [
+                    a * e - f * b for e, b in zip(row[col:], pivot[col:])]
+                g = gcd(*row)
+                rows[i] = [e // g for e in row] if g > 1 else row
+            pivots.append(col)
+            rank += 1
+            if rank == self.nrows:
+                break
+        zero = Fraction(0)
+        out = []
+        for i, row in enumerate(rows):
+            if i < rank:
+                a = row[pivots[i]]
+                out.append([Fraction(e, a) if e else zero for e in row])
+            else:
+                out.append([zero] * self.ncols)
+        return Matrix(self.ring, out), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

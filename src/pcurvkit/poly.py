@@ -86,7 +86,15 @@ class Polynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def _wrap(self, other):
-        if isinstance(other, Polynomial):
+        """other as a Polynomial over self.field, or None.
+
+        A Polynomial over another field is a scalar to coerce, not a
+        polynomial in the same variable: over k[q][x] a polynomial 1 + q
+        over k becomes a constant.  The identity test comes first, so
+        same-field operands pay nothing for this.
+        """
+        if isinstance(other, Polynomial) and (
+                other.field is self.field or other.field == self.field):
             return other
         try:
             return Polynomial(self.field, (self.field(other),))
@@ -158,7 +166,9 @@ class Polynomial:
 
     def __divmod__(self, other):
         o = self._wrap(other)
-        if o is None or o.is_zero():
+        if o is None:
+            return NotImplemented
+        if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dq = len(rem) - len(o.coeffs)

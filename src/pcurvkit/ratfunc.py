@@ -82,10 +82,13 @@ class RationalFunction:
             if num.is_zero():
                 den = Polynomial.one(field.base)
             else:
-                g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num = num // g
-                    den = den // g
+                # a gcd with a nonzero constant is 1, so only a
+                # nonconstant denominator pays for one
+                if den.degree() > 0:
+                    g = poly_gcd(num, den)
+                    if g.degree() > 0:
+                        num = num // g
+                        den = den // g
                 lead_inv = field.base.one / den.leading()
                 if den.leading() != field.base.one:
                     num = num * lead_inv

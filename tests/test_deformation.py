@@ -27,6 +27,7 @@ from pcurvkit import (
     solve_deformation,
     step_conjugate,
 )
+from pcurvkit.deformation import _layers_mul
 from pcurvkit.ratfunc import common_denominator
 
 
@@ -508,3 +509,85 @@ def test_step_conjugate_matches_basis_product_oracle():
                 else:
                     solved += 1
     assert solved >= 8 and unsolved >= 4
+
+
+# -- gauge_family against RationalFunction arithmetic -------------------------
+#
+# gauge_family works on numerators cleared over one common denominator and
+# reduces each new entry once.  The oracle below is the direct form: every
+# product and sum of the gauged series is RationalFunction arithmetic, with
+# a reduction per operation.  Reduced rational functions are canonical, so
+# the layers must be equal entry for entry.
+
+
+def gauge_family_by_ratfunc_products(F, Y, k):
+    m = F.order
+    ring = F.layers[0].ring
+    r = F.rank
+    ident = Matrix.identity(ring, r)
+    zero = Matrix.zeros(ring, r)
+    G = [zero] * m
+    G[0] = ident
+    if k < m:
+        G[k] = Y
+    Ginv = [zero] * m
+    Ginv[0] = ident
+    power = ident
+    sign = 1
+    for j in range(1, (m - 1) // k + 1):
+        power = power * Y
+        sign = -sign
+        Ginv[j * k] = power.scale(ring(sign))
+    D = F.derivation
+    DG = [D(L) for L in G]
+    AG = _layers_mul(list(F.layers), G, m, ring, r)
+    new_layers = [a + b for a, b in
+                  zip(_layers_mul(Ginv, AG, m, ring, r), _layers_mul(Ginv, DG, m, ring, r))]
+    return TruncatedFamily(D, new_layers, F.qvar)
+
+
+def gauge_oracle_cases():
+    """(F, Y, k) over QQ(x) with u in {1, x, 1/(x+1)}, k in {1, 2, 3},
+    order <= 5, layers with poles at 0 and -1 (the c/x of an obstructed
+    family) or none; plus a few over GF(5)(x)."""
+    rng = random.Random(90210)
+    for K in (qq_line(), FunctionField(GF(5), "x")):
+        x = K.gen()
+        us = [K.one, x, K.one / (x + K.one)]
+        cases = 9 if K.base == QQ else 3
+        for c in range(cases):
+            u = us[c % 3]
+            k = 1 + (c // 3) % 3
+            m = rng.randint(k + 1, 5)
+            r = rng.choice([1, 2, 2])
+            poles = [x, x + K.one] if c % 2 == 0 else []
+            layers = [Matrix(K, [[rand_entry(K, rng, poles) for _ in range(r)]
+                                 for _ in range(r)]) for _ in range(m)]
+            if poles:
+                layers[-1] = layers[-1] + Matrix.identity(K, r).scale(K(rng.randint(1, 5)) / x)
+            Y = rand_poly_matrix(K, rng, r, rng.randint(0, 2))
+            yield TruncatedFamily(Derivation(u), layers), Y, k
+
+
+def test_gauge_family_matches_ratfunc_oracle():
+    seen = set()
+    for F, Y, k in gauge_oracle_cases():
+        expect = gauge_family_by_ratfunc_products(F, Y, k)
+        got = gauge_family(F, Y, k)
+        assert got == expect, (F.layers, F.derivation, Y, k)
+        assert got.layers == expect.layers
+        seen.add((str(F.derivation.u), k))
+        # the gauge with its layer past the truncation changes nothing
+        assert gauge_family(F, Y, F.order) == F
+    assert len(seen) >= 9
+
+
+def test_gauge_family_rejects_rational_gauge():
+    K = qq_line()
+    x = K.gen()
+    F = TruncatedFamily(Derivation.d_dx(K), [Matrix.identity(K, 2)] * 3)
+    Y = Matrix(K, [[K.one, K.one / (x + K.one)], [K.zero, x]])
+    with pytest.raises(ValueError, match="polynomial"):
+        gauge_family(F, Y, 1)
+    with pytest.raises(ValueError, match="positive"):
+        gauge_family(F, Matrix.zeros(K, 2), 0)

@@ -152,3 +152,118 @@ def test_map_entries_reduction():
     F = GF(5)
     B = A.map_entries(F, new_ring=F)
     assert B.entry(0, 0) == F(3)  # 2^{-1} mod 5
+
+
+# -- integer rref over QQ against the field loop ---------------------------
+
+
+def rref_by_field_division(M):
+    """Gauss-Jordan with exact Fraction division at every pivot: the loop
+    Matrix.rref runs over every ring but QQ, kept as the oracle for the
+    fraction-free integer path."""
+    rows = [list(r) for r in M.rows]
+    pivots = []
+    rank = 0
+    for col in range(M.ncols):
+        sel = None
+        for i in range(rank, M.nrows):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank]
+        inv = M.ring.one / pivot[col]
+        pivot[col:] = [inv * e for e in pivot[col:]]
+        for i in range(M.nrows):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i][col:] = [a - f * b for a, b in zip(rows[i][col:], pivot[col:])]
+        pivots.append(col)
+        rank += 1
+        if rank == M.nrows:
+            break
+    return Matrix(M.ring, rows), pivots
+
+
+def rand_fraction(rng, height):
+    return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def rand_qq(rng, nrows, ncols, height=9, sparsity=0.0):
+    return [[Fraction(0) if rng.random() < sparsity else rand_fraction(rng, height)
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def low_rank(rng, nrows, ncols, rank, height=5):
+    """nrows x ncols of rank at most `rank`: a product of random factors."""
+    left = Matrix(QQ, rand_qq(rng, nrows, rank, height))
+    right = Matrix(QQ, rand_qq(rng, rank, ncols, height))
+    return [list(r) for r in (left * right).rows]
+
+
+def qq_rref_cases():
+    rng = random.Random(8128)
+    cases = {"1x1": [[Fraction(-3, 7)]], "1x1 zero": [[Fraction(0)]],
+             "all zero": [[Fraction(0)] * 5 for _ in range(4)]}
+    for n in range(6):
+        cases[f"square {n}"] = rand_qq(rng, 4, 4, sparsity=0.3)
+        cases[f"wide {n}"] = rand_qq(rng, 3, 7, sparsity=0.3)
+        cases[f"tall {n}"] = rand_qq(rng, 7, 3, sparsity=0.3)
+        cases[f"rank-deficient {n}"] = low_rank(rng, 6, 8, rng.randint(1, 4))
+        rows = rand_qq(rng, 5, 6)
+        rows[3] = list(rows[1])                         # duplicated row
+        rows[4] = [Fraction(0)] * 6                     # zero row
+        rows[0] = [2 * e for e in rows[2]]              # a multiple of another
+        cases[f"duplicated and zero rows {n}"] = rows
+        rows = rand_qq(rng, 5, 7)
+        for r in rows:
+            r[0] = r[4] = Fraction(0)                   # zero columns
+        cases[f"zero columns {n}"] = rows
+        cases[f"large heights {n}"] = rand_qq(rng, 5, 6, height=10 ** 30, sparsity=0.2)
+        cases[f"large heights, rank-deficient {n}"] = low_rank(
+            rng, 5, 7, 3, height=10 ** 12)
+    return cases
+
+
+_QQ_CASES = qq_rref_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_QQ_CASES))
+def test_integer_rref_matches_field_oracle(name):
+    M = Matrix(QQ, _QQ_CASES[name])
+    R, pivots = M.rref()
+    R_ref, pivots_ref = rref_by_field_division(M)
+    assert pivots == pivots_ref
+    assert R.rows == R_ref.rows
+    assert all(type(e) is Fraction for r in R.rows for e in r)
+    assert M.rank() == len(pivots_ref)
+
+
+def test_solve_inconsistent_qq_systems_return_none():
+    rng = random.Random(2718)
+    for _ in range(10):
+        rows = low_rank(rng, 5, 4, 2)
+        A = Matrix(QQ, rows)
+        # a nonzero y with y^T A = 0 is orthogonal to the column space, and
+        # y.y > 0, so A x = y has no solution
+        y = Matrix(QQ, [list(c) for c in zip(*rows)]).kernel_basis()[0]
+        assert A.solve(y) is None
+        x0 = Matrix.column(QQ, [rand_fraction(rng, 5) for _ in range(4)])
+        x = A.solve(A * x0)
+        assert x is not None and A * x == A * x0
+
+
+def test_kernel_basis_and_inverse_round_trip_over_qq():
+    rng = random.Random(1414)
+    for _ in range(8):
+        A = Matrix(QQ, low_rank(rng, 4, 7, rng.randint(1, 4), height=10 ** 6))
+        basis = A.kernel_basis()
+        assert A.rank() + len(basis) == A.ncols
+        for v in basis:
+            assert (A * v).is_zero()
+        B = Matrix(QQ, rand_qq(rng, 5, 5, height=10 ** 8))
+        if B.det():
+            I = Matrix.identity(QQ, 5)
+            assert B * B.inverse() == I and B.inverse() * B == I

@@ -355,3 +355,28 @@ def test_to_str_round_readability():
     assert (x ** 2 - 1).to_str("t") == "t^2 + -1"
     assert (2 * x).to_str() == "2*x"
     assert Polynomial.zero(QQ).to_str() == "0"
+
+
+def test_polynomial_over_the_coefficient_field_is_a_scalar():
+    """Over k[q][x], a polynomial in q over k is a constant coefficient, so
+    (q + x)(1 + q) scales by 1 + q instead of multiplying in one variable."""
+    F = GF(5)
+    R = PolynomialRing(F, "q")
+    q = Polynomial.x(F)
+    c = Polynomial.one(F) + q
+    f = Polynomial(R, [q, R.one])                       # q + x
+    g = f * c
+    assert g.degree() == 1
+    assert g == Polynomial(R, [q * c, c])
+    assert f + c == Polynomial(R, [q + c, R.one])
+    assert f - c == Polynomial(R, [q - c, R.one])
+
+
+def test_polynomials_over_different_prime_fields_do_not_mix():
+    f = Polynomial(GF(5), [1, 2])
+    g = Polynomial(GF(7), [3, 1])
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b, divmod):
+        with pytest.raises(TypeError):
+            op(f, g)
+    # an equal field object that is not the same one still counts as the same
+    assert f * Polynomial(GF(5), [0, 1]) == Polynomial(GF(5), [0, 1, 2])

@@ -5,7 +5,8 @@ import pytest
 
 from pcurvkit import GF, QQ, FunctionField
 from pcurvkit.fields import ReductionError
-from pcurvkit.ratfunc import common_denominator, reduce_rational_mod_p
+from pcurvkit.poly import poly_gcd
+from pcurvkit.ratfunc import RationalFunction, common_denominator, reduce_rational_mod_p
 
 
 def rand_elt(K, rng, size=3):
@@ -138,3 +139,51 @@ def test_common_denominator_is_the_monic_lcm(base):
             r = K.polynomial([-c, 1])
             if r.divides(h):
                 assert not all(f.den.divides(h // r) for f in fs)
+
+
+def normalized_through_gcd(K, num, den):
+    """(num, den) reduced the way every RationalFunction once was: divide
+    by poly_gcd whatever the denominator, then make the denominator monic."""
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    lead_inv = K.base.one / den.leading()
+    return num * lead_inv, den * lead_inv
+
+
+def tower():
+    base = FunctionField(GF(5), "q")
+    return FunctionField(base, "x"), base
+
+
+@pytest.mark.parametrize("which", ["QQ", "GF(7)", "GF(5)(q)"])
+def test_constant_denominator_matches_the_gcd_path(which):
+    """A constant denominator skips poly_gcd; the result is the same pair
+    as the gcd path gives, leading-coefficient normalisation included."""
+    rng = random.Random(313)
+    if which == "GF(5)(q)":
+        K, base = tower()
+        q = base.gen()
+
+        def scalar():
+            return base(rng.randint(-3, 3)) + base(rng.randint(1, 3)) * q ** rng.randint(0, 2) \
+                / (q + base(rng.randint(0, 4)))
+    else:
+        K = FunctionField(QQ if which == "QQ" else GF(7), "x")
+
+        def scalar():
+            return K.base(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    for _ in range(20):
+        num = K.polynomial([scalar() for _ in range(rng.randint(0, 4))])
+        c = scalar()
+        if not c:
+            continue
+        den = K.polynomial([c])
+        f = RationalFunction(K, num, den)
+        if num.is_zero():
+            assert f.num.is_zero() and f.den.is_one()
+            continue
+        assert (f.num, f.den) == normalized_through_gcd(K, num, den)
+        assert f.den.is_one()
+        # the same value reached through a nonconstant gcd
+        r = K.polynomial([scalar(), K.base.one])
+        assert RationalFunction(K, num * r, den * r) == f
