@@ -142,17 +142,12 @@ def test_common_denominator_is_the_monic_lcm(base):
 
 
 def normalized_through_gcd(K, num, den):
-    """(num, den) reduced the way every RationalFunction once was: divide
-    by poly_gcd whatever the denominator, then make the denominator monic."""
+    """(num, den) divided by poly_gcd whatever the denominator, then with
+    the denominator made monic."""
     g = poly_gcd(num, den)
     num, den = num // g, den // g
     lead_inv = K.base.one / den.leading()
     return num * lead_inv, den * lead_inv
-
-
-def tower():
-    base = FunctionField(GF(5), "q")
-    return FunctionField(base, "x"), base
 
 
 @pytest.mark.parametrize("which", ["QQ", "GF(7)", "GF(5)(q)"])
@@ -161,7 +156,8 @@ def test_constant_denominator_matches_the_gcd_path(which):
     as the gcd path gives, leading-coefficient normalisation included."""
     rng = random.Random(313)
     if which == "GF(5)(q)":
-        K, base = tower()
+        base = FunctionField(GF(5), "q")
+        K = FunctionField(base, "x")
         q = base.gen()
 
         def scalar():
