@@ -23,7 +23,6 @@ from .numberfield import (
     NumberField,
     NumberFieldElement,
     compositum,
-    embedding_absolute_values,
     is_algebraic_integer,
     is_root_of_unity,
     minimal_polynomial,

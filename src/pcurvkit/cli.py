@@ -11,15 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from . import specdoc
 from .connection import scan_primes
 from .deformation import normalize_family, step_conjugate
 from .fields import primes_in
-from .intervals import PrecisionExceeded
-from .surface import Finite, FinitenessCertificate, Inconclusive, Obstructed, \
-    certify_finiteness
+from .surface import Finite, Obstructed, certify_finiteness
 from .valuation import newton_polygon, predict_nonvanishing, verify_prediction
 
 EXIT_OK = 0
@@ -184,11 +181,6 @@ def rep_main(argv=None) -> int:
                          help="closure size cap (overrides the spec)")
     certify.add_argument("--max-order", type=int, default=None, metavar="N",
                          help="element order cap (overrides the spec)")
-    certify.add_argument("--precision-cap", type=int, default=24, metavar="BITS",
-                         help="tolerance 1/2^BITS of the interval enclosures "
-                              "in the archimedean check; when they cannot be "
-                              "refined that far the verdict is inconclusive. "
-                              "The check's pass/fail is exact regardless")
     certify.add_argument("--seed", type=int, default=0, metavar="S")
     certify.add_argument("--projective", action="store_true",
                          help="certify the image in PSL2/PGL2 instead")
@@ -201,25 +193,16 @@ def rep_main(argv=None) -> int:
         rho, caps, projective = specdoc.representation_from_spec(doc)
     except specdoc.SpecError as exc:
         return _fail_spec(exc)
-    if args.precision_cap < 1 or args.precision_cap > 4096:
-        return _fail_spec("precision cap must be between 1 and 4096 bits")
     max_elements = args.max_elements if args.max_elements is not None \
         else caps["max_elements"]
     max_order = args.max_order if args.max_order is not None \
         else caps["max_order"]
     if max_elements < 1 or max_order < 1:
         return _fail_spec("caps must be positive")
-    tolerance = Fraction(1, 2 ** args.precision_cap)
     projective = projective or args.projective
-    try:
-        cert = certify_finiteness(
-            rho, max_elements=max_elements, max_order=max_order,
-            tolerance=tolerance, projective=projective)
-    except PrecisionExceeded as exc:
-        cert = FinitenessCertificate(
-            Inconclusive(f"undecided at precision cap: {exc}"),
-            element_count=0, max_order_seen=0, nonarch_passed=None,
-            arch_passed=None, det_orders=None)
+    cert = certify_finiteness(
+        rho, max_elements=max_elements, max_order=max_order,
+        projective=projective)
 
     verdict = cert.verdict
     if isinstance(verdict, Finite):

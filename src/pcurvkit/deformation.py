@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .connection import ConnectionMatrix, Derivation, frobenius_twist_multiplier, \
-    nabla_power_matrix, p_curvature
+    p_curvature
 from .linalg import Matrix
 from .poly import PolynomialRing
 from .ratfunc import RationalFunction, common_denominator

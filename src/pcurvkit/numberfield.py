@@ -10,10 +10,9 @@ A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
 bounded primitive-element search over theta1 + k*theta2, powering the
 multiplication matrix of that element on the tensor product, and returns
-the joint field together with embedding maps.  Embedding data is
-certified: real roots come from Sturm isolation, complex roots from interval
-Newton, and every absolute-value query refines until the requested tolerance
-is met.
+the joint field together with embedding maps.  ``root_enclosures`` gives
+certified enclosures of the roots of the defining polynomial: real roots
+from Sturm isolation, complex roots from interval Newton.
 """
 
 from __future__ import annotations
@@ -27,17 +26,9 @@ from .poly import (
     poly_xgcd,
     is_irreducible_q,
     IrreducibilityUndecided,
-    refine_real_root,
 )
 from .linalg import Matrix
-from .intervals import (
-    RatInterval,
-    PrecisionExceeded,
-    certified_root_enclosures,
-    eval_poly_box,
-    eval_poly_interval,
-    refine_box,
-)
+from .intervals import certified_root_enclosures
 
 
 class CompositumError(ValueError):
@@ -349,50 +340,6 @@ def is_root_of_unity(e: NumberFieldElement):
         if pow(x, n, m).is_one():
             return n
     return None
-
-
-def embedding_absolute_values(e: NumberFieldElement, tolerance,
-                              max_rounds: int = 200) -> list[RatInterval]:
-    """Certified |sigma(e)| for every complex embedding sigma of the parent.
-
-    Returns one interval of width <= tolerance per embedding (conjugate
-    pairs contribute two equal intervals).  Order: real embeddings by
-    ascending root, then conjugate pairs.
-    """
-    tol = Fraction(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    K = e.field
-    f = K.min_poly
-    coeffs = [Fraction(c) for c in e.coords]
-    bits = max(64, (8 * tol.denominator // tol.numerator).bit_length() + 2)
-    out = []
-    reals, boxes = K.root_enclosures()
-    for iv in reals:
-        lo, hi = iv.lo, iv.hi
-        for _ in range(max_rounds):
-            val = eval_poly_interval(coeffs, RatInterval(lo, hi)).abs()
-            if val.width() <= tol:
-                out.append(val)
-                break
-            if lo == hi:
-                out.append(val)
-                break
-            lo, hi = refine_real_root(f, lo, hi, (hi - lo) / 4)
-        else:
-            raise PrecisionExceeded("real embedding refinement exhausted")
-    for box in boxes:
-        current = box
-        for _ in range(max_rounds):
-            val = eval_poly_box(coeffs, current).abs_interval(bits)
-            if val.width() <= tol:
-                out.append(val)
-                out.append(val)
-                break
-            current = refine_box(f, current, current.width() / 4)
-        else:
-            raise PrecisionExceeded("complex embedding refinement exhausted")
-    return out
 
 
 def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):

@@ -101,10 +101,19 @@ class Polynomial:
         except (TypeError, ValueError):
             return None
 
+    def _reflected(self, other, name):
+        """other.name(self) when other is a Polynomial whose field takes self
+        as a scalar, so ``c * f`` with c over k and f over k[q] is computed
+        over k[q] like ``f * c``.  Python never tries the reflected method
+        of an operand of the same type."""
+        if isinstance(other, Polynomial) and other._wrap(self) is not None:
+            return getattr(other, name)(self)
+        return NotImplemented
+
     def __add__(self, other):
         o = self._wrap(other)
         if o is None:
-            return NotImplemented
+            return self._reflected(other, "__radd__")
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -121,7 +130,7 @@ class Polynomial:
     def __sub__(self, other):
         o = self._wrap(other)
         if o is None:
-            return NotImplemented
+            return self._reflected(other, "__rsub__")
         return self + (-o)
 
     def __rsub__(self, other):
@@ -133,7 +142,7 @@ class Polynomial:
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
-            return NotImplemented
+            return self._reflected(other, "__rmul__")
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return Polynomial.zero(self.field)
@@ -245,9 +254,17 @@ class Polynomial:
 
 
 def _coeff_str(c) -> str:
+    """c as a factor of a term: in brackets when it prints as a sum, so a
+    coefficient q + 1 over k(q) gives (q + 1)*x and not q + 1*x."""
     if isinstance(c, Fraction):
         return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
+    s = str(c)
+    depth = 0
+    for k, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and s.startswith(" + ", k):
+            return f"({s})"
+    return s
 
 
 class PolynomialRing:

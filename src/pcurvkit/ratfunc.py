@@ -9,9 +9,7 @@ x) are represented as elements of k(q)(x).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .fields import GFElement, PrimeField, QQ, ReductionError
+from .fields import PrimeField, ReductionError
 from .poly import Polynomial, poly_gcd
 
 

@@ -16,12 +16,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import QQ
 from .linalg import Matrix
 from .numberfield import (
     NumberField,
     NumberFieldElement,
-    embedding_absolute_values,
     is_algebraic_integer,
     is_root_of_unity,
     minimal_polynomial,
@@ -578,71 +576,22 @@ def nonarch_check(rho: Representation, words) -> NonarchReport:
 class ArchReport:
     passed: bool
     witness: Word | None
-    witness_embedding: int | None
-    enclosures: dict
 
 
-def arch_check(rho: Representation, words, tolerance=Fraction(1, 1024)) -> ArchReport:
+def arch_check(rho: Representation, words) -> ArchReport:
     """Every embedding of every listed trace must land in [-2, 2].
 
-    The pass/fail decision is exact: all conjugates of tr are real and in
-    [-2, 2] iff the squarefree part of its minimal polynomial has as many
-    roots in [-2, 2] as its degree (a Sturm count).  Certified interval
-    enclosures at the requested tolerance are returned for reporting, and
-    localize a witness embedding on failure.
+    Decided exactly: all conjugates of tr are real and in [-2, 2] iff the
+    squarefree part of its minimal polynomial has as many roots in [-2, 2]
+    as its degree (a Sturm count).  The witness is the first listed word
+    that fails.
     """
-    tol = Fraction(tolerance)
-    enclosures = {}
-    failure = None
     for w in words:
-        w = reduce_word(w)
         t = rho.evaluate(w).trace()
         mp = squarefree_part(minimal_polynomial(t))
-        ok = count_real_roots_closed(mp, Fraction(-2), Fraction(2)) == mp.degree()
-        intervals = embedding_absolute_values(t, tol)
-        enclosures[w.to_str()] = intervals
-        if not ok and failure is None:
-            emb_idx = _locate_arch_witness(t, tol)
-            failure = (w, emb_idx)
-    if failure is not None:
-        return ArchReport(False, failure[0], failure[1], enclosures)
-    return ArchReport(True, None, None, enclosures)
-
-
-def _locate_arch_witness(t: NumberFieldElement, tol: Fraction) -> int | None:
-    """Index of an embedding provably sending t outside [-2, 2]."""
-    from .intervals import eval_poly_box, eval_poly_interval, refine_box, RatInterval
-    from .poly import refine_real_root
-
-    K = t.field
-    f = K.min_poly
-    coeffs = [Fraction(c) for c in t.coords]
-    reals, boxes = K.root_enclosures()
-    idx = 0
-    for iv in reals:
-        lo, hi = iv.lo, iv.hi
-        for _ in range(80):
-            val = eval_poly_interval(coeffs, RatInterval(lo, hi))
-            if val.lo > 2 or val.hi < -2:
-                return idx
-            if val.hi <= 2 and val.lo >= -2:
-                break
-            if lo == hi:
-                break
-            lo, hi = refine_real_root(f, lo, hi, (hi - lo) / 4)
-        idx += 1
-    for box in boxes:
-        current = box
-        for _ in range(80):
-            val = eval_poly_box(coeffs, current)
-            if val.im.lo > 0 or val.im.hi < 0 \
-                    or val.re.lo > 2 or val.re.hi < -2:
-                return idx
-            if val.im.lo == val.im.hi == 0 and val.re.lo >= -2 and val.re.hi <= 2:
-                break
-            current = refine_box(f, current, current.width() / 4)
-        idx += 2
-    return None
+        if count_real_roots_closed(mp, Fraction(-2), Fraction(2)) != mp.degree():
+            return ArchReport(False, reduce_word(w))
+    return ArchReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +686,6 @@ def _check_klein(n: int, max_order: int, projective: bool) -> None:
 
 def certify_finiteness(rho: Representation, max_elements: int = 10000,
                        max_order: int = 10000,
-                       tolerance=Fraction(1, 1024),
                        projective: bool = False) -> FinitenessCertificate:
     """Decide finiteness of the matrix image by exact closure.
 
@@ -777,7 +725,7 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
             return FinitenessCertificate(
                 Obstructed(na.witness.to_str(), "trace is not an algebraic integer"),
                 0, 0, False, None, None)
-        ar = arch_check(rho, loops, tolerance)
+        ar = arch_check(rho, loops)
         arch_passed = ar.passed
         if not ar.passed:
             return FinitenessCertificate(

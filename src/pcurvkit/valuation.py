@@ -22,7 +22,7 @@ from .connection import (
     frobenius_twist_multiplier,
     p_curvature,
 )
-from .laurent import TruncatedLaurentSeries, ValuationUndecided
+from .laurent import TruncatedLaurentSeries
 from .ratfunc import FunctionField, RationalFunction
 
 INF = math.inf

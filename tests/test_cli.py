@@ -304,10 +304,12 @@ def test_usage_errors_exit_64(tmp_path, capsys):
 @pytest.mark.parametrize("main, command, flag, doc", [
     (pcurv_main, "analyze", ["--precision-cap", "24"], ANALYZE_DOC),
     (rep_main, "certify", ["--jobs", "1"], QUATERNION_DOC),
+    (rep_main, "certify", ["--precision-cap", "30"], QUATERNION_DOC),
 ])
 def test_removed_flags_exit_64(tmp_path, capsys, main, command, flag, doc):
     """analyze --precision-cap and certify --jobs were accepted and ignored;
-    they are gone, so passing them is a usage error."""
+    certify --precision-cap only set the tolerance of interval enclosures no
+    report carried.  They are gone, so passing them is a usage error."""
     spec = write_spec(tmp_path, "spec.json", doc)
     with pytest.raises(SystemExit) as exc:
         main([command, spec] + flag)
@@ -315,7 +317,9 @@ def test_removed_flags_exit_64(tmp_path, capsys, main, command, flag, doc):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_certify_precision_exceeded_exit_3(tmp_path, capsys, monkeypatch):
+def test_certify_precision_exceeded_propagates(tmp_path, capsys, monkeypatch):
+    """certify decides exactly, so a PrecisionExceeded from inside it is a
+    bug: it propagates instead of becoming an inconclusive verdict."""
     from pcurvkit.intervals import PrecisionExceeded
 
     def exhausted(*args, **kwargs):
@@ -323,28 +327,9 @@ def test_certify_precision_exceeded_exit_3(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("pcurvkit.cli.certify_finiteness", exhausted)
     spec = write_spec(tmp_path, "rep.json", QUATERNION_DOC)
-    code, report = run(capsys, rep_main, ["certify", spec, "--seed", "3"])
-    assert code == 3
-    assert report["results"] == {
-        "kind": "certify",
-        "seed": 3,
-        "target": "SL2",
-        "projective": False,
-        "caps": {"max_elements": 10000, "max_order": 10000},
-        "verdict": {"kind": "inconclusive",
-                    "reason": "undecided at precision cap: refinement exhausted"},
-        "element_count": 0,
-        "max_order_seen": 0,
-        "evidence": {"nonarch_passed": None, "arch_passed": None,
-                     "det_orders": None},
-    }
-
-
-def test_certify_keeps_precision_cap(tmp_path, capsys):
-    spec = write_spec(tmp_path, "rep.json", QUATERNION_DOC)
-    code, report = run(capsys, rep_main, ["certify", spec, "--precision-cap", "30"])
-    assert code == 0
-    assert report["results"]["verdict"] == {"kind": "finite", "order": 8}
+    with pytest.raises(PrecisionExceeded, match="refinement exhausted"):
+        rep_main(["certify", spec])
+    assert capsys.readouterr().out == ""
 
 
 def test_spec_errors_exit_65(tmp_path, capsys):

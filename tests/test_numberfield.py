@@ -17,7 +17,6 @@ from pcurvkit import (
     NumberField,
     Polynomial,
     compositum,
-    embedding_absolute_values,
     is_algebraic_integer,
     is_irreducible_q,
     is_root_of_unity,
@@ -136,28 +135,6 @@ def test_automorphisms_quadratic():
     i = K.gen
     assert conj(i) == -i
     assert conj(K(5) + K(2) * i) == K(5) - K(2) * i
-
-
-def test_embedding_absolute_values_sqrt5():
-    K = golden()
-    w = K.gen
-    tol = Fraction(1, 10 ** 6)
-    vals = embedding_absolute_values(w, tol)
-    assert len(vals) == 2
-    # |w| under the two real embeddings: 1/phi ~ 0.618 and phi ~ 1.618
-    lo_iv, hi_iv = sorted(vals, key=lambda iv: iv.lo)
-    assert abs(lo_iv.mid() - Fraction(618034, 10 ** 6)) < Fraction(1, 10 ** 4)
-    assert abs(hi_iv.mid() - Fraction(1618034, 10 ** 6)) < Fraction(1, 10 ** 4)
-    for iv in vals:
-        assert iv.width() <= tol
-
-
-def test_embedding_absolute_values_gaussian():
-    K = gaussian()
-    vals = embedding_absolute_values(K(3) + K(4) * K.gen, Fraction(1, 1000))
-    assert len(vals) == 2  # conjugate pair reported twice
-    for iv in vals:
-        assert iv.lo <= 5 <= iv.hi
 
 
 def test_compositum_golden_gaussian():

@@ -370,6 +370,11 @@ def test_polynomial_over_the_coefficient_field_is_a_scalar():
     assert g == Polynomial(R, [q * c, c])
     assert f + c == Polynomial(R, [q + c, R.one])
     assert f - c == Polynomial(R, [q - c, R.one])
+    # both operands are Polynomials, so the reflected order has to find
+    # k[q][x] by itself
+    assert c * f == g
+    assert c + f == f + c
+    assert c - f == Polynomial(R, [c - q, -R.one])
 
 
 def test_polynomials_over_different_prime_fields_do_not_mix():
@@ -378,5 +383,7 @@ def test_polynomials_over_different_prime_fields_do_not_mix():
     for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b, divmod):
         with pytest.raises(TypeError):
             op(f, g)
+        with pytest.raises(TypeError):
+            op(g, f)
     # an equal field object that is not the same one still counts as the same
     assert f * Polynomial(GF(5), [0, 1]) == Polynomial(GF(5), [0, 1, 2])

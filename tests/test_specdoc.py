@@ -1,6 +1,7 @@
 """JSON spec parsing and report serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,54 @@ def test_expression_parsing_on_tower():
     assert parse_field_expression("q*x^2 - 1/q", K) == q * x * x - K.one / q
     assert parse_field_expression(3, K) == K(3)
     assert parse_field_expression("(x+1)^2/(x-1)", K) == (x + K.one) ** 2 / (x - K.one)
+
+
+def random_element(rng, K):
+    """A seeded element of K = k(x) or k(q)(x): a quotient of two random
+    polynomials in the generators of the tower."""
+    gens = []
+    level = K
+    while isinstance(level, FunctionField):
+        gens.append(K(level.gen()))
+        level = level.base
+
+    def poly():
+        acc = K.zero
+        for _ in range(rng.randint(1, 4)):
+            term = K(rng.randint(-3, 3))
+            for g in gens:
+                term = term * g ** rng.randint(0, 2)
+            acc = acc + term
+        return acc
+
+    den = poly()
+    while not den:
+        den = poly()
+    return poly() / den
+
+
+@pytest.mark.parametrize("base", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("tower", [False, True], ids=["flat", "tower"])
+def test_printed_elements_parse_back(base, tower):
+    """to_str brackets a coefficient that is a sum, so what a report prints
+    over k(q)(x) reads back as the same element."""
+    K = FunctionField(FunctionField(base, "q"), "x") if tower \
+        else FunctionField(base, "x")
+    rng = random.Random(28)
+    for _ in range(25):
+        e = random_element(rng, K)
+        assert parse_field_expression(e.to_str(), K) == e, e.to_str()
+
+
+def test_printed_coefficients():
+    T = FunctionField(FunctionField(GF(5), "q"), "x")
+    assert parse_field_expression("(q+1)*x + 2/q", T).to_str() == \
+        "(q + 1)*x + (2)/(q)"
+    # coefficients in QQ and GF(p) print as before
+    assert parse_field_expression("x^2/2 - 3*x + 1", FunctionField(QQ, "x")).to_str() \
+        == "1/2*x^2 + -3*x + 1"
+    assert parse_field_expression("(x^2 + 4)/(2*x - 1)", FunctionField(GF(5), "x")).to_str() \
+        == "(3*x^2 + 2)/(x + 2)"
 
 
 def test_expression_errors_become_spec_errors():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcurvkit import surface
+from pcurvkit import intervals, numberfield, surface
 from pcurvkit import (
     QQ,
     Matrix,
@@ -335,19 +335,12 @@ def test_arch_check_flags_large_trace():
     rep = arch_check(rho, [Word.parse("a1")])
     assert not rep.passed
     assert rep.witness == Word.parse("a1")
-    assert rep.witness_embedding == 0
-    iv = rep.enclosures["a1"][0]
-    assert iv.lo <= 3 <= iv.hi
 
 
 def test_arch_check_passes_bounded_traces():
     rho = quaternion_rep()
     rep = arch_check(rho, simple_loop_products(rho.presentation))
-    assert rep.passed
-    # every enclosure sits inside [0, 2] in absolute value
-    for ivs in rep.enclosures.values():
-        for iv in ivs:
-            assert iv.hi <= 2 + Fraction(1, 512)
+    assert rep.passed and rep.witness is None
 
 
 def test_arch_check_salem_like_witness():
@@ -360,7 +353,7 @@ def test_arch_check_salem_like_witness():
     rho = Representation(K, pres, {"a1": a, "b1": Matrix.identity(K, 2)})
     rep = arch_check(rho, [Word.parse("a1")])
     assert not rep.passed
-    assert rep.witness_embedding in (0, 1)
+    assert rep.witness == Word.parse("a1")
 
 
 # -- finiteness certification ------------------------------------------------------------
@@ -613,3 +606,35 @@ def test_certify_raises_on_closure_that_fits_no_finite_subgroup(monkeypatch):
     monkeypatch.setattr(surface, "_sl2_order", lambda M: FiniteOrder(3))
     with pytest.raises(AssertionError, match="order 8 with largest element order 3"):
         certify_finiteness(quaternion_rep())
+
+
+_ARCH = "an embedding sends a trace outside [-2, 2]"
+_NONINTEGRAL = "trace is not an algebraic integer"
+
+
+@pytest.mark.parametrize("name, projective, verdict", [
+    pytest.param(name, projective, verdict,
+                 id=f"{name}-{'PSL2' if projective else 'SL2'}")
+    for name, projective, verdict in [
+        ("quaternion", False, Finite(8)),
+        ("quaternion", True, Finite(4)),
+        ("icosahedral", False, Finite(120)),
+        ("icosahedral", True, Finite(60)),
+        ("parabolic", False, Obstructed("a1", "parabolic noncentral")),
+        ("galois0", False, Obstructed("a1", _ARCH)),
+        ("galois1", False, Obstructed("c1", _ARCH)),
+        ("galois2", False, Obstructed("a1", "parabolic noncentral")),
+        ("galois3", False, Obstructed("a1", _NONINTEGRAL)),
+        ("galois4", False, Obstructed("a1", _NONINTEGRAL)),
+    ]
+])
+def test_certify_computes_no_root_enclosures(monkeypatch, name, projective, verdict):
+    """Every verdict, the archimedean obstructions included, is reached
+    without enclosing a single root of a defining polynomial."""
+    def refuse(f):
+        raise AssertionError("certify_finiteness enclosed the roots of " + str(f))
+
+    monkeypatch.setattr(intervals, "certified_root_enclosures", refuse)
+    monkeypatch.setattr(numberfield, "certified_root_enclosures", refuse)
+    cert = certify_finiteness(closure_reps()[name], projective=projective)
+    assert cert.verdict == verdict
