@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import specdoc
 from .connection import scan_primes
@@ -36,6 +37,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
 def _primes_range(text: str):
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -49,13 +64,45 @@ def _primes_range(text: str):
     return a, b
 
 
-def _emit(report: dict):
-    print(specdoc.dump_report(report))
+class _Command(NamedTuple):
+    """One subcommand: help text, what its spec describes, the function
+    mapping (spec document, parsed args) to (results, exit status), and its
+    flags beyond spec and --seed as (flag, add_argument keywords) pairs."""
+    help: str
+    spec: str
+    run: Callable
+    flags: tuple = ()
 
 
-def _fail_spec(exc) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_SPEC
+def _main(prog: str, description: str, commands: dict, argv) -> int:
+    """Parse argv, run the chosen subcommand on its spec, print the report.
+
+    The report's results carry the subcommand name as "kind" and the echoed
+    --seed.  A SpecError anywhere in the run is exit 65; everything else a
+    run raises propagates.
+    """
+    parser = _ArgumentParser(prog=prog, description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in commands.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("spec", help=f"path to a JSON {command.spec} spec")
+        for flag, options in command.flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--seed", type=_at_least(0), default=0, metavar="S",
+                       help="echoed into the report for reproducibility")
+        p.set_defaults(run=command.run)
+
+    args = parser.parse_args(argv)
+    started = time.monotonic()
+    echo = [prog] + list(argv if argv is not None else sys.argv[1:])
+    try:
+        results, status = args.run(specdoc.load_spec(args.spec), args)
+    except specdoc.SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SPEC
+    results.update(kind=args.command, seed=args.seed)
+    print(specdoc.dump_report(specdoc.make_report(echo, results, started)))
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -63,42 +110,20 @@ def _fail_spec(exc) -> int:
 
 
 def pcurv_main(argv=None) -> int:
-    parser = _ArgumentParser(
-        prog="pcurv",
-        description="p-curvature computations for connections on affine curves")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser("scan", help="vanishing table over a prime range")
-    scan.add_argument("spec", help="path to a JSON connection spec")
-    scan.add_argument("--primes", type=_primes_range, default=(2, 50),
-                      metavar="A..B", help="inclusive prime range (default 2..50)")
-    scan.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="parallel workers for the per-prime computations")
-    scan.add_argument("--seed", type=int, default=0, metavar="S",
-                      help="echoed into the report for reproducibility")
-
-    analyze = sub.add_parser(
-        "analyze", help="Newton polygon and nonvanishing prediction for a "
-                        "companion connection over GF(p)(q)(x)")
-    analyze.add_argument("spec", help="path to a JSON companion spec")
-    analyze.add_argument("--seed", type=int, default=0, metavar="S")
-
-    args = parser.parse_args(argv)
-    started = time.monotonic()
-    echo = ["pcurv"] + list(argv if argv is not None else sys.argv[1:])
-    try:
-        doc = specdoc.load_spec(args.spec)
-        if args.command == "scan":
-            results = _run_scan(doc, args)
-        else:
-            results = _run_analyze(doc, args)
-    except specdoc.SpecError as exc:
-        return _fail_spec(exc)
-    _emit(specdoc.make_report(echo, results, started))
-    return EXIT_OK
+    scan = _Command("vanishing table over a prime range", "connection", _run_scan, (
+        ("--primes", dict(type=_primes_range, default=(2, 50), metavar="A..B",
+                          help="inclusive prime range (default 2..50)")),
+        ("--jobs", dict(type=_at_least(1), default=1, metavar="N",
+                        help="parallel workers for the per-prime computations")),
+    ))
+    analyze = _Command("Newton polygon and nonvanishing prediction for a "
+                       "companion connection over GF(p)(q)(x)", "companion",
+                       _run_analyze)
+    return _main("pcurv", "p-curvature computations for connections on affine "
+                          "curves", {"scan": scan, "analyze": analyze}, argv)
 
 
-def _run_scan(doc: dict, args) -> dict:
+def _run_scan(doc: dict, args):
     A = specdoc.connection_from_spec(doc)
     p_min, p_max = args.primes
     char = A.field.characteristic()
@@ -107,43 +132,28 @@ def _run_scan(doc: dict, args) -> dict:
         raise specdoc.SpecError(
             f"the base has characteristic {char}, so --primes may hold no "
             f"other prime, got {other[0]}")
-    reports = scan_primes(A, p_min, p_max, jobs=max(1, args.jobs))
-    table = []
-    vanishing = nonvanishing = bad = 0
-    for rep in reports:
-        table.append({
-            "prime": rep.prime,
-            "good": rep.good_prime,
-            "vanishes": rep.vanishes,
-        })
-        if not rep.good_prime:
-            bad += 1
-        elif rep.vanishes:
-            vanishing += 1
-        else:
-            nonvanishing += 1
+    reports = scan_primes(A, p_min, p_max, jobs=args.jobs)
+    bad = sum(not rep.good_prime for rep in reports)
+    vanishing = sum(rep.good_prime and rep.vanishes for rep in reports)
     return {
-        "kind": "scan",
-        "seed": args.seed,
         "rank": A.rank,
-        "primes": table,
+        "primes": [{"prime": rep.prime, "good": rep.good_prime,
+                    "vanishes": rep.vanishes} for rep in reports],
         "summary": {
             "vanishing": vanishing,
-            "nonvanishing": nonvanishing,
+            "nonvanishing": len(reports) - vanishing - bad,
             "bad": bad,
         },
-    }
+    }, EXIT_OK
 
 
-def _run_analyze(doc: dict, args) -> dict:
+def _run_analyze(doc: dict, args):
     c, p = specdoc.companion_from_spec(doc)
     polygon = newton_polygon(c)
     prediction = predict_nonvanishing(c, p)
     psi_nonzero = verify_prediction(c, p)
     slope = polygon.min_slope
     return {
-        "kind": "analyze",
-        "seed": args.seed,
         "prime": p,
         "rank": c.rank,
         "valuations": [specdoc.valuation_str(v)
@@ -161,7 +171,7 @@ def _run_analyze(doc: dict, args) -> dict:
             "psi_nonzero": psi_nonzero,
             "confirms_prediction": (not prediction.predicted) or psi_nonzero,
         },
-    }
+    }, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -169,36 +179,23 @@ def _run_analyze(doc: dict, args) -> dict:
 
 
 def rep_main(argv=None) -> int:
-    parser = _ArgumentParser(
-        prog="rep",
-        description="finiteness certification for rank-2 surface-group "
-                    "representations")
-    sub = parser.add_subparsers(dest="command", required=True)
+    certify = _Command("certify or obstruct finiteness", "representation",
+                       _run_certify, (
+        ("--max-elements", dict(type=_at_least(1), metavar="N",
+                                help="closure size cap (overrides the spec)")),
+        ("--max-order", dict(type=_at_least(1), metavar="N",
+                             help="element order cap (overrides the spec)")),
+        ("--projective", dict(action="store_true",
+                              help="certify the image in PSL2/PGL2 instead")),
+    ))
+    return _main("rep", "finiteness certification for rank-2 surface-group "
+                        "representations", {"certify": certify}, argv)
 
-    certify = sub.add_parser("certify", help="certify or obstruct finiteness")
-    certify.add_argument("spec", help="path to a JSON representation spec")
-    certify.add_argument("--max-elements", type=int, default=None, metavar="N",
-                         help="closure size cap (overrides the spec)")
-    certify.add_argument("--max-order", type=int, default=None, metavar="N",
-                         help="element order cap (overrides the spec)")
-    certify.add_argument("--seed", type=int, default=0, metavar="S")
-    certify.add_argument("--projective", action="store_true",
-                         help="certify the image in PSL2/PGL2 instead")
 
-    args = parser.parse_args(argv)
-    started = time.monotonic()
-    echo = ["rep"] + list(argv if argv is not None else sys.argv[1:])
-    try:
-        doc = specdoc.load_spec(args.spec)
-        rho, caps, projective = specdoc.representation_from_spec(doc)
-    except specdoc.SpecError as exc:
-        return _fail_spec(exc)
-    max_elements = args.max_elements if args.max_elements is not None \
-        else caps["max_elements"]
-    max_order = args.max_order if args.max_order is not None \
-        else caps["max_order"]
-    if max_elements < 1 or max_order < 1:
-        return _fail_spec("caps must be positive")
+def _run_certify(doc: dict, args):
+    rho, caps, projective = specdoc.representation_from_spec(doc)
+    max_elements = args.max_elements or caps["max_elements"]
+    max_order = args.max_order or caps["max_order"]
     projective = projective or args.projective
     cert = certify_finiteness(
         rho, max_elements=max_elements, max_order=max_order,
@@ -206,21 +203,14 @@ def rep_main(argv=None) -> int:
 
     verdict = cert.verdict
     if isinstance(verdict, Finite):
-        verdict_doc = {"kind": "finite", "order": verdict.order}
-        status = EXIT_OK
+        verdict_doc, status = {"kind": "finite", "order": verdict.order}, EXIT_OK
     elif isinstance(verdict, Obstructed):
-        verdict_doc = {
-            "kind": "obstructed",
-            "witness": verdict.witness,
-            "reason": verdict.reason,
-        }
-        status = EXIT_OBSTRUCTED
+        verdict_doc, status = {"kind": "obstructed", "witness": verdict.witness,
+                               "reason": verdict.reason}, EXIT_OBSTRUCTED
     else:
-        verdict_doc = {"kind": "inconclusive", "reason": verdict.reason}
-        status = EXIT_INCONCLUSIVE
-    results = {
-        "kind": "certify",
-        "seed": args.seed,
+        verdict_doc, status = {"kind": "inconclusive",
+                               "reason": verdict.reason}, EXIT_INCONCLUSIVE
+    return {
         "target": rho.target,
         "projective": projective,
         "caps": {"max_elements": max_elements, "max_order": max_order},
@@ -232,9 +222,7 @@ def rep_main(argv=None) -> int:
             "arch_passed": cert.arch_passed,
             "det_orders": cert.det_orders,
         },
-    }
-    _emit(specdoc.make_report(echo, results, started))
-    return status
+    }, status
 
 
 # ---------------------------------------------------------------------------
@@ -242,39 +230,18 @@ def rep_main(argv=None) -> int:
 
 
 def deform_main(argv=None) -> int:
-    parser = _ArgumentParser(
-        prog="deform",
-        description="normalize truncated connection families and solve "
-                    "step conjugations")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    norm = sub.add_parser("normalize",
-                          help="gauge away q-layers or report an obstruction")
-    norm.add_argument("spec", help="path to a JSON family spec")
-    norm.add_argument("--ansatz-degree", type=int, default=None, metavar="D",
-                      help="polynomial degree bound for gauge entries "
-                           f"(default: spec value or {DEFAULT_ANSATZ_DEGREE})")
-    norm.add_argument("--seed", type=int, default=0, metavar="S")
-
-    conj = sub.add_parser("conjugate",
-                          help="solve a one-layer conjugation between "
-                               "generator tuples")
-    conj.add_argument("spec", help="path to a JSON conjugation spec")
-    conj.add_argument("--seed", type=int, default=0, metavar="S")
-
-    args = parser.parse_args(argv)
-    started = time.monotonic()
-    echo = ["deform"] + list(argv if argv is not None else sys.argv[1:])
-    try:
-        doc = specdoc.load_spec(args.spec)
-        if args.command == "normalize":
-            results, status = _run_normalize(doc, args)
-        else:
-            results, status = _run_conjugate(doc, args)
-    except specdoc.SpecError as exc:
-        return _fail_spec(exc)
-    _emit(specdoc.make_report(echo, results, started))
-    return status
+    normalize = _Command("gauge away q-layers or report an obstruction", "family",
+                         _run_normalize, (
+        ("--ansatz-degree", dict(
+            type=_at_least(0), metavar="D",
+            help="polynomial degree bound for gauge entries "
+                 f"(default: spec value or {DEFAULT_ANSATZ_DEGREE})")),
+    ))
+    conjugate = _Command("solve a one-layer conjugation between generator tuples",
+                         "conjugation", _run_conjugate)
+    return _main("deform", "normalize truncated connection families and solve "
+                           "step conjugations",
+                 {"normalize": normalize, "conjugate": conjugate}, argv)
 
 
 def _run_normalize(doc: dict, args):
@@ -285,12 +252,8 @@ def _run_normalize(doc: dict, args):
         degree = spec_ansatz
     else:
         degree = DEFAULT_ANSATZ_DEGREE
-    if degree < 0:
-        raise specdoc.SpecError("ansatz degree must be nonnegative")
     res = normalize_family(fam, degree)
-    results = {
-        "kind": "normalize",
-        "seed": args.seed,
+    return {
         "order": fam.order,
         "rank": fam.rank,
         "ansatz_degree": degree,
@@ -302,22 +265,18 @@ def _run_normalize(doc: dict, args):
         "obstructed_at": res.obstructed_at,
         "obstruction": None if res.obstruction is None
         else specdoc.ratfunc_matrix_strs(res.obstruction),
-    }
-    return results, EXIT_OK if res.normalized else EXIT_OBSTRUCTED
+    }, EXIT_OK if res.normalized else EXIT_OBSTRUCTED
 
 
 def _run_conjugate(doc: dict, args):
     sigma, tau, m = specdoc.conjugation_from_spec(doc)
     M = step_conjugate(sigma, tau, m)
-    results = {
-        "kind": "conjugate",
-        "seed": args.seed,
+    return {
         "m": m,
         "generators": len(sigma),
         "conjugate": M is not None,
         "M": None if M is None else specdoc.nf_matrix_coords(M),
-    }
-    return results, EXIT_OK if M is not None else EXIT_OBSTRUCTED
+    }, EXIT_OK if M is not None else EXIT_OBSTRUCTED
 
 
 if __name__ == "__main__":

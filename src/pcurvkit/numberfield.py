@@ -1,4 +1,4 @@
-"""Number fields Q[X]/(f) with exact element arithmetic and certified embeddings.
+"""Number fields Q[X]/(f) with exact element arithmetic.
 
 An element is stored cleared of denominators: an integer coordinate vector
 over one positive common denominator, reduced so the pair is canonical
@@ -10,9 +10,8 @@ A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
 bounded primitive-element search over theta1 + k*theta2, powering the
 multiplication matrix of that element on the tensor product, and returns
-the joint field together with embedding maps.  ``root_enclosures`` gives
-certified enclosures of the roots of the defining polynomial: real roots
-from Sturm isolation, complex roots from interval Newton.
+the joint field together with embedding maps.  ``signature`` counts the
+real embeddings exactly, by Sturm's theorem on the defining polynomial.
 """
 
 from __future__ import annotations
@@ -23,12 +22,13 @@ from math import gcd, lcm
 from .fields import QQ
 from .poly import (
     Polynomial,
+    cauchy_bound,
+    count_real_roots_closed,
     poly_xgcd,
     is_irreducible_q,
     IrreducibilityUndecided,
 )
 from .linalg import Matrix
-from .intervals import certified_root_enclosures
 
 
 class CompositumError(ValueError):
@@ -69,7 +69,6 @@ class NumberField:
                          for s, t in zip([Fraction(0)] + prev[:d - 1], top)])
         self._int_den = lcm(*(c.denominator for r in high for c in r))
         self._int_table = [[int(c * self._int_den) for c in r] for r in high]
-        self._enclosures = None
         self.zero = NumberFieldElement(self, [0] * d, 1)
         self.one = NumberFieldElement(self, [1] + [0] * (d - 1), 1)
 
@@ -105,18 +104,13 @@ class NumberField:
 
     # -- embeddings -------------------------------------------------------
 
-    def root_enclosures(self):
-        """Certified enclosures of all roots of min_poly.
-
-        Returns (real_intervals, upper_half_boxes); cached after first call.
-        """
-        if self._enclosures is None:
-            self._enclosures = certified_root_enclosures(self.min_poly)
-        return self._enclosures
-
     def signature(self):
-        reals, boxes = self.root_enclosures()
-        return len(reals), len(boxes)
+        """(r1, r2): the number of real embeddings, by a Sturm count of the
+        roots of min_poly in its Cauchy bound, and of complex-conjugate
+        pairs."""
+        bound = cauchy_bound(self.min_poly)
+        r1 = count_real_roots_closed(self.min_poly, -bound, bound)
+        return r1, (self.degree - r1) // 2
 
     def automorphisms(self):
         """Field automorphisms as coordinate maps (complete for degree <= 2)."""

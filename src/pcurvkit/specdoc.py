@@ -72,6 +72,14 @@ def parse_frac(s) -> Fraction:
     raise SpecError(f"bad rational literal {s!r}")
 
 
+def _integer(value, lo: int, message: str, prime: bool = False) -> int:
+    """value if it is a JSON integer (a boolean is not) of at least lo, and
+    a prime when asked; SpecError(message) otherwise."""
+    if type(value) is not int or value < lo or prime and not is_prime(value):
+        raise SpecError(message)
+    return value
+
+
 def valuation_str(v) -> str:
     """q-adic valuations serialize as 'inf' or 'num/den'."""
     if v == math.inf:
@@ -88,9 +96,8 @@ def parse_base(obj):
         return QQ
     if isinstance(obj, dict) and set(obj) == {"p"}:
         p = obj["p"]
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-            raise SpecError(f"base characteristic must be a prime, got {p!r}")
-        return GF(p)
+        return GF(_integer(p, 2, f"base characteristic must be a prime, got {p!r}",
+                           prime=True))
     raise SpecError(f'bad base field {obj!r} (use "QQ" or {{"p": N}})')
 
 
@@ -170,8 +177,7 @@ def companion_from_spec(doc: dict):
     if doc.get("kind") != "companion":
         raise SpecError('analyze expects a spec with "kind": "companion"')
     p = doc.get("p")
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-        raise SpecError(f"companion spec needs a prime p, got {p!r}")
+    _integer(p, 2, f"companion spec needs a prime p, got {p!r}", prime=True)
     qvar = doc.get("qvar", "q")
     xvar = doc.get("variable", "x")
     _, tower, D = standard_tower(p, qvar, xvar)
@@ -206,8 +212,8 @@ def family_from_spec(doc: dict):
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     ansatz = doc.get("ansatz_degree")
-    if ansatz is not None and (not isinstance(ansatz, int) or ansatz < 0):
-        raise SpecError("ansatz_degree must be a nonnegative integer")
+    if ansatz is not None:
+        _integer(ansatz, 0, "ansatz_degree must be a nonnegative integer")
     return fam, ansatz
 
 
@@ -270,10 +276,12 @@ def representation_from_spec(doc: dict):
     surf = doc.get("surface")
     if not isinstance(surf, dict):
         raise SpecError('representation spec needs "surface": {genus, punctures}')
+    genus, punctures = (
+        _integer(surf.get(key, 0), 0, "genus and puncture count must be nonnegative")
+        for key in ("genus", "punctures"))
     try:
-        pres = SurfacePresentation(
-            int(surf.get("genus", 0)), int(surf.get("punctures", 0)))
-    except (TypeError, ValueError) as exc:
+        pres = SurfacePresentation(genus, punctures)
+    except ValueError as exc:
         raise SpecError(str(exc)) from exc
     target = doc.get("target", "SL2")
     gens_doc = doc.get("generators")
@@ -287,8 +295,8 @@ def representation_from_spec(doc: dict):
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     caps = {
-        "max_elements": _cap(doc, "max_elements", 10000),
-        "max_order": _cap(doc, "max_order", 10000),
+        key: _integer(doc.get(key, 10000), 1, f"{key} must be a positive integer")
+        for key in ("max_elements", "max_order")
     }
     projective = doc.get("projective", False)
     if not isinstance(projective, bool):
@@ -296,18 +304,9 @@ def representation_from_spec(doc: dict):
     return rho, caps, projective
 
 
-def _cap(doc, key, default):
-    v = doc.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise SpecError(f"{key} must be a positive integer")
-    return v
-
-
 def conjugation_from_spec(doc: dict):
     """(sigma generator matrices, tau layer stacks, m) over a number field."""
-    m = doc.get("m")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise SpecError("conjugation spec needs an integer m >= 1")
+    m = _integer(doc.get("m"), 1, "conjugation spec needs an integer m >= 1")
     K = number_field_from_spec(doc.get("field"))
     sigma_doc = doc.get("sigma")
     tau_doc = doc.get("tau")

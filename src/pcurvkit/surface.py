@@ -20,12 +20,11 @@ from .linalg import Matrix
 from .numberfield import (
     NumberField,
     NumberFieldElement,
-    is_algebraic_integer,
     is_root_of_unity,
     minimal_polynomial,
     root_of_unity_candidates,
 )
-from .poly import count_real_roots_closed, squarefree_part
+from .poly import count_real_roots_closed
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +215,7 @@ class Representation:
         names = pres.generator_names()
         free_names = pres.free_generator_names()
         self._inverses = {}
+        self._trace_min_polys = {}
         gens = {}
         for name, mat in generators.items():
             if name not in names:
@@ -253,6 +253,14 @@ class Representation:
         if name not in self._inverses:
             self._inverses[name] = self.gens[name].inverse()
         return self._inverses[name]
+
+    def _trace_min_poly(self, w: Word):
+        """Minimal polynomial over Q of the trace of rho(w), memoized by the
+        reduced word, so the trace checks compute it once per loop."""
+        w = reduce_word(w)
+        if w not in self._trace_min_polys:
+            self._trace_min_polys[w] = minimal_polynomial(self.evaluate(w).trace())
+        return self._trace_min_polys[w]
 
     def _evaluate_letters(self, letters) -> Matrix:
         acc = Matrix.identity(self.field, 2)
@@ -566,9 +574,9 @@ class NonarchReport:
 def nonarch_check(rho: Representation, words) -> NonarchReport:
     """Every listed trace must be an algebraic integer."""
     for w in words:
-        t = rho.evaluate(w).trace()
-        if not is_algebraic_integer(t):
-            return NonarchReport(False, reduce_word(w), minimal_polynomial(t))
+        mp = rho._trace_min_poly(w)
+        if any(c.denominator != 1 for c in mp.coeffs):
+            return NonarchReport(False, reduce_word(w), mp)
     return NonarchReport(True, None, None)
 
 
@@ -581,14 +589,13 @@ class ArchReport:
 def arch_check(rho: Representation, words) -> ArchReport:
     """Every embedding of every listed trace must land in [-2, 2].
 
-    Decided exactly: all conjugates of tr are real and in [-2, 2] iff the
-    squarefree part of its minimal polynomial has as many roots in [-2, 2]
-    as its degree (a Sturm count).  The witness is the first listed word
-    that fails.
+    Decided exactly: all conjugates of tr are real and in [-2, 2] iff its
+    minimal polynomial, irreducible and so squarefree, has as many roots in
+    [-2, 2] as its degree (a Sturm count).  The witness is the first listed
+    word that fails.
     """
     for w in words:
-        t = rho.evaluate(w).trace()
-        mp = squarefree_part(minimal_polynomial(t))
+        mp = rho._trace_min_poly(w)
         if count_real_roots_closed(mp, Fraction(-2), Fraction(2)) != mp.degree():
             return ArchReport(False, reduce_word(w))
     return ArchReport(True, None)

@@ -426,3 +426,46 @@ def test_console_scripts_on_path():
     assert entry_points == DECLARED_SCRIPTS
     for name in DECLARED_SCRIPTS:
         assert shutil.which(name), f"{name} not on PATH"
+
+
+@pytest.mark.parametrize("main, command, flag, doc", [
+    (rep_main, "certify", ["--max-elements", "0"], QUATERNION_DOC),
+    (rep_main, "certify", ["--max-order", "0"], QUATERNION_DOC),
+    (deform_main, "normalize", ["--ansatz-degree", "-1"], NORMALIZE_OK_DOC),
+    (pcurv_main, "scan", ["--jobs", "0"], SCAN_DOC),
+])
+def test_out_of_range_flags_exit_64(tmp_path, capsys, main, command, flag, doc):
+    """An integer flag below its bound is a usage error, caught before the
+    spec is read, and the message names the flag."""
+    spec = write_spec(tmp_path, "spec.json", doc)
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec] + flag)
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag[0]}: must be at least" in captured.err
+
+
+@pytest.mark.parametrize("main, command, doc", [
+    (pcurv_main, "scan", SCAN_DOC),
+    (pcurv_main, "analyze", ANALYZE_DOC),
+    (rep_main, "certify", QUATERNION_DOC),
+    (deform_main, "normalize", NORMALIZE_OK_DOC),
+    (deform_main, "conjugate", CONJUGATE_OK_DOC),
+])
+def test_report_kind_and_seed(tmp_path, capsys, main, command, doc):
+    spec = write_spec(tmp_path, "spec.json", doc)
+    _, report = run(capsys, main, [command, spec, "--seed", "11"])
+    assert report["results"]["kind"] == command
+    assert report["results"]["seed"] == 11
+
+
+def test_boolean_ansatz_degree_exits_65(tmp_path, capsys):
+    """"ansatz_degree": true is no degree; read as 1 it would make this
+    normalizable family look obstructed."""
+    spec = write_spec(tmp_path, "fam.json",
+                      dict(NORMALIZE_OK_DOC, ansatz_degree=True))
+    assert deform_main(["normalize", spec]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ansatz_degree must be a nonnegative integer\n"

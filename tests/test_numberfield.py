@@ -15,6 +15,7 @@ import pytest
 from pcurvkit import (
     QQ,
     NumberField,
+    certified_root_enclosures,
     Polynomial,
     compositum,
     is_algebraic_integer,
@@ -125,6 +126,25 @@ def test_root_of_unity_candidate_bound():
 def test_signature():
     assert gaussian().signature() == (0, 1)
     assert golden().signature() == (2, 0)
+
+
+@pytest.mark.parametrize("coeffs, signature", [
+    ((1, 0, 1), (0, 1)),                 # x^2 + 1
+    ((-1, -1, 1), (2, 0)),               # x^2 - x - 1
+    ((-2, 0, 0, 1), (1, 1)),             # x^3 - 2
+    ((1, -3, 0, 1), (3, 0)),             # x^3 - 3x + 1
+    ((1, 0, 0, 0, 1), (0, 2)),           # x^4 + 1
+    ((-2, 0, 0, 0, 1), (2, 1)),          # x^4 - 2
+    ((5, 0, 1, -2, 1), (0, 2)),          # x^4 - 2x^3 + x^2 + 5
+    ((-1, -1, 0, 0, 0, 1), (1, 2)),      # x^5 - x - 1
+])
+def test_signature_table(coeffs, signature):
+    """Real embeddings counted exactly by Sturm agree with the certified
+    enclosures of the roots."""
+    K = NumberField(P(*coeffs))
+    assert K.signature() == signature
+    reals, boxes = certified_root_enclosures(K.min_poly)
+    assert (len(reals), len(boxes)) == signature
 
 
 def test_automorphisms_quadratic():

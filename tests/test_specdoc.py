@@ -314,3 +314,56 @@ def test_report_assembly_and_round_trip():
         [k for k, _ in pairs]) or dict(pairs))
     for keys in orders:
         assert keys == sorted(keys)
+
+
+_REP_DOC = {
+    "field": "QQ",
+    "surface": {"genus": 1, "punctures": 1},
+    "generators": {"a1": [[1, 1], [0, 1]], "b1": [[1, 0], [0, 1]]},
+}
+_CONJ_DOC = {
+    "field": "QQ",
+    "m": 1,
+    "sigma": [[[1, 2], [0, 1]]],
+    "tau": [[[[1, 2], [0, 1]], [[0, 4], [0, 0]]]],
+}
+_FAM_DOC = {"base": "QQ", "layers": [[["0"]], [["x"]]]}
+
+# field -> (parse of a document holding v in that field, error message)
+_INTEGER_FIELDS = {
+    "base.p": (lambda v: parse_base({"p": v}),
+               lambda v: f"base characteristic must be a prime, got {v!r}"),
+    "companion p": (
+        lambda v: companion_from_spec(
+            {"kind": "companion", "p": v, "last_column": ["1/q", "0"]}),
+        lambda v: f"companion spec needs a prime p, got {v!r}"),
+    "m": (lambda v: conjugation_from_spec(dict(_CONJ_DOC, m=v)),
+          lambda v: "conjugation spec needs an integer m >= 1"),
+    "max_elements": (
+        lambda v: representation_from_spec(dict(_REP_DOC, max_elements=v)),
+        lambda v: "max_elements must be a positive integer"),
+    "max_order": (
+        lambda v: representation_from_spec(dict(_REP_DOC, max_order=v)),
+        lambda v: "max_order must be a positive integer"),
+    "ansatz_degree": (lambda v: family_from_spec(dict(_FAM_DOC, ansatz_degree=v)),
+                      lambda v: "ansatz_degree must be a nonnegative integer"),
+    "genus": (
+        lambda v: representation_from_spec(
+            dict(_REP_DOC, surface={"genus": v, "punctures": 1})),
+        lambda v: "genus and puncture count must be nonnegative"),
+    "punctures": (
+        lambda v: representation_from_spec(
+            dict(_REP_DOC, surface={"genus": 1, "punctures": v})),
+        lambda v: "genus and puncture count must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("field", list(_INTEGER_FIELDS))
+@pytest.mark.parametrize("value", [True, 1.5, "2"], ids=["true", "1.5", "'2'"])
+def test_integer_fields_reject_booleans_floats_and_strings(field, value):
+    """JSON true is not 1, 1.5 is not 1 and "2" is not 2: each integer field
+    of a spec takes only a JSON integer."""
+    parse, message = _INTEGER_FIELDS[field]
+    with pytest.raises(SpecError) as exc:
+        parse(value)
+    assert str(exc.value) == message(value)

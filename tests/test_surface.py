@@ -635,6 +635,25 @@ def test_certify_computes_no_root_enclosures(monkeypatch, name, projective, verd
         raise AssertionError("certify_finiteness enclosed the roots of " + str(f))
 
     monkeypatch.setattr(intervals, "certified_root_enclosures", refuse)
-    monkeypatch.setattr(numberfield, "certified_root_enclosures", refuse)
+    assert not hasattr(numberfield, "certified_root_enclosures")
     cert = certify_finiteness(closure_reps()[name], projective=projective)
     assert cert.verdict == verdict
+
+
+def test_trace_checks_compute_one_minimal_polynomial_per_loop(monkeypatch):
+    """nonarch_check and arch_check share one minimal polynomial per loop
+    word: the integrality test, the witness and the Sturm count all read it."""
+    calls = []
+    original = numberfield.minimal_polynomial
+
+    def spy(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(numberfield, "minimal_polynomial", spy)
+    monkeypatch.setattr(surface, "minimal_polynomial", spy)
+    rho = closure_reps()["icosahedral"]
+    loops = simple_loop_products(rho.presentation)
+    assert nonarch_check(rho, loops).passed
+    assert arch_check(rho, loops).passed
+    assert len(calls) == len({reduce_word(w) for w in loops}) == len(loops)
