@@ -38,12 +38,14 @@ from .connection import (
     gauge_transform,
     nabla_power_matrix,
     p_curvature,
+    p_curvature_at,
     scan_primes,
 )
 from .valuation import (
     IntegralityReport,
     NewtonPolygon,
     NonvanishingPrediction,
+    PredictionNotApplicable,
     SeriesDerivation,
     ValuationProfile,
     check_nu_integrality,

@@ -18,7 +18,12 @@ from .connection import scan_primes
 from .deformation import normalize_family, step_conjugate
 from .fields import primes_in
 from .surface import Finite, Obstructed, certify_finiteness
-from .valuation import newton_polygon, predict_nonvanishing, verify_prediction
+from .valuation import (
+    PredictionNotApplicable,
+    newton_polygon,
+    predict_nonvanishing,
+    verify_prediction,
+)
 
 EXIT_OK = 0
 EXIT_OBSTRUCTED = 2
@@ -149,8 +154,11 @@ def _run_scan(doc: dict, args):
 
 def _run_analyze(doc: dict, args):
     c, p = specdoc.companion_from_spec(doc)
+    try:
+        prediction = predict_nonvanishing(c, p)
+    except PredictionNotApplicable as exc:
+        raise specdoc.SpecError(str(exc)) from exc
     polygon = newton_polygon(c)
-    prediction = predict_nonvanishing(c, p)
     psi_nonzero = verify_prediction(c, p)
     slope = polygon.min_slope
     return {

@@ -26,6 +26,16 @@ the one reduction per entry takes its gcd over k[q][x] as well.
 A prime is good when the whole input reduces mod p without hitting a
 coefficient denominator and the multiplier keeps its degree; scans report
 per-prime and never guess at bad primes.
+
+A nonzero psi_p is also proved by one value.  At an ordinary point x0 of
+GF(p), the solution Y' = -(A/u)Y, Y(x0) = I, truncated at order p leaves
+one coefficient unmatched, because p*Y_p = 0, and that coefficient is
+-psi(d/dx)(x0); psi is p-linear in the derivation (Katz, "Nilpotent
+connections and the monodromy theorem", 1970, section 5), so
+psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  p_curvature_at runs this series as
+a short recurrence on cleared int polynomials; scan_primes and
+valuation.verify_prediction run the kernel only where that value is zero,
+since a zero value at one point proves nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import reduce
 
-from .fields import GF, ReductionError, primes_in
+from .fields import GF, PrimeField, ReductionError, primes_in
 from .linalg import Matrix
 from .poly import Polynomial, PolynomialRing, poly_gcd
 from .ratfunc import FunctionField, RationalFunction, common_denominator, reduce_rational_mod_p
@@ -164,13 +174,24 @@ class CompanionConnection:
 
 @dataclass(frozen=True)
 class PCurvatureReport:
+    """psi_p of a connection at one prime.
+
+    psi is None either at a bad prime (good_prime is False) or at a good
+    prime where a nonzero value of psi_p at one point decided nonvanishing
+    without the whole matrix (see p_curvature_at); only a computed psi can
+    show that psi_p vanishes.
+    """
+
     prime: int
     good_prime: bool
     psi: Matrix | None
     vanishes: bool
 
     def __post_init__(self):
-        if self.psi is not None and self.vanishes != self.psi.is_zero():
+        if self.psi is None:
+            if self.vanishes:
+                raise ValueError("only a computed psi can show vanishing")
+        elif self.vanishes != self.psi.is_zero():
             raise ValueError("vanishes flag contradicts the matrix")
 
 
@@ -360,6 +381,17 @@ def _reduce_for_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
     return Abar
 
 
+def _at_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
+    """A in characteristic p: reduced mod p when A has characteristic 0,
+    None when p is bad for it."""
+    char = A.field.characteristic()
+    if char == 0:
+        return _reduce_for_prime(A, p)
+    if char != p:
+        raise ValueError(f"entries have characteristic {char}, wanted {p}")
+    return A
+
+
 def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     """psi_p = A_p - (v/u)*A, after reducing A mod p when it has
     characteristic 0 (a bad prime gives a report without psi).
@@ -368,15 +400,9 @@ def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     and the cleared twist v/u = s/b^p as (b^p N - s h^{m-1} B)/(b^p h^m),
     or N/h^m when s = 0, and each entry is reduced once.
     """
-    char = A.field.characteristic()
-    if char == 0:
-        Abar = _reduce_for_prime(A, p)
-        if Abar is None:
-            return PCurvatureReport(p, False, None, False)
-    elif char == p:
-        Abar = A
-    else:
-        raise ValueError(f"entries have characteristic {char}, wanted {p}")
+    Abar = _at_prime(A, p)
+    if Abar is None:
+        return PCurvatureReport(p, False, None, False)
     N, B, h, m = _nabla_kernel(Abar, p)
     S, E = _twist_ratio(Abar.derivation.u, p)
     if S:
@@ -386,25 +412,162 @@ def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     return PCurvatureReport(p, True, psi, psi.is_zero())
 
 
-def _p_curvature_star(args):
-    return p_curvature(*args)
+# -- psi_p at one point ----------------------------------------------------
+#
+# Polynomials over GF(p) are ascending lists of ints here, not Polynomial:
+# the point recurrence is a few thousand products of small ints.
+
+
+def _value(f: list, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _mul(f: list, g: list, p: int) -> list:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return [c % p for c in out]
+
+
+def _prod(fs, p: int) -> list:
+    return reduce(lambda f, g: _mul(f, g, p), fs, [1])
+
+
+def _shift(f: list, x0: int, p: int) -> list:
+    """Coefficients of f(x0 + t), by repeated synthetic division."""
+    f = list(f)
+    for i in range(len(f) - 1):
+        for j in range(len(f) - 2, i - 1, -1):
+            f[j] = (f[j] + x0 * f[j + 1]) % p
+    return f
+
+
+def _ints(f: Polynomial) -> list:
+    return [c.v for c in f.coeffs]
+
+
+def _on_prime_line(A: ConnectionMatrix, p: int):
+    """(q-point, [(num, den)] for every entry and then for u): A and u over
+    GF(p)(x) as int lists, or None.
+
+    Over GF(p)(x) the q-point is ().  Over GF(p)(q)(x) it is (q0,) for the
+    smallest q0 in GF(p) where no q-denominator of an entry or of u
+    vanishes and u does not: every coefficient is specialised at q = q0,
+    which keeps the (monic) x-denominators monic.
+    """
+    base = A.field.base
+    fs = [e for row in A.matrix.rows for e in row] + [A.derivation.u]
+    if isinstance(base, PrimeField):
+        return (), [(_ints(f.num), _ints(f.den)) for f in fs]
+    if not (isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
+        raise ValueError(f"no point evaluation over {A.field}")
+    coeffs = {c for f in fs for c in f.num.coeffs + f.den.coeffs}
+    qdens = {tuple(_ints(c.den)) for c in coeffs if c.den.degree() > 0}
+    for q0 in range(p):
+        if not all(_value(d, q0, p) for d in qdens):
+            continue
+        at = {c: _value(_ints(c.num), q0, p) * pow(_value(_ints(c.den), q0, p), -1, p) % p
+              for c in coeffs}
+        fs0 = [([at[c] for c in f.num.coeffs], [at[c] for c in f.den.coeffs]) for f in fs]
+        if any(fs0[-1][0]):
+            return (q0,), fs0
+    return None
+
+
+def p_curvature_at(A: ConnectionMatrix, p: int):
+    """(point, psi_p at the point as a matrix over GF(p)), or None when p
+    is bad for A or GF(p) has no ordinary point of A.
+
+    A may have characteristic 0 (it is reduced mod p as in p_curvature) or
+    p, over k(x) or over a tower k(q)(x).  The point is (x0,), or (q0, x0)
+    over a tower with q0 as in _on_prime_line: x0 is the smallest element
+    of GF(p) with h(x0) a(x0) b(x0) != 0, for h the product of the distinct
+    entry denominators and u = a/b.  A nonzero value proves psi_p != 0 (a
+    specialisation of q commutes with d/dx); a zero value decides nothing.
+
+    With B = hA, Y solves (ah)(x0+t) Y' = -(bB)(x0+t) Y, Y(0) = I, for
+    t^0..t^(p-2); E, the t^(p-1) coefficient of (ah)Y' + (bB)Y, is the one
+    p*Y_p = 0 cannot cancel, and psi_p(x0) = -u(x0) E / (ah)(x0).
+    """
+    Abar = _at_prime(A, p)
+    line = None if Abar is None else _on_prime_line(Abar, p)
+    if line is None:
+        return None
+    qpoint, fs = line
+    *entries, (a, b) = fs
+    dens = list({tuple(den) for _, den in entries if len(den) > 1})
+    x0 = next((x for x in range(p)
+               if _value(a, x, p) and _value(b, x, p)
+               and all(_value(d, x, p) for d in dens)), None)
+    if x0 is None:
+        return None
+    h = _prod(dens, p)
+    cofactor = {d: _prod([e for e in dens if e != d], p) for d in dens}   # h/den
+    cofactor[(1,)] = h
+    P = _shift(_mul(a, h, p), x0, p)
+    Q = [_shift(_mul(_mul(b, num, p), cofactor[tuple(den)], p), x0, p)
+         for num, den in entries]
+    n = Abar.rank
+    Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
+          for k in range(max(map(len, Q)))]
+    Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
+
+    def unmatched(k):
+        """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
+        S = [[0] * n for _ in range(n)]
+        for i in range(1, min(k, len(P) - 1) + 1):
+            c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
+            for r in range(n):
+                S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
+        for i in range(min(k, len(Qk) - 1) + 1):
+            Qi, Yj = Qk[i], Y[k - i]
+            for r in range(n):
+                for l, c in enumerate(Qi[r]):
+                    if c:
+                        S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
+        return S
+
+    for k in range(p - 1):
+        c = -pow(P[0] * (k + 1), -1, p)
+        Y.append([[s * c % p for s in row] for row in unmatched(k)])
+    c = -_value(a, x0, p) * pow(_value(b, x0, p) * P[0], -1, p)
+    psi = [[e * c % p for e in row] for row in unmatched(p - 1)]
+    return qpoint + (x0,), Matrix(GF(p), psi)
+
+
+def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
+    """One row of scan_primes: a nonzero value of psi_p at one point
+    decides nonvanishing, and otherwise the kernel decides."""
+    Abar = _at_prime(A, p)
+    if Abar is None:
+        return PCurvatureReport(p, False, None, False)
+    found = p_curvature_at(Abar, p)
+    if found is not None and not found[1].is_zero():
+        return PCurvatureReport(p, True, None, False)
+    return p_curvature(Abar, p)
 
 
 def scan_primes(A: ConnectionMatrix, p_min: int, p_max: int,
                 jobs: int = 1) -> list[PCurvatureReport]:
+    """One report per prime of [p_min, p_max].  A nonvanishing prime
+    decided at a point carries no psi (see PCurvatureReport)."""
     if p_min > p_max:
         raise ValueError("empty prime range")
     primes = primes_in(p_min, p_max)
     if jobs > 1 and len(primes) > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_p_curvature_star, [(A, p) for p in primes]))
+                return list(pool.map(_scan_prime, [A] * len(primes), primes))
         except (OSError, BrokenProcessPool):
             # the pool could not start or lost a worker process: compute in
             # this process instead.  An exception raised by p_curvature in a
             # worker is re-raised here with its own type and propagates.
             pass
-    return [p_curvature(A, p) for p in primes]
+    return [_scan_prime(A, p) for p in primes]
 
 
 def gauge_transform(A: ConnectionMatrix, G: Matrix) -> ConnectionMatrix:

@@ -373,18 +373,31 @@ def _variations_at(chain, x: Fraction) -> int:
 
 
 def count_real_roots_closed(f: Polynomial, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of f in the closed interval [a, b]."""
+    """Number of distinct real roots of f in the closed interval [a, b].
+
+    The Sturm chain of f ends in gcd(f, f') up to a constant, so f is
+    divided by it only when it is not constant: a squarefree f, such as an
+    irreducible minimal polynomial, costs one chain and no gcd.  A root at
+    an endpoint is divided out and counted apart, and the chain is then
+    rebuilt.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    g = squarefree_part(f)
+    if f.degree() < 1:
+        return 0
+    chain = sturm_chain(f)
+    g = f
+    if chain[-1].degree() > 0:
+        g, chain = f // chain[-1], None
     extra = 0
     for endpoint in (a, b):
         if g.degree() >= 1 and g(endpoint) == 0:
-            g = (g // Polynomial(QQ, [-endpoint, Fraction(1)])).monic()
+            g, chain = g // Polynomial(QQ, [-endpoint, Fraction(1)]), None
             extra += 1
     if g.degree() < 1:
         return extra
-    chain = sturm_chain(g)
+    if chain is None:
+        chain = sturm_chain(g)
     return _variations_at(chain, a) - _variations_at(chain, b) + extra
 
 

@@ -21,7 +21,7 @@ from .numberfield import NumberField
 from .poly import IrreducibilityUndecided, Polynomial, is_irreducible_q
 from .ratfunc import FunctionField
 from .surface import Representation, SurfacePresentation
-from .valuation import prediction_obstacle, standard_tower
+from .valuation import standard_tower
 
 TOOL_NAME = "pcurvkit"
 TOOL_VERSION = "0.1.0"
@@ -173,7 +173,11 @@ def connection_from_spec(doc: dict) -> ConnectionMatrix:
 
 
 def companion_from_spec(doc: dict):
-    """Companion connection over GF(p)(q)(x); returns (connection, p)."""
+    """Companion connection over GF(p)(q)(x); returns (connection, p).
+
+    Whether the nonvanishing prediction applies to it is checked once, by
+    valuation.predict_nonvanishing (pcurv analyze exits 65 when not).
+    """
     if doc.get("kind") != "companion":
         raise SpecError('analyze expects a spec with "kind": "companion"')
     p = doc.get("p")
@@ -187,11 +191,7 @@ def companion_from_spec(doc: dict):
     if not isinstance(col, list) or not col:
         raise SpecError('companion spec needs a nonempty "last_column"')
     entries = [parse_field_expression(e, tower) for e in col]
-    c = CompanionConnection(entries, D)
-    obstacle = prediction_obstacle(c, p)
-    if obstacle is not None:
-        raise SpecError(obstacle)
-    return c, p
+    return CompanionConnection(entries, D), p
 
 
 def family_from_spec(doc: dict):

@@ -6,7 +6,8 @@ valuation, x a unit); truncated series report their tracked order or raise
 when the window cannot decide.  The Newton polygon of a companion column
 turns those orders into eigenvalue valuations, and the nonvanishing
 predictor pairs the polygon's verdict with an exact p-curvature oracle run
-over GF(p)(q)(x).
+over GF(p)(q)(x): a nonzero value of psi_p at one point, or else the whole
+psi_p.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .connection import (
     Derivation,
     frobenius_twist_multiplier,
     p_curvature,
+    p_curvature_at,
 )
 from .laurent import TruncatedLaurentSeries
 from .ratfunc import FunctionField, RationalFunction
@@ -166,6 +168,10 @@ class NonvanishingPrediction:
     profile: ValuationProfile
 
 
+class PredictionNotApplicable(ValueError):
+    """predict_nonvanishing does not apply; the message is the obstacle."""
+
+
 def prediction_obstacle(c: CompanionConnection, p: int) -> str | None:
     """Why ``predict_nonvanishing(c, p)`` does not apply, or None: it needs
     p > rank, a nu-integral derivation, and a derivation fixed by the p-th
@@ -182,11 +188,11 @@ def prediction_obstacle(c: CompanionConnection, p: int) -> str | None:
 
 def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPrediction:
     """Negative q-valuation in the companion column predicts nonzero
-    p-curvature; raises ValueError when ``prediction_obstacle`` names a
-    reason the prediction does not apply."""
+    p-curvature; raises PredictionNotApplicable when ``prediction_obstacle``
+    names a reason the prediction does not apply."""
     obstacle = prediction_obstacle(c, p)
     if obstacle is not None:
-        raise ValueError(obstacle)
+        raise PredictionNotApplicable(obstacle)
     r = c.rank
     profile = ValuationProfile.of(c)
     if profile.min_valuation != INF and profile.min_valuation < 0:
@@ -199,8 +205,14 @@ def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPredicti
 
 
 def verify_prediction(c: CompanionConnection, p: int) -> bool:
-    """Exact oracle: compute psi_p over GF(p)(q)(x) and report nonvanishing."""
-    report = p_curvature(c.matrix(), p)
+    """Exact oracle for nonvanishing of psi_p over GF(p)(q)(x): a nonzero
+    value of psi_p at one point proves it (p_curvature_at), and otherwise
+    the whole psi_p decides."""
+    A = c.matrix()
+    found = p_curvature_at(A, p)
+    if found is not None and not found[1].is_zero():
+        return True
+    report = p_curvature(A, p)
     if not report.good_prime:
         raise ValueError(f"p = {p} is bad for this companion connection")
     return not report.vanishes

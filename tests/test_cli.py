@@ -150,6 +150,26 @@ def test_analyze_rejects_small_prime(tmp_path, capsys):
     assert "p > rank" in err
 
 
+def test_analyze_checks_the_prediction_once(tmp_path, capsys, monkeypatch):
+    """One obstacle check, and so one Frobenius twist over GF(p)(q)(x), per
+    analyze run; an obstacle still exits 65 with its own message."""
+    from pcurvkit import valuation
+
+    calls = []
+    real = valuation.prediction_obstacle
+    monkeypatch.setattr(valuation, "prediction_obstacle",
+                        lambda c, p: calls.append(p) or real(c, p))
+    spec = write_spec(tmp_path, "analyze.json", ANALYZE_DOC)
+    code, report = run(capsys, pcurv_main, ["analyze", spec])
+    assert code == 0 and report["results"]["verification"]["psi_nonzero"] is True
+    assert calls == [5]
+    calls.clear()
+    spec = write_spec(tmp_path, "analyze2.json", dict(ANALYZE_DOC, p=2))
+    assert pcurv_main(["analyze", spec]) == 65
+    assert calls == [2]
+    assert "prediction requires p > rank" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("main, argv, doc, message", [
     (pcurv_main, ["analyze"], dict(ANALYZE_DOC, p=2),
      "prediction requires p > rank, got p=2, rank=2"),

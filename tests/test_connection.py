@@ -11,6 +11,9 @@ reduced rational functions, one normalisation per entry and step, which
 the library's denominator-cleared kernel replaces.  The twist multiplier
 v = D^{p-1}(u) has the same kind of oracle: p - 1 applications of D, which
 the library's closed form replaces.
+
+The point value psi_p(x0) from a truncated series solution shares no code
+with the kernel, so kernel and point check each other at the point.
 """
 
 import multiprocessing
@@ -34,10 +37,13 @@ from pcurvkit import (
     gauge_transform,
     nabla_power_matrix,
     p_curvature,
+    p_curvature_at,
     poly_gcd,
     scan_primes,
 )
-from pcurvkit.connection import CyclicVectorNotFound
+from pcurvkit.connection import CyclicVectorNotFound, PCurvatureReport
+from pcurvkit.deformation import BlockExtension, block_power_pair
+from pcurvkit.fields import primes_in
 
 
 def qq_line():
@@ -635,3 +641,180 @@ def test_companion_shape():
         for j in range(2):
             want = K.one if i == j + 1 else K.zero
             assert M.entry(i, j) == want
+
+
+# -- psi_p at one point -----------------------------------------------------------
+
+
+def value_at(f, point):
+    """f in GF(p)(x) or GF(p)(q)(x) at (x0,) or (q0, x0).
+
+    Over a tower x is set first, in GF(p)(q): psi has entries in the ring
+    where the point's denominators are units, so f(q, x0) has no pole at
+    q0 even when a coefficient of f in lowest terms has one.
+    """
+    *q0, x0 = point
+    base = f.field.base
+    g = f(base(x0))
+    return g(base.base(q0[0])) if q0 else g
+
+
+def psi_at(psi: Matrix, point) -> Matrix:
+    p = psi.ring.characteristic()
+    return Matrix(GF(p), [[value_at(e, point) for e in row] for row in psi.rows])
+
+
+def ordinary_points(A):
+    """x0 in GF(p) where no entry of A over GF(p)(x) has a pole and u = a/b
+    has neither a zero nor a pole."""
+    F = A.field.base
+    fs = [e.den for row in A.matrix.rows for e in row] + [A.derivation.u.num,
+                                                          A.derivation.u.den]
+    return [x0 for x0 in range(F.p) if all(f(F(x0)) for f in fs)]
+
+
+def point_matches_kernel(A, p):
+    """True when p_curvature_at(A, p) found a point and its value is the
+    kernel's psi there; False when it found none."""
+    found = p_curvature_at(A, p)
+    if found is None:
+        return False
+    point, value = found
+    assert value.ring == GF(p) and value.shape() == A.matrix.shape()
+    assert value == psi_at(p_curvature(A, p).psi, point), (p, point, A)
+    return True
+
+
+def test_point_value_matches_kernel_over_prime_fields():
+    """Ranks 1-3, p from 3 to 31, u = 1, x and a rational multiplier.  The
+    point is the smallest ordinary one, and there is none when no point is
+    returned."""
+    rng = random.Random(20261018)
+    checked = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        K = FunctionField(GF(p), "x")
+        x = K.gen()
+        derivations = [Derivation.d_dx(K), Derivation.x_d_dx(K),
+                       Derivation((x + K.one) / (x * x + K(3)))]
+        n = 3 if p <= 7 else 2 if p <= 13 else 1   # the kernel's cost sets the rank
+        for D in derivations:
+            rows = [[rand_entry(K, rng) for _ in range(n)] for _ in range(n)]
+            A = ConnectionMatrix(Matrix(K, rows), D)
+            found = p_curvature_at(A, p)
+            ordinary = ordinary_points(A)
+            assert (found is None) == (not ordinary), (p, A)
+            if found is not None:
+                assert found[0] == (ordinary[0],)
+                checked += point_matches_kernel(A, p)
+    assert checked >= 25
+
+
+def test_point_value_matches_kernel_over_tower():
+    """Companions over GF(p)(q)(x) with q-poles in the entries, q-denominators
+    in the multiplier and a multiplier whose leading coefficient is q."""
+    rng = random.Random(2720)
+    checked = 0
+    for p in (3, 5, 7):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        q, x = K(K.base.gen()), K.gen()
+        multipliers = [K.one, x, q * x + K.one, (x + q) / (x + K.one / q)]
+        # the kernel takes seconds on a rational multiplier over a tower at p >= 5
+        for u in multipliers[:4 if p == 3 else 3 if p == 5 else 2]:
+            checked += point_matches_kernel(ConnectionMatrix(rand_matrix(K, rng), Derivation(u)), p)
+    assert checked >= 7
+
+
+def test_point_value_of_a_rank_three_companion_over_tower():
+    K = FunctionField(FunctionField(GF(5), "q"), "x")
+    q, x = K(K.base.gen()), K.gen()
+    rows = [[K.zero, K.zero, K(3) / (q * x)],
+            [K.one, K.zero, (q + K.one) * x],
+            [K.zero, K.one, K.one / (q * q)]]
+    A = ConnectionMatrix(Matrix(K, rows), Derivation.x_d_dx(K))
+    assert point_matches_kernel(A, 5)
+    # q0 = 0 is a q-pole; x0 = 0 is a pole and a zero of u
+    assert p_curvature_at(A, 5)[0] == (1, 1)
+
+
+def test_point_value_matches_block_assembly():
+    """psi_p of [[A, B], [0, A]] at a point equals the block matrix that
+    block_p_curvature_check assembles from block_power_pair, which runs
+    the plain recursion and not the kernel."""
+    rng = random.Random(707)
+    K = qq_line()
+    for p in (5, 7, 11):
+        for D in (Derivation.d_dx(K), Derivation.x_d_dx(K)):
+            A = rand_connection(K, D, rng)
+            Bm = Matrix(K, [[rand_ratfunc(K, rng) for _ in range(2)] for _ in range(2)])
+            ext = BlockExtension(A, Bm)
+            found = p_curvature_at(ext.M, p)
+            if found is None:
+                continue
+            point, value = found
+            Kp = FunctionField(GF(p), "x")
+            Abar = A.reduce_mod(p)
+            Bbar = Bm.map_entries(lambda e: e.map_coefficients(Kp.base, Kp), Kp)
+            Pp, Qp = block_power_pair(BlockExtension(Abar, Bbar), p)
+            twist = frobenius_twist_multiplier(Abar.derivation, p) / Abar.derivation.u
+            psi_A, corner = Pp - Abar.matrix.scale(twist), Qp - Bbar.scale(twist)
+            z = Kp.zero
+            assembled = Matrix(Kp, [list(psi_A.rows[i]) + list(corner.rows[i]) for i in range(2)]
+                               + [[z, z] + list(psi_A.rows[i]) for i in range(2)])
+            assert value == psi_at(assembled, point), (p, D)
+
+
+def test_point_value_reduces_characteristic_zero_input():
+    A = _hypergeometric(qq_line())
+    assert p_curvature_at(A, 2) is None                      # 1/4 is bad at 2
+    for p, vanishes in ((11, True), (13, False)):
+        point, value = p_curvature_at(A, p)
+        assert point == (2,)                                 # 0 and 1 are poles
+        assert value == psi_at(p_curvature(A, p).psi, point)
+        assert value.is_zero() == vanishes
+
+
+def test_point_value_needs_an_ordinary_point():
+    K = FunctionField(GF(3), "x")
+    x = K.gen()
+    A = ConnectionMatrix(Matrix(K, [[K.one / (x * (x - K.one) * (x + K.one))]]),
+                         Derivation.d_dx(K))
+    assert p_curvature_at(A, 3) is None                      # every x0 is a pole
+    B = ConnectionMatrix(Matrix(K, [[K.one / x]]), Derivation(x * x - K.one))
+    assert p_curvature_at(B, 3) is None                      # 0 a pole, +-1 zeros of u
+    with pytest.raises(ValueError, match="characteristic 3, wanted 5"):
+        p_curvature_at(A, 5)
+
+
+def test_report_without_psi_cannot_vanish():
+    with pytest.raises(ValueError, match="only a computed psi"):
+        PCurvatureReport(5, True, None, True)
+    with pytest.raises(ValueError, match="only a computed psi"):
+        PCurvatureReport(5, False, None, True)
+    assert not PCurvatureReport(5, True, None, False).vanishes
+
+
+def test_scan_runs_the_kernel_only_where_the_point_value_is_zero(monkeypatch):
+    A = _hypergeometric(qq_line())
+    full = [p_curvature(A, p) for p in primes_in(2, 37)]
+    kernel_primes = []
+    real = connection.p_curvature
+
+    def spy(A, p):
+        kernel_primes.append(p)
+        return real(A, p)
+
+    monkeypatch.setattr(connection, "p_curvature", spy)
+    reports = scan_primes(A, 2, 37)
+    assert kernel_primes == [11, 19, 29, 31]
+    assert [(r.prime, r.good_prime, r.vanishes) for r in reports] == \
+           [(r.prime, r.good_prime, r.vanishes) for r in full]
+    for r in reports:
+        assert (r.psi is None) == (not r.good_prime or r.prime not in kernel_primes)
+
+
+def test_scan_parallel_agrees_on_point_decided_primes():
+    A = _hypergeometric(qq_line())
+    seq = scan_primes(A, 2, 37, jobs=1)
+    par = scan_primes(A, 2, 37, jobs=2)
+    assert [(r.prime, r.good_prime, r.vanishes, r.psi) for r in seq] == \
+           [(r.prime, r.good_prime, r.vanishes, r.psi) for r in par]

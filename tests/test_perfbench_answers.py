@@ -1,0 +1,48 @@
+"""The benchmark's scan and analyze answers, checked in the fast suite.
+
+perfbench/workloads.py builds seeded specs with planted answers and checks
+every report against them and against the answers recorded in
+perfbench/expected.json.  The benchmark runs those checks only when it is
+run; here the same operations go through pcurv_main in-process, so a
+p-curvature change that gets a table or a verdict wrong fails this suite
+too.  The perfbench modules are only imported and read.
+"""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from pcurvkit.cli import pcurv_main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_workloads():
+    """perfbench/workloads.py, which imports its sibling exact.py."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+workloads = load_workloads()
+EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("workload", ["scan", "analyze"])
+@pytest.mark.parametrize("seed", [0, workloads.HOLDOUT_SEED])
+def test_reports_pass_the_benchmark_checks(workload, seed, tmp_path, capsys):
+    ops = workloads.build(workload, seed)
+    recorded = EXPECTED[workload][str(seed)]
+    assert len(recorded) == len(ops)
+    for i, (op, answer) in enumerate(zip(ops, recorded)):
+        spec = tmp_path / f"{i:02d}.json"
+        spec.write_text(json.dumps(op["spec"]), encoding="utf-8")
+        assert op["tool"] == "pcurv"
+        code = pcurv_main([str(spec) if a == "{spec}" else a for a in op["args"]])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert workloads.check(workload, op, code, results, answer) is None, (i, results)

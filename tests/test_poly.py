@@ -174,6 +174,62 @@ def test_sturm_count_frozen():
     assert count_real_roots_closed(g, Fraction(-10), Fraction(10)) == 0
 
 
+def count_by_squarefree_part(f, a, b):
+    """Distinct roots in [a, b]: squarefree part, endpoint roots divided
+    out, then a Sturm count; the route count_real_roots_closed took before
+    it read gcd(f, f') off its own chain."""
+    g = squarefree_part(f)
+    extra = 0
+    for endpoint in (a, b):
+        if g.degree() >= 1 and g(endpoint) == 0:
+            g = (g // P(-endpoint, 1)).monic()
+            extra += 1
+    if g.degree() < 1:
+        return extra
+    chain = poly.sturm_chain(g)
+    return poly._variations_at(chain, a) - poly._variations_at(chain, b) + extra
+
+
+@pytest.mark.parametrize("f, a, b, count", [
+    ((P(-2, 1) ** 2) * P(2, 1) * P(-2, 0, 1), -2, 2, 4),       # (x-2)^2 (x+2)(x^2-2)
+    ((P(-2, 1) ** 2) * P(2, 1) * P(-2, 0, 1), -1, 2, 2),
+    ((P(-2, 1) ** 3) * (P(2, 1) ** 2), -2, 2, 2),               # roots only at the ends
+    ((P(-2, 1) ** 3) * (P(2, 1) ** 2), 3, 5, 0),
+    (P(-1, 0, 1) ** 2 * P(-2, 0, 1), -2, 2, 4),                 # (x^2-1)^2 (x^2-2)
+    (P(1, 0, -10, 0, 1), -2, 2, 2),                            # irreducible, roots +-3.15, +-0.32
+    (P(1, 0, -10, 0, 1), -4, 4, 4),
+    (-P(1, 0, -10, 0, 1) * P(0, 1) ** 4, -4, 0, 3),             # negative leading coefficient
+    (P(-2, 1), 2, 2, 1),
+    (P(5), -1, 1, 0),
+])
+def test_sturm_count_table(f, a, b, count):
+    a, b = Fraction(a), Fraction(b)
+    assert count_real_roots_closed(f, a, b) == count
+    assert count_by_squarefree_part(f, a, b) == count
+
+
+def test_sturm_count_matches_squarefree_route():
+    """Random products with repeated factors and roots at the ends."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        f = P(rng.choice([-3, -1, 1, 2]))
+        for _ in range(rng.randint(1, 4)):
+            f = f * P(*[rng.randint(-3, 3) for _ in range(rng.randint(2, 3))] + [1]) ** rng.randint(1, 3)
+        a = Fraction(rng.randint(-4, 0))
+        b = a + Fraction(rng.randint(0, 6), rng.choice([1, 2]))
+        assert count_real_roots_closed(f, a, b) == count_by_squarefree_part(f, a, b), (f, a, b)
+
+
+def test_sturm_count_takes_no_gcd_for_a_squarefree_input(monkeypatch):
+    calls = []
+    real = poly.poly_gcd
+    monkeypatch.setattr(poly, "poly_gcd", lambda f, g: calls.append(f) or real(f, g))
+    assert count_real_roots_closed(P(1, 0, -10, 0, 1), Fraction(-2), Fraction(2)) == 2
+    assert count_real_roots_closed(P(-2, 0, 1), Fraction(-2), Fraction(2)) == 2
+    assert calls == []
+    assert count_real_roots_closed(P(-2, 1) ** 2, Fraction(-2), Fraction(2)) == 1
+
+
 def test_isolate_real_roots_golden_ratio():
     x = Polynomial.x(QQ)
     f = x ** 2 - x - 1
