@@ -19,9 +19,10 @@ kernel's numerators (A = B/h, A_p = N/h^m) it builds
 
     psi = (b^p N - s h^{m-1} B) / (b^p h^m)     (psi = N/h^m when s = 0)
 
-and reduces each entry once.  Over a tower k(q)(x) the kernel also clears
-q-denominators, so its loop runs over k[q][x] and makes no gcd at all, and
-the one reduction per entry takes its gcd over k[q][x] as well.
+and reduces each entry once (ratfunc.lowest_terms).  Over a tower k(q)(x)
+the kernel also clears q-denominators, so its loop runs over k[q][x] and
+makes no gcd at all, and the one reduction per entry takes its gcd over
+k[q][x] as well.
 
 A prime is good when the whole input reduces mod p without hitting a
 coefficient denominator and the multiplier keeps its degree; scans report
@@ -33,9 +34,9 @@ one coefficient unmatched, because p*Y_p = 0, and that coefficient is
 -psi(d/dx)(x0); psi is p-linear in the derivation (Katz, "Nilpotent
 connections and the monodromy theorem", 1970, section 5), so
 psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  p_curvature_at runs this series as
-a short recurrence on cleared int polynomials; scan_primes and
-valuation.verify_prediction run the kernel only where that value is zero,
-since a zero value at one point proves nothing.
+a short recurrence on cleared int polynomials; scan_primes, which
+valuation.verify_prediction also calls, runs the kernel only where that
+value is zero, since a zero value at one point proves nothing.
 """
 
 from __future__ import annotations
@@ -48,8 +49,16 @@ from functools import reduce
 
 from .fields import GF, PrimeField, ReductionError, primes_in
 from .linalg import Matrix
-from .poly import Polynomial, PolynomialRing, poly_gcd
-from .ratfunc import FunctionField, RationalFunction, common_denominator, reduce_rational_mod_p
+from .poly import Polynomial, PolynomialRing, int_poly_mul, residues
+from .ratfunc import (
+    FunctionField,
+    RationalFunction,
+    clear_coefficients,
+    cleared,
+    common_denominator,
+    lowest_terms,
+    reduce_rational_mod_p,
+)
 
 
 class CyclicVectorNotFound(RuntimeError):
@@ -195,84 +204,9 @@ class PCurvatureReport:
             raise ValueError("vanishes flag contradicts the matrix")
 
 
-def _clear(base, polys):
-    """(c, [c*f for f in polys]): polynomials over base moved to a ring
-    without denominators.
-
-    Over a tower base = k(q), c is the monic lcm of the q-denominators of
-    every coefficient, and each c*f is returned over k[q], as a Polynomial
-    whose coefficients are Polynomials over k: arithmetic on it makes no
-    gcd.  Over any other base nothing is cleared, c = 1 and the polynomials
-    come back as they are.  c is returned as a constant polynomial of the
-    same ring, so it multiplies them directly.
-    """
-    if not isinstance(base, FunctionField):
-        return Polynomial.one(base), list(polys)
-    c = common_denominator([base.one] + [a for f in polys for a in f.coeffs])
-    ring = PolynomialRing(base.base, base.var)
-    cleared = [Polynomial(ring, [a.num * (c // a.den) for a in f.coeffs]) for f in polys]
-    return Polynomial(ring, (c,)), cleared
-
-
-def _primitive(f: Polynomial) -> Polynomial:
-    """f over k[q][x] divided by the monic gcd of its coefficients."""
-    c = reduce(poly_gcd, f.coeffs)
-    return f if c.is_one() else Polynomial(f.field, [a // c for a in f.coeffs])
-
-
-def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
-    """lc(b)^(deg a - deg b + 1) a mod b over k[q][x], without division."""
-    r, db, lb = list(a.coeffs), b.degree(), b.leading()
-    for k in range(len(r) - 1 - db, -1, -1):
-        t = r[k + db]
-        r = [c * lb for c in r[:k + db]]
-        for j, c in enumerate(b.coeffs[:-1]):
-            r[k + j] = r[k + j] - t * c
-    return Polynomial(a.field, r)
-
-
-def _exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a/b over k[q][x] when b divides a there."""
-    r, db, lb = list(a.coeffs), b.degree(), b.leading()
-    quot = [None] * (len(r) - db)
-    for k in range(len(quot) - 1, -1, -1):
-        t = quot[k] = r[k + db] // lb
-        for j, c in enumerate(b.coeffs):
-            r[k + j] = r[k + j] - t * c
-    return Polynomial(a.field, quot)
-
-
-def _fraction(field: FunctionField, num: Polynomial, den: Polynomial) -> RationalFunction:
-    """num/den in lowest terms, for num and den over the ring of _clear.
-
-    Over a tower k(q)(x) the gcd is taken over k[q][x] by the primitive
-    remainder sequence, whose contents are gcds over k[q]; only the final
-    coefficients, divided by the new leading coefficient of den, are
-    reduced over k(q).  A gcd over k(q)[x] would reduce every coefficient
-    of every remainder.
-    """
-    base = field.base
-    if not isinstance(base, FunctionField):
-        return RationalFunction(field, num, den)
-    if not num:
-        return field.zero
-    a, b = _primitive(num), _primitive(den)
-    if a.degree() < b.degree():
-        a, b = b, a
-    while b:
-        r = _pseudo_remainder(a, b)
-        a, b = b, _primitive(r) if r else r
-    if a.degree() > 0:
-        num, den = _exact_quotient(num, a), _exact_quotient(den, a)
-    lc = den.leading()
-    num, den = (Polynomial(base, [RationalFunction(base, c, lc) for c in f.coeffs])
-                for f in (num, den))
-    return RationalFunction(field, num, den, normalize=False)
-
-
 def _twist_ratio(u: RationalFunction, p: int):
-    """(S, E) over the ring of _clear with v/u = S/E for v = D^{p-1}(u),
-    D = u*d/dx in characteristic p.
+    """(S, E) over the ring of clear_coefficients with v/u = S/E for
+    v = D^{p-1}(u), D = u*d/dx in characteristic p.
 
     For u = a/b, v/u = s/b^p with s the coefficients of a^{p-1} b at the
     exponents kp + p - 1, moved to kp.  Computed on the cleared c_a a and
@@ -280,8 +214,8 @@ def _twist_ratio(u: RationalFunction, p: int):
     S = c_b^{p-1} s and E = c_a^{p-1} (c_b b)^p.
     """
     base = u.field.base
-    ca, (a,) = _clear(base, [u.num])
-    cb, (b,) = _clear(base, [u.den])
+    ca, (a,) = clear_coefficients(base, [u.num])
+    cb, (b,) = clear_coefficients(base, [u.den])
     top = (a ** (p - 1) * b).coeffs[p - 1::p]
     coeffs = [a.field.zero] * (p * len(top))
     coeffs[::p] = top
@@ -306,13 +240,13 @@ def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
     elif char != p:
         raise ValueError(f"derivation has characteristic {char}, wanted {p}")
     S, E = _twist_ratio(D.u, p)
-    _, (a, b) = _clear(D.field.base, [D.u.num, D.u.den])
-    return _fraction(D.field, a * S, b * E)
+    _, (a, b) = clear_coefficients(D.field.base, [D.u.num, D.u.den])
+    return lowest_terms(D.field, a * S, b * E)
 
 
 def _nabla_kernel(A: ConnectionMatrix, k: int):
     """Cleared numerators of nabla(D)^k: (N, B, h, m) with A = B/h and
-    A_k = N/h^m, all polynomials over the ring of _clear.
+    A_k = N/h^m, all polynomials over the ring of clear_coefficients.
 
     The recursion is the one of nabla_power_matrix; its first form applies
     when u is a polynomial over that ring.  h need not be monic.
@@ -322,14 +256,14 @@ def _nabla_kernel(A: ConnectionMatrix, k: int):
     u = A.derivation.u
     entries = [e for row in A.matrix.rows for e in row]
     h = common_denominator([u] + entries)
-    hA = [e.num * (h // e.den) for e in entries]
-    c, (lift,) = _clear(base, [u.num])
+    hA = [cleared(e, h) for e in entries]
+    c, (lift,) = clear_coefficients(base, [u.num])
     if u.den.is_one() and c.is_one():
         step = 1
-        _, (h, *hA) = _clear(base, [h] + hA)
+        _, (h, *hA) = clear_coefficients(base, [h] + hA)
     else:
         step = 2
-        _, (h, lift, *hA) = _clear(base, [h, u.num * (h // u.den)] + hA)
+        _, (h, lift, *hA) = clear_coefficients(base, [h, cleared(u, h)] + hA)
     n = A.rank
     B = Matrix(PolynomialRing(h.field, field.var), [hA[i * n:(i + 1) * n] for i in range(n)])
     hB = B if step == 1 else B.scale(h)
@@ -344,7 +278,7 @@ def _nabla_kernel(A: ConnectionMatrix, k: int):
 
 def _reduced(field: FunctionField, N: Matrix, den: Polynomial) -> Matrix:
     """The matrix N/den over field, each entry reduced once."""
-    return N.map_entries(lambda f: _fraction(field, f, den), field)
+    return N.map_entries(lambda f: lowest_terms(field, f, den), field)
 
 
 def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
@@ -368,8 +302,14 @@ def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
     return _reduced(A.field, N, h ** m)
 
 
-def _reduce_for_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
-    """Good-prime reduction, or None when p is bad for this connection."""
+def _at_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
+    """A in characteristic p: reduced mod p when A has characteristic 0,
+    None when p is bad for it."""
+    char = A.field.characteristic()
+    if char == p:
+        return A
+    if char != 0:
+        raise ValueError(f"entries have characteristic {char}, wanted {p}")
     try:
         Abar = A.reduce_mod(p)
     except ReductionError:
@@ -379,17 +319,6 @@ def _reduce_for_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
     if Abar.derivation.u.num.degree() != A.derivation.u.num.degree():
         return None
     return Abar
-
-
-def _at_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
-    """A in characteristic p: reduced mod p when A has characteristic 0,
-    None when p is bad for it."""
-    char = A.field.characteristic()
-    if char == 0:
-        return _reduce_for_prime(A, p)
-    if char != p:
-        raise ValueError(f"entries have characteristic {char}, wanted {p}")
-    return A
 
 
 def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
@@ -425,29 +354,17 @@ def _value(f: list, x: int, p: int) -> int:
     return acc
 
 
-def _mul(f: list, g: list, p: int) -> list:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return [c % p for c in out]
-
-
 def _prod(fs, p: int) -> list:
-    return reduce(lambda f, g: _mul(f, g, p), fs, [1])
+    return reduce(lambda f, g: [c % p for c in int_poly_mul(f, g)], fs, [1])
 
 
 def _shift(f: list, x0: int, p: int) -> list:
-    """Coefficients of f(x0 + t), by repeated synthetic division."""
-    f = list(f)
+    """Coefficients of f(x0 + t) mod p, by repeated synthetic division."""
+    f = [c % p for c in f]
     for i in range(len(f) - 1):
         for j in range(len(f) - 2, i - 1, -1):
             f[j] = (f[j] + x0 * f[j + 1]) % p
     return f
-
-
-def _ints(f: Polynomial) -> list:
-    return [c.v for c in f.coeffs]
 
 
 def _on_prime_line(A: ConnectionMatrix, p: int):
@@ -462,15 +379,15 @@ def _on_prime_line(A: ConnectionMatrix, p: int):
     base = A.field.base
     fs = [e for row in A.matrix.rows for e in row] + [A.derivation.u]
     if isinstance(base, PrimeField):
-        return (), [(_ints(f.num), _ints(f.den)) for f in fs]
+        return (), [(residues(f.num), residues(f.den)) for f in fs]
     if not (isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
         raise ValueError(f"no point evaluation over {A.field}")
     coeffs = {c for f in fs for c in f.num.coeffs + f.den.coeffs}
-    qdens = {tuple(_ints(c.den)) for c in coeffs if c.den.degree() > 0}
+    qdens = {tuple(residues(c.den)) for c in coeffs if c.den.degree() > 0}
     for q0 in range(p):
         if not all(_value(d, q0, p) for d in qdens):
             continue
-        at = {c: _value(_ints(c.num), q0, p) * pow(_value(_ints(c.den), q0, p), -1, p) % p
+        at = {c: _value(residues(c.num), q0, p) * pow(_value(residues(c.den), q0, p), -1, p) % p
               for c in coeffs}
         fs0 = [([at[c] for c in f.num.coeffs], [at[c] for c in f.den.coeffs]) for f in fs]
         if any(fs0[-1][0]):
@@ -508,8 +425,8 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
     h = _prod(dens, p)
     cofactor = {d: _prod([e for e in dens if e != d], p) for d in dens}   # h/den
     cofactor[(1,)] = h
-    P = _shift(_mul(a, h, p), x0, p)
-    Q = [_shift(_mul(_mul(b, num, p), cofactor[tuple(den)], p), x0, p)
+    P = _shift(int_poly_mul(a, h), x0, p)
+    Q = [_shift(int_poly_mul(int_poly_mul(b, num), cofactor[tuple(den)]), x0, p)
          for num, den in entries]
     n = Abar.rank
     Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]

@@ -18,7 +18,7 @@ from .connection import ConnectionMatrix, Derivation, frobenius_twist_multiplier
     p_curvature
 from .linalg import Matrix
 from .poly import PolynomialRing
-from .ratfunc import RationalFunction, common_denominator
+from .ratfunc import RationalFunction, cleared, common_denominator
 
 
 class BlockExtension:
@@ -118,11 +118,6 @@ def _commutator_terms(P, i, j):
     return [(k, j, P[k][i]) for k in range(r)] + [(i, l, -P[j][l]) for l in range(r)]
 
 
-def _cleared(f, h):
-    """h*f as a polynomial, for h a multiple of the denominator of f."""
-    return f.num * (h // f.den)
-
-
 def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
     """Linear system for B + A Y - Y A + D(Y) = 0 over the coefficient field.
 
@@ -137,9 +132,9 @@ def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
     u = A.derivation.u
     h = common_denominator([u] + [e for M in (A.matrix, B) for row in M.rows for e in row])
 
-    P = [[_cleared(e, h) for e in row] for row in A.matrix.rows]
-    hu = _cleared(u, h)
-    hB = [_cleared(e, h) for row in B.rows for e in row]
+    P = [[cleared(e, h) for e in row] for row in A.matrix.rows]
+    hu = cleared(u, h)
+    hB = [cleared(e, h) for row in B.rows for e in row]
     width = 1 + max([0, d - 1 + hu.degree()] + [d + f.degree() for row in P for f in row]
                     + [f.degree() for f in hB])
 
@@ -272,7 +267,7 @@ def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
     r = F.rank
     ring = PolynomialRing(field.base, field.var)
     H = common_denominator(e for L in F.layers for row in L.rows for e in row)
-    N = [Matrix(ring, [[_cleared(e, H) for e in row] for row in L.rows]) for L in F.layers]
+    N = [Matrix(ring, [[cleared(e, H) for e in row] for row in L.rows]) for L in F.layers]
     Yp = Y.map_entries(lambda e: e.num, ring)
     ident = Matrix.identity(ring, r)
     zero = Matrix.zeros(ring, r)

@@ -1,13 +1,18 @@
 """Tiny expression language for matrix entries in spec documents.
 
 Grammar: integers, named variables, + - * / ^ and parentheses, with ^
-restricted to nonnegative integer literal exponents.  Expressions are
+restricted to nonnegative integer literal exponents, and at most
+MAX_DEPTH parenthesised atoms and unary signs open at once.  Expressions are
 evaluated directly into a caller-supplied environment of field elements,
 so the same parser serves QQ(x), GF(p)(q)(x) towers, and plain rationals.
 Errors carry line and column.
 """
 
 from __future__ import annotations
+
+# Nesting bound: deeper input is rejected with a ParseError instead of
+# exhausting Python's recursion limit in the recursive-descent parser.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -33,9 +38,9 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), line, col))
             col += j - i
@@ -65,6 +70,7 @@ class _Parser:
         self.pos = 0
         self.env = env
         self.one = one
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -108,13 +114,21 @@ class _Parser:
                 value = value / rhs
         return value
 
+    def nested(self, tok, parse):
+        """parse() one nesting level below tok, within MAX_DEPTH levels."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", tok[2], tok[3])
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def unary(self):
-        if self.peek()[0] == "-":
+        tok = self.peek()
+        if tok[0] in ("-", "+"):
             self.advance()
-            return -self.unary()
-        if self.peek()[0] == "+":
-            self.advance()
-            return self.unary()
+            value = self.nested(tok, self.unary)
+            return -value if tok[0] == "-" else value
         return self.power()
 
     def power(self):
@@ -138,7 +152,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {tok[1]!r}", tok[2], tok[3])
             return self.env[tok[1]]
         if tok[0] == "(":
-            value = self.expr()
+            value = self.nested(tok, self.expr)
             self.expect(")")
             return value
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])

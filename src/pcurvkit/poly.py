@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 from .fields import GF, QQ, is_prime
 
@@ -341,6 +342,47 @@ def poly_xgcd(a: Polynomial, b: Polynomial):
     return r0.monic(), s0 * scale, t0 * scale
 
 
+def primitive_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """A primitive gcd of nonzero a and b over k[q][x] by the primitive
+    pseudo-remainder sequence (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 6.12), which divides by content gcds over k[q] and never in k(q)."""
+    a, b = _primitive(a), _primitive(b)
+    if a.degree() < b.degree():
+        a, b = b, a
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, _primitive(r) if r else r
+    return a
+
+
+def _primitive(f: Polynomial) -> Polynomial:
+    """f over k[q][x] divided by the monic gcd of its coefficients."""
+    c = reduce(poly_gcd, f.coeffs)
+    return f if c.is_one() else Polynomial(f.field, [a // c for a in f.coeffs])
+
+
+def _pseudo_remainder(a: Polynomial, b: Polynomial) -> Polynomial:
+    """lc(b)^(deg a - deg b + 1) a mod b over k[q][x], without division."""
+    r, db, lb = list(a.coeffs), b.degree(), b.leading()
+    for k in range(len(r) - 1 - db, -1, -1):
+        t = r[k + db]
+        r = [c * lb for c in r[:k + db]]
+        for j, c in enumerate(b.coeffs[:-1]):
+            r[k + j] = r[k + j] - t * c
+    return Polynomial(a.field, r)
+
+
+def exact_quotient(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a/b over k[q][x] when b divides a there."""
+    r, db, lb = list(a.coeffs), b.degree(), b.leading()
+    quot = [None] * (len(r) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        t = quot[k] = r[k + db] // lb
+        for j, c in enumerate(b.coeffs):
+            r[k + j] = r[k + j] - t * c
+    return Polynomial(a.field, quot)
+
+
 # ---------------------------------------------------------------------------
 # real-root counting (Sturm chains) over QQ
 # ---------------------------------------------------------------------------
@@ -626,20 +668,20 @@ def _hensel_pair(F: list[int], g: Polynomial, h: Polynomial, pk: int):
     Fp = g.field
     p = Fp.characteristic()
     _, s, t = poly_xgcd(g, h)
-    G, H = _residues(g), _residues(h)
+    G, H = residues(g), residues(h)
     modulus = p
     while modulus < pk:
         step = modulus * p
-        prod = _int_poly_mul(G, H)
+        prod = int_poly_mul(G, H)
         E = Polynomial(Fp, [(fc - pc) // modulus for fc, pc in _zip_pad(F, prod)])
         dg, dh = (t * E) % g, (s * E) % h
-        G = [(a + modulus * b) % step for a, b in _zip_pad(G, _residues(dg))]
-        H = [(a + modulus * b) % step for a, b in _zip_pad(H, _residues(dh))]
+        G = [(a + modulus * b) % step for a, b in _zip_pad(G, residues(dg))]
+        H = [(a + modulus * b) % step for a, b in _zip_pad(H, residues(dh))]
         modulus = step
     return G, H
 
 
-def _residues(f: Polynomial) -> list[int]:
+def residues(f: Polynomial) -> list[int]:
     return [c.v for c in f.coeffs]
 
 
@@ -648,7 +690,7 @@ def _zip_pad(a, b):
     return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
 
 
-def _int_poly_mul(a, b):
+def int_poly_mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -694,7 +736,7 @@ def _zassenhaus_irreducible(zf: list[int]) -> bool:
         for subset in itertools.combinations(range(len(lifted)), size):
             g = [lc % pk]
             for i in subset:
-                g = [c % pk for c in _int_poly_mul(g, lifted[i])]
+                g = [c % pk for c in int_poly_mul(g, lifted[i])]
             g = [c - pk if c > pk // 2 else c for c in g]
             while g and g[-1] == 0:
                 g.pop()

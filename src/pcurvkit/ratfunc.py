@@ -5,12 +5,15 @@ denominator, so equality and the exact zero test are structural.  Function
 fields nest: the base field of one FunctionField may itself be another
 FunctionField, which is how entries rational in two variables (say q and
 x) are represented as elements of k(q)(x).
+
+Over such a tower, lowest terms are taken over k[q][x] by the primitive
+pseudo-remainder sequence (see lowest_terms), never by Euclid over k(q)[x].
 """
 
 from __future__ import annotations
 
 from .fields import PrimeField, ReductionError
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial, PolynomialRing, exact_quotient, poly_gcd, primitive_gcd
 
 
 class FunctionField:
@@ -38,17 +41,13 @@ class FunctionField:
         return RationalFunction(self, p, Polynomial.one(self.base))
 
     def __call__(self, a) -> "RationalFunction":
-        if isinstance(a, RationalFunction):
-            if a.field == self:
-                return a
-            # allow lifting an element of the base field tower as a constant
-            return RationalFunction(
-                self, Polynomial.constant(self.base, self.base(a)), Polynomial.one(self.base)
-            )
+        if isinstance(a, RationalFunction) and a.field == self:
+            return a
         if isinstance(a, Polynomial):
             if a.field == self.base:
                 return self.from_poly(a)
             raise ValueError("polynomial over a foreign coefficient field")
+        # a scalar, or an element of the base field tower, as a constant
         return RationalFunction(
             self, Polynomial.constant(self.base, self.base(a)), Polynomial.one(self.base)
         )
@@ -79,6 +78,9 @@ class RationalFunction:
         if normalize:
             if num.is_zero():
                 den = Polynomial.one(field.base)
+            elif den.degree() > 0 and isinstance(field.base, FunctionField):
+                f = lowest_terms(field, *clear_coefficients(field.base, [num, den])[1])
+                num, den = f.num, f.den
             else:
                 # a gcd with a nonzero constant is 1, so only a
                 # nonconstant denominator pays for one
@@ -225,6 +227,49 @@ def common_denominator(fs) -> Polynomial:
         if f.den.degree() > 0:
             h = h // poly_gcd(h, f.den) * f.den
     return h
+
+
+def cleared(f: RationalFunction, h: Polynomial) -> Polynomial:
+    """h*f as a polynomial, for h a multiple of the denominator of f."""
+    return f.num * (h // f.den)
+
+
+def clear_coefficients(base, polys):
+    """(c, [c*f for f in polys]): polynomials over base moved to a ring
+    without denominators.
+
+    Over a tower base = k(q), c is the monic lcm of the q-denominators of
+    every coefficient, and each c*f is returned over k[q], as a Polynomial
+    whose coefficients are Polynomials over k: arithmetic on it makes no
+    gcd.  Over any other base nothing is cleared, c = 1 and the polynomials
+    come back as they are.  c is returned as a constant polynomial of the
+    same ring, so it multiplies them directly.
+    """
+    if not isinstance(base, FunctionField):
+        return Polynomial.one(base), list(polys)
+    c = common_denominator([base.one] + [a for f in polys for a in f.coeffs])
+    ring = PolynomialRing(base.base, base.var)
+    polys = [Polynomial(ring, [cleared(a, c) for a in f.coeffs]) for f in polys]
+    return Polynomial(ring, (c,)), polys
+
+
+def lowest_terms(field: FunctionField, num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den in lowest terms, for num and den over the ring of
+    clear_coefficients(field.base, ...).  Over a tower both are divided by
+    their primitive gcd over k[q][x], and then every coefficient by the
+    leading coefficient of den."""
+    base = field.base
+    if not isinstance(base, FunctionField):
+        return RationalFunction(field, num, den)
+    if not num:
+        return field.zero
+    g = primitive_gcd(num, den)
+    if g.degree() > 0:
+        num, den = exact_quotient(num, g), exact_quotient(den, g)
+    lc = den.leading()
+    num, den = (Polynomial(base, [RationalFunction(base, c, lc) for c in f.coeffs])
+                for f in (num, den))
+    return RationalFunction(field, num, den, normalize=False)
 
 
 def reduce_rational_mod_p(f: RationalFunction, target: FunctionField) -> RationalFunction:

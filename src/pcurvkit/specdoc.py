@@ -118,9 +118,7 @@ def parse_field_expression(text, field: FunctionField):
     try:
         return parse_expression(text, _field_env(field), field.one)
     except ParseError as exc:
-        raise SpecError(
-            f"bad expression {text!r} (line {exc.line}, column {exc.col}): {exc}"
-        ) from exc
+        raise SpecError(f"bad expression {text!r}: {exc}") from exc
 
 
 def parse_expression_matrix(rows, field: FunctionField) -> Matrix:

@@ -21,8 +21,7 @@ from .connection import (
     CompanionConnection,
     Derivation,
     frobenius_twist_multiplier,
-    p_curvature,
-    p_curvature_at,
+    scan_primes,
 )
 from .laurent import TruncatedLaurentSeries
 from .ratfunc import FunctionField, RationalFunction
@@ -205,14 +204,10 @@ def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPredicti
 
 
 def verify_prediction(c: CompanionConnection, p: int) -> bool:
-    """Exact oracle for nonvanishing of psi_p over GF(p)(q)(x): a nonzero
-    value of psi_p at one point proves it (p_curvature_at), and otherwise
-    the whole psi_p decides."""
-    A = c.matrix()
-    found = p_curvature_at(A, p)
-    if found is not None and not found[1].is_zero():
-        return True
-    report = p_curvature(A, p)
+    """Exact oracle for nonvanishing of psi_p over GF(p)(q)(x), decided as
+    scan_primes decides one prime: a nonzero value of psi_p at one point
+    proves it, and otherwise the whole psi_p decides."""
+    report, = scan_primes(c.matrix(), p, p)
     if not report.good_prime:
         raise ValueError(f"p = {p} is bad for this companion connection")
     return not report.vanishes

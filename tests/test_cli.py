@@ -194,6 +194,17 @@ def test_analyze_checks_the_prediction_once(tmp_path, capsys, monkeypatch):
      dict(CONJUGATE_FAIL_DOC, m=2, tau=[[[[1, 0], [0, 1]], [[0, 1], [0, 0]],
                                          [[0, 1], [0, 0]]]]),
      "tau does not agree with sigma mod q^m"),
+    (pcurv_main, ["scan", "--primes", "2..7"], dict(SCAN_DOC, matrix=[["2²"]]),
+     "bad expression '2²': unexpected character '²' (line 1, column 2)"),
+    (pcurv_main, ["scan", "--primes", "2..7"], dict(SCAN_DOC, matrix=[["1/(x-x)"]]),
+     "bad expression '1/(x-x)': division by zero (line 1, column 2)"),
+    (pcurv_main, ["scan", "--primes", "2..7"],
+     dict(SCAN_DOC, matrix=[["(" * 200 + "x" + ")" * 200]]),
+     f"bad expression '{'(' * 200 + 'x' + ')' * 200}': "
+     "nesting deeper than 100 levels (line 1, column 101)"),
+    (pcurv_main, ["scan", "--primes", "2..7"], dict(SCAN_DOC, matrix=[["-" * 1000 + "x"]]),
+     f"bad expression '{'-' * 1000 + 'x'}': "
+     "nesting deeper than 100 levels (line 1, column 101)"),
 ])
 def test_precondition_specs_exit_65(tmp_path, capsys, main, argv, doc, message):
     spec = write_spec(tmp_path, "spec.json", doc)

@@ -6,7 +6,13 @@ import pytest
 from pcurvkit import GF, QQ, FunctionField
 from pcurvkit.fields import ReductionError
 from pcurvkit.poly import poly_gcd
-from pcurvkit.ratfunc import RationalFunction, common_denominator, reduce_rational_mod_p
+from pcurvkit.ratfunc import (
+    RationalFunction,
+    clear_coefficients,
+    common_denominator,
+    lowest_terms,
+    reduce_rational_mod_p,
+)
 
 
 def rand_elt(K, rng, size=3):
@@ -183,3 +189,36 @@ def test_constant_denominator_matches_the_gcd_path(which):
         # the same value reached through a nonconstant gcd
         r = K.polynomial([scalar(), K.base.one])
         assert RationalFunction(K, num * r, den * r) == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tower_lowest_terms_match_euclid(p):
+    """Over GF(p)(q)(x) a denominator of positive x-degree is reduced by the
+    primitive pseudo-remainder sequence over k[q][x]; the pair equals the
+    one Euclid over k(q)[x] gives.  Inputs share planted factors in x,
+    carry q-denominators, and some denominators are constant in x."""
+    rng = random.Random(4000 + p)
+    base = FunctionField(GF(p), "q")
+    K = FunctionField(base, "x")
+
+    def scalar():
+        c = base.from_poly(base.polynomial([rng.randrange(p) for _ in range(rng.randint(1, 3))]))
+        if rng.random() < 0.5:
+            c = c / base.from_poly(base.polynomial([rng.randrange(p) for _ in range(2)] + [1]))
+        return c
+
+    def poly(degree):
+        lead = scalar()
+        while not lead:
+            lead = scalar()
+        return K.polynomial([scalar() for _ in range(degree)] + [lead])
+
+    shapes = set()
+    for _ in range(40):
+        g = poly(rng.randint(0, 2))
+        num, den = poly(rng.randint(0, 3)) * g, poly(rng.randint(0, 2)) * g
+        f = RationalFunction(K, num, den)
+        assert (f.num, f.den) == normalized_through_gcd(K, num, den)
+        assert lowest_terms(K, *clear_coefficients(base, [num, den])[1]) == f
+        shapes.add((den.degree() > 0, g.degree() > 0))
+    assert shapes == {(False, False), (True, False), (True, True)}

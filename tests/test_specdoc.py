@@ -122,6 +122,42 @@ def test_expression_errors_become_spec_errors():
             parse_field_expression(bad, K)
 
 
+def test_expression_error_names_its_position_once():
+    K = FunctionField(QQ, "x")
+    with pytest.raises(SpecError) as info:
+        parse_field_expression("1/(x-x)", K)
+    message = str(info.value)
+    assert message == "bad expression '1/(x-x)': division by zero (line 1, column 2)"
+    assert message.count("line 1, column 2") == 1
+
+
+def test_parse_expression_bounds_nesting():
+    """Parenthesised atoms and unary signs share one bound of MAX_DEPTH
+    open levels; one more is a ParseError at the offending token."""
+    one = Fraction(1)
+    for depth, text in [(100, "(" * 100 + "1" + ")" * 100), (100, "-" * 100 + "1"),
+                        (100, "-(" * 50 + "1" + ")" * 50), (101, "(" * 101 + "1" + ")" * 101),
+                        (101, "+" * 101 + "1"), (101, "(-" * 50 + "(1" + ")" * 51)]:
+        if depth == 100:
+            assert parse_expression(text, {}, one) == one
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_expression(text, {}, one)
+            assert (info.value.line, info.value.col) == (1, 101)
+            assert "nesting deeper than 100 levels" in str(info.value)
+
+
+def test_parse_expression_digits_are_decimal():
+    """Only decimal digits start a number: '²' passes str.isdigit but not
+    int(); a non-ASCII decimal digit is a number as int() reads it."""
+    K = FunctionField(QQ, "x")
+    env = {"x": K.gen()}
+    for text in ("2²", "²", "x²"):
+        with pytest.raises(ParseError):
+            parse_expression(text, env, K.one)
+    assert parse_expression("1/٣", env, K.one) == K(Fraction(1, 3))
+
+
 def test_parse_expression_rejects_negative_power():
     K = FunctionField(QQ, "x")
     env = {"x": K.gen()}

@@ -207,6 +207,8 @@ def test_verify_prediction_flags_bad_prime():
     c = CompanionConnection([K(Fraction(1, 5)), K.zero], D)
     with pytest.raises(ValueError, match="bad"):
         verify_prediction(c, 5)
+    # psi_7 = (5^-3 - 1) A is nonzero: the constant companion has A^2 = I/5
+    assert verify_prediction(c, 7) is True
 
 
 def test_standard_tower_characteristics():
