@@ -49,7 +49,7 @@ from functools import reduce
 
 from .fields import GF, PrimeField, ReductionError, primes_in
 from .linalg import Matrix
-from .poly import Polynomial, PolynomialRing, int_poly_mul, residues
+from .poly import Polynomial, PolynomialRing, int_poly_mul
 from .ratfunc import (
     FunctionField,
     RationalFunction,
@@ -343,8 +343,10 @@ def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
 
 # -- psi_p at one point ----------------------------------------------------
 #
-# Polynomials over GF(p) are ascending lists of ints here, not Polynomial:
-# the point recurrence is a few thousand products of small ints.
+# Polynomials over GF(p) are ascending int sequences here: the coeffs of a
+# Polynomial over GF(p), or their values at q = q0 over a tower.  The point
+# recurrence is a few thousand products of small ints on shifted copies, so
+# it works on the sequences directly.
 
 
 def _value(f: list, x: int, p: int) -> int:
@@ -369,7 +371,7 @@ def _shift(f: list, x0: int, p: int) -> list:
 
 def _on_prime_line(A: ConnectionMatrix, p: int):
     """(q-point, [(num, den)] for every entry and then for u): A and u over
-    GF(p)(x) as int lists, or None.
+    GF(p)(x) as int tuples, or None.
 
     Over GF(p)(x) the q-point is ().  Over GF(p)(q)(x) it is (q0,) for the
     smallest q0 in GF(p) where no q-denominator of an entry or of u
@@ -379,17 +381,18 @@ def _on_prime_line(A: ConnectionMatrix, p: int):
     base = A.field.base
     fs = [e for row in A.matrix.rows for e in row] + [A.derivation.u]
     if isinstance(base, PrimeField):
-        return (), [(residues(f.num), residues(f.den)) for f in fs]
+        return (), [(f.num.coeffs, f.den.coeffs) for f in fs]
     if not (isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
         raise ValueError(f"no point evaluation over {A.field}")
     coeffs = {c for f in fs for c in f.num.coeffs + f.den.coeffs}
-    qdens = {tuple(residues(c.den)) for c in coeffs if c.den.degree() > 0}
+    qdens = {c.den.coeffs for c in coeffs if c.den.degree() > 0}
     for q0 in range(p):
         if not all(_value(d, q0, p) for d in qdens):
             continue
-        at = {c: _value(residues(c.num), q0, p) * pow(_value(residues(c.den), q0, p), -1, p) % p
+        at = {c: _value(c.num.coeffs, q0, p) * pow(_value(c.den.coeffs, q0, p), -1, p) % p
               for c in coeffs}
-        fs0 = [([at[c] for c in f.num.coeffs], [at[c] for c in f.den.coeffs]) for f in fs]
+        fs0 = [(tuple(at[c] for c in f.num.coeffs), tuple(at[c] for c in f.den.coeffs))
+               for f in fs]
         if any(fs0[-1][0]):
             return (q0,), fs0
     return None
@@ -416,7 +419,7 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
         return None
     qpoint, fs = line
     *entries, (a, b) = fs
-    dens = list({tuple(den) for _, den in entries if len(den) > 1})
+    dens = list({den for _, den in entries if len(den) > 1})
     x0 = next((x for x in range(p)
                if _value(a, x, p) and _value(b, x, p)
                and all(_value(d, x, p) for d in dens)), None)
@@ -426,7 +429,7 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
     cofactor = {d: _prod([e for e in dens if e != d], p) for d in dens}   # h/den
     cofactor[(1,)] = h
     P = _shift(int_poly_mul(a, h), x0, p)
-    Q = [_shift(int_poly_mul(int_poly_mul(b, num), cofactor[tuple(den)]), x0, p)
+    Q = [_shift(int_poly_mul(int_poly_mul(b, num), cofactor[den]), x0, p)
          for num, den in entries]
     n = Abar.rank
     Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]

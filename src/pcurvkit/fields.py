@@ -88,7 +88,12 @@ QQ = RationalField()
 
 
 class GFElement:
-    """An element of a prime field, stored as a reduced residue."""
+    """An element of a prime field, stored as a reduced residue.
+
+    This is the GF(p) scalar; a Polynomial over GF(p) stores its
+    coefficients as plain ints instead and hands out GFElements only from
+    coeff, leading and evaluation.
+    """
 
     __slots__ = ("p", "v")
 

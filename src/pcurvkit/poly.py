@@ -1,12 +1,16 @@
 """Dense univariate polynomials over an exact field.
 
 Coefficients live in any field object from ``fields`` (or a NumberField);
-they are stored ascending with no trailing zeros.  The module also carries
-the irreducibility test over the rationals: rational root test, Ben-Or
+they are stored ascending with no trailing zeros.  Over a prime field
+GF(p) they are plain ints in [0, p), and every method computes on those
+ints; ``coeff``, ``leading`` and evaluation hand back field elements, so
+scalar code sees GF(p) elements either way.  The module also carries the
+irreducibility test over the rationals: rational root test, Ben-Or
 certificates mod several small primes, and a bounded Zassenhaus search
 (distinct- and equal-degree factoring mod p, Hensel lifting, subset
 recombination) for degrees up to 8.  The mod-p work runs on ``Polynomial``
-over ``GF(p)``; only the lifts mod p^k are plain integer lists.
+over ``GF(p)``; the lifts mod p^k are int lists multiplied by the same
+``int_poly_mul``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
-from .fields import GF, QQ, is_prime
+from .fields import GF, QQ, GFElement, PrimeField, is_prime
 
 
 # plain Python scalars that Polynomial coerces into its field; matched by
@@ -31,7 +35,11 @@ class Polynomial:
 
     def __init__(self, field, coeffs):
         self.field = field
-        cs = [field(c) if type(c) in _COERCED else c for c in coeffs]
+        if type(field) is PrimeField:
+            p = field.p
+            cs = [c % p if type(c) is int else field(c).v for c in coeffs]
+        else:
+            cs = [field(c) if type(c) in _COERCED else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -67,15 +75,19 @@ class Polynomial:
         return bool(self.coeffs)
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        cs = self.coeffs
+        return len(cs) == 1 and cs[0] == (
+            1 if type(self.field) is PrimeField else self.field.one)
 
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        c = self.coeffs[-1]
+        return self.field(c) if type(self.field) is PrimeField else c
 
     def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
+        return self.field(c) if type(self.field) is PrimeField else c
 
     def order_at_zero(self) -> int:
         """Index of the first nonzero coefficient; -1 for the zero polynomial."""
@@ -118,20 +130,29 @@ class Polynomial:
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
+        if type(self.field) is PrimeField:
+            p = self.field.p
+            return _stored(self.field, [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Polynomial(self.field, out)
+        return _stored(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs])
+        if type(self.field) is PrimeField:
+            p = self.field.p
+            return _stored(self.field, [-c % p for c in self.coeffs])
+        return _stored(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         o = self._wrap(other)
         if o is None:
             return self._reflected(other, "__rsub__")
+        if type(self.field) is PrimeField:
+            p = self.field.p
+            return _stored(self.field, [(x - y) % p for x, y in _zip_pad(self.coeffs, o.coeffs)])
         return self + (-o)
 
     def __rsub__(self, other):
@@ -147,13 +168,16 @@ class Polynomial:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return Polynomial.zero(self.field)
+        if type(self.field) is PrimeField:
+            p = self.field.p
+            return _stored(self.field, [c % p for c in int_poly_mul(a, b)])
         out = [self.field.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
-        return Polynomial(self.field, out)
+        return _stored(self.field, out)
 
     __rmul__ = __mul__
 
@@ -184,6 +208,8 @@ class Polynomial:
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
             return Polynomial.zero(self.field), self
+        if type(self.field) is PrimeField:
+            return _divmod_mod_p(self.field, rem, o.coeffs)
         quot = [self.field.zero] * (dq + 1)
         inv_lead = self.field.one / o.leading()
         for k in range(dq, -1, -1):
@@ -193,7 +219,7 @@ class Polynomial:
                 quot[k] = q
                 for j, c in enumerate(o.coeffs):
                     rem[k + j] = rem[k + j] - q * c
-        return Polynomial(self.field, quot), Polynomial(self.field, rem)
+        return _stored(self.field, quot), _stored(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -207,20 +233,41 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
+        if type(self.field) is PrimeField:
+            p, cs = self.field.p, self.coeffs
+            if cs[-1] == 1:
+                return self
+            inv = pow(cs[-1], -1, p)
+            return _stored(self.field, [c * inv % p for c in cs])
         inv = self.field.one / self.leading()
-        return Polynomial(self.field, [c * inv for c in self.coeffs])
+        return _stored(self.field, [c * inv for c in self.coeffs])
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
+        if type(self.field) is PrimeField:
+            p = self.field.p
+            return _stored(self.field, [c * i % p for i, c in enumerate(self.coeffs)][1:])
+        return _stored(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
 
     def map_coefficients(self, fn, new_field) -> "Polynomial":
-        return Polynomial(new_field, [fn(c) for c in self.coeffs])
+        return Polynomial(new_field, [fn(c) for c in self._elements()])
+
+    def _elements(self):
+        """The coefficients as field elements."""
+        if type(self.field) is PrimeField:
+            return [self.field(c) for c in self.coeffs]
+        return self.coeffs
 
     def __call__(self, x):
+        field = self.field
+        if type(field) is PrimeField and type(x) in (int, GFElement):
+            p, v, acc = field.p, field(x).v, 0
+            for c in reversed(self.coeffs):
+                acc = (acc * v + c) % p
+            return GFElement(p, acc)
         acc = None
-        for c in reversed(self.coeffs):
+        for c in reversed(self._elements()):
             acc = c if acc is None else acc * x + c
-        return self.field.zero if acc is None else acc
+        return field.zero if acc is None else acc
 
     # -- comparison / display ----------------------------------------------
 
@@ -238,7 +285,7 @@ class Polynomial:
             return "0"
         parts = []
         for i in range(self.degree(), -1, -1):
-            c = self.coeff(i)
+            c = self.coeffs[i]
             if not c:
                 continue
             cs = _coeff_str(c)
@@ -252,6 +299,33 @@ class Polynomial:
 
     def __repr__(self):
         return self.to_str()
+
+
+def _stored(field, cs: list) -> Polynomial:
+    """The Polynomial over field with ascending coefficients cs already in
+    stored form (ints in [0, p) over GF(p), field elements otherwise), as
+    arithmetic on stored coefficients returns them: trailing zeros are
+    dropped and nothing is coerced."""
+    while cs and not cs[-1]:
+        cs.pop()
+    f = object.__new__(Polynomial)
+    f.field = field
+    f.coeffs = tuple(cs)
+    return f
+
+
+def _divmod_mod_p(field: PrimeField, rem: list, b: tuple):
+    """(quotient, remainder) of the int list rem by b over field = GF(p),
+    for deg rem >= deg b >= 0."""
+    p, db = field.p, len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * (len(rem) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        t = rem[k + db]
+        if t:
+            t = quot[k] = t * inv % p
+            rem[k:k + db] = [(r - t * c) % p for r, c in zip(rem[k:k + db], b)]
+    return _stored(field, quot), _stored(field, rem[:db])
 
 
 def _coeff_str(c) -> str:
@@ -668,21 +742,17 @@ def _hensel_pair(F: list[int], g: Polynomial, h: Polynomial, pk: int):
     Fp = g.field
     p = Fp.characteristic()
     _, s, t = poly_xgcd(g, h)
-    G, H = residues(g), residues(h)
+    G, H = list(g.coeffs), list(h.coeffs)
     modulus = p
     while modulus < pk:
         step = modulus * p
         prod = int_poly_mul(G, H)
         E = Polynomial(Fp, [(fc - pc) // modulus for fc, pc in _zip_pad(F, prod)])
         dg, dh = (t * E) % g, (s * E) % h
-        G = [(a + modulus * b) % step for a, b in _zip_pad(G, residues(dg))]
-        H = [(a + modulus * b) % step for a, b in _zip_pad(H, residues(dh))]
+        G = [(a + modulus * b) % step for a, b in _zip_pad(G, dg.coeffs)]
+        H = [(a + modulus * b) % step for a, b in _zip_pad(H, dh.coeffs)]
         modulus = step
     return G, H
-
-
-def residues(f: Polynomial) -> list[int]:
-    return [c.v for c in f.coeffs]
 
 
 def _zip_pad(a, b):
@@ -690,14 +760,22 @@ def _zip_pad(a, b):
     return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
 
 
-def int_poly_mul(a, b):
+def int_poly_mul(a, b) -> list[int]:
+    """Product of two ascending int coefficient sequences, unreduced.
+
+    Schoolbook, one shifted multiple of the longer operand per term of the
+    shorter: the p-curvature kernel multiplies long polynomials by entries
+    of degree at most 2, where Kronecker substitution loses.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, bj in enumerate(b):
+        if bj:
+            out[j:j + n] = [o + bj * c for o, c in zip(out[j:j + n], a)]
     return out
 
 

@@ -89,8 +89,9 @@ class RationalFunction:
                     if g.degree() > 0:
                         num = num // g
                         den = den // g
-                lead_inv = field.base.one / den.leading()
-                if den.leading() != field.base.one:
+                lead = den.leading()
+                if lead != field.base.one:
+                    lead_inv = field.base.one / lead
                     num = num * lead_inv
                     den = den * lead_inv
         self.field = field

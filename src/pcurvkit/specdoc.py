@@ -110,15 +110,29 @@ def _field_env(field: FunctionField) -> dict:
     return env
 
 
+# characters of a spec entry that an error message quotes
+_EXCERPT_WIDTH = 40
+
+
+def _excerpt(text: str, at: int = 0) -> str:
+    """text whole when it is short, else the _EXCERPT_WIDTH characters
+    around index at, with an ellipsis where it was cut."""
+    lo = max(0, min(at - _EXCERPT_WIDTH // 2, len(text) - _EXCERPT_WIDTH))
+    hi = lo + _EXCERPT_WIDTH
+    return ("…" if lo else "") + text[lo:hi] + ("…" if hi < len(text) else "")
+
+
 def parse_field_expression(text, field: FunctionField):
     if isinstance(text, int) and not isinstance(text, bool):
         return field(text)
     if not isinstance(text, str):
-        raise SpecError(f"expected an expression string, got {text!r}")
+        raise SpecError(f"expected an expression string, got {_excerpt(repr(text))}")
     try:
         return parse_expression(text, _field_env(field), field.one)
     except ParseError as exc:
-        raise SpecError(f"bad expression {text!r}: {exc}") from exc
+        # the index of the reported column in text
+        at = sum(len(line) + 1 for line in text.split("\n")[:exc.line - 1]) + exc.col - 1
+        raise SpecError(f"bad expression {_excerpt(text, at)!r}: {exc}") from exc
 
 
 def parse_expression_matrix(rows, field: FunctionField) -> Matrix:

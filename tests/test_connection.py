@@ -724,6 +724,32 @@ def test_point_value_matches_kernel_over_tower():
     assert checked >= 7
 
 
+def test_point_value_matches_kernel_at_larger_primes():
+    """Rank 2 over GF(p)(x) at p = 61 and 97, beyond the primes above, with
+    u = 1, x and a rational multiplier."""
+    rng = random.Random(6197)
+    for p in (61, 97):
+        K = FunctionField(GF(p), "x")
+        x = K.gen()
+        for D in (Derivation.d_dx(K), Derivation.x_d_dx(K),
+                  Derivation((x + K.one) / (x * x + K(3)))):
+            rows = [[rand_entry(K, rng) for _ in range(2)] for _ in range(2)]
+            assert point_matches_kernel(ConnectionMatrix(Matrix(K, rows), D), p), (p, D)
+
+
+def test_point_value_matches_kernel_over_tower_at_p_5_and_7():
+    """The tower cases the test above leaves out: the rational multiplier
+    (x + q)/(x + 1/q) at p = 5, and u = 1, x and q*x + 1 at p = 7."""
+    rng = random.Random(5707)
+    for p, count in ((5, None), (7, 3)):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        q, x = K(K.base.gen()), K.gen()
+        multipliers = [K.one, x, q * x + K.one, (x + q) / (x + K.one / q)]
+        for u in multipliers[3:] if count is None else multipliers[:count]:
+            A = ConnectionMatrix(rand_matrix(K, rng), Derivation(u))
+            assert point_matches_kernel(A, p), (p, u)
+
+
 def test_point_value_of_a_rank_three_companion_over_tower():
     K = FunctionField(FunctionField(GF(5), "q"), "x")
     q, x = K(K.base.gen()), K.gen()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pcurvkit import GF, QQ, FunctionField, NumberField, Polynomial, poly_gcd
+from pcurvkit.fields import GFElement, ReductionError
 import pcurvkit.poly as poly
 from pcurvkit.poly import (
     IrreducibilityUndecided,
@@ -73,7 +74,8 @@ def test_polynomial_coefficients_are_trimmed():
 
 def test_plain_scalars_are_coerced():
     f = Polynomial(GF(5), [True, 7, Fraction(1, 2), False])
-    assert f.coeffs == (GF(5)(1), GF(5)(2), GF(5)(3))
+    assert f.coeffs == (1, 2, 3)
+    assert all(type(c) is int for c in f.coeffs)
     g = Polynomial(QQ, [Fraction(1, 3), True, "2/5"])
     assert g.coeffs == (Fraction(1, 3), Fraction(1), Fraction(2, 5))
     assert all(type(c) is Fraction for c in g.coeffs)
@@ -443,3 +445,222 @@ def test_polynomials_over_different_prime_fields_do_not_mix():
             op(g, f)
     # an equal field object that is not the same one still counts as the same
     assert f * Polynomial(GF(5), [0, 1]) == Polynomial(GF(5), [0, 1, 2])
+
+
+# -- GF(p)[x] on stored ints against a boxed oracle ---------------------------
+#
+# Over a prime field Polynomial stores ints in [0, p).  The oracle below is
+# schoolbook arithmetic on lists of GF(p) elements (GFElement), the way the
+# coefficients were stored before; each operation must give the same
+# coefficients, and whatever the class hands out as a scalar must be a
+# GFElement.
+
+GF_PRIMES = (2, 3, 5, 31, 199)
+
+
+def o_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def o_add(F, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [F.zero] * (n - len(a)), b + [F.zero] * (n - len(b))
+    return o_trim(x + y for x, y in zip(a, b))
+
+
+def o_sub(F, a, b):
+    return o_add(F, a, [-c for c in b])
+
+
+def o_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return o_trim(out)
+
+
+def o_divmod(F, a, b):
+    rem, db = list(a), len(b) - 1
+    quot = [F.zero] * max(len(a) - db, 0)
+    inv = F.one / b[-1]
+    for k in range(len(quot) - 1, -1, -1):
+        t = quot[k] = rem[k + db] * inv
+        for j, c in enumerate(b):
+            rem[k + j] = rem[k + j] - t * c
+    return o_trim(quot), o_trim(rem)
+
+
+def o_monic(F, a):
+    inv = F.one / a[-1]
+    return [c * inv for c in a]
+
+
+def o_derivative(a):
+    return o_trim([c * i for i, c in enumerate(a)][1:])
+
+
+def o_pow_mod(F, a, e, m):
+    result, base = o_divmod(F, [F.one], m)[1], o_divmod(F, a, m)[1]
+    while e:
+        if e & 1:
+            result = o_divmod(F, o_mul(F, result, base), m)[1]
+        e >>= 1
+        base = o_divmod(F, o_mul(F, base, base), m)[1]
+    return result
+
+
+def o_eval(F, a, x):
+    acc = F.zero
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def o_gcd(F, a, b):
+    while b:
+        a, b = b, o_divmod(F, a, b)[1]
+    return o_monic(F, a) if a else a
+
+
+def o_to_str(a, var="x"):
+    parts = []
+    for i in range(len(a) - 1, -1, -1):
+        cs = str(a[i])
+        if a[i]:
+            term = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            parts.append(cs if not term else term if cs == "1" else f"{cs}*{term}")
+    return " + ".join(parts) or "0"
+
+
+def residues_of(a):
+    return tuple(c.v for c in a)
+
+
+def as_input(rng, F, c):
+    """The residue c as one of the inputs Polynomial accepts: an int (maybe
+    negative), a GFElement, a Fraction with a denominator prime to p, or a
+    bool."""
+    p = F.p
+    kinds = [lambda: c, lambda: c - p * rng.randint(1, 3), lambda: F(c),
+             lambda: Fraction(c + p * rng.randint(1, 5), p + 1)]
+    if c in (0, 1):
+        kinds.append(lambda: bool(c))
+    return rng.choice(kinds)()
+
+
+def random_residues(rng, p, degree):
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+
+def build(rng, F, residues):
+    """(Polynomial from mixed inputs, boxed oracle list)."""
+    f = Polynomial(F, [as_input(rng, F, c) for c in residues])
+    return f, o_trim(F(c) for c in residues)
+
+
+def assert_stored(f, oracle):
+    assert all(type(c) is int and 0 <= c < f.field.p for c in f.coeffs), f.coeffs
+    assert f.coeffs == residues_of(oracle)
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+def test_gf_polynomial_matches_boxed_oracle(p):
+    F = GF(p)
+    rng = random.Random(14000 + p)
+    degrees = [0, 1, 2, 70] + [rng.randint(0, 70) for _ in range(8)]
+    for da in degrees:
+        db = rng.choice([0, 1, 2, rng.randint(0, 70)])
+        f, A = build(rng, F, random_residues(rng, p, da))
+        g, B = build(rng, F, random_residues(rng, p, db))
+        assert_stored(f, A)
+        assert_stored(g, B)
+        assert_stored(f + g, o_add(F, A, B))
+        assert_stored(f - g, o_sub(F, A, B))
+        assert_stored(g - f, o_sub(F, B, A))
+        assert_stored(-f, [-c for c in A])
+        assert_stored(f - f, [])
+        assert_stored(f * g, o_mul(F, A, B))
+        Q, R = o_divmod(F, A, B)
+        quot, rem = divmod(f, g)
+        assert_stored(quot, Q)
+        assert_stored(rem, R)
+        assert_stored(f // g, Q)
+        assert_stored(f % g, R)
+        assert_stored(f.monic(), o_monic(F, A))
+        assert_stored(f.derivative(), o_derivative(A))
+        gcd = poly_gcd(f, g)
+        assert_stored(gcd, o_gcd(F, A, B))
+        d, s, t = poly_xgcd(f, g)
+        assert d == gcd and s * f + t * g == d
+        # scalars: GFElement, int and the reflected forms
+        c = rng.randrange(p)
+        assert_stored(f * F(c), o_mul(F, A, [F(c)] if c else []))
+        assert_stored(F(c) * f, o_mul(F, A, [F(c)] if c else []))
+        assert_stored(f + c, o_add(F, A, [F(c)] if c else []))
+        assert_stored(c - f, o_sub(F, [F(c)] if c else [], A))
+        # evaluation, coefficients and the leading coefficient are field elements
+        x0 = rng.randrange(p)
+        for point in (x0, F(x0)):
+            value = f(point)
+            assert type(value) is GFElement and value == o_eval(F, A, F(x0))
+        for i in range(-2, len(A) + 3):
+            ci = f.coeff(i)
+            assert type(ci) is GFElement
+            assert ci == (A[i] if 0 <= i < len(A) else F.zero)
+        assert type(f.leading()) is GFElement and f.leading() == A[-1]
+        assert f.to_str() == o_to_str(A) and f.to_str("t") == o_to_str(A, "t")
+        # the same residues from other inputs: equal, with equal hashes
+        again, _ = build(rng, F, [c.v for c in A])
+        assert again == f and hash(again) == hash(f)
+        assert Polynomial(F, [c.v for c in A]) == f
+        assert (f == g) == (A == B)
+
+
+@pytest.mark.parametrize("p", GF_PRIMES)
+def test_gf_modular_power_matches_boxed_oracle(p):
+    F = GF(p)
+    rng = random.Random(14100 + p)
+    for _ in range(4):
+        f, A = build(rng, F, random_residues(rng, p, rng.randint(0, 70)))
+        m, M = build(rng, F, random_residues(rng, p, rng.randint(1, 12)))
+        for e in (0, 1, 2, p, rng.randint(3, 3 * p)):
+            assert_stored(pow(f, e, m), o_pow_mod(F, A, e, M))
+    f, A = build(rng, F, random_residues(rng, p, 5))
+    assert_stored(f ** 3, o_mul(F, o_mul(F, A, A), A))
+
+
+def test_gf_coefficient_past_the_degree_is_the_field_zero():
+    F = GF(7)
+    for f in (Polynomial.zero(F), Polynomial(F, [3]), Polynomial(F, [0, 0, 5])):
+        for i in (-1, f.degree() + 1, 50):
+            zero = f.coeff(i)
+            assert type(zero) is GFElement and zero == F.zero and not zero
+    with pytest.raises(ValueError):
+        Polynomial.zero(F).leading()
+
+
+def test_gf_inputs_of_every_kind_store_the_same_ints():
+    F = GF(5)
+    kinds = [
+        [1, 2, 3],
+        [F(1), F(2), F(3)],
+        [-4, -8, 13],
+        [Fraction(1, 6), Fraction(2, 11), Fraction(9, 3)],
+        [True, F(7), Fraction(-2)],
+    ]
+    polys = [Polynomial(F, cs) for cs in kinds]
+    assert all(f.coeffs == (1, 2, 3) for f in polys)
+    assert all(type(c) is int for f in polys for c in f.coeffs)
+    assert len({hash(f) for f in polys}) == 1
+    assert all(f == polys[0] for f in polys)
+    assert Polynomial(F, [False, 0, F(5), Fraction(10, 3)]).is_zero()
+    with pytest.raises(ValueError):
+        Polynomial(F, [GF(7)(1)])
+    with pytest.raises(ReductionError):
+        Polynomial(F, [Fraction(1, 5)])

@@ -131,6 +131,26 @@ def test_expression_error_names_its_position_once():
     assert message.count("line 1, column 2") == 1
 
 
+def test_expression_errors_quote_a_window_around_the_fault():
+    """A long entry is quoted as the 40 characters around the reported
+    column, on its own line, with an ellipsis at each cut end."""
+    K = FunctionField(QQ, "x")
+    text = "x +\n1 +\n" + "x*" * 50 + "y" + "*x" * 50
+    with pytest.raises(SpecError) as info:
+        parse_field_expression(text, K)
+    window = "x*" * 10 + "y" + "*x" * 10
+    assert str(info.value) == (f"bad expression '…{window[:-1]}…': "
+                               "unknown variable 'y' (line 3, column 101)")
+    with pytest.raises(SpecError) as info:
+        parse_field_expression("1/(x-x)" + " " * 60, K)
+    assert str(info.value) == ("bad expression '1/(x-x)" + " " * 33 + "…': "
+                               "division by zero (line 1, column 2)")
+    with pytest.raises(SpecError) as info:
+        parse_field_expression(list(range(1000)), K)
+    assert str(info.value) == ("expected an expression string, got "
+                               + repr(list(range(1000)))[:40] + "…")
+
+
 def test_parse_expression_bounds_nesting():
     """Parenthesised atoms and unary signs share one bound of MAX_DEPTH
     open levels; one more is a ParseError at the offending token."""
