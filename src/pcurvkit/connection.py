@@ -33,10 +33,12 @@ GF(p), the solution Y' = -(A/u)Y, Y(x0) = I, truncated at order p leaves
 one coefficient unmatched, because p*Y_p = 0, and that coefficient is
 -psi(d/dx)(x0); psi is p-linear in the derivation (Katz, "Nilpotent
 connections and the monodromy theorem", 1970, section 5), so
-psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  p_curvature_at runs this series as
-a short recurrence on cleared int polynomials; scan_primes, which
-valuation.verify_prediction also calls, runs the kernel only where that
-value is zero, since a zero value at one point proves nothing.
+psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  p_curvature_at clears A and u
+over GF(p)(x) as the kernel does (a tower is first specialised at a point
+q0) and runs this series as a short recurrence on the Taylor coefficients
+at x0; scan_primes, which valuation.verify_prediction also calls, runs the
+kernel only where that value is zero, since a zero value at one point
+proves nothing.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import reduce
 
 from .fields import GF, PrimeField, ReductionError, primes_in
 from .linalg import Matrix
-from .poly import Polynomial, PolynomialRing, int_poly_mul
+from .poly import Polynomial, PolynomialRing
 from .ratfunc import (
     FunctionField,
     RationalFunction,
@@ -342,27 +343,13 @@ def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
 
 
 # -- psi_p at one point ----------------------------------------------------
-#
-# Polynomials over GF(p) are ascending int sequences here: the coeffs of a
-# Polynomial over GF(p), or their values at q = q0 over a tower.  The point
-# recurrence is a few thousand products of small ints on shifted copies, so
-# it works on the sequences directly.
 
 
-def _value(f: list, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _prod(fs, p: int) -> list:
-    return reduce(lambda f, g: [c % p for c in int_poly_mul(f, g)], fs, [1])
-
-
-def _shift(f: list, x0: int, p: int) -> list:
-    """Coefficients of f(x0 + t) mod p, by repeated synthetic division."""
-    f = [c % p for c in f]
+def _shift(f: Polynomial, x0: int) -> list:
+    """Coefficients of f(x0 + t) for f over GF(p), by repeated synthetic
+    division on the stored ints."""
+    p = f.field.p
+    f = list(f.coeffs)
     for i in range(len(f) - 1):
         for j in range(len(f) - 2, i - 1, -1):
             f[j] = (f[j] + x0 * f[j + 1]) % p
@@ -370,32 +357,33 @@ def _shift(f: list, x0: int, p: int) -> list:
 
 
 def _on_prime_line(A: ConnectionMatrix, p: int):
-    """(q-point, [(num, den)] for every entry and then for u): A and u over
-    GF(p)(x) as int tuples, or None.
+    """(q-point, A over GF(p)(x)), or None.
 
-    Over GF(p)(x) the q-point is ().  Over GF(p)(q)(x) it is (q0,) for the
-    smallest q0 in GF(p) where no q-denominator of an entry or of u
-    vanishes and u does not: every coefficient is specialised at q = q0,
-    which keeps the (monic) x-denominators monic.
+    Over GF(p)(x) the q-point is () and A comes back as it is.  Over
+    GF(p)(q)(x) it is (q0,) for the smallest q0 in GF(p) where no
+    q-denominator of a coefficient of an entry or of u vanishes and u does
+    not: every coefficient c becomes c(q0), and nothing is reduced, so the
+    (monic) x-denominators stay monic and keep every pole.
     """
     base = A.field.base
-    fs = [e for row in A.matrix.rows for e in row] + [A.derivation.u]
     if isinstance(base, PrimeField):
-        return (), [(f.num.coeffs, f.den.coeffs) for f in fs]
+        return (), A
     if not (isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
         raise ValueError(f"no point evaluation over {A.field}")
-    coeffs = {c for f in fs for c in f.num.coeffs + f.den.coeffs}
-    qdens = {c.den.coeffs for c in coeffs if c.den.degree() > 0}
-    for q0 in range(p):
-        if not all(_value(d, q0, p) for d in qdens):
-            continue
-        at = {c: _value(c.num.coeffs, q0, p) * pow(_value(c.den.coeffs, q0, p), -1, p) % p
-              for c in coeffs}
-        fs0 = [(tuple(at[c] for c in f.num.coeffs), tuple(at[c] for c in f.den.coeffs))
-               for f in fs]
-        if any(fs0[-1][0]):
-            return (q0,), fs0
-    return None
+    u = A.derivation.u
+    fs = [e for row in A.matrix.rows for e in row] + [u]
+    qdens = {c.den for f in fs for c in f.num.coeffs + f.den.coeffs if c.den.degree() > 0}
+    q0 = next((q for q in range(p)
+               if all(d(q) for d in qdens) and any(c(q) for c in u.num.coeffs)), None)
+    if q0 is None:
+        return None
+    target = FunctionField(base.base, A.field.var)
+
+    def at(f):
+        num, den = (g.map_coefficients(lambda c: c(q0), target.base) for g in (f.num, f.den))
+        return RationalFunction(target, num, den, normalize=False)
+
+    return (q0,), ConnectionMatrix(A.matrix.map_entries(at, target), Derivation(at(u)))
 
 
 def p_curvature_at(A: ConnectionMatrix, p: int):
@@ -404,34 +392,30 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
 
     A may have characteristic 0 (it is reduced mod p as in p_curvature) or
     p, over k(x) or over a tower k(q)(x).  The point is (x0,), or (q0, x0)
-    over a tower with q0 as in _on_prime_line: x0 is the smallest element
-    of GF(p) with h(x0) a(x0) b(x0) != 0, for h the product of the distinct
-    entry denominators and u = a/b.  A nonzero value proves psi_p != 0 (a
+    over a tower with q0 as in _on_prime_line.  With h the common
+    denominator of u and of every entry, x0 is the smallest element of
+    GF(p) with (hu)(x0) h(x0) != 0.  A nonzero value proves psi_p != 0 (a
     specialisation of q commutes with d/dx); a zero value decides nothing.
 
-    With B = hA, Y solves (ah)(x0+t) Y' = -(bB)(x0+t) Y, Y(0) = I, for
-    t^0..t^(p-2); E, the t^(p-1) coefficient of (ah)Y' + (bB)Y, is the one
-    p*Y_p = 0 cannot cancel, and psi_p(x0) = -u(x0) E / (ah)(x0).
+    Y solves (hu)(x0+t) Y' = -(hA)(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E,
+    the t^(p-1) coefficient of (hu)Y' + (hA)Y, is the one p*Y_p = 0 cannot
+    cancel, and psi_p(x0) = -u(x0) E / (hu)(x0) = -E / h(x0).
     """
     Abar = _at_prime(A, p)
     line = None if Abar is None else _on_prime_line(Abar, p)
     if line is None:
         return None
-    qpoint, fs = line
-    *entries, (a, b) = fs
-    dens = list({den for _, den in entries if len(den) > 1})
-    x0 = next((x for x in range(p)
-               if _value(a, x, p) and _value(b, x, p)
-               and all(_value(d, x, p) for d in dens)), None)
+    qpoint, A0 = line
+    u = A0.derivation.u
+    entries = [e for row in A0.matrix.rows for e in row]
+    h = common_denominator([u] + entries)
+    hu = cleared(u, h)
+    x0 = next((x for x in range(p) if hu(x) * h(x)), None)
     if x0 is None:
         return None
-    h = _prod(dens, p)
-    cofactor = {d: _prod([e for e in dens if e != d], p) for d in dens}   # h/den
-    cofactor[(1,)] = h
-    P = _shift(int_poly_mul(a, h), x0, p)
-    Q = [_shift(int_poly_mul(int_poly_mul(b, num), cofactor[den]), x0, p)
-         for num, den in entries]
-    n = Abar.rank
+    P = _shift(hu, x0)
+    Q = [_shift(cleared(e, h), x0) for e in entries]
+    n = A0.rank
     Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
           for k in range(max(map(len, Q)))]
     Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
@@ -454,7 +438,7 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
     for k in range(p - 1):
         c = -pow(P[0] * (k + 1), -1, p)
         Y.append([[s * c % p for s in row] for row in unmatched(k)])
-    c = -_value(a, x0, p) * pow(_value(b, x0, p) * P[0], -1, p)
+    c = -pow(h(x0).v, -1, p)
     psi = [[e * c % p for e in row] for row in unmatched(p - 1)]
     return qpoint + (x0,), Matrix(GF(p), psi)
 

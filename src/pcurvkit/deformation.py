@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connection import ConnectionMatrix, Derivation, frobenius_twist_multiplier, \
-    p_curvature
+from .connection import ConnectionMatrix, Derivation, _at_prime, \
+    frobenius_twist_multiplier, p_curvature
 from .linalg import Matrix
 from .poly import PolynomialRing
 from .ratfunc import RationalFunction, cleared, common_denominator
@@ -74,34 +74,20 @@ def block_power_pair(ext: BlockExtension, j: int):
 
 def block_p_curvature_check(ext: BlockExtension, p: int) -> bool:
     """Exact structural identity: psi_p of the block connection equals
-    [[psi_p(A), Q_p - twist*B], [0, psi_p(A)]]."""
-    report = p_curvature(ext.M, p)
-    if not report.good_prime:
+    [[psi_p(A), Q_p - twist*B], [0, psi_p(A)]].
+
+    ext.M is reduced mod p once (a characteristic-p ext is used as it is),
+    and A and B are its blocks."""
+    M = _at_prime(ext.M, p)
+    if M is None:
         raise ValueError(f"p = {p} is a bad prime for the block connection")
-    char = ext.A.field.characteristic()
-    if char == 0:
-        Abar = ext.A.reduce_mod(p)
-        target = Abar.field
-        Bbar = ext.B.map_entries(
-            lambda e: e.map_coefficients(target.base, target), target)
-    else:
-        Abar, Bbar = ext.A, ext.B
-    red_ext = BlockExtension(Abar, Bbar)
-    Pp, Qp = block_power_pair(red_ext, p)
-    v = frobenius_twist_multiplier(Abar.derivation, p)
-    twist = v / Abar.derivation.u
-    psi_A = Pp - Abar.matrix.scale(twist)
-    corner = Qp - Bbar.scale(twist)
-    r = ext.rank
-    ring = Abar.field
-    z = ring.zero
-    rows = []
-    for i in range(r):
-        rows.append(list(psi_A.rows[i]) + list(corner.rows[i]))
-    for i in range(r):
-        rows.append([z] * r + list(psi_A.rows[i]))
-    assembled = Matrix(ring, rows)
-    return report.psi == assembled
+    r, rows, D = ext.rank, M.matrix.rows, M.derivation
+    A = ConnectionMatrix(Matrix(M.field, [row[:r] for row in rows[:r]]), D)
+    B = Matrix(M.field, [row[r:] for row in rows[:r]])
+    Pp, Qp = block_power_pair(BlockExtension(A, B), p)
+    twist = frobenius_twist_multiplier(D, p) / D.u
+    psi_A = ConnectionMatrix(Pp - A.matrix.scale(twist), D)
+    return p_curvature(M, p).psi == BlockExtension(psi_A, Qp - B.scale(twist)).M.matrix
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# plain Python scalars that Polynomial and Matrix coerce into their field;
+# matched by exact type, since an isinstance test against Fraction's
+# abstract base class is slow for every other entry type
+_COERCED = frozenset((int, bool, Fraction, str))
+
+
 class ReductionError(ValueError):
     """Raised when a value cannot be reduced modulo the requested prime."""
 

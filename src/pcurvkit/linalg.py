@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import RationalField
+from .fields import _COERCED, RationalField
 
 
 class Matrix:
@@ -37,7 +37,7 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = width
         self.rows = tuple(
-            tuple(ring(e) if isinstance(e, (int, str, Fraction)) else e for e in r)
+            tuple(ring(e) if type(e) in _COERCED else e for e in r)
             for r in rows
         )
 

@@ -21,13 +21,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
-from .fields import GF, QQ, GFElement, PrimeField, is_prime
-
-
-# plain Python scalars that Polynomial coerces into its field; matched by
-# exact type, since an isinstance test against Fraction's abstract base
-# class is slow for every other coefficient type
-_COERCED = frozenset((int, bool, Fraction, str))
+from .fields import _COERCED, GF, QQ, GFElement, PrimeField, is_prime
 
 
 class Polynomial:

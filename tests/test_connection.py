@@ -32,6 +32,7 @@ from pcurvkit import (
     Derivation,
     FunctionField,
     Matrix,
+    Polynomial,
     cyclic_vector,
     frobenius_twist_multiplier,
     gauge_transform,
@@ -673,6 +674,28 @@ def ordinary_points(A):
     return [x0 for x0 in range(F.p) if all(f(F(x0)) for f in fs)]
 
 
+def tower_point(A, p):
+    """The point p_curvature_at should pick over GF(p)(q)(x), or None: q0
+    is the smallest q where no q-denominator of a coefficient of an entry
+    or of u vanishes and u at q0 is nonzero, and x0 the smallest x where
+    no entry denominator and neither side of u vanishes at (q0, x0)."""
+    F = A.field.base.base
+    u = A.derivation.u
+    fs = [e for row in A.matrix.rows for e in row] + [u]
+    coeffs = [c for f in fs for g in (f.num, f.den) for c in g.coeffs]
+
+    def at(g, q0):
+        return Polynomial(F, [c.num(F(q0)) / c.den(F(q0)) for c in g.coeffs])
+
+    q0 = next((q for q in range(F.p)
+               if all(c.den(F(q)) for c in coeffs) and at(u.num, q)), None)
+    if q0 is None:
+        return None
+    polys = [at(f.den, q0) for f in fs] + [at(u.num, q0)]
+    x0 = next((x for x in range(F.p) if all(g(F(x)) for g in polys)), None)
+    return None if x0 is None else (q0, x0)
+
+
 def point_matches_kernel(A, p):
     """True when p_curvature_at(A, p) found a point and its value is the
     kernel's psi there; False when it found none."""
@@ -711,7 +734,8 @@ def test_point_value_matches_kernel_over_prime_fields():
 
 def test_point_value_matches_kernel_over_tower():
     """Companions over GF(p)(q)(x) with q-poles in the entries, q-denominators
-    in the multiplier and a multiplier whose leading coefficient is q."""
+    in the multiplier and a multiplier whose leading coefficient is q.  The
+    point is the one tower_point picks."""
     rng = random.Random(2720)
     checked = 0
     for p in (3, 5, 7):
@@ -720,7 +744,10 @@ def test_point_value_matches_kernel_over_tower():
         multipliers = [K.one, x, q * x + K.one, (x + q) / (x + K.one / q)]
         # the kernel takes seconds on a rational multiplier over a tower at p >= 5
         for u in multipliers[:4 if p == 3 else 3 if p == 5 else 2]:
-            checked += point_matches_kernel(ConnectionMatrix(rand_matrix(K, rng), Derivation(u)), p)
+            A = ConnectionMatrix(rand_matrix(K, rng), Derivation(u))
+            found = p_curvature_at(A, p)
+            assert (found and found[0]) == tower_point(A, p), (p, u)
+            checked += point_matches_kernel(A, p)
     assert checked >= 7
 
 
@@ -809,6 +836,18 @@ def test_point_value_needs_an_ordinary_point():
     assert p_curvature_at(B, 3) is None                      # 0 a pole, +-1 zeros of u
     with pytest.raises(ValueError, match="characteristic 3, wanted 5"):
         p_curvature_at(A, 5)
+    L = FunctionField(FunctionField(FunctionField(GF(3), "r"), "q"), "x")
+    C = ConnectionMatrix(Matrix(L, [[L.gen()]]), Derivation.d_dx(L))
+    with pytest.raises(ValueError, match=r"no point evaluation over GF\(3\)\(r\)\(q\)\(x\)"):
+        p_curvature_at(C, 3)
+
+
+def test_point_value_skips_a_q_where_u_vanishes():
+    K = FunctionField(FunctionField(GF(5), "q"), "x")
+    q, x = K(K.base.gen()), K.gen()
+    A = ConnectionMatrix(Matrix(K, [[K.zero, K.one], [x, K.one / x]]), Derivation(q * x))
+    assert p_curvature_at(A, 5)[0] == tower_point(A, 5) == (1, 1)
+    assert point_matches_kernel(A, 5)
 
 
 def test_report_without_psi_cannot_vanish():

@@ -98,6 +98,8 @@ def test_block_power_pair_diagonal_matches_plain_power():
 
 
 def test_block_p_curvature_identity():
+    """d/dx over QQ(x); then x*d/dx with a pole at 0, and an ext already
+    over GF(p)(x), which is used as it is, without reduction."""
     rng = random.Random(90)
     K = qq_line()
     D = Derivation.d_dx(K)
@@ -107,6 +109,28 @@ def test_block_p_curvature_identity():
         ext = BlockExtension(A, B)
         for p in (2, 3, 5):
             assert block_p_curvature_check(ext, p)
+    x = K.gen()
+    pole = Matrix(K, [[K.one / x, K.zero], [K.zero, K.one]])
+    for _ in range(2):
+        A = ConnectionMatrix(poly_matrix(K, rng) + pole, Derivation.x_d_dx(K))
+        ext = BlockExtension(A, poly_matrix(K, rng))
+        for p in (3, 5, 7):
+            assert block_p_curvature_check(ext, p)
+    for p in (3, 5, 7):
+        Kp = FunctionField(GF(p), "x")
+        ext = BlockExtension(ConnectionMatrix(poly_matrix(Kp, rng), Derivation.d_dx(Kp)),
+                             poly_matrix(Kp, rng))
+        assert block_p_curvature_check(ext, p)
+
+
+def test_block_p_curvature_check_rejects_a_bad_prime():
+    K = qq_line()
+    x = K.gen()
+    A = ConnectionMatrix(Matrix(K, [[x, K.zero], [K.one, x]]), Derivation.d_dx(K))
+    ext = BlockExtension(A, Matrix(K, [[K(Fraction(1, 3)) * x, K.zero], [K.zero, K.one]]))
+    with pytest.raises(ValueError, match="p = 3 is a bad prime for the block connection"):
+        block_p_curvature_check(ext, 3)
+    assert block_p_curvature_check(ext, 5)
 
 
 # -- the deformation equation ---------------------------------------------------
