@@ -28,17 +28,22 @@ A prime is good when the whole input reduces mod p without hitting a
 coefficient denominator and the multiplier keeps its degree; scans report
 per-prime and never guess at bad primes.
 
-A nonzero psi_p is also proved by one value.  At an ordinary point x0 of
-GF(p), the solution Y' = -(A/u)Y, Y(x0) = I, truncated at order p leaves
-one coefficient unmatched, because p*Y_p = 0, and that coefficient is
+psi_p is also read off point values.  At an ordinary point x0 of GF(p),
+the solution Y' = -(A/u)Y, Y(x0) = I, truncated at order p leaves one
+coefficient unmatched, because p*Y_p = 0, and that coefficient is
 -psi(d/dx)(x0); psi is p-linear in the derivation (Katz, "Nilpotent
 connections and the monodromy theorem", 1970, section 5), so
-psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  p_curvature_at clears A and u
-over GF(p)(x) as the kernel does (a tower is first specialised at a point
-q0) and runs this series as a short recurrence on the Taylor coefficients
-at x0; scan_primes, which valuation.verify_prediction also calls, runs the
-kernel only where that value is zero, since a zero value at one point
-proves nothing.
+psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  _point_values clears A and u over
+GF(p)(x) as the kernel does (a tower is first specialised at a point q0)
+and runs this series as a short recurrence on the Taylor coefficients at
+each ordinary x0 in turn; p_curvature_at takes the first value.  One
+nonzero value proves psi_p != 0.  Over GF(p)(x), psi_p is horizontal, so
+a zero value at x0 makes (x - x0)^p divide the numerator of psi_p(d/dx),
+whose degree is bounded, and a few zero values prove psi_p = 0.
+scan_primes, which valuation.verify_prediction also calls, decides each
+prime this way and runs the kernel only where the points cannot decide:
+over a tower after a zero value, and over GF(p)(x) when GF(p) has too few
+ordinary points.
 """
 
 from __future__ import annotations
@@ -188,8 +193,9 @@ class PCurvatureReport:
 
     psi is None either at a bad prime (good_prime is False) or at a good
     prime where a nonzero value of psi_p at one point decided nonvanishing
-    without the whole matrix (see p_curvature_at); only a computed psi can
-    show that psi_p vanishes.
+    without the whole matrix (see p_curvature_at).  A vanishing report
+    always carries its psi: the kernel's, or the zero matrix that point
+    values proved (see _scan_prime).
     """
 
     prime: int
@@ -386,6 +392,71 @@ def _on_prime_line(A: ConnectionMatrix, p: int):
     return (q0,), ConnectionMatrix(A.matrix.map_entries(at, target), Derivation(at(u)))
 
 
+def _point_values(A: ConnectionMatrix, p: int):
+    """(zeros, values) for A over GF(p)(x): values yields (x0, psi_p(x0))
+    at the ordinary points x0 of GF(p) in increasing order, and zeros
+    values equal to 0 at distinct ordinary points prove psi_p = 0.
+
+    With h the common denominator of u and of every entry, H = hu and
+    M = hA over GF(p)[x], nabla(d/dx) = M/H and x0 is ordinary when
+    H(x0) h(x0) != 0.  The clearing is done once, on the call.
+
+    Y solves H(x0+t) Y' = -M(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E, the
+    t^(p-1) coefficient of HY' + MY, is the one p*Y_p = 0 cannot cancel,
+    and psi_p(x0) = -u(x0) E / H(x0) = -E / h(x0).
+
+    The bound: psi_p(d/dx) = N_p/H^p with N_1 = M and
+    N_{k+1} = H N_k' - k H' N_k + M N_k, so deg N_p <= B =
+    deg M + (p-1) max(deg H - 1, deg M), with deg M the largest degree of
+    an entry of M.  psi_p is horizontal, so with
+    Y as above psi_p = Y psi_p(x0) Y^-1 mod (x - x0)^p (Katz 1970, section
+    5): a zero value at x0 gives (x - x0)^p | N_p, and B // p + 1 of them
+    give N_p = 0.  psi_p(u*d/dx) = u^p psi_p(d/dx), and u(x0) != 0, so
+    both statements hold for the derivation of A.
+    """
+    u = A.derivation.u
+    entries = [e for row in A.matrix.rows for e in row]
+    h = common_denominator([u] + entries)
+    hu = cleared(u, h)
+    hA = [cleared(e, h) for e in entries]
+    deg_M = max(f.degree() for f in hA)
+    bound = deg_M + (p - 1) * max(hu.degree() - 1, deg_M)
+    n = A.rank
+
+    def values():
+        for x0 in range(p):
+            if not hu(x0) * h(x0):
+                continue
+            P = _shift(hu, x0)
+            Q = [_shift(f, x0) for f in hA]
+            Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
+                  for k in range(max(map(len, Q)))]
+            Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
+
+            def unmatched(k):
+                """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
+                S = [[0] * n for _ in range(n)]
+                for i in range(1, min(k, len(P) - 1) + 1):
+                    c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
+                    for r in range(n):
+                        S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
+                for i in range(min(k, len(Qk) - 1) + 1):
+                    Qi, Yj = Qk[i], Y[k - i]
+                    for r in range(n):
+                        for l, c in enumerate(Qi[r]):
+                            if c:
+                                S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
+                return S
+
+            for k in range(p - 1):
+                c = -pow(P[0] * (k + 1), -1, p)
+                Y.append([[s * c % p for s in row] for row in unmatched(k)])
+            c = -pow(h(x0).v, -1, p)
+            yield x0, Matrix(GF(p), [[e * c % p for e in row] for row in unmatched(p - 1)])
+
+    return bound // p + 1, values()
+
+
 def p_curvature_at(A: ConnectionMatrix, p: int):
     """(point, psi_p at the point as a matrix over GF(p)), or None when p
     is bad for A or GF(p) has no ordinary point of A.
@@ -394,71 +465,53 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
     p, over k(x) or over a tower k(q)(x).  The point is (x0,), or (q0, x0)
     over a tower with q0 as in _on_prime_line.  With h the common
     denominator of u and of every entry, x0 is the smallest element of
-    GF(p) with (hu)(x0) h(x0) != 0.  A nonzero value proves psi_p != 0 (a
-    specialisation of q commutes with d/dx); a zero value decides nothing.
-
-    Y solves (hu)(x0+t) Y' = -(hA)(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E,
-    the t^(p-1) coefficient of (hu)Y' + (hA)Y, is the one p*Y_p = 0 cannot
-    cancel, and psi_p(x0) = -u(x0) E / (hu)(x0) = -E / h(x0).
+    GF(p) with (hu)(x0) h(x0) != 0, and the value is the first one of
+    _point_values.  A nonzero value proves psi_p != 0 (a specialisation of
+    q commutes with d/dx).  A zero value proves psi_p = 0 only together
+    with enough zero values at other points over GF(p)(x), as _scan_prime
+    uses them; over a tower it decides nothing.
     """
     Abar = _at_prime(A, p)
     line = None if Abar is None else _on_prime_line(Abar, p)
     if line is None:
         return None
     qpoint, A0 = line
-    u = A0.derivation.u
-    entries = [e for row in A0.matrix.rows for e in row]
-    h = common_denominator([u] + entries)
-    hu = cleared(u, h)
-    x0 = next((x for x in range(p) if hu(x) * h(x)), None)
-    if x0 is None:
-        return None
-    P = _shift(hu, x0)
-    Q = [_shift(cleared(e, h), x0) for e in entries]
-    n = A0.rank
-    Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
-          for k in range(max(map(len, Q)))]
-    Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
-
-    def unmatched(k):
-        """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
-        S = [[0] * n for _ in range(n)]
-        for i in range(1, min(k, len(P) - 1) + 1):
-            c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
-            for r in range(n):
-                S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
-        for i in range(min(k, len(Qk) - 1) + 1):
-            Qi, Yj = Qk[i], Y[k - i]
-            for r in range(n):
-                for l, c in enumerate(Qi[r]):
-                    if c:
-                        S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
-        return S
-
-    for k in range(p - 1):
-        c = -pow(P[0] * (k + 1), -1, p)
-        Y.append([[s * c % p for s in row] for row in unmatched(k)])
-    c = -pow(h(x0).v, -1, p)
-    psi = [[e * c % p for e in row] for row in unmatched(p - 1)]
-    return qpoint + (x0,), Matrix(GF(p), psi)
+    found = next(_point_values(A0, p)[1], None)
+    return None if found is None else (qpoint + (found[0],), found[1])
 
 
 def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
-    """One row of scan_primes: a nonzero value of psi_p at one point
-    decides nonvanishing, and otherwise the kernel decides."""
+    """One row of scan_primes, decided by point values where they can.
+
+    A nonzero value of psi_p at one point decides nonvanishing.  Over
+    GF(p)(x), as many zero values at distinct ordinary points as
+    _point_values asks for decide vanishing, and the report carries the
+    zero matrix.  The kernel decides the rest: a zero value over a tower,
+    where a q-specialisation proves nothing, and a GF(p) with too few
+    ordinary points.
+    """
     Abar = _at_prime(A, p)
     if Abar is None:
         return PCurvatureReport(p, False, None, False)
-    found = p_curvature_at(Abar, p)
-    if found is not None and not found[1].is_zero():
-        return PCurvatureReport(p, True, None, False)
+    line = _on_prime_line(Abar, p)
+    if line is not None:
+        qpoint, A0 = line
+        zeros, values = _point_values(A0, p)
+        for count, (_, value) in enumerate(values, 1):
+            if not value.is_zero():
+                return PCurvatureReport(p, True, None, False)
+            if qpoint:
+                break
+            if count >= zeros:
+                return PCurvatureReport(p, True, Matrix.zeros(Abar.field, Abar.rank), True)
     return p_curvature(Abar, p)
 
 
 def scan_primes(A: ConnectionMatrix, p_min: int, p_max: int,
                 jobs: int = 1) -> list[PCurvatureReport]:
-    """One report per prime of [p_min, p_max].  A nonvanishing prime
-    decided at a point carries no psi (see PCurvatureReport)."""
+    """One report per prime of [p_min, p_max], each decided as _scan_prime
+    decides it.  A nonvanishing prime decided at a point carries no psi
+    (see PCurvatureReport)."""
     if p_min > p_max:
         raise ValueError("empty prime range")
     primes = primes_in(p_min, p_max)

@@ -221,18 +221,18 @@ class RationalFunction:
 def common_denominator(fs) -> Polynomial:
     """Monic lcm of the denominators of a nonempty iterable of rational
     functions.  Denominators are monic, so those of degree 0 are 1 and
-    skipped."""
+    skipped, as is one equal to the lcm so far."""
     fs = iter(fs)
     h = next(fs).den
     for f in fs:
-        if f.den.degree() > 0:
+        if f.den.degree() > 0 and f.den != h:
             h = h // poly_gcd(h, f.den) * f.den
     return h
 
 
 def cleared(f: RationalFunction, h: Polynomial) -> Polynomial:
     """h*f as a polynomial, for h a multiple of the denominator of f."""
-    return f.num * (h // f.den)
+    return f.num if f.den == h else f.num * (h // f.den)
 
 
 def clear_coefficients(base, polys):

@@ -205,8 +205,9 @@ def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPredicti
 
 def verify_prediction(c: CompanionConnection, p: int) -> bool:
     """Exact oracle for nonvanishing of psi_p over GF(p)(q)(x), decided as
-    scan_primes decides one prime: a nonzero value of psi_p at one point
-    proves it, and otherwise the whole psi_p decides."""
+    scan_primes decides one prime over a tower: a nonzero value of psi_p
+    at one point proves it, and otherwise the whole psi_p decides, since a
+    zero value at a q-specialisation proves nothing."""
     report, = scan_primes(c.matrix(), p, p)
     if not report.good_prime:
         raise ValueError(f"p = {p} is bad for this companion connection")

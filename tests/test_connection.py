@@ -470,9 +470,10 @@ def test_p_curvature_trace_and_det_are_p_th_powers(psi_instances):
         assert psi.det().derivative().is_zero(), A
 
 
-def _hypergeometric(K):
-    # the rank-2 Gauss connection with (a, b, c) = (1/2, -1/2, 1/2)
-    x = K.gen()
+def _hypergeometric(K, t=0):
+    # the rank-2 Gauss connection with (a, b, c) = (1/2, -1/2, 1/2), with
+    # x moved to x + t
+    x = K.gen() + K(t)
     den = x * (x - K.one)
     return ConnectionMatrix(Matrix(K, [
         [K.zero, K.one],
@@ -601,7 +602,9 @@ def test_scan_primes_worker_error_propagates(monkeypatch):
 
     monkeypatch.setattr(connection, "p_curvature", fails_in_worker)
     K = qq_line()
-    A = ConnectionMatrix(Matrix(K, [[3]]), Derivation.x_d_dx(K))
+    x = K.gen()
+    # every x0 of GF(2) and GF(3) is a pole, so the kernel decides p = 2 and 3
+    A = ConnectionMatrix(Matrix(K, [[K.one / (x ** 3 - x)]]), Derivation.d_dx(K))
     with pytest.raises(CyclicVectorNotFound, match="raised in a worker"):
         scan_primes(A, 2, 13, jobs=2)
 
@@ -858,7 +861,9 @@ def test_report_without_psi_cannot_vanish():
     assert not PCurvatureReport(5, True, None, False).vanishes
 
 
-def test_scan_runs_the_kernel_only_where_the_point_value_is_zero(monkeypatch):
+def test_scan_of_the_hypergeometric_connection_runs_no_kernel(monkeypatch):
+    """Point values decide every prime of 2..37: the verdicts are the
+    kernel's, and a vanishing report carries the kernel's psi."""
     A = _hypergeometric(qq_line())
     full = [p_curvature(A, p) for p in primes_in(2, 37)]
     kernel_primes = []
@@ -870,11 +875,116 @@ def test_scan_runs_the_kernel_only_where_the_point_value_is_zero(monkeypatch):
 
     monkeypatch.setattr(connection, "p_curvature", spy)
     reports = scan_primes(A, 2, 37)
-    assert kernel_primes == [11, 19, 29, 31]
+    assert kernel_primes == []
     assert [(r.prime, r.good_prime, r.vanishes) for r in reports] == \
            [(r.prime, r.good_prime, r.vanishes) for r in full]
-    for r in reports:
-        assert (r.psi is None) == (not r.good_prime or r.prime not in kernel_primes)
+    assert [r.prime for r in reports if r.vanishes] == [11, 19, 29, 31]
+    for r, f in zip(reports, full):
+        if r.vanishes:
+            assert r.psi == f.psi and r.psi.ring == f.psi.ring, r.prime
+        else:
+            assert r.psi is None, r.prime
+
+
+def test_hypergeometric_psi_vanishes_exactly_at_p_congruent_to_plus_minus_one_mod_5():
+    """The horizontal sections solve x(1-x)y'' + (x - 1/2)y' + y/4 = 0,
+    Gauss's equation with exponents -1 +- sqrt(5)/2 at infinity.  psi_p = 0
+    forces them into F_p (Katz 1970), so 5 must be a square mod p; that
+    psi_p vanishes at every such p other than 5 is observed, not proved.
+    A translate of x is an automorphism of GF(p)(x) commuting with d/dx,
+    so it changes no verdict."""
+    K = qq_line()
+    for t in (0, 7):
+        reports = scan_primes(_hypergeometric(K, t), 2, 300)
+        assert [r.prime for r in reports] == primes_in(2, 300)
+        assert [r.prime for r in reports if not r.good_prime] == [2]   # 1/4 and 1/2
+        for r in reports[1:]:
+            assert r.vanishes == (r.prime % 5 in (1, 4)), (t, r.prime)
+
+
+def residues(A):
+    """R = ((x - c) A/u)(c) for each c in GF(p) where A/u over GF(p)(x)
+    has at most a simple pole."""
+    K = A.field
+    F = K.base
+    C = A.matrix.scale(K.one / A.derivation.u)
+    for c in range(F.p):
+        xC = C.scale(K.gen() - K(c))
+        if all(e.den(F(c)) for row in xC.rows for e in row):
+            yield Matrix(F, [[e(F(c)) for e in row] for row in xC.rows])
+
+
+def rand_scan_case(rng):
+    """(A over QQ(x), p): rank 1-3, u = 1, x or a/b, p in {3, 5, 7, 11, 13};
+    a third of the connections are gauges of the zero connection, whose
+    psi_p vanishes at every prime where the gauge reduces invertibly."""
+    K = qq_line()
+    x = K.gen()
+    p = rng.choice((3, 5, 7, 11, 13))
+    n = rng.randint(1, 3 if p <= 7 else 2)   # the kernel's cost sets the rank
+    a_over_b = (x + K(rng.randint(-3, 3))) / (x * x + K(Fraction(rng.randint(1, 4), 3)))
+    u = rng.choice([K.one, x, a_over_b])
+    D = Derivation(u)
+    if rng.random() < 1 / 3:
+        while True:
+            G = Matrix(K, [[K.from_poly(K.polynomial([rng.randint(-2, 2) for _ in range(2)]))
+                            for _ in range(n)] for _ in range(n)])
+            if G.det():
+                # gauge_transform of the zero connection by G
+                return ConnectionMatrix(G.solve(D(G)), D), p
+    rows = [[rand_entry(K, rng) for _ in range(n)] for _ in range(n)]
+    return ConnectionMatrix(Matrix(K, rows), D), p
+
+
+def test_scan_prime_matches_the_kernel_and_the_residues(monkeypatch):
+    """Differential test of the point decision against p_curvature.  Each
+    way to decide occurs: a nonzero first value, enough zero values, a
+    zero value followed by a nonzero one, and the kernel when GF(p) has
+    too few ordinary points.  Every vanishing verdict also passes the
+    residue check R^p = R of psi_p((x - c) d/dx) on the fibre at c."""
+    rng = random.Random(20261018)
+    real = connection.p_curvature
+    kernel_calls = []
+
+    def spy(A, p):
+        kernel_calls.append(p)
+        return real(A, p)
+
+    monkeypatch.setattr(connection, "p_curvature", spy)
+    outcomes = dict.fromkeys(("nonzero first", "zeros", "zero then nonzero", "kernel"), 0)
+    vanishing = residues_checked = 0
+    for _ in range(300):
+        A, p = rand_scan_case(rng)
+        want = real(A, p)
+        kernel_calls.clear()
+        got = connection._scan_prime(A, p)
+        assert (got.prime, got.good_prime, got.vanishes) == \
+               (want.prime, want.good_prime, want.vanishes), (A, p)
+        if not want.good_prime:
+            continue
+        Abar = A.reduce_mod(p)
+        zeros, values = connection._point_values(Abar, p)
+        seen = [value.is_zero() for _, value in values]
+        first_nonzero = seen.index(False) if False in seen else None
+        if first_nonzero is None and len(seen) < max(zeros, 1):
+            outcome = "kernel"
+        elif first_nonzero is None or first_nonzero >= zeros:
+            outcome = "zeros"
+        else:
+            outcome = "zero then nonzero" if first_nonzero else "nonzero first"
+        outcomes[outcome] += 1
+        assert kernel_calls == ([p] if outcome == "kernel" else []), (A, p, outcome)
+        if got.vanishes or outcome == "kernel":
+            assert got.psi == want.psi, (A, p)
+        else:
+            assert got.psi is None, (A, p)
+        if got.vanishes:
+            vanishing += 1
+            for R in residues(Abar):
+                assert R ** p == R, (A, p, R)
+                residues_checked += not R.is_zero()
+    assert all(outcomes.values()), outcomes
+    assert vanishing >= 60 and residues_checked >= 30, (vanishing, residues_checked)
 
 
 def test_scan_parallel_agrees_on_point_decided_primes():
