@@ -2,44 +2,43 @@
 
 The derivation is u*d/dx for a nonzero rational multiplier u.  The central
 computation is the p-curvature: the matrix of nabla(D)^p - nabla(D^p) over a
-prime field,
+prime field.  psi_p is p-linear in the derivation (Katz, "Nilpotent
+connections and the monodromy theorem", 1970, section 5),
 
-    psi = A_p - (v/u)*A,
+    psi_p(u*d/dx) = u^p psi_p(d/dx),
 
-where A_k is the matrix of nabla(D)^k (the recursion A_{k+1} = D(A_k) +
-A*A_k, run on cleared denominators, see nabla_power_matrix) and v =
-D^{p-1}(u) is the twist multiplier, D^p = (v/u)*D on the reduced function
-field.  For u = a/b the twist has a closed form: (d/dx)^{p-1} keeps only the
-exponents kp + p - 1 of a polynomial, times (p-1)! = -1, and
+so it is computed on the d/dx form of the connection.  With h the lcm of
+the denominators of u and of every entry, H = h*u and M = h*A are
+polynomial and nabla(d/dx) = M/H; as (d/dx)^p = 0, psi_p(d/dx) is the
+matrix N_p/H^p of nabla(d/dx)^p, where N_1 = M and
 
-    v = u*s/b^p,   s = sum_k [x^{kp+p-1}](a^{p-1} b) * x^{kp}.
+    N_{k+1} = H N_k' - k H' N_k + M N_k,
 
-p_curvature never forms A_p or v/u as reduced rational functions: from the
-kernel's numerators (A = B/h, A_p = N/h^m) it builds
-
-    psi = (b^p N - s h^{m-1} B) / (b^p h^m)     (psi = N/h^m when s = 0)
-
-and reduces each entry once (ratfunc.lowest_terms).  Over a tower k(q)(x)
-the kernel also clears q-denominators, so its loop runs over k[q][x] and
-makes no gcd at all, and the one reduction per entry takes its gcd over
-k[q][x] as well.
+and psi_p(u*d/dx) = u^p N_p/H^p = N_p/h^p.  p_curvature never forms a
+reduced rational function before the end, where it reduces each entry of
+N_p/h^p once (ratfunc.lowest_terms).  Over a tower k(q)(x), h, H and M
+are first scaled by one q-constant, which cancels as N_p is homogeneous
+of degree p in (H, M); the recursion then runs over k[q][x] and makes no
+gcd at all, and the one reduction per entry takes its gcd over k[q][x] as
+well.  nabla_power_matrix computes nabla(D)^k with the same kernel, on
+u*d/dx itself, and frobenius_twist_multiplier gives D^p = (v/u)*D in
+closed form.
 
 A prime is good when the whole input reduces mod p without hitting a
 coefficient denominator and the multiplier keeps its degree; scans report
 per-prime and never guess at bad primes.
 
 psi_p is also read off point values.  At an ordinary point x0 of GF(p),
-the solution Y' = -(A/u)Y, Y(x0) = I, truncated at order p leaves one
+the solution Y' = -(M/H)Y, Y(x0) = I, truncated at order p leaves one
 coefficient unmatched, because p*Y_p = 0, and that coefficient is
--psi(d/dx)(x0); psi is p-linear in the derivation (Katz, "Nilpotent
-connections and the monodromy theorem", 1970, section 5), so
-psi(u*d/dx)(x0) = u(x0)*psi(d/dx)(x0).  _point_values clears A and u over
-GF(p)(x) as the kernel does (a tower is first specialised at a point q0)
-and runs this series as a short recurrence on the Taylor coefficients at
-each ordinary x0 in turn; p_curvature_at takes the first value.  One
-nonzero value proves psi_p != 0.  Over GF(p)(x), psi_p is horizontal, so
-a zero value at x0 makes (x - x0)^p divide the numerator of psi_p(d/dx),
-whose degree is bounded, and a few zero values prove psi_p = 0.
+-psi(d/dx)(x0), and psi(u*d/dx)(x0) = u(x0)^p psi(d/dx)(x0), with
+u(x0)^p = u(x0) in GF(p).  _point_values takes h, H and M from the helper
+p_curvature uses (a tower is first specialised at a point q0) and runs
+this series as a short recurrence on the Taylor coefficients at each
+ordinary x0 in turn; p_curvature_at takes the first value.  One nonzero
+value proves psi_p != 0.  Over GF(p)(x), psi_p is horizontal, so a zero
+value at x0 makes (x - x0)^p divide N_p, whose degree is bounded, and a
+few zero values prove psi_p = 0.
 scan_primes, which valuation.verify_prediction also calls, decides each
 prime this way and runs the kernel only where the points cannot decide:
 over a tower after a zero value, and over GF(p)(x) when GF(p) has too few
@@ -101,7 +100,11 @@ class Derivation:
         return self.u * f.derivative()
 
     def reduce_mod(self, target: FunctionField) -> "Derivation":
-        return Derivation(reduce_rational_mod_p(self.u, target))
+        """Reduction into GF(p)(x); ReductionError at a bad prime, u = 0 too."""
+        u = reduce_rational_mod_p(self.u, target)
+        if u.is_zero():
+            raise ReductionError(f"derivation multiplier vanishes mod {target.base.p}")
+        return Derivation(u)
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
@@ -141,10 +144,7 @@ class ConnectionMatrix:
         target = FunctionField(GF(p), self.field.var)
         entries = [[reduce_rational_mod_p(e, target) for e in row]
                    for row in self.matrix.rows]
-        ubar = reduce_rational_mod_p(self.derivation.u, target)
-        if ubar.is_zero():
-            raise ReductionError(f"derivation multiplier vanishes mod {p}")
-        return ConnectionMatrix(Matrix(target, entries), Derivation(ubar))
+        return ConnectionMatrix(Matrix(target, entries), self.derivation.reduce_mod(target))
 
     def __eq__(self, other):
         if not isinstance(other, ConnectionMatrix):
@@ -211,31 +211,15 @@ class PCurvatureReport:
             raise ValueError("vanishes flag contradicts the matrix")
 
 
-def _twist_ratio(u: RationalFunction, p: int):
-    """(S, E) over the ring of clear_coefficients with v/u = S/E for
-    v = D^{p-1}(u), D = u*d/dx in characteristic p.
-
-    For u = a/b, v/u = s/b^p with s the coefficients of a^{p-1} b at the
-    exponents kp + p - 1, moved to kp.  Computed on the cleared c_a a and
-    c_b b instead, s picks up c_a^{p-1} c_b and b^p picks up c_b^p, so
-    S = c_b^{p-1} s and E = c_a^{p-1} (c_b b)^p.
-    """
-    base = u.field.base
-    ca, (a,) = clear_coefficients(base, [u.num])
-    cb, (b,) = clear_coefficients(base, [u.den])
-    top = (a ** (p - 1) * b).coeffs[p - 1::p]
-    coeffs = [a.field.zero] * (p * len(top))
-    coeffs[::p] = top
-    return Polynomial(a.field, coeffs) * cb ** (p - 1), b ** p * ca ** (p - 1)
-
-
 def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
     """v = D^{p-1}(u) over the characteristic-p field, so D^p = (v/u)*D.
 
     Closed form: for u = a/b, v = u*s/b^p, where s takes the coefficients
     of a^{p-1} b at the exponents kp + p - 1 and moves them to kp.  This is
     v = -u*(d/dx)^{p-1}(a^{p-1} b)/b^p, since b^p is a d/dx-constant and
-    (d/dx)^{p-1} x^{kp+p-1} = (p-1)! x^{kp} = -x^{kp}.
+    (d/dx)^{p-1} x^{kp+p-1} = (p-1)! x^{kp} = -x^{kp}.  Over a tower a and
+    b are first scaled by one q-constant c (clear_coefficients), which
+    scales s and b^p alike by c^p.
 
     Accepts a characteristic-0 derivation (reduced mod p first) or one
     already over characteristic p.
@@ -246,41 +230,43 @@ def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
         D = D.reduce_mod(target)
     elif char != p:
         raise ValueError(f"derivation has characteristic {char}, wanted {p}")
-    S, E = _twist_ratio(D.u, p)
     _, (a, b) = clear_coefficients(D.field.base, [D.u.num, D.u.den])
-    return lowest_terms(D.field, a * S, b * E)
+    top = (a ** (p - 1) * b).coeffs[p - 1::p]
+    s = [a.field.zero] * (p * len(top))
+    s[::p] = top
+    return lowest_terms(D.field, a * Polynomial(a.field, s), b ** (p + 1))
 
 
-def _nabla_kernel(A: ConnectionMatrix, k: int):
-    """Cleared numerators of nabla(D)^k: (N, B, h, m) with A = B/h and
-    A_k = N/h^m, all polynomials over the ring of clear_coefficients.
-
-    The recursion is the one of nabla_power_matrix; its first form applies
-    when u is a polynomial over that ring.  h need not be monic.
-    """
-    field = A.field
-    base = field.base
+def _cleared_form(A: ConnectionMatrix):
+    """(h, H, M) with h the lcm of the denominators of u and of every
+    entry, H = h*u and M = h*A as a list of rows, so nabla(d/dx) = M/H with
+    polynomial H and M.  Over a tower k(q)(x) all three are scaled by one
+    q-constant (clear_coefficients) and live over k[q][x]."""
     u = A.derivation.u
     entries = [e for row in A.matrix.rows for e in row]
     h = common_denominator([u] + entries)
-    hA = [cleared(e, h) for e in entries]
-    c, (lift,) = clear_coefficients(base, [u.num])
-    if u.den.is_one() and c.is_one():
-        step = 1
-        _, (h, *hA) = clear_coefficients(base, [h] + hA)
-    else:
-        step = 2
-        _, (h, lift, *hA) = clear_coefficients(base, [h, cleared(u, h)] + hA)
+    _, (h, H, *hA) = clear_coefficients(
+        A.field.base, [h, cleared(u, h)] + [cleared(e, h) for e in entries])
     n = A.rank
-    B = Matrix(PolynomialRing(h.field, field.var), [hA[i * n:(i + 1) * n] for i in range(n)])
+    return h, H, [hA[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _nabla_kernel(rows: list, h: Polynomial, lift, step: int, k: int) -> Matrix:
+    """N with N/h^m the matrix of nabla(D)^k, m = 1 + step*(k - 1), for the
+    connection matrix B/h, B given by its rows, and D = d/dx (lift None,
+    step 1), lift*d/dx (step 1) or (lift/h)*d/dx (step 2), all polynomials
+    over one ring: the recursion of nabla_power_matrix, with no division
+    and no gcd."""
+    B = Matrix(PolynomialRing(h.field), rows)
     hB = B if step == 1 else B.scale(h)
     dh = h.derivative()
     N, m = B, 1
     for _ in range(k - 1):
         mdh = dh * m
-        N = N.map_entries(lambda f: lift * (f.derivative() * h - f * mdh)) + hB * N
+        dN = N.map_entries(lambda f: f.derivative() * h - f * mdh)
+        N = (dN if lift is None else dN.scale(lift)) + hB * N
         m += step
-    return N, B, h, m
+    return N
 
 
 def _reduced(field: FunctionField, N: Matrix, den: Polynomial) -> Matrix:
@@ -299,14 +285,18 @@ def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
         u = L:    N_{k+1} = L (N_k' h - m_k h' N_k) + B N_k,      m_{k+1} = m_k + 1
         u = L/h:  N_{k+1} = L (N_k' h - m_k h' N_k) + h B N_k,    m_{k+1} = m_k + 2
 
-    Over a tower k(q)(x), h, B and L are first scaled by their
-    q-denominators, so every step is polynomial arithmetic over k[q][x].
+    Over a tower k(q)(x), h, B and L are first scaled by one q-constant,
+    so every step is polynomial arithmetic over k[q][x].
     Each entry of N_k / h^m_k is reduced to lowest terms once, at the end.
     """
     if k < 1:
         raise ValueError("power must be at least 1")
-    N, _, h, m = _nabla_kernel(A, k)
-    return _reduced(A.field, N, h ** m)
+    h, H, B = _cleared_form(A)
+    u = A.derivation.u
+    c, (L,) = clear_coefficients(A.field.base, [u.num])
+    step = 1 if u.den.is_one() and c.is_one() else 2
+    N = _nabla_kernel(B, h, L if step == 1 else H, step, k)
+    return _reduced(A.field, N, h ** (1 + step * (k - 1)))
 
 
 def _at_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
@@ -322,29 +312,29 @@ def _at_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
     except ReductionError:
         return None
     # the multiplier must keep its numerator degree (leading coefficient
-    # nonzero mod p), or the twist formula changes shape
+    # nonzero mod p): where it drops, D mod p has another order at
+    # infinity than D, and the prime is reported bad rather than guessed
     if Abar.derivation.u.num.degree() != A.derivation.u.num.degree():
         return None
     return Abar
 
 
 def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
-    """psi_p = A_p - (v/u)*A, after reducing A mod p when it has
-    characteristic 0 (a bad prime gives a report without psi).
+    """psi_p(D) = nabla(D)^p - nabla(D^p), after reducing A mod p when it
+    has characteristic 0 (a bad prime gives a report without psi).
 
-    psi is assembled from the kernel's numerators (A = B/h, A_p = N/h^m)
-    and the cleared twist v/u = s/b^p as (b^p N - s h^{m-1} B)/(b^p h^m),
-    or N/h^m when s = 0, and each entry is reduced once.
+    With (h, H, M) from _cleared_form, nabla(d/dx) = M/H, and the kernel
+    gives psi_p(d/dx) = N_p/H^p (no lift, step 1: (d/dx)^p = 0).  psi_p is
+    p-linear in D, so psi_p(u*d/dx) = u^p N_p/H^p = N_p/h^p, and each entry
+    is reduced once.  Over a tower the q-constant that scales h, H and M
+    cancels, as N_p is homogeneous of degree p in (H, M).
     """
     Abar = _at_prime(A, p)
     if Abar is None:
         return PCurvatureReport(p, False, None, False)
-    N, B, h, m = _nabla_kernel(Abar, p)
-    S, E = _twist_ratio(Abar.derivation.u, p)
-    if S:
-        psi = _reduced(Abar.field, N.scale(E) - B.scale(S * h ** (m - 1)), E * h ** m)
-    else:
-        psi = _reduced(Abar.field, N, h ** m)
+    h, H, M = _cleared_form(Abar)
+    N = _nabla_kernel(M, H, None, 1, p)
+    psi = _reduced(Abar.field, N, h ** p)
     return PCurvatureReport(p, True, psi, psi.is_zero())
 
 
@@ -397,37 +387,34 @@ def _point_values(A: ConnectionMatrix, p: int):
     at the ordinary points x0 of GF(p) in increasing order, and zeros
     values equal to 0 at distinct ordinary points prove psi_p = 0.
 
-    With h the common denominator of u and of every entry, H = hu and
-    M = hA over GF(p)[x], nabla(d/dx) = M/H and x0 is ordinary when
-    H(x0) h(x0) != 0.  The clearing is done once, on the call.
+    With (h, H = hu, M = hA) over GF(p)[x] from _cleared_form,
+    nabla(d/dx) = M/H and x0 is ordinary when H(x0) h(x0) != 0.  The
+    clearing is done once, on the call.
 
     Y solves H(x0+t) Y' = -M(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E, the
     t^(p-1) coefficient of HY' + MY, is the one p*Y_p = 0 cannot cancel,
     and psi_p(x0) = -u(x0) E / H(x0) = -E / h(x0).
 
-    The bound: psi_p(d/dx) = N_p/H^p with N_1 = M and
-    N_{k+1} = H N_k' - k H' N_k + M N_k, so deg N_p <= B =
-    deg M + (p-1) max(deg H - 1, deg M), with deg M the largest degree of
-    an entry of M.  psi_p is horizontal, so with
-    Y as above psi_p = Y psi_p(x0) Y^-1 mod (x - x0)^p (Katz 1970, section
-    5): a zero value at x0 gives (x - x0)^p | N_p, and B // p + 1 of them
-    give N_p = 0.  psi_p(u*d/dx) = u^p psi_p(d/dx), and u(x0) != 0, so
-    both statements hold for the derivation of A.
+    The bound: psi_p(d/dx) = N_p/H^p, with N_p from the recursion
+    N_1 = M, N_{k+1} = H N_k' - k H' N_k + M N_k that p_curvature runs, so
+    deg N_p <= B = deg M + (p-1) max(deg H - 1, deg M), with deg M the
+    largest degree of an entry of M.  psi_p is horizontal, so with Y as
+    above psi_p = Y psi_p(x0) Y^-1 mod (x - x0)^p (Katz 1970, section 5): a
+    zero value at x0 gives (x - x0)^p | N_p, and B // p + 1 of them give
+    N_p = 0.  psi_p(u*d/dx) = u^p psi_p(d/dx), and u(x0) != 0, so both
+    statements hold for the derivation of A.
     """
-    u = A.derivation.u
-    entries = [e for row in A.matrix.rows for e in row]
-    h = common_denominator([u] + entries)
-    hu = cleared(u, h)
-    hA = [cleared(e, h) for e in entries]
+    h, H, M = _cleared_form(A)
+    hA = [f for row in M for f in row]
     deg_M = max(f.degree() for f in hA)
-    bound = deg_M + (p - 1) * max(hu.degree() - 1, deg_M)
+    bound = deg_M + (p - 1) * max(H.degree() - 1, deg_M)
     n = A.rank
 
     def values():
         for x0 in range(p):
-            if not hu(x0) * h(x0):
+            if not H(x0) * h(x0):
                 continue
-            P = _shift(hu, x0)
+            P = _shift(H, x0)
             Q = [_shift(f, x0) for f in hA]
             Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
                   for k in range(max(map(len, Q)))]
@@ -463,13 +450,13 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
 
     A may have characteristic 0 (it is reduced mod p as in p_curvature) or
     p, over k(x) or over a tower k(q)(x).  The point is (x0,), or (q0, x0)
-    over a tower with q0 as in _on_prime_line.  With h the common
-    denominator of u and of every entry, x0 is the smallest element of
-    GF(p) with (hu)(x0) h(x0) != 0, and the value is the first one of
-    _point_values.  A nonzero value proves psi_p != 0 (a specialisation of
-    q commutes with d/dx).  A zero value proves psi_p = 0 only together
-    with enough zero values at other points over GF(p)(x), as _scan_prime
-    uses them; over a tower it decides nothing.
+    over a tower with q0 as in _on_prime_line.  With h and H = hu as in
+    _cleared_form, x0 is the smallest element of GF(p) with
+    H(x0) h(x0) != 0, and the value is the first one of _point_values.  A
+    nonzero value proves psi_p != 0 (a specialisation of q commutes with
+    d/dx).  A zero value proves psi_p = 0 only together with enough zero
+    values at other points over GF(p)(x), as _scan_prime uses them; over a
+    tower it decides nothing.
     """
     Abar = _at_prime(A, p)
     line = None if Abar is None else _on_prime_line(Abar, p)

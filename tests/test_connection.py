@@ -44,7 +44,8 @@ from pcurvkit import (
 )
 from pcurvkit.connection import CyclicVectorNotFound, PCurvatureReport
 from pcurvkit.deformation import BlockExtension, block_power_pair
-from pcurvkit.fields import primes_in
+from pcurvkit.fields import ReductionError, primes_in
+from pcurvkit.ratfunc import common_denominator
 
 
 def qq_line():
@@ -169,6 +170,21 @@ def test_closed_form_twist_matches_iteration_over_tower():
             # tower, the oracle's above all, is a gcd over GF(p)[q]
             D = Derivation(rand_multiplier(K, rng, 1, 1))
             assert frobenius_twist_multiplier(D, p) == iterate(D, D.u, p - 1), (p, D)
+
+
+def test_multiplier_vanishing_mod_p_is_a_reduction_error():
+    """u = 5x vanishes mod 5: the derivation, the twist and the connection
+    all report it as a bad prime."""
+    K = qq_line()
+    D = Derivation(K(5) * K.gen())
+    A = ConnectionMatrix(Matrix(K, [[K.one]]), D)
+    for reduce in (lambda: D.reduce_mod(FunctionField(GF(5), "x")),
+                   lambda: frobenius_twist_multiplier(D, 5),
+                   lambda: A.reduce_mod(5)):
+        with pytest.raises(ReductionError, match="derivation multiplier vanishes mod 5"):
+            reduce()
+    assert not p_curvature(A, 5).good_prime
+    assert p_curvature(A, 7).good_prime
 
 
 def test_closed_form_twist_reduces_characteristic_zero_input():
@@ -390,9 +406,10 @@ def p_curvature_by_recursion(A: ConnectionMatrix, p: int) -> Matrix:
 
 def test_p_curvature_matches_oracle_for_rational_multiplier_over_tower():
     """Multipliers over GF(p)(q)(x) with q-denominators in the entries and
-    in the multiplier: the kernel runs the u = L/h form over GF(p)[q][x]
-    for a rational u and for x/q (not a polynomial over GF(p)[q]), the
-    u = L form for q*x, and psi is assembled with a nonzero twist."""
+    in the multiplier: a rational u, x/q (not a polynomial over GF(p)[q])
+    and q*x, whose twists v/u are nonzero, so the oracle's A_p - (v/u)*A
+    checks the p-linearity psi_p(u*d/dx) = N_p/h^p that p_curvature uses,
+    with one q-constant cleared from h, H = hu and M = hA."""
     rng = random.Random(2719)
     for p in (2, 3):
         K = FunctionField(FunctionField(GF(p), "q"), "x")
@@ -409,6 +426,32 @@ def test_p_curvature_matches_oracle_over_prime_fields():
         for D in multipliers(K) + [Derivation(rand_multiplier(K, rng))]:
             A = ConnectionMatrix(rand_matrix(K, rng), D)
             assert p_curvature(A, p).psi == p_curvature_by_recursion(A, p), (p, D)
+
+
+def test_p_curvature_is_p_linear_and_numerator_within_bound():
+    """psi_p(u*d/dx) = u^p psi_p(d/dx) (Katz 1970, section 5), and with h
+    the lcm of the denominators of u and of every entry, H = hu and M = hA,
+    every entry of psi_p(d/dx) H^p is a polynomial of degree at most
+    B = deg M + (p-1) max(deg H - 1, deg M), the bound from which point
+    values prove psi_p = 0."""
+    rng = random.Random(1970)
+    for p in (3, 5, 7, 11):
+        K = FunctionField(GF(p), "x")
+        for D in multipliers(K):
+            for _ in range(2):
+                A = ConnectionMatrix(rand_matrix(K, rng), D)
+                u = D.u
+                ddx = ConnectionMatrix(A.matrix.scale(K.one / u), Derivation.d_dx(K))
+                psi_dx = p_curvature(ddx, p).psi
+                assert p_curvature(A, p).psi == psi_dx.scale(u ** p), (p, D)
+                h = K.from_poly(common_denominator([u] + [e for row in A.matrix.rows for e in row]))
+                H, M = h * u, A.matrix.scale(h)
+                deg_M = max(e.num.degree() for row in M.rows for e in row)
+                bound = deg_M + (p - 1) * max(H.num.degree() - 1, deg_M)
+                for row in psi_dx.rows:
+                    for e in row:
+                        N = e * H ** p
+                        assert N.den.is_one() and N.num.degree() <= bound, (p, D, N)
 
 
 # -- p-curvature: rank-1 Jacobson formula ---------------------------------------
@@ -482,9 +525,9 @@ def _hypergeometric(K, t=0):
 
 
 def test_nabla_power_gcd_count_does_not_grow_with_p(monkeypatch):
-    """The kernel normalises once at the end, so the number of gcds it
-    makes does not depend on the power; a per-step reduction would make
-    it grow linearly in p."""
+    """The kernel normalises once at the end, in nabla_power_matrix and in
+    p_curvature alike, so the number of gcds either makes does not depend
+    on the power; a per-step reduction would make it grow linearly in p."""
     calls = []
 
     def counting_gcd(a, b):
@@ -494,14 +537,17 @@ def test_nabla_power_gcd_count_does_not_grow_with_p(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "pcurvkit" and getattr(mod, "poly_gcd", None) is poly_gcd:
             monkeypatch.setattr(mod, "poly_gcd", counting_gcd)
-    A = _hypergeometric(qq_line())
-    counts = []
-    for p in (23, 47):
-        Abar = A.reduce_mod(p)
-        calls.clear()
-        nabla_power_matrix(Abar, p)
-        counts.append(len(calls))
-    assert counts[0] == counts[1], counts
+    K = qq_line()
+    A = _hypergeometric(K)
+    B = ConnectionMatrix(A.matrix, Derivation(K.one / (K.gen() + K(2))))
+    for run, C in ((nabla_power_matrix, A), (p_curvature, A), (p_curvature, B)):
+        counts = []
+        for p in (23, 47):
+            Cbar = C.reduce_mod(p)
+            calls.clear()
+            run(Cbar, p)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (run.__name__, C.derivation, counts)
 
 
 def test_nabla_power_first_steps():
