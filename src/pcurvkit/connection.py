@@ -25,17 +25,19 @@ u*d/dx itself, and frobenius_twist_multiplier gives D^p = (v/u)*D in
 closed form.
 
 A prime is good when the whole input reduces mod p without hitting a
-coefficient denominator and the multiplier keeps its degree; scans report
-per-prime and never guess at bad primes.
+coefficient denominator and the multiplier keeps its numerator degree
+(Derivation.reduce_mod); scans report per-prime and never guess at bad
+primes.
 
 psi_p is also read off point values.  At an ordinary point x0 of GF(p),
 the solution Y' = -(M/H)Y, Y(x0) = I, truncated at order p leaves one
 coefficient unmatched, because p*Y_p = 0, and that coefficient is
 -psi(d/dx)(x0), and psi(u*d/dx)(x0) = u(x0)^p psi(d/dx)(x0), with
 u(x0)^p = u(x0) in GF(p).  _point_values takes h, H and M from the helper
-p_curvature uses (a tower is first specialised at a point q0) and runs
-this series as a short recurrence on the Taylor coefficients at each
-ordinary x0 in turn; p_curvature_at takes the first value.  One nonzero
+p_curvature uses (over a tower it specialises the three at each q0 in
+turn where h keeps its x-degree) and runs this series as a short
+recurrence on the Taylor coefficients at each ordinary point in turn;
+p_curvature_at takes the first value.  One nonzero
 value proves psi_p != 0.  Over GF(p)(x), psi_p is horizontal, so a zero
 value at x0 makes (x - x0)^p divide N_p, whose degree is bounded, and a
 few zero values prove psi_p = 0.
@@ -100,10 +102,16 @@ class Derivation:
         return self.u * f.derivative()
 
     def reduce_mod(self, target: FunctionField) -> "Derivation":
-        """Reduction into GF(p)(x); ReductionError at a bad prime, u = 0 too."""
+        """Reduction into GF(p)(x); ReductionError at a bad prime.
+
+        The multiplier must keep its numerator degree (u = 0 drops it too):
+        where it drops, D mod p has another order at infinity than D, and
+        the prime is reported bad rather than guessed.
+        """
         u = reduce_rational_mod_p(self.u, target)
-        if u.is_zero():
-            raise ReductionError(f"derivation multiplier vanishes mod {target.base.p}")
+        if u.num.degree() != self.u.num.degree():
+            what = "vanishes" if u.is_zero() else "drops its numerator degree"
+            raise ReductionError(f"derivation multiplier {what} mod {target.base.p}")
         return Derivation(u)
 
     def __eq__(self, other):
@@ -294,8 +302,11 @@ def nabla_power_matrix(A: ConnectionMatrix, k: int) -> Matrix:
     h, H, B = _cleared_form(A)
     u = A.derivation.u
     c, (L,) = clear_coefficients(A.field.base, [u.num])
-    step = 1 if u.den.is_one() and c.is_one() else 2
-    N = _nabla_kernel(B, h, L if step == 1 else H, step, k)
+    if u.den.is_one() and c.is_one():
+        step, lift = 1, None if L.is_one() else L
+    else:
+        step, lift = 2, H
+    N = _nabla_kernel(B, h, lift, step, k)
     return _reduced(A.field, N, h ** (1 + step * (k - 1)))
 
 
@@ -308,15 +319,9 @@ def _at_prime(A: ConnectionMatrix, p: int) -> ConnectionMatrix | None:
     if char != 0:
         raise ValueError(f"entries have characteristic {char}, wanted {p}")
     try:
-        Abar = A.reduce_mod(p)
+        return A.reduce_mod(p)
     except ReductionError:
         return None
-    # the multiplier must keep its numerator degree (leading coefficient
-    # nonzero mod p): where it drops, D mod p has another order at
-    # infinity than D, and the prime is reported bad rather than guessed
-    if Abar.derivation.u.num.degree() != A.derivation.u.num.degree():
-        return None
-    return Abar
 
 
 def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
@@ -352,44 +357,51 @@ def _shift(f: Polynomial, x0: int) -> list:
     return f
 
 
-def _on_prime_line(A: ConnectionMatrix, p: int):
-    """(q-point, A over GF(p)(x)), or None.
+def _value_at(h: Polynomial, H: Polynomial, hA: list, n: int, x0: int) -> Matrix:
+    """psi_p at an ordinary point x0 of the cleared form (h, H, M) over
+    GF(p)[x], with hA the entries of M row by row (see _point_values)."""
+    p = h.field.p
+    P = _shift(H, x0)
+    Q = [_shift(f, x0) for f in hA]
+    Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
+          for k in range(max(map(len, Q)))]
+    Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
 
-    Over GF(p)(x) the q-point is () and A comes back as it is.  Over
-    GF(p)(q)(x) it is (q0,) for the smallest q0 in GF(p) where no
-    q-denominator of a coefficient of an entry or of u vanishes and u does
-    not: every coefficient c becomes c(q0), and nothing is reduced, so the
-    (monic) x-denominators stay monic and keep every pole.
-    """
-    base = A.field.base
-    if isinstance(base, PrimeField):
-        return (), A
-    if not (isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
-        raise ValueError(f"no point evaluation over {A.field}")
-    u = A.derivation.u
-    fs = [e for row in A.matrix.rows for e in row] + [u]
-    qdens = {c.den for f in fs for c in f.num.coeffs + f.den.coeffs if c.den.degree() > 0}
-    q0 = next((q for q in range(p)
-               if all(d(q) for d in qdens) and any(c(q) for c in u.num.coeffs)), None)
-    if q0 is None:
-        return None
-    target = FunctionField(base.base, A.field.var)
+    def unmatched(k):
+        """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
+        S = [[0] * n for _ in range(n)]
+        for i in range(1, min(k, len(P) - 1) + 1):
+            c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
+            for r in range(n):
+                S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
+        for i in range(min(k, len(Qk) - 1) + 1):
+            Qi, Yj = Qk[i], Y[k - i]
+            for r in range(n):
+                for l, c in enumerate(Qi[r]):
+                    if c:
+                        S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
+        return S
 
-    def at(f):
-        num, den = (g.map_coefficients(lambda c: c(q0), target.base) for g in (f.num, f.den))
-        return RationalFunction(target, num, den, normalize=False)
-
-    return (q0,), ConnectionMatrix(A.matrix.map_entries(at, target), Derivation(at(u)))
+    for k in range(p - 1):
+        c = -pow(P[0] * (k + 1), -1, p)
+        Y.append([[s * c % p for s in row] for row in unmatched(k)])
+    c = -pow(h(x0).v, -1, p)
+    return Matrix(GF(p), [[e * c % p for e in row] for row in unmatched(p - 1)])
 
 
 def _point_values(A: ConnectionMatrix, p: int):
-    """(zeros, values) for A over GF(p)(x): values yields (x0, psi_p(x0))
-    at the ordinary points x0 of GF(p) in increasing order, and zeros
-    values equal to 0 at distinct ordinary points prove psi_p = 0.
+    """(zeros, values) for A over GF(p)(x) or GF(p)(q)(x): values yields
+    (point, psi_p at the point) at the ordinary points of A, (x0,) or
+    (q0, x0), in lexicographic order, and over GF(p)(x) zeros values
+    equal to 0 at distinct ordinary points prove psi_p = 0.
 
-    With (h, H = hu, M = hA) over GF(p)[x] from _cleared_form,
-    nabla(d/dx) = M/H and x0 is ordinary when H(x0) h(x0) != 0.  The
-    clearing is done once, on the call.
+    With (h, H = hu, M = hA) from _cleared_form, nabla(d/dx) = M/H and x0
+    is ordinary when H(x0) h(x0) != 0.  The clearing is done once, on the
+    call.  Over a tower the three live over GF(p)[q][x]; a q0 where h
+    drops its x-degree (the clearing constant h.leading() vanishes) is
+    skipped, and at every other q0 in turn h, H and M are specialised to
+    GF(p)[x].  Specialising q commutes with d/dx and with the recursion
+    below, so the value at (q0, x0) is psi_p = N_p/h^p there.
 
     Y solves H(x0+t) Y' = -M(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E, the
     t^(p-1) coefficient of HY' + MY, is the one p*Y_p = 0 cannot cancel,
@@ -404,67 +416,48 @@ def _point_values(A: ConnectionMatrix, p: int):
     N_p = 0.  psi_p(u*d/dx) = u^p psi_p(d/dx), and u(x0) != 0, so both
     statements hold for the derivation of A.
     """
+    base = A.field.base
+    if not isinstance(base, PrimeField) and not (
+            isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
+        raise ValueError(f"no point evaluation over {A.field}")
     h, H, M = _cleared_form(A)
     hA = [f for row in M for f in row]
     deg_M = max(f.degree() for f in hA)
     bound = deg_M + (p - 1) * max(H.degree() - 1, deg_M)
-    n = A.rank
+
+    def lines():
+        polys = [h, H] + hA
+        if isinstance(base, PrimeField):
+            yield (), polys
+            return
+        for q0 in range(p):
+            if h.leading()(q0):
+                yield (q0,), [f.map_coefficients(lambda c: c(q0), base.base) for f in polys]
 
     def values():
-        for x0 in range(p):
-            if not H(x0) * h(x0):
-                continue
-            P = _shift(H, x0)
-            Q = [_shift(f, x0) for f in hA]
-            Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
-                  for k in range(max(map(len, Q)))]
-            Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
-
-            def unmatched(k):
-                """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
-                S = [[0] * n for _ in range(n)]
-                for i in range(1, min(k, len(P) - 1) + 1):
-                    c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
-                    for r in range(n):
-                        S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
-                for i in range(min(k, len(Qk) - 1) + 1):
-                    Qi, Yj = Qk[i], Y[k - i]
-                    for r in range(n):
-                        for l, c in enumerate(Qi[r]):
-                            if c:
-                                S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
-                return S
-
-            for k in range(p - 1):
-                c = -pow(P[0] * (k + 1), -1, p)
-                Y.append([[s * c % p for s in row] for row in unmatched(k)])
-            c = -pow(h(x0).v, -1, p)
-            yield x0, Matrix(GF(p), [[e * c % p for e in row] for row in unmatched(p - 1)])
+        for q, (h0, H0, *M0) in lines():
+            for x0 in range(p):
+                if H0(x0) * h0(x0):
+                    yield q + (x0,), _value_at(h0, H0, M0, A.rank, x0)
 
     return bound // p + 1, values()
 
 
 def p_curvature_at(A: ConnectionMatrix, p: int):
     """(point, psi_p at the point as a matrix over GF(p)), or None when p
-    is bad for A or GF(p) has no ordinary point of A.
+    is bad for A or A has no ordinary point over GF(p).
 
     A may have characteristic 0 (it is reduced mod p as in p_curvature) or
-    p, over k(x) or over a tower k(q)(x).  The point is (x0,), or (q0, x0)
-    over a tower with q0 as in _on_prime_line.  With h and H = hu as in
-    _cleared_form, x0 is the smallest element of GF(p) with
-    H(x0) h(x0) != 0, and the value is the first one of _point_values.  A
-    nonzero value proves psi_p != 0 (a specialisation of q commutes with
-    d/dx).  A zero value proves psi_p = 0 only together with enough zero
-    values at other points over GF(p)(x), as _scan_prime uses them; over a
-    tower it decides nothing.
+    p, over k(x) or over a tower k(q)(x).  The point and its value are the
+    first ones of _point_values: (x0,), or (q0, x0) over a tower, the
+    smallest in lexicographic order with H(x0) h(x0) != 0 for h and H = hu
+    as in _cleared_form, specialised at q0 over a tower.  A nonzero value
+    proves psi_p != 0.  A zero value proves psi_p = 0 only together with
+    enough zero values at other points over GF(p)(x), as _scan_prime uses
+    them; over a tower it decides nothing.
     """
     Abar = _at_prime(A, p)
-    line = None if Abar is None else _on_prime_line(Abar, p)
-    if line is None:
-        return None
-    qpoint, A0 = line
-    found = next(_point_values(A0, p)[1], None)
-    return None if found is None else (qpoint + (found[0],), found[1])
+    return None if Abar is None else next(_point_values(Abar, p)[1], None)
 
 
 def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
@@ -480,17 +473,14 @@ def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     Abar = _at_prime(A, p)
     if Abar is None:
         return PCurvatureReport(p, False, None, False)
-    line = _on_prime_line(Abar, p)
-    if line is not None:
-        qpoint, A0 = line
-        zeros, values = _point_values(A0, p)
-        for count, (_, value) in enumerate(values, 1):
-            if not value.is_zero():
-                return PCurvatureReport(p, True, None, False)
-            if qpoint:
-                break
-            if count >= zeros:
-                return PCurvatureReport(p, True, Matrix.zeros(Abar.field, Abar.rank), True)
+    zeros, values = _point_values(Abar, p)
+    for count, (point, value) in enumerate(values, 1):
+        if not value.is_zero():
+            return PCurvatureReport(p, True, None, False)
+        if len(point) > 1:
+            break
+        if count >= zeros:
+            return PCurvatureReport(p, True, Matrix.zeros(Abar.field, Abar.rank), True)
     return p_curvature(Abar, p)
 
 

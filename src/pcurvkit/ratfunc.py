@@ -221,18 +221,23 @@ class RationalFunction:
 def common_denominator(fs) -> Polynomial:
     """Monic lcm of the denominators of a nonempty iterable of rational
     functions.  Denominators are monic, so those of degree 0 are 1 and
-    skipped, as is one equal to the lcm so far."""
+    skipped, as is one equal to the lcm so far; while the lcm is 1, the
+    next nonconstant denominator is the lcm."""
     fs = iter(fs)
     h = next(fs).den
     for f in fs:
-        if f.den.degree() > 0 and f.den != h:
-            h = h // poly_gcd(h, f.den) * f.den
+        d = f.den
+        if d.degree() > 0 and d != h:
+            h = d if h.degree() == 0 else h // poly_gcd(h, d) * d
     return h
 
 
 def cleared(f: RationalFunction, h: Polynomial) -> Polynomial:
     """h*f as a polynomial, for h a multiple of the denominator of f."""
-    return f.num if f.den == h else f.num * (h // f.den)
+    if f.den == h:
+        return f.num
+    # a monic denominator of degree 0 is 1
+    return f.num * h if f.den.degree() == 0 else f.num * (h // f.den)
 
 
 def clear_coefficients(base, polys):

@@ -173,18 +173,21 @@ def test_closed_form_twist_matches_iteration_over_tower():
 
 
 def test_multiplier_vanishing_mod_p_is_a_reduction_error():
-    """u = 5x vanishes mod 5: the derivation, the twist and the connection
-    all report it as a bad prime."""
+    """u = 5x vanishes mod 5, and u = 5x + 1 drops its numerator degree:
+    the derivation, the twist and the connection all report 5 as a bad
+    prime."""
     K = qq_line()
-    D = Derivation(K(5) * K.gen())
-    A = ConnectionMatrix(Matrix(K, [[K.one]]), D)
-    for reduce in (lambda: D.reduce_mod(FunctionField(GF(5), "x")),
-                   lambda: frobenius_twist_multiplier(D, 5),
-                   lambda: A.reduce_mod(5)):
-        with pytest.raises(ReductionError, match="derivation multiplier vanishes mod 5"):
-            reduce()
-    assert not p_curvature(A, 5).good_prime
-    assert p_curvature(A, 7).good_prime
+    x = K.gen()
+    for u, what in ((K(5) * x, "vanishes"), (K(5) * x + K.one, "drops its numerator degree")):
+        D = Derivation(u)
+        A = ConnectionMatrix(Matrix(K, [[K.one]]), D)
+        for reduce in (lambda: D.reduce_mod(FunctionField(GF(5), "x")),
+                       lambda: frobenius_twist_multiplier(D, 5),
+                       lambda: A.reduce_mod(5)):
+            with pytest.raises(ReductionError, match=f"derivation multiplier {what} mod 5"):
+                reduce()
+        assert not p_curvature(A, 5).good_prime
+        assert p_curvature(A, 7).good_prime
 
 
 def test_closed_form_twist_reduces_characteristic_zero_input():
@@ -550,6 +553,28 @@ def test_nabla_power_gcd_count_does_not_grow_with_p(monkeypatch):
         assert counts[0] == counts[1], (run.__name__, C.derivation, counts)
 
 
+def test_nabla_power_with_d_dx_scales_no_entry(monkeypatch):
+    """With u = 1 the recursion has no lift to multiply by: Matrix.scale
+    is never called, over QQ(x) or over a tower."""
+    calls = []
+    real = Matrix.scale
+
+    def spy(self, c):
+        calls.append(c)
+        return real(self, c)
+
+    monkeypatch.setattr(Matrix, "scale", spy)
+    K = FunctionField(FunctionField(GF(5), "q"), "x")
+    q, x = K(K.base.gen()), K.gen()
+    B = ConnectionMatrix(Matrix(K, [[K.zero, K.one], [q / (x + K.one / q), x]]),
+                         Derivation.d_dx(K))
+    for A in (_hypergeometric(qq_line()), B):
+        want = nabla_power_by_recursion(A, 5)
+        calls.clear()
+        assert nabla_power_matrix(A, 5) == want
+        assert calls == []
+
+
 def test_nabla_power_first_steps():
     K = qq_line()
     D = Derivation.d_dx(K)
@@ -724,10 +749,11 @@ def ordinary_points(A):
 
 
 def tower_point(A, p):
-    """The point p_curvature_at should pick over GF(p)(q)(x), or None: q0
-    is the smallest q where no q-denominator of a coefficient of an entry
-    or of u vanishes and u at q0 is nonzero, and x0 the smallest x where
-    no entry denominator and neither side of u vanishes at (q0, x0)."""
+    """The point p_curvature_at should pick over GF(p)(q)(x), or None: the
+    smallest (q0, x0) in lexicographic order where no q-denominator of a
+    coefficient of an entry or of u vanishes at q0, u at q0 is nonzero,
+    and no entry denominator and neither side of u vanishes at (q0, x0).
+    A q0 whose line has no such x0 is passed over for the next one."""
     F = A.field.base.base
     u = A.derivation.u
     fs = [e for row in A.matrix.rows for e in row] + [u]
@@ -736,13 +762,13 @@ def tower_point(A, p):
     def at(g, q0):
         return Polynomial(F, [c.num(F(q0)) / c.den(F(q0)) for c in g.coeffs])
 
-    q0 = next((q for q in range(F.p)
-               if all(c.den(F(q)) for c in coeffs) and at(u.num, q)), None)
-    if q0 is None:
-        return None
-    polys = [at(f.den, q0) for f in fs] + [at(u.num, q0)]
-    x0 = next((x for x in range(F.p) if all(g(F(x)) for g in polys)), None)
-    return None if x0 is None else (q0, x0)
+    for q0 in range(F.p):
+        if all(c.den(F(q0)) for c in coeffs) and at(u.num, q0):
+            polys = [at(f.den, q0) for f in fs] + [at(u.num, q0)]
+            x0 = next((x for x in range(F.p) if all(g(F(x)) for g in polys)), None)
+            if x0 is not None:
+                return q0, x0
+    return None
 
 
 def point_matches_kernel(A, p):
@@ -897,6 +923,64 @@ def test_point_value_skips_a_q_where_u_vanishes():
     A = ConnectionMatrix(Matrix(K, [[K.zero, K.one], [x, K.one / x]]), Derivation(q * x))
     assert p_curvature_at(A, 5)[0] == tower_point(A, 5) == (1, 1)
     assert point_matches_kernel(A, 5)
+
+
+def test_point_value_walks_past_a_q_line_of_poles(monkeypatch):
+    """Every x0 of the q0 = 0 line of x/(x^3 - x + q) is a pole, and
+    x^3 - x + 1 has no root in GF(3): the point is (1, 0), its value is
+    the kernel's psi there, and the scan decides 3 without the kernel."""
+    K = FunctionField(FunctionField(GF(3), "q"), "x")
+    q, x = K(K.base.gen()), K.gen()
+    A = ConnectionMatrix(Matrix(K, [[x / (x ** 3 - x + q)]]), Derivation.d_dx(K))
+    point, value = p_curvature_at(A, 3)
+    assert point == tower_point(A, 3) == (1, 0)
+    assert value == Matrix(GF(3), [[2]]) == psi_at(p_curvature(A, 3).psi, point)
+    kernel_primes = []
+    real = connection.p_curvature
+
+    def spy(A, p):
+        kernel_primes.append(p)
+        return real(A, p)
+
+    monkeypatch.setattr(connection, "p_curvature", spy)
+    report, = scan_primes(A, 3, 3)
+    assert kernel_primes == []
+    assert report.good_prime and not report.vanishes
+
+
+def rand_qpole_entry(K, rng):
+    """a + b*x over 1, x + c or x^2 + c with c = 1/q, q + 1/q or an integer:
+    the q-pole sits inside a coefficient of the x-denominator."""
+    x = K.gen()
+    q = K.base.gen()
+    num = K.from_poly(K.polynomial([rand_scalar(K.base, rng) for _ in range(2)]))
+    c = K(rng.choice([K.base.one / q, q + K.base.one / q, K.base(rng.randint(0, 2))]))
+    return num / rng.choice([K.one, x + c, x * x + c])
+
+
+def test_tower_point_values_and_scan_match_the_kernel():
+    """Differential test at p = 3 with q-poles inside the x-denominators and
+    five multipliers: every point value is the kernel's psi at that point,
+    and every _scan_prime verdict is the kernel's."""
+    rng = random.Random(1803)
+    K = FunctionField(FunctionField(GF(3), "q"), "x")
+    q, x = K(K.base.gen()), K.gen()
+    multipliers = [K.one, x, q * x + K.one, (x + q) / (x + K.one / q), K.one / (x + q)]
+    checked = nonzero = 0
+    for u in multipliers:
+        for _ in range(6):
+            rows = [[K.zero, K.one], [rand_qpole_entry(K, rng), rand_qpole_entry(K, rng)]]
+            A = ConnectionMatrix(Matrix(K, rows), Derivation(u))
+            want = p_curvature(A, 3)
+            got = connection._scan_prime(A, 3)
+            assert (got.good_prime, got.vanishes) == (want.good_prime, want.vanishes), (u, A)
+            found = p_curvature_at(A, 3)
+            if found is not None:
+                point, value = found
+                assert value == psi_at(want.psi, point), (u, A, point)
+                checked += 1
+                nonzero += not value.is_zero()
+    assert checked >= 25 and nonzero >= 15, (checked, nonzero)
 
 
 def test_report_without_psi_cannot_vanish():
