@@ -6,9 +6,12 @@ A *field object* is a lightweight value with three capabilities:
     field.zero, field.one distinguished elements
     field.characteristic()
 
-Elements are immutable and hashable.  Rationals are plain
-``fractions.Fraction`` (numerator/denominator already kept coprime with a
-positive denominator, which is exactly the normal form needed here).
+``zero`` and ``one`` are attributes built once with the field object and
+shared by every caller, as in ``PolynomialRing``, ``FunctionField`` and
+``NumberField``.  Sharing is safe because elements are immutable and
+hashable: nothing changes an element once it is built.  Rationals are
+plain ``fractions.Fraction`` (numerator/denominator already kept coprime
+with a positive denominator, which is exactly the normal form needed here).
 """
 
 from __future__ import annotations
@@ -193,14 +196,8 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def zero(self) -> GFElement:
-        return GFElement(self.p, 0)
-
-    @property
-    def one(self) -> GFElement:
-        return GFElement(self.p, 1)
+        self.zero = GFElement(p, 0)
+        self.one = GFElement(p, 1)
 
     def __call__(self, a=0) -> GFElement:
         p = self.p

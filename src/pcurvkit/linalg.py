@@ -17,7 +17,9 @@ other ring divides exactly at each pivot.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import add, mul
 
 from .fields import _COERCED, RationalField
 
@@ -98,8 +100,10 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
             cols = list(zip(*other.rows))
+            # no matrix is empty, so each entry starts from its first
+            # product rather than from ring.zero and one more addition
             return Matrix(self.ring, [
-                [_dot(self.ring, r, c) for c in cols] for r in self.rows
+                [reduce(add, map(mul, r, c)) for c in cols] for r in self.rows
             ])
         return self.scale(other)
 
@@ -127,10 +131,7 @@ class Matrix:
     def trace(self):
         if not self.is_square():
             raise ValueError("trace of a nonsquare matrix")
-        t = self.ring.zero
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        return reduce(add, (r[i] for i, r in enumerate(self.rows)))
 
     def map_entries(self, fn, new_ring=None):
         return Matrix(new_ring or self.ring, [[fn(e) for e in r] for r in self.rows])
@@ -310,10 +311,3 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in r) for r in self.rows)
         return f"[{body}]"
-
-
-def _dot(ring, row, col):
-    acc = ring.zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc

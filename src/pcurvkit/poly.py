@@ -165,13 +165,17 @@ class Polynomial:
         if type(self.field) is PrimeField:
             p = self.field.p
             return _stored(self.field, [c % p for c in int_poly_mul(a, b)])
-        out = [self.field.zero] * (len(a) + len(b) - 1)
+        # each output coefficient starts from its first product, not from
+        # zero, which over k(q) would cost one more normalised addition
+        out = [None] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
             for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return _stored(self.field, out)
+                c = out[i + j]
+                out[i + j] = ai * bj if c is None else c + ai * bj
+        zero = self.field.zero
+        return _stored(self.field, [zero if c is None else c for c in out])
 
     __rmul__ = __mul__
 
@@ -342,14 +346,8 @@ class PolynomialRing:
     def __init__(self, field, var: str = "x"):
         self.field = field
         self.var = var
-
-    @property
-    def zero(self):
-        return Polynomial.zero(self.field)
-
-    @property
-    def one(self):
-        return Polynomial.one(self.field)
+        self.zero = Polynomial.zero(field)
+        self.one = Polynomial.one(field)
 
     def gen(self):
         return Polynomial.x(self.field)

@@ -22,23 +22,18 @@ class FunctionField:
     def __init__(self, base, var: str = "x"):
         self.base = base
         self.var = var
-
-    @property
-    def zero(self) -> "RationalFunction":
-        return RationalFunction(self, Polynomial.zero(self.base), Polynomial.one(self.base))
-
-    @property
-    def one(self) -> "RationalFunction":
-        return RationalFunction(self, Polynomial.one(self.base), Polynomial.one(self.base))
+        one = Polynomial.one(base)
+        self.zero = RationalFunction(self, Polynomial.zero(base), one, normalize=False)
+        self.one = RationalFunction(self, one, one, normalize=False)
 
     def gen(self) -> "RationalFunction":
-        return RationalFunction(self, Polynomial.x(self.base), Polynomial.one(self.base))
+        return RationalFunction(self, Polynomial.x(self.base), self.one.den)
 
     def polynomial(self, coeffs) -> Polynomial:
         return Polynomial(self.base, coeffs)
 
     def from_poly(self, p: Polynomial) -> "RationalFunction":
-        return RationalFunction(self, p, Polynomial.one(self.base))
+        return RationalFunction(self, p, self.one.den)
 
     def __call__(self, a) -> "RationalFunction":
         if isinstance(a, RationalFunction) and a.field == self:
@@ -49,8 +44,7 @@ class FunctionField:
             raise ValueError("polynomial over a foreign coefficient field")
         # a scalar, or an element of the base field tower, as a constant
         return RationalFunction(
-            self, Polynomial.constant(self.base, self.base(a)), Polynomial.one(self.base)
-        )
+            self, Polynomial.constant(self.base, self.base(a)), self.one.den)
 
     def characteristic(self) -> int:
         return self.base.characteristic()
@@ -77,7 +71,7 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if normalize:
             if num.is_zero():
-                den = Polynomial.one(field.base)
+                den = field.one.den
             elif den.degree() > 0 and isinstance(field.base, FunctionField):
                 f = lowest_terms(field, *clear_coefficients(field.base, [num, den])[1])
                 num, den = f.num, f.den

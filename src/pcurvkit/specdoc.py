@@ -135,10 +135,14 @@ def parse_field_expression(text, field: FunctionField):
         raise SpecError(f"bad expression {_excerpt(text, at)!r}: {exc}") from exc
 
 
-def parse_expression_matrix(rows, field: FunctionField) -> Matrix:
+def _require_rows(rows) -> None:
     if not isinstance(rows, list) or not rows \
             or not all(isinstance(r, list) and r for r in rows):
         raise SpecError("matrix must be a nonempty list of nonempty rows")
+
+
+def parse_expression_matrix(rows, field: FunctionField) -> Matrix:
+    _require_rows(rows)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise SpecError("matrix rows have unequal lengths")
@@ -271,9 +275,7 @@ def nf_element_coords(e) -> list[str]:
 
 
 def parse_nf_matrix(rows, K: NumberField, size: int | None = None) -> Matrix:
-    if not isinstance(rows, list) or not rows \
-            or not all(isinstance(r, list) and r for r in rows):
-        raise SpecError("matrix must be a nonempty list of nonempty rows")
+    _require_rows(rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SpecError("matrix must be square")

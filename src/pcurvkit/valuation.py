@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import GF
+from .fields import GF, QQ
 from .connection import (
     CompanionConnection,
     Derivation,
@@ -217,8 +217,6 @@ def verify_prediction(c: CompanionConnection, p: int) -> bool:
 def standard_tower(p: int | None, qvar: str = "q", xvar: str = "x"):
     """(base, tower, D) with base = k(q), tower = k(q)(x), D = x*d/dx;
     k is GF(p) when p is given, else the rationals."""
-    from .fields import QQ
-
     base = FunctionField(GF(p) if p is not None else QQ, qvar)
     tower = FunctionField(base, xvar)
     return base, tower, Derivation.x_d_dx(tower)

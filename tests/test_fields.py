@@ -108,3 +108,21 @@ def test_gf_negative_powers():
     assert F(0) ** 3 == F(0)
     with pytest.raises(ZeroDivisionError):
         F(0) ** -1
+
+
+def _rings():
+    from pcurvkit import FunctionField, NumberField, Polynomial
+    from pcurvkit.poly import PolynomialRing
+
+    return [QQ, GF(7), NumberField(Polynomial(QQ, [1, 0, 1]), "i"),
+            FunctionField(QQ, "x"), FunctionField(FunctionField(GF(5), "q"), "x"),
+            PolynomialRing(GF(5))]
+
+
+@pytest.mark.parametrize("R", _rings(), ids=repr)
+def test_zero_and_one_are_values_built_with_the_ring(R):
+    assert R.zero is R.zero
+    assert R.one is R.one
+    assert R(0) == R.zero
+    assert R(1) == R.one
+    assert not R.zero

@@ -267,3 +267,31 @@ def test_kernel_basis_and_inverse_round_trip_over_qq():
         if B.det():
             I = Matrix.identity(QQ, 5)
             assert B * B.inverse() == I and B.inverse() * B == I
+
+
+def test_product_and_trace_start_from_the_first_term(monkeypatch):
+    """Over Q(i) a 2x2 product adds two products per entry once, and a
+    2x2 trace adds its two diagonal entries once: no addition to zero."""
+    from pcurvkit import NumberField, Polynomial
+    from pcurvkit.numberfield import NumberFieldElement
+
+    K = NumberField(Polynomial(QQ, [1, 0, 1]), "i")
+    i = K.gen
+    A = Matrix(K, [[1 + i, 2], [i, 3 - i]])
+    B = Matrix(K, [[2, -i], [1 + 2 * i, 5]])
+    expected = Matrix(K, [
+        [(1 + i) * 2 + 2 * (1 + 2 * i), (1 + i) * -i + 2 * 5],
+        [i * 2 + (3 - i) * (1 + 2 * i), i * -i + (3 - i) * 5]])
+    calls = []
+    real = NumberFieldElement.__add__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(NumberFieldElement, "__add__", spy)
+    assert A * B == expected
+    assert len(calls) == 4
+    calls.clear()
+    assert A.trace() == 4
+    assert len(calls) == 1

@@ -664,3 +664,33 @@ def test_gf_inputs_of_every_kind_store_the_same_ints():
         Polynomial(F, [GF(7)(1)])
     with pytest.raises(ReductionError):
         Polynomial(F, [Fraction(1, 5)])
+
+
+def test_product_over_a_function_field_starts_from_the_first_product(monkeypatch):
+    """Over GF(5)(q)[x] each output coefficient of a product is its first
+    product plus the others: (3 - 1) + (4 - 1) additions short of the 12
+    products, none of them with zero."""
+    from pcurvkit.ratfunc import RationalFunction
+
+    K = FunctionField(GF(5), "q")
+    q = K.gen()
+    f = Polynomial(K, [q + 1, 2 * q, 1 / q])
+    g = Polynomial(K, [q, q * q + 3, 4 / (q + 2), K.one])
+    expected = [K.zero] * 6
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            expected[i + j] = expected[i + j] + a * b
+    calls = []
+    real = RationalFunction.__add__
+
+    def spy(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__add__", spy)
+    assert f * g == Polynomial(K, expected)
+    assert len(calls) == 6
+    # positions that no product reaches hold the field's zero
+    x = Polynomial.x(K)
+    sparse = (x ** 3 + Polynomial.one(K)) * (x + Polynomial.one(K))
+    assert sparse.coeffs == (K.one, K.one, K.zero, K.one, K.one)
