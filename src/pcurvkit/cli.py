@@ -79,13 +79,10 @@ class _Command(NamedTuple):
     flags: tuple = ()
 
 
-def _main(prog: str, description: str, commands: dict, argv) -> int:
-    """Parse argv, run the chosen subcommand on its spec, print the report.
-
-    The report's results carry the subcommand name as "kind" and the echoed
-    --seed.  A SpecError anywhere in the run is exit 65; everything else a
-    run raises propagates.
-    """
+def _parser(prog: str, description: str, commands: dict) -> _ArgumentParser:
+    """The front end of one tool: a subparser per command, each with its
+    spec, its own flags and --seed, and the command's run function as the
+    default of ``run``."""
     parser = _ArgumentParser(prog=prog, description=description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in commands.items():
@@ -96,10 +93,19 @@ def _main(prog: str, description: str, commands: dict, argv) -> int:
         p.add_argument("--seed", type=_at_least(0), default=0, metavar="S",
                        help="echoed into the report for reproducibility")
         p.set_defaults(run=command.run)
+    return parser
 
+
+def _main(parser: _ArgumentParser, argv) -> int:
+    """Parse argv, run the chosen subcommand on its spec, print the report.
+
+    The report's results carry the subcommand name as "kind" and the echoed
+    --seed.  A SpecError anywhere in the run is exit 65; everything else a
+    run raises propagates.
+    """
     args = parser.parse_args(argv)
     started = time.monotonic()
-    echo = [prog] + list(argv if argv is not None else sys.argv[1:])
+    echo = [parser.prog] + list(argv if argv is not None else sys.argv[1:])
     try:
         results, status = args.run(specdoc.load_spec(args.spec), args)
     except specdoc.SpecError as exc:
@@ -115,17 +121,7 @@ def _main(prog: str, description: str, commands: dict, argv) -> int:
 
 
 def pcurv_main(argv=None) -> int:
-    scan = _Command("vanishing table over a prime range", "connection", _run_scan, (
-        ("--primes", dict(type=_primes_range, default=(2, 50), metavar="A..B",
-                          help="inclusive prime range (default 2..50)")),
-        ("--jobs", dict(type=_at_least(1), default=1, metavar="N",
-                        help="parallel workers for the per-prime computations")),
-    ))
-    analyze = _Command("Newton polygon and nonvanishing prediction for a "
-                       "companion connection over GF(p)(q)(x)", "companion",
-                       _run_analyze)
-    return _main("pcurv", "p-curvature computations for connections on affine "
-                          "curves", {"scan": scan, "analyze": analyze}, argv)
+    return _main(_PCURV, argv)
 
 
 def _run_scan(doc: dict, args):
@@ -187,17 +183,7 @@ def _run_analyze(doc: dict, args):
 
 
 def rep_main(argv=None) -> int:
-    certify = _Command("certify or obstruct finiteness", "representation",
-                       _run_certify, (
-        ("--max-elements", dict(type=_at_least(1), metavar="N",
-                                help="closure size cap (overrides the spec)")),
-        ("--max-order", dict(type=_at_least(1), metavar="N",
-                             help="element order cap (overrides the spec)")),
-        ("--projective", dict(action="store_true",
-                              help="certify the image in PSL2/PGL2 instead")),
-    ))
-    return _main("rep", "finiteness certification for rank-2 surface-group "
-                        "representations", {"certify": certify}, argv)
+    return _main(_REP, argv)
 
 
 def _run_certify(doc: dict, args):
@@ -238,18 +224,7 @@ def _run_certify(doc: dict, args):
 
 
 def deform_main(argv=None) -> int:
-    normalize = _Command("gauge away q-layers or report an obstruction", "family",
-                         _run_normalize, (
-        ("--ansatz-degree", dict(
-            type=_at_least(0), metavar="D",
-            help="polynomial degree bound for gauge entries "
-                 f"(default: spec value or {DEFAULT_ANSATZ_DEGREE})")),
-    ))
-    conjugate = _Command("solve a one-layer conjugation between generator tuples",
-                         "conjugation", _run_conjugate)
-    return _main("deform", "normalize truncated connection families and solve "
-                           "step conjugations",
-                 {"normalize": normalize, "conjugate": conjugate}, argv)
+    return _main(_DEFORM, argv)
 
 
 def _run_normalize(doc: dict, args):
@@ -285,6 +260,51 @@ def _run_conjugate(doc: dict, args):
         "conjugate": M is not None,
         "M": None if M is None else specdoc.nf_matrix_coords(M),
     }, EXIT_OK if M is not None else EXIT_OBSTRUCTED
+
+
+# ---------------------------------------------------------------------------
+# The three front ends, built once at import.  Building a parser is the
+# first use of argparse's gettext, which imports locale; doing it here keeps
+# that cost out of every command.
+
+_PCURV = _parser("pcurv", "p-curvature computations for connections on affine "
+                          "curves", {
+    "scan": _Command("vanishing table over a prime range", "connection", _run_scan, (
+        ("--primes", dict(type=_primes_range, default=(2, 50), metavar="A..B",
+                          help="inclusive prime range (default 2..50)")),
+        ("--jobs", dict(type=_at_least(1), default=1, metavar="N",
+                        help="parallel workers for the per-prime computations")),
+    )),
+    "analyze": _Command("Newton polygon and nonvanishing prediction for a "
+                        "companion connection over GF(p)(q)(x)", "companion",
+                        _run_analyze),
+})
+
+_REP = _parser("rep", "finiteness certification for rank-2 surface-group "
+                      "representations", {
+    "certify": _Command("certify or obstruct finiteness", "representation",
+                        _run_certify, (
+        ("--max-elements", dict(type=_at_least(1), metavar="N",
+                                help="closure size cap (overrides the spec)")),
+        ("--max-order", dict(type=_at_least(1), metavar="N",
+                             help="element order cap (overrides the spec)")),
+        ("--projective", dict(action="store_true",
+                              help="certify the image in PSL2/PGL2 instead")),
+    )),
+})
+
+_DEFORM = _parser("deform", "normalize truncated connection families and solve "
+                            "step conjugations", {
+    "normalize": _Command("gauge away q-layers or report an obstruction", "family",
+                          _run_normalize, (
+        ("--ansatz-degree", dict(
+            type=_at_least(0), metavar="D",
+            help="polynomial degree bound for gauge entries "
+                 f"(default: spec value or {DEFAULT_ANSATZ_DEGREE})")),
+    )),
+    "conjugate": _Command("solve a one-layer conjugation between generator tuples",
+                          "conjugation", _run_conjugate),
+})
 
 
 if __name__ == "__main__":

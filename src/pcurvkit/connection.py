@@ -50,9 +50,7 @@ ordinary points.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import GF, PrimeField, ReductionError, primes_in
 from .linalg import Matrix
@@ -195,8 +193,14 @@ class CompanionConnection:
         return f"Companion[{col}]"
 
 
-@dataclass(frozen=True)
-class PCurvatureReport:
+class _PCurvatureFields(NamedTuple):
+    prime: int
+    good_prime: bool
+    psi: Matrix | None
+    vanishes: bool
+
+
+class PCurvatureReport(_PCurvatureFields):
     """psi_p of a connection at one prime.
 
     psi is None either at a bad prime (good_prime is False) or at a good
@@ -206,17 +210,16 @@ class PCurvatureReport:
     values proved (see _scan_prime).
     """
 
-    prime: int
-    good_prime: bool
-    psi: Matrix | None
-    vanishes: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.psi is None:
-            if self.vanishes:
+    def __new__(cls, prime: int, good_prime: bool, psi: Matrix | None,
+                vanishes: bool):
+        if psi is None:
+            if vanishes:
                 raise ValueError("only a computed psi can show vanishing")
-        elif self.vanishes != self.psi.is_zero():
+        elif vanishes != psi.is_zero():
             raise ValueError("vanishes flag contradicts the matrix")
+        return super().__new__(cls, prime, good_prime, psi, vanishes)
 
 
 def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
@@ -493,6 +496,8 @@ def scan_primes(A: ConnectionMatrix, p_min: int, p_max: int,
         raise ValueError("empty prime range")
     primes = primes_in(p_min, p_max)
     if jobs > 1 and len(primes) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(_scan_prime, [A] * len(primes), primes))

@@ -12,7 +12,7 @@ the degree bound and retry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .connection import ConnectionMatrix, Derivation, _at_prime, \
     frobenius_twist_multiplier, p_curvature
@@ -90,8 +90,7 @@ def block_p_curvature_check(ext: BlockExtension, p: int) -> bool:
     return p_curvature(M, p).psi == BlockExtension(psi_A, Qp - B.scale(twist)).M.matrix
 
 
-@dataclass(frozen=True)
-class DeformationSolution:
+class DeformationSolution(NamedTuple):
     Y: Matrix
     residual: Matrix
     ansatz_degree: int
@@ -283,8 +282,7 @@ def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
     return TruncatedFamily(F.derivation, new_layers, F.qvar)
 
 
-@dataclass(frozen=True)
-class NormalizationResult:
+class NormalizationResult(NamedTuple):
     gauges: tuple
     family: TruncatedFamily
     obstructed_at: int | None

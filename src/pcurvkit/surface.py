@@ -13,8 +13,8 @@ tests along the way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import Matrix
 from .numberfield import (
@@ -467,13 +467,11 @@ def _fricke_uncached(w) -> TracePolynomial:
 # element order
 
 
-@dataclass(frozen=True)
-class FiniteOrder:
+class FiniteOrder(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class InfiniteOrder:
+class InfiniteOrder(NamedTuple):
     reason: str
 
 
@@ -564,8 +562,7 @@ def _gl2_element_order(M: Matrix, det_order: int):
 # obstruction checks
 
 
-@dataclass(frozen=True)
-class NonarchReport:
+class NonarchReport(NamedTuple):
     passed: bool
     witness: Word | None
     witness_trace_min_poly: object | None
@@ -580,8 +577,7 @@ def nonarch_check(rho: Representation, words) -> NonarchReport:
     return NonarchReport(True, None, None)
 
 
-@dataclass(frozen=True)
-class ArchReport:
+class ArchReport(NamedTuple):
     passed: bool
     witness: Word | None
 
@@ -605,24 +601,20 @@ def arch_check(rho: Representation, words) -> ArchReport:
 # finiteness certification
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(NamedTuple):
     order: int
 
 
-@dataclass(frozen=True)
-class Obstructed:
+class Obstructed(NamedTuple):
     witness: str
     reason: str
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class FinitenessCertificate:
+class FinitenessCertificate(NamedTuple):
     verdict: object
     element_count: int
     max_order_seen: int

@@ -13,8 +13,8 @@ psi_p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import GF, QQ
 from .connection import (
@@ -75,8 +75,7 @@ class SeriesDerivation:
         return f"({self.multiplier!r})*[{self.inner!r}]"
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
+class IntegralityReport(NamedTuple):
     integral: bool
     witness: object | None
     witness_valuations: tuple | None
@@ -92,8 +91,7 @@ def check_nu_integrality(D, samples) -> IntegralityReport:
     return IntegralityReport(True, None, None)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull of (index, valuation) points of a companion column
     together with the point (rank, 0)."""
 
@@ -138,8 +136,7 @@ def _lower_hull(points):
     return hull
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(NamedTuple):
     valuations: tuple
     min_valuation: object
 
@@ -158,8 +155,7 @@ def newton_polygon(c: CompanionConnection) -> NewtonPolygon:
     return NewtonPolygon(tuple(_lower_hull(points)))
 
 
-@dataclass(frozen=True)
-class NonvanishingPrediction:
+class NonvanishingPrediction(NamedTuple):
     predicted: bool
     reason: str
     prime: int

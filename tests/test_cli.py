@@ -440,6 +440,33 @@ def test_console_scripts_installed(tmp_path):
         assert report["command"][:2] == [name, command]
 
 
+STARTUP_PROBE = """
+import json, sys
+import pcurvkit.cli
+loaded = sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)
+before = set(sys.modules)
+code = pcurvkit.cli.pcurv_main(["scan", sys.argv[1], "--primes", "2..7"])
+print(json.dumps([loaded, code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_start_up_loads_no_pool_and_a_scan_imports_nothing(tmp_path):
+    """Importing the CLI leaves out the process pool and dataclasses, and a
+    default scan then imports no module: what every command needs loads at
+    start-up, and what only --jobs N needs loads with the parallel scan."""
+    spec = write_spec(tmp_path, "scan.json", SCAN_DOC)
+    absent = ["concurrent.futures", "multiprocessing", "dataclasses", "inspect"]
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, spec, json.dumps(absent)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, code, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == []
+    assert code == 0
+    assert imported == []
+
+
 def installed_distribution():
     try:
         return importlib.metadata.distribution("pcurvkit")

@@ -16,8 +16,10 @@ The point value psi_p(x0) from a truncated series solution shares no code
 with the kernel, so kernel and point check each other at the point.
 """
 
+import concurrent.futures
 import multiprocessing
 import os
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -651,7 +653,7 @@ def test_scan_primes_falls_back_when_no_pool_starts(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise OSError("no worker processes on this host")
 
-    monkeypatch.setattr(connection, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     K = qq_line()
     A = ConnectionMatrix(Matrix(K, [[3]]), Derivation.x_d_dx(K))
     reports = scan_primes(A, 2, 13, jobs=2)
@@ -989,6 +991,22 @@ def test_report_without_psi_cannot_vanish():
     with pytest.raises(ValueError, match="only a computed psi"):
         PCurvatureReport(5, False, None, True)
     assert not PCurvatureReport(5, True, None, False).vanishes
+
+
+def test_reports_survive_pickling():
+    """--jobs N sends every report back from a worker by pickle; the copy
+    is a PCurvatureReport again, vanishing with its psi or bad without."""
+    K = qq_line()
+    A = ConnectionMatrix(Matrix(K, [[3]]), Derivation.x_d_dx(K))
+    vanishing = connection._scan_prime(A, 5)
+    bad = connection._scan_prime(
+        ConnectionMatrix(Matrix(K, [[K(Fraction(1, 5))]]), Derivation.d_dx(K)), 5)
+    assert vanishing.vanishes and vanishing.psi is not None
+    assert not bad.good_prime and bad.psi is None
+    for report in (vanishing, bad):
+        back = pickle.loads(pickle.dumps(report))
+        assert type(back) is PCurvatureReport
+        assert back == report
 
 
 def test_scan_of_the_hypergeometric_connection_runs_no_kernel(monkeypatch):

@@ -1,6 +1,7 @@
 """Words, surface presentations, trace polynomials, exact element orders,
 trace obstructions, and the finiteness certifier."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -365,6 +366,13 @@ def test_certify_quaternion_group():
     assert cert.element_count == 8
     assert cert.max_order_seen == 4
     assert cert.nonarch_passed and cert.arch_passed
+
+
+def test_certificate_survives_pickling():
+    cert = certify_finiteness(quaternion_rep())
+    back = pickle.loads(pickle.dumps(cert))
+    assert type(back) is type(cert) and type(back.verdict) is Finite
+    assert back == cert
 
 
 def test_certify_projective_quaternion():
