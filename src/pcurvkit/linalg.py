@@ -3,7 +3,12 @@
 The ring object only has to provide ``zero``, ``one``, ``__call__`` for
 coercion, and ``characteristic()``; entries must support field arithmetic.
 That covers Fractions, prime fields, number fields, rational function
-towers, and truncated series alike.
+towers, and truncated series alike.  A ring may also provide
+``dot(xs, ys)``, the sum of the pairwise products of two sequences of its
+elements built as one element; ``NumberField`` does, reducing each sum
+once.  Products then build each entry with one ``dot``, and elimination
+does each row update ``a - f*b`` as ``dot((a, -f), (one, b))``.  Other
+rings sum their products one addition at a time.
 
 Elimination is Gauss-Jordan.  Over QQ it runs fraction-free on integer
 rows (each row cleared of its denominators once, every row operation
@@ -11,7 +16,8 @@ rows (each row cleared of its denominators once, every row operation
 of Bareiss, Math. Comp. 1968) and turns the pivot rows back into
 ``Fraction`` once at the end; the reduced row echelon form of a row space
 is unique, so the result is the one exact division would give.  Every
-other ring divides exactly at each pivot.
+other ring divides exactly at each pivot, and an entry of a row update
+that faces a zero of the pivot row is kept as it is.
 """
 
 from __future__ import annotations
@@ -22,6 +28,57 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .fields import _COERCED, RationalField
+
+
+def _minus_multiple(ring, f, row, pivot):
+    """row - f * pivot, entry by entry; an entry facing a zero of the pivot
+    is kept as it is, and over a ring with ``dot`` each other entry is the
+    single dot((a, -f), (one, b))."""
+    dot = getattr(ring, "dot", None)
+    if dot is None:
+        return [a - f * b if b else a for a, b in zip(row, pivot)]
+    nf, one = -f, ring.one
+    return [dot((a, nf), (one, b)) if b else a for a, b in zip(row, pivot)]
+
+
+def _integer_gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan on a list of integer rows, in place;
+    returns the pivot columns.
+
+    Eliminating with pivot value a replaces a row by a*row - f*pivot over
+    the whole row (rows above the pivot carry their own pivots left of it),
+    and then divides it by its content.  Afterwards pivot row i stands for
+    row / row[pivots[i]], and the rows past the pivots are zero.
+    """
+    nrows = len(rows)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rank, nrows):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank]
+        a = pivot[col]
+        for i in range(nrows):
+            row = rows[i]
+            f = row[col]
+            if i == rank or not f:
+                continue
+            # the pivot row is zero left of col
+            row = [a * e for e in row[:col]] + [
+                a * e - f * b for e, b in zip(row[col:], pivot[col:])]
+            g = gcd(*row)
+            rows[i] = [e // g for e in row] if g > 1 else row
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return pivots
 
 
 class Matrix:
@@ -100,9 +157,13 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
             cols = list(zip(*other.rows))
+            ring = self.ring
+            dot = getattr(ring, "dot", None)
+            if dot is not None and (other.ring is ring or other.ring == ring):
+                return Matrix(ring, [[dot(r, c) for c in cols] for r in self.rows])
             # no matrix is empty, so each entry starts from its first
             # product rather than from ring.zero and one more addition
-            return Matrix(self.ring, [
+            return Matrix(ring, [
                 [reduce(add, map(mul, r, c)) for c in cols] for r in self.rows
             ])
         return self.scale(other)
@@ -161,8 +222,8 @@ class Matrix:
             pivot[col:] = [inv * e for e in pivot[col:]]
             for i in range(self.nrows):
                 if i != rank and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i][col:] = [a - f * b for a, b in zip(rows[i][col:], pivot[col:])]
+                    rows[i][col:] = _minus_multiple(
+                        self.ring, rows[i][col], rows[i][col:], pivot[col:])
             pivots.append(col)
             rank += 1
             if rank == self.nrows:
@@ -172,11 +233,9 @@ class Matrix:
     def _rref_integer(self):
         """rref over QQ by fraction-free Gauss-Jordan on cleared integer rows.
 
-        Each row is scaled by the lcm of its denominators.  Eliminating with
-        pivot value a replaces a row by a*row - f*pivot over the whole row
-        (rows above the pivot carry their own pivots left of it), and then
-        divides it by its content.  Pivot row i is converted back once, as
-        row / row[pivots[i]].
+        Each row is scaled by the lcm of its denominators and divided by its
+        content, ``_integer_gauss_jordan`` reduces them, and pivot row i is
+        converted back once, as row / row[pivots[i]].
         """
         rows = []
         for r in self.rows:
@@ -184,37 +243,11 @@ class Matrix:
             row = [e.numerator * (den // e.denominator) for e in r]
             g = gcd(*row)
             rows.append([e // g for e in row] if g > 1 else row)
-        pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(rank, self.nrows):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            pivot = rows[rank]
-            a = pivot[col]
-            for i in range(self.nrows):
-                row = rows[i]
-                f = row[col]
-                if i == rank or not f:
-                    continue
-                # the pivot row is zero left of col
-                row = [a * e for e in row[:col]] + [
-                    a * e - f * b for e, b in zip(row[col:], pivot[col:])]
-                g = gcd(*row)
-                rows[i] = [e // g for e in row] if g > 1 else row
-            pivots.append(col)
-            rank += 1
-            if rank == self.nrows:
-                break
+        pivots = _integer_gauss_jordan(rows, self.ncols)
         zero = Fraction(0)
         out = []
         for i, row in enumerate(rows):
-            if i < rank:
+            if i < len(pivots):
                 a = row[pivots[i]]
                 out.append([Fraction(e, a) if e else zero for e in row])
             else:
@@ -246,8 +279,8 @@ class Matrix:
             inv = self.ring.one / pivot
             for i in range(col + 1, n):
                 if rows[i][col]:
-                    f = rows[i][col] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+                    rows[i] = _minus_multiple(
+                        self.ring, rows[i][col] * inv, rows[i], rows[col])
         return det
 
     def inverse(self):

@@ -5,6 +5,12 @@ over one positive common denominator, reduced so the pair is canonical
 (Cohen, GTM 138, 4.2).  Products are an integer convolution reduced by a
 table of theta^d..theta^(2d-2) kept as integers over one lcm, then divided
 by one gcd; ``coords`` builds the Fraction coordinates on demand.
+``NumberField.dot`` does the same for a whole sum of products: the
+convolutions of all pairs are added over one common denominator and
+reduced once, so a matrix entry or a row update ``a - f*b`` costs one
+reduction and one gcd.  ``inverse`` solves the d x d integer linear
+system of multiplication by the element, with the fraction-free
+elimination that rref over QQ runs (``linalg._integer_gauss_jordan``).
 
 A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
@@ -24,11 +30,10 @@ from .poly import (
     Polynomial,
     cauchy_bound,
     count_real_roots_closed,
-    poly_xgcd,
     is_irreducible_q,
     IrreducibilityUndecided,
 )
-from .linalg import Matrix
+from .linalg import Matrix, _integer_gauss_jordan
 
 
 class CompositumError(ValueError):
@@ -80,6 +85,37 @@ class NumberField:
 
     def characteristic(self) -> int:
         return 0
+
+    def dot(self, xs, ys):
+        """sum(x * y for x, y in zip(xs, ys)) built as one element.
+
+        The integer convolutions of all pairs are added over one common
+        denominator, the lcm of the x.den * y.den; then theta^k for k >= d
+        is replaced by table rows over _int_den, and one gcd normalises.
+        """
+        pairs = list(zip(xs, ys))
+        den = lcm(*(x.den * y.den for x, y in pairs))
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        for x, y in pairs:
+            s = den // (x.den * y.den)
+            for i, a in enumerate(x.num):
+                if a:
+                    a *= s
+                    for j, b in enumerate(y.num, i):
+                        conv[j] += a * b
+        return self._reduced(conv, den)
+
+    def _reduced(self, conv, den):
+        """The element conv / den for an integer convolution conv of length
+        2d - 1: theta^k for k >= d is replaced by table rows over _int_den."""
+        d = self.degree
+        D = self._int_den
+        out = conv[:d] if D == 1 else [c * D for c in conv[:d]]
+        for c, row in zip(conv[d:], self._int_table):
+            if c:
+                out = [x + c * r for x, r in zip(out, row)]
+        return NumberFieldElement(self, out, den * D)
 
     def __call__(self, x):
         if isinstance(x, NumberFieldElement):
@@ -189,46 +225,61 @@ class NumberFieldElement:
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return self + -o
+        da, db = self.den, o.den
+        return NumberFieldElement(
+            self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
 
     def __rsub__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        return o - self
+        da, db = self.den, o.den
+        return NumberFieldElement(
+            self.field, [b * da - a * db for a, b in zip(self.num, o.num)], da * db)
 
     def __mul__(self, other):
-        """Integer convolution of the numerators, then theta^k for k >= d
-        replaced by table rows over the common denominator _int_den."""
+        """Integer convolution of the numerators, reduced by
+        ``NumberField._reduced``."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
         K = self.field
-        d = K.degree
-        conv = [0] * (2 * d - 1)
+        conv = [0] * (2 * K.degree - 1)
         for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.num):
-                    conv[i + j] += a * b
-        D = K._int_den
-        out = conv[:d] if D == 1 else [c * D for c in conv[:d]]
-        for c, row in zip(conv[d:], K._int_table):
-            if c:
-                out = [x + c * r for x, r in zip(out, row)]
-        return NumberFieldElement(K, out, self.den * o.den * D)
+                for j, b in enumerate(o.num, i):
+                    conv[j] += a * b
+        return K._reduced(conv, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """den / a for a = sum(num[k] * theta^k).  Column j of an integer
+        d x d system is D^j * a * theta^j, with D = _int_den, built by one
+        shift and one table row per step; with right-hand side e_0 its
+        solution w gives 1 / a = sum(D^j * w[j] * theta^j).  The system is
+        solved by the fraction-free elimination of rref over QQ, on the
+        integer rows as they are."""
         if not self:
             raise ZeroDivisionError("number field zero division")
-        a = Polynomial(QQ, self.num)
-        g, s, _ = poly_xgcd(a, self.field.min_poly)
-        if g.degree() != 0:
+        K = self.field
+        d, D = K.degree, K._int_den
+        cols = [list(self.num)]
+        for _ in range(d - 1):
+            prev = cols[-1]
+            c = prev[-1]
+            cols.append([D * s + c * t for s, t in zip([0] + prev[:-1], K._int_table[0])])
+        rows = [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))]
+        if _integer_gauss_jordan(rows, d + 1) != list(range(d)):
             raise ZeroDivisionError("element shares a factor with the modulus")
-        inv_poly = s * Polynomial.constant(QQ, self.den / g.coeff(0))
-        inv_poly = inv_poly % self.field.min_poly
-        return self.field.element([inv_poly.coeff(i) for i in range(self.field.degree)])
+        # pivot row j reads w[j] = row[d] / row[j]
+        den = lcm(*(row[j] for j, row in enumerate(rows)))
+        scale = self.den
+        num = []
+        for j, row in enumerate(rows):
+            num.append(scale * row[d] * (den // row[j]))
+            scale *= D
+        return NumberFieldElement(K, num, den)
 
     def __truediv__(self, other):
         o = self._wrap(other)

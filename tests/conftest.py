@@ -19,3 +19,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def assert_record(got, want) -> None:
+    """got == want, and got is a record of want's type.  The result records
+    are NamedTuples, which compare as plain tuples, so Finite(8),
+    FiniteOrder(8) and (8,) are all equal; only the type tells a verdict
+    from an element order."""
+    assert type(got) is type(want), f"{got!r} is not a {type(want).__name__}"
+    assert got == want

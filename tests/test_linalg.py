@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcurvkit import GF, QQ, FunctionField, Matrix
+from pcurvkit import GF, QQ, FunctionField, Matrix, Polynomial, poly_xgcd
 
 
 def rand_matrix(ring, rng, n, lo=-5, hi=5):
@@ -270,9 +270,44 @@ def test_kernel_basis_and_inverse_round_trip_over_qq():
 
 
 def test_product_and_trace_start_from_the_first_term(monkeypatch):
-    """Over Q(i) a 2x2 product adds two products per entry once, and a
-    2x2 trace adds its two diagonal entries once: no addition to zero."""
-    from pcurvkit import NumberField, Polynomial
+    """Over QQ(x), a ring without ``dot``, a 2x2 product adds two products
+    per entry once, and over Q(i) a 2x2 trace adds its two diagonal entries
+    once: no addition to zero."""
+    from pcurvkit import NumberField
+    from pcurvkit.numberfield import NumberFieldElement
+    from pcurvkit.ratfunc import RationalFunction
+
+    F = FunctionField(QQ, "x")
+    x = F.gen()
+    A = Matrix(F, [[1 + x, 2], [x, 3 - x]])
+    B = Matrix(F, [[2, 1 / x], [1 + 2 * x, 5]])
+    expected = Matrix(F, [
+        [(1 + x) * 2 + 2 * (1 + 2 * x), (1 + x) / x + 2 * 5],
+        [x * 2 + (3 - x) * (1 + 2 * x), x / x + (3 - x) * 5]])
+    calls = []
+
+    def spy(real):
+        def add(self, other):
+            calls.append(other)
+            return real(self, other)
+        return add
+
+    monkeypatch.setattr(RationalFunction, "__add__", spy(RationalFunction.__add__))
+    assert A * B == expected
+    assert len(calls) == 4
+
+    K = NumberField(Polynomial(QQ, [1, 0, 1]), "i")
+    i = K.gen
+    monkeypatch.setattr(NumberFieldElement, "__add__", spy(NumberFieldElement.__add__))
+    calls.clear()
+    assert Matrix(K, [[1 + i, 2], [i, 3 - i]]).trace() == 4
+    assert len(calls) == 1
+
+
+def test_number_field_product_builds_one_element_per_entry(monkeypatch):
+    """Over Q(i) each entry of a 2x2 product is one ``NumberField.dot``: one
+    NumberFieldElement built per entry, no intermediate products or sums."""
+    from pcurvkit import NumberField
     from pcurvkit.numberfield import NumberFieldElement
 
     K = NumberField(Polynomial(QQ, [1, 0, 1]), "i")
@@ -282,16 +317,152 @@ def test_product_and_trace_start_from_the_first_term(monkeypatch):
     expected = Matrix(K, [
         [(1 + i) * 2 + 2 * (1 + 2 * i), (1 + i) * -i + 2 * 5],
         [i * 2 + (3 - i) * (1 + 2 * i), i * -i + (3 - i) * 5]])
-    calls = []
-    real = NumberFieldElement.__add__
+    built = []
+    real = NumberFieldElement.__init__
 
-    def spy(self, other):
-        calls.append(other)
-        return real(self, other)
+    def spy(self, field, num, den):
+        built.append(den)
+        real(self, field, num, den)
 
-    monkeypatch.setattr(NumberFieldElement, "__add__", spy)
-    assert A * B == expected
-    assert len(calls) == 4
-    calls.clear()
-    assert A.trace() == 4
-    assert len(calls) == 1
+    monkeypatch.setattr(NumberFieldElement, "__init__", spy)
+    product = A * B
+    assert len(built) == 4
+    monkeypatch.undo()
+    assert product == expected
+
+
+# -- elimination over a number field against Fraction polynomials mod f ------------
+
+
+class PolyQuotient:
+    """Q[X]/(f) on Fraction-coefficient polynomials reduced mod f, without
+    ``dot``: Matrix over it takes the generic path, one operation at a time.
+    Inverses come from the extended Euclidean algorithm.  The reference for
+    Matrix over a NumberField, whose arithmetic it shares none of."""
+
+    def __init__(self, f):
+        self.f = f
+        self.zero = Residue(self, Polynomial(QQ, [0]))
+        self.one = Residue(self, Polynomial(QQ, [1]))
+
+    def __call__(self, x):
+        return x if isinstance(x, Residue) else Residue(self, Polynomial(QQ, [x]))
+
+    def characteristic(self):
+        return 0
+
+    def lift(self, e):
+        return Residue(self, Polynomial(QQ, e.coords))
+
+
+class Residue:
+    __slots__ = ("ring", "p")
+
+    def __init__(self, ring, p):
+        self.ring, self.p = ring, p % ring.f
+
+    def _p(self, other):
+        return self.ring(other).p
+
+    def __add__(self, other):
+        return Residue(self.ring, self.p + self._p(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Residue(self.ring, self.p - self._p(other))
+
+    def __neg__(self):
+        return Residue(self.ring, -self.p)
+
+    def __mul__(self, other):
+        return Residue(self.ring, self.p * self._p(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        g, s, _ = poly_xgcd(self._p(other), self.ring.f)
+        return self * Residue(self.ring, s * Polynomial(QQ, [1 / g.coeff(0)]))
+
+    def __rtruediv__(self, other):
+        return self.ring(other) / self
+
+    def __bool__(self):
+        return not self.p.is_zero()
+
+    def coords(self, d):
+        return tuple(self.p.coeff(k) for k in range(d))
+
+
+NF_FIELDS = {
+    "i": (1, 0, 1),
+    "quartic": (5, 0, 1, -2, 1),  # the certification field x^4 - 2x^3 + x^2 + 5
+    "x^3-x/2+1/3": (Fraction(1, 3), Fraction(-1, 2), 0, 1),  # _int_den 6
+    "degree 1": (Fraction(-3, 2), 1),
+}
+
+
+def nf_matrix(K, rng, nrows, ncols, sparsity=0.3):
+    """Entries with zero coordinates, zero entries and mixed denominators."""
+    def entry():
+        if rng.random() < sparsity:
+            return K.zero
+        return K.element([0 if rng.random() < 0.3 else
+                          Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7)))
+                          for _ in range(K.degree)])
+    return Matrix(K, [[entry() for _ in range(ncols)] for _ in range(nrows)])
+
+
+def nf_cases(K, rng):
+    cases = [nf_matrix(K, rng, n, n) for n in (1, 2, 2, 3, 3, 4)]
+    cases += [nf_matrix(K, rng, 3, 5), nf_matrix(K, rng, 4, 2)]
+    M = nf_matrix(K, rng, 4, 4, sparsity=0.1)
+    rows = [list(r) for r in M.rows]
+    rows[2] = [rows[0][j] * K.gen + rows[1][j] for j in range(4)]  # rank 3
+    cases.append(Matrix(K, rows))
+    cases.append(Matrix.zeros(K, 2, 3))
+    return cases
+
+
+def det_ref(M):
+    """The determinant by cofactor expansion along the first row."""
+    if M.nrows == 1:
+        return M.entry(0, 0)
+    total = M.ring.zero
+    for j, a in enumerate(M.rows[0]):
+        minor = Matrix(M.ring, [r[:j] + r[j + 1:] for r in M.rows[1:]])
+        total = total + (a * det_ref(minor) if j % 2 == 0 else -(a * det_ref(minor)))
+    return total
+
+
+def coords_of(M, d):
+    return [[e.coords(d) if isinstance(e, Residue) else e.coords for e in r]
+            for r in M.rows]
+
+
+@pytest.mark.parametrize("name", list(NF_FIELDS))
+def test_number_field_linear_algebra_matches_fraction_polynomials(name):
+    from pcurvkit import NumberField
+
+    K = NumberField(Polynomial(QQ, [Fraction(c) for c in NF_FIELDS[name]]), "w")
+    R = PolyQuotient(K.min_poly)
+    d = K.degree
+    rng = random.Random(f"nf linalg {name}")
+    for M in nf_cases(K, rng):
+        ref = M.map_entries(R.lift, R)
+        red, pivots = M.rref()
+        red_ref, pivots_ref = ref.rref()
+        assert pivots == pivots_ref
+        assert coords_of(red, d) == coords_of(red_ref, d)
+        N = nf_matrix(K, rng, M.ncols, 3)
+        assert coords_of(M * N, d) == coords_of(ref * N.map_entries(R.lift, R), d)
+        if not M.is_square():
+            continue
+        det = M.det()
+        assert det.coords == det_ref(ref).coords(d)
+        if det:
+            assert coords_of(M.inverse(), d) == coords_of(ref.inverse(), d)
+        else:
+            with pytest.raises(ValueError):
+                M.inverse()
+

@@ -8,7 +8,9 @@ against the usual surd identities.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import add, mul
 
 import pytest
 
@@ -22,9 +24,15 @@ from pcurvkit import (
     is_irreducible_q,
     is_root_of_unity,
     minimal_polynomial,
+    poly_xgcd,
 )
 from pcurvkit import numberfield
-from pcurvkit.numberfield import CompositumError, euler_phi_upto, root_of_unity_candidates
+from pcurvkit.numberfield import (
+    CompositumError,
+    NumberFieldElement,
+    euler_phi_upto,
+    root_of_unity_candidates,
+)
 
 
 def P(*coeffs):
@@ -351,6 +359,7 @@ CLEARED_FIELDS = {
     "i": (1, 0, 1),
     "quartic": (5, 0, 1, -2, 1),  # the certification field x^4 - 2x^3 + x^2 + 5
     "x^3-x/2+1/3": (Fraction(1, 3), Fraction(-1, 2), 0, 1),
+    "degree 1": (Fraction(-3, 2), 1),
 }
 
 
@@ -409,3 +418,97 @@ def test_equal_elements_by_different_paths_compare_and_hash_equal(name):
     zero = a - a
     assert zero == K.zero and (zero.num, zero.den) == ((0,) * K.degree, 1)
     assert not zero and K(Fraction(-4, 6)) == Fraction(-2, 3)
+
+
+# -- dot, inverse and subtraction against their references ------------------------
+
+
+def sparse_element(K, rng):
+    """Zero coordinates, and now and then zero, over mixed denominators."""
+    if rng.random() < 0.15:
+        return K.zero
+    return K.element([0 if rng.random() < 0.3 else
+                      Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 12)))
+                      for _ in range(K.degree)])
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_dot_matches_sum_of_products(name):
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    rng = random.Random(f"dot {name}")
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        xs = [sparse_element(K, rng) for _ in range(n)]
+        ys = [sparse_element(K, rng) for _ in range(n)]
+        got = K.dot(xs, ys)
+        assert_canonical(got)
+        assert got == reduce(add, map(mul, xs, ys))
+        want = [sum(c) for c in zip(*(fraction_mul(x, y) for x, y in zip(xs, ys)))]
+        assert list(got.coords) == want
+    assert K.dot([K.zero], [K.one]) == K.zero and K.dot([K.zero], [K.one]).den == 1
+
+
+def xgcd_inverse(e):
+    """Coordinates of 1/e by the extended Euclidean algorithm on Fraction
+    polynomials: the route NumberFieldElement.inverse took before it solved
+    a linear system."""
+    f = e.field.min_poly
+    g, s, _ = poly_xgcd(Polynomial(QQ, list(e.coords)), f)
+    inv = (s * Polynomial.constant(QQ, 1 / g.coeff(0))) % f
+    return tuple(inv.coeff(k) for k in range(e.field.degree))
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_inverse_matches_xgcd_oracle(name):
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    rng = random.Random(f"inverse {name}")
+    for _ in range(60):
+        e = sparse_element(K, rng)
+        if not e:
+            with pytest.raises(ZeroDivisionError):
+                e.inverse()
+            continue
+        inv = e.inverse()
+        assert_canonical(inv)
+        assert inv.coords == xgcd_inverse(e)
+        assert e * inv == K.one
+
+
+def test_inverse_of_a_zero_divisor_raises():
+    R = NumberField(P(-1, 0, 1), "t", check=False)  # X^2 - 1 = (X - 1)(X + 1)
+    with pytest.raises(ZeroDivisionError, match="shares a factor"):
+        (R.gen - R.one).inverse()
+    assert (R.gen + R(2)).inverse() == R.element([Fraction(2, 3), Fraction(-1, 3)])
+
+
+def built_by(monkeypatch, op):
+    """op() and the number of NumberFieldElements it built."""
+    built = []
+    real = NumberFieldElement.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(NumberFieldElement, "__init__", spy)
+    try:
+        return op(), len(built)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_subtraction_builds_one_element(monkeypatch, name):
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    rng = random.Random(f"sub {name}")
+    for _ in range(30):
+        a, b = sparse_element(K, rng), sparse_element(K, rng)
+        got, count = built_by(monkeypatch, lambda: a - b)
+        assert count == 1
+        assert_canonical(got)
+        assert got.coords == tuple(x - y for x, y in zip(a.coords, b.coords))
+    for c in (3, Fraction(-5, 6)):
+        got, count = built_by(monkeypatch, lambda: c - a)
+        assert count == 2  # K(c), then c - a
+        assert_canonical(got)
+        assert got.coords == (c - a.coords[0],) + tuple(-x for x in a.coords[1:])

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_record
 from pcurvkit import intervals, numberfield, surface
 from pcurvkit import (
     QQ,
@@ -272,14 +273,14 @@ def test_element_order_frozen_table():
     ]
     for M, n in cases:
         res = element_order(M)
-        assert res == FiniteOrder(n)
+        assert_record(res, FiniteOrder(n))
         assert M ** n == I
 
 
 def test_element_order_parabolic_and_hyperbolic():
     K = rational_field()
     shear = Matrix(K, [[K.one, K.one], [K.zero, K.one]])
-    assert element_order(shear) == InfiniteOrder("parabolic noncentral")
+    assert_record(element_order(shear), InfiniteOrder("parabolic noncentral"))
     hyp = Matrix(K, [[K(2), K.one], [K.one, K.one]])  # trace 3
     res = element_order(hyp)
     assert isinstance(res, InfiniteOrder)
@@ -302,7 +303,7 @@ def test_element_order_golden_rotations():
     w = K.gen
     for t, n in ((w, 10), (w - K.one, 5), (-w, 5)):
         M = Matrix(K, [[K.zero, -K.one], [K.one, t]])  # companion, det 1
-        assert element_order(M) == FiniteOrder(n)
+        assert_record(element_order(M), FiniteOrder(n))
         assert M ** n == Matrix.identity(K, 2)
         for k in range(1, n):
             assert M ** k != Matrix.identity(K, 2)
@@ -362,7 +363,7 @@ def test_arch_check_salem_like_witness():
 
 def test_certify_quaternion_group():
     cert = certify_finiteness(quaternion_rep())
-    assert cert.verdict == Finite(8)
+    assert_record(cert.verdict, Finite(8))
     assert cert.element_count == 8
     assert cert.max_order_seen == 4
     assert cert.nonarch_passed and cert.arch_passed
@@ -377,7 +378,7 @@ def test_certificate_survives_pickling():
 
 def test_certify_projective_quaternion():
     cert = certify_finiteness(quaternion_rep(), projective=True)
-    assert cert.verdict == Finite(4)  # V4 image in PSL2
+    assert_record(cert.verdict, Finite(4))  # V4 image in PSL2
 
 
 def test_certify_parabolic_obstruction():
@@ -433,7 +434,7 @@ def test_certify_gl2_unit_determinants():
     rho = Representation(K, pres, {"a1": a, "b1": Matrix.identity(K, 2)},
                          target="GL2")
     cert = certify_finiteness(rho)
-    assert cert.verdict == Finite(4)
+    assert_record(cert.verdict, Finite(4))
     assert cert.det_orders["a1"] == 4
     assert cert.det_orders["b1"] == 1
 
@@ -456,7 +457,7 @@ def test_certify_closed_torus():
     S = Matrix(K, [[K.zero, -K.one], [K.one, K.zero]])
     rho = Representation(K, pres, {"a1": S, "b1": Matrix.identity(K, 2)})
     cert = certify_finiteness(rho)
-    assert cert.verdict == Finite(4)
+    assert_record(cert.verdict, Finite(4))
 
 
 def test_conjugate_representation_preserves_verdicts():
@@ -466,7 +467,7 @@ def test_conjugate_representation_preserves_verdicts():
     assert rho2.generator_matrix("a1") == rho.generator_matrix("a1").map_entries(conj)
     c1 = certify_finiteness(rho)
     c2 = certify_finiteness(rho2)
-    assert c1.verdict == c2.verdict
+    assert_record(c2.verdict, c1.verdict)
     assert c1.max_order_seen == c2.max_order_seen
     words = simple_loop_products(rho.presentation)
     assert nonarch_check(rho, words).passed == nonarch_check(rho2, words).passed
@@ -493,10 +494,10 @@ def test_icosahedral_binary_group():
     assert s.det() == K.one and t.det() == K.one
     pres = SurfacePresentation(1, 1)
     rho = Representation(K, pres, {"a1": s, "b1": t})
-    assert element_order(s) == FiniteOrder(10)
-    assert element_order(t) == FiniteOrder(6)
+    assert_record(element_order(s), FiniteOrder(10))
+    assert_record(element_order(t), FiniteOrder(6))
     cert = certify_finiteness(rho)
-    assert cert.verdict == Finite(120)
+    assert_record(cert.verdict, Finite(120))
     assert cert.max_order_seen == 10
 
 
@@ -570,7 +571,7 @@ def test_cached_orders_equal_uncached(monkeypatch, name, projective):
     cert, drawn, computed = certify_recording_orders(monkeypatch, rho, projective)
     keys = set()
     for M, res in drawn:
-        assert res == (_projective_order(M) if projective else element_order(M))
+        assert_record(res, _projective_order(M) if projective else element_order(M))
         t = M.trace()
         keys.add(id(M) if _is_scalar(M) else (t * t if projective else t))
     # one computation per central element and per noncentral trace key
@@ -579,10 +580,74 @@ def test_cached_orders_equal_uncached(monkeypatch, name, projective):
         assert cert.element_count == len(drawn) + 1
         assert cert.max_order_seen == max(res.n for _, res in drawn)
     if name == "central-first":
-        assert cert.verdict == Obstructed("b1", "parabolic noncentral")
+        assert_record(cert.verdict, Obstructed("b1", "parabolic noncentral"))
     if name.startswith("icosahedral"):
-        assert cert.verdict == (Finite(60) if projective else Finite(120))
+        assert_record(cert.verdict, Finite(60) if projective else Finite(120))
         assert computed < len(drawn) // 4
+
+
+# -- reduction mod p: an oracle for Finite(n) -----------------------------------------
+
+
+def reduction_prime(K, gens, n):
+    """The least prime p not dividing 2n at which every generator entry and
+    the minimal polynomial are p-integral and the minimal polynomial has a
+    root r mod p; returns (p, r).  theta -> r is then a ring map from the
+    p-integral part of Z[theta] onto F_p."""
+    f = K.min_poly
+    dens = [e.den for M in gens for row in M.rows for e in row]
+    dens += [f.coeff(i).denominator for i in range(K.degree + 1)]
+    p = 2
+    while True:
+        p += 1
+        if any(p % q == 0 for q in range(2, p)) or (2 * n) % p == 0 \
+                or any(d % p == 0 for d in dens):
+            continue
+        for r in range(p):
+            if sum(f.coeff(i).numerator * pow(f.coeff(i).denominator, -1, p)
+                   * pow(r, i, p) for i in range(K.degree + 1)) % p == 0:
+                return p, r
+
+
+def reduced_closure_order(gens, p, r, projective):
+    """The order of the group the generators make in SL2(F_p) (or PSL2(F_p))
+    after theta -> r, by a breadth-first closure on integer 2x2 matrices."""
+    def reduce_entry(e):
+        return sum(a * pow(r, k, p) for k, a in enumerate(e.num)) * pow(e.den, -1, p) % p
+
+    mats = [tuple(reduce_entry(e) for row in M.rows for e in row) for M in gens]
+
+    def mul(A, B):
+        return ((A[0] * B[0] + A[1] * B[2]) % p, (A[0] * B[1] + A[1] * B[3]) % p,
+                (A[2] * B[0] + A[3] * B[2]) % p, (A[2] * B[1] + A[3] * B[3]) % p)
+
+    seen = {(1, 0, 0, 1)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [C for C in {mul(A, g) for A in frontier for g in mats} if C not in seen]
+        seen.update(frontier)
+    if projective and (p - 1, 0, 0, p - 1) in seen:
+        return len(seen) // 2
+    return len(seen)
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["SL2", "PSL2"])
+@pytest.mark.parametrize("name", ["quaternion", "icosahedral", "icosahedral^0",
+                                  "icosahedral^1", "icosahedral^2"])
+def test_finite_order_survives_reduction_mod_p(name, projective):
+    """Reduction mod p is injective on a finite subgroup of order prime to p
+    (its kernel is pro-p), so the closure of the reduced generators in
+    SL2(F_p) has the certified order n, and n divides |SL2(F_p)| =
+    p(p^2 - 1) (half that in PSL2).  The closure runs on ints mod p, with
+    none of the number-field arithmetic the certifier uses."""
+    rho = closure_reps()[name]
+    cert = certify_finiteness(rho, projective=projective)
+    assert type(cert.verdict) is Finite
+    n = cert.verdict.order
+    gens = [rho.gens["a1"], rho.gens["b1"]]
+    p, r = reduction_prime(rho.field, gens, n)
+    assert reduced_closure_order(gens, p, r, projective) == n
+    assert (p * (p * p - 1) // (2 if projective else 1)) % n == 0
 
 
 @pytest.mark.parametrize("n, max_order, projective", [
@@ -645,7 +710,7 @@ def test_certify_computes_no_root_enclosures(monkeypatch, name, projective, verd
     monkeypatch.setattr(intervals, "certified_root_enclosures", refuse)
     assert not hasattr(numberfield, "certified_root_enclosures")
     cert = certify_finiteness(closure_reps()[name], projective=projective)
-    assert cert.verdict == verdict
+    assert_record(cert.verdict, verdict)
 
 
 def test_trace_checks_compute_one_minimal_polynomial_per_loop(monkeypatch):
