@@ -10,14 +10,23 @@ once.  Products then build each entry with one ``dot``, and elimination
 does each row update ``a - f*b`` as ``dot((a, -f), (one, b))``.  Other
 rings sum their products one addition at a time.
 
-Elimination is Gauss-Jordan.  Over QQ it runs fraction-free on integer
-rows (each row cleared of its denominators once, every row operation
+``rref`` is Gauss-Jordan.  Over QQ it runs fraction-free on integer rows
+(each row cleared of its denominators once, every row operation
 ``a*row - f*pivot`` followed by removal of the row's content, in the spirit
-of Bareiss, Math. Comp. 1968) and turns the pivot rows back into
-``Fraction`` once at the end; the reduced row echelon form of a row space
-is unique, so the result is the one exact division would give.  Every
-other ring divides exactly at each pivot, and an entry of a row update
-that faces a zero of the pivot row is kept as it is.
+of Bareiss, Math. Comp. 1968): a forward pass below each pivot, then an
+upward pass that clears the pivot columns of each row with one combined
+update.  The pivot rows turn back into ``Fraction`` once at the end; the
+reduced row echelon form of a row space is unique, so the result is the
+one exact division would give.  Every other ring divides exactly at each
+pivot, and an entry of a row update that faces a zero of the pivot row is
+kept as it is.
+
+``solve`` runs no rref: it eliminates forward only and back-substitutes
+only the right-hand-side columns.  Over QQ that is the same integer
+forward pass, and the upward pass restricted to those columns.  A ring may
+provide ``solve_system(rows, n)`` for its own systems; ``NumberField``
+does, eliminating on cleared integer coordinate vectors (see numberfield).
+Every other ring divides exactly, once per pivot.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .fields import _COERCED, RationalField
 
@@ -41,19 +50,37 @@ def _minus_multiple(ring, f, row, pivot):
     return [dot((a, nf), (one, b)) if b else a for a, b in zip(row, pivot)]
 
 
-def _integer_gauss_jordan(rows, ncols):
-    """Fraction-free Gauss-Jordan on a list of integer rows, in place;
-    returns the pivot columns.
+def _cleared_rows(rows):
+    """Integer rows for rows of Fractions: each row times the lcm of its
+    denominators, divided by its content.  A row stands for a linear
+    equation, so the scale is free."""
+    out = []
+    for r in rows:
+        pairs = [e.as_integer_ratio() for e in r]
+        den = lcm(*[q for _, q in pairs])
+        row = [n for n, _ in pairs] if den == 1 else [n * (den // q) for n, q in pairs]
+        g = gcd(*row)
+        out.append([e // g for e in row] if g > 1 else row)
+    return out
 
-    Eliminating with pivot value a replaces a row by a*row - f*pivot over
-    the whole row (rows above the pivot carry their own pivots left of it),
-    and then divides it by its content.  Afterwards pivot row i stands for
-    row / row[pivots[i]], and the rows past the pivots are zero.
+
+def _integer_forward(rows, ncols):
+    """Fraction-free forward elimination on a list of integer rows, in
+    place, with pivots in the first ncols columns; returns the pivot
+    columns.
+
+    Eliminating with pivot value a replaces each later row with entry f in
+    the pivot column by (a*row - f*pivot) / gcd(a, f), from the pivot column
+    on (both rows are zero left of it), and divides it by its content.
+    Afterwards rows[i] is zero left of pivots[i], and the rows past the
+    pivots are zero in the first ncols columns.
     """
     nrows = len(rows)
     pivots = []
-    rank = 0
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         sel = None
         for i in range(rank, nrows):
             if rows[i][col]:
@@ -62,23 +89,125 @@ def _integer_gauss_jordan(rows, ncols):
         if sel is None:
             continue
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        pivot = rows[rank]
-        a = pivot[col]
-        for i in range(nrows):
+        tail = rows[rank][col:]
+        a = tail[0]
+        support = [(k, b) for k, b in enumerate(tail) if b]
+        for i in range(rank + 1, nrows):
             row = rows[i]
             f = row[col]
-            if i == rank or not f:
-                continue
-            # the pivot row is zero left of col
-            row = [a * e for e in row[:col]] + [
-                a * e - f * b for e, b in zip(row[col:], pivot[col:])]
-            g = gcd(*row)
-            rows[i] = [e // g for e in row] if g > 1 else row
+            if f:
+                g = gcd(a, f)
+                s, t = a // g, f // g
+                new = row[col:] if s == 1 else [s * e for e in row[col:]]
+                for k, b in support:
+                    new[k] -= t * b
+                g = gcd(*new)
+                rows[i] = row[:col] + ([e // g for e in new] if g > 1 else new)
         pivots.append(col)
-        rank += 1
+    return pivots
+
+
+def _integer_upward(rows, pivots, cols=None):
+    """Upward pass on rows reduced by ``_integer_forward``, in place, from
+    the last pivot row up.
+
+    Pivot row i meets the later pivot rows j at its entries c_j in their
+    pivot columns; it becomes L*row - sum c_j * (L // a_j) * row_j, with a_j
+    the pivot value of row j and L the lcm of those a_j, divided by its
+    content.  The later rows are reduced already, so this clears every later
+    pivot column at once, and afterwards x[pivots[i]] = row[c] / row[pivots[i]]
+    solves the system for a right-hand-side column c, with the free unknowns
+    zero.  Only the pivot column and ``cols`` are updated, or every column
+    from the pivot on when cols is None (then the rows are the reduced row
+    echelon form up to one scale per row).
+    """
+    ncols = len(rows[0]) if rows else 0
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        terms = []
+        for j in range(i + 1, len(pivots)):
+            c = row[pivots[j]]
+            if c:
+                terms.append((c, rows[j], rows[j][pivots[j]]))
+        if not terms:
+            continue
+        L = lcm(*(a for _, _, a in terms))
+        terms = [(c * (L // a), r) for c, r, a in terms]
+        p = pivots[i]
+        idx = range(p, ncols) if cols is None else (p, *cols)
+        new = [L * row[k] - sum(f * r[k] for f, r in terms) for k in idx]
+        g = gcd(*new)
+        for k, e in zip(idx, new):
+            row[k] = e // g
+
+
+def _integer_gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan on a list of integer rows, in place: the
+    forward pass and then the upward pass over whole rows.  Returns the
+    pivot columns; pivot row i stands for row / row[pivots[i]], and the rows
+    past the pivots are zero."""
+    pivots = _integer_forward(rows, ncols)
+    _integer_upward(rows, pivots)
+    return pivots
+
+
+def _solve_integer(rows, n):
+    """Solution rows of the system over QQ whose augmented rows (n unknowns,
+    then the right-hand sides) are given, or None: the forward pass on the
+    cleared integer rows, the upward pass on the right-hand-side columns,
+    and one Fraction per nonzero entry of the solution."""
+    rows = _cleared_rows(rows)
+    pivots = _integer_forward(rows, n)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None
+    width = len(rows[0])
+    _integer_upward(rows, pivots, range(n, width))
+    zero = Fraction(0)
+    sol = [[zero] * (width - n) for _ in range(n)]
+    for row, p in zip(rows, pivots):
+        a = row[p]
+        sol[p] = [Fraction(e, a) if e else zero for e in row[n:]]
+    return sol
+
+
+def _solve_by_division(ring, rows, n):
+    """Solution rows of the system over a field whose augmented rows (n
+    unknowns, then the right-hand sides) are given, or None: forward
+    elimination dividing exactly by each pivot, then back substitution on
+    the right-hand-side columns."""
+    rows = [list(r) for r in rows]
+    nrows, width = len(rows), len(rows[0])
+    pivots, invs = [], []
+    for col in range(n):
+        rank = len(pivots)
         if rank == nrows:
             break
-    return pivots
+        sel = None
+        for i in range(rank, nrows):
+            if rows[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pivot = rows[rank][col:]
+        inv = ring.one / pivot[0]
+        for i in range(rank + 1, nrows):
+            if rows[i][col]:
+                rows[i][col:] = _minus_multiple(ring, rows[i][col] * inv, rows[i][col:], pivot)
+        pivots.append(col)
+        invs.append(inv)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None
+    z = ring.zero
+    sol = [[z] * (width - n) for _ in range(n)]
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        later = [(row[q], sol[q]) for q in pivots[i + 1:] if row[q]]
+        sol[pivots[i]] = [
+            invs[i] * reduce(sub, (c * x[k] for c, x in later), row[n + k])
+            for k in range(width - n)]
+    return sol
 
 
 class Matrix:
@@ -237,12 +366,7 @@ class Matrix:
         content, ``_integer_gauss_jordan`` reduces them, and pivot row i is
         converted back once, as row / row[pivots[i]].
         """
-        rows = []
-        for r in self.rows:
-            den = lcm(*(e.denominator for e in r))
-            row = [e.numerator * (den // e.denominator) for e in r]
-            g = gcd(*row)
-            rows.append([e // g for e in row] if g > 1 else row)
+        rows = _cleared_rows(self.rows)
         pivots = _integer_gauss_jordan(rows, self.ncols)
         zero = Fraction(0)
         out = []
@@ -297,23 +421,26 @@ class Matrix:
         return Matrix(self.ring, [list(r[n:]) for r in red.rows])
 
     def solve(self, rhs: "Matrix"):
-        """One solution of self * x = rhs (column rhs), or None."""
+        """One solution X of self * X = rhs, or None when there is none.
+
+        rhs may have several columns, each solved for.  Free unknowns are
+        set to zero, so X is the solution the reduced row echelon form of
+        (self | rhs) reads off.  Elimination runs forward only, on the rows
+        below each pivot, and back substitution computes only the rhs
+        columns: over QQ on cleared integer rows, over a ring with
+        ``solve_system`` by that, and over any other ring by exact division.
+        """
         if rhs.nrows != self.nrows:
             raise ValueError("rhs height mismatch")
-        aug = Matrix(self.ring, [
-            list(r) + list(br) for r, br in zip(self.rows, rhs.rows)
-        ])
-        red, pivots = aug.rref()
-        rhs_cols = range(self.ncols, self.ncols + rhs.ncols)
-        for p in pivots:
-            if p in rhs_cols:
-                return None
-        z = self.ring.zero
-        sol = [[z] * rhs.ncols for _ in range(self.ncols)]
-        for row_idx, col in enumerate(pivots):
-            for k, rc in enumerate(rhs_cols):
-                sol[col][k] = red.rows[row_idx][rc]
-        return Matrix(self.ring, sol)
+        ring = self.ring
+        rows = [r + b for r, b in zip(self.rows, rhs.rows)]
+        if type(ring) is RationalField:
+            sol = _solve_integer(rows, self.ncols)
+        elif hasattr(ring, "solve_system"):
+            sol = ring.solve_system(rows, self.ncols)
+        else:
+            sol = _solve_by_division(ring, rows, self.ncols)
+        return None if sol is None else Matrix(ring, sol)
 
     def kernel_basis(self) -> list["Matrix"]:
         """Column vectors spanning the right kernel."""

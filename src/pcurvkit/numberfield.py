@@ -9,8 +9,14 @@ by one gcd; ``coords`` builds the Fraction coordinates on demand.
 convolutions of all pairs are added over one common denominator and
 reduced once, so a matrix entry or a row update ``a - f*b`` costs one
 reduction and one gcd.  ``inverse`` solves the d x d integer linear
-system of multiplication by the element, with the fraction-free
-elimination that rref over QQ runs (``linalg._integer_gauss_jordan``).
+system of multiplication by the element with the fraction-free passes
+that ``Matrix.solve`` runs over QQ (``linalg._integer_forward`` and
+``_integer_upward``).  ``NumberField.solve_system`` is ``Matrix.solve``
+over the field: each row of the system is kept as integer coordinate
+vectors, cleared of its denominators, each pivot row is scaled once by
+the inverse of its lead entry, and each row update is integer
+multiplication by one entry, reduced by the table, with one gcd for the
+row; elements are built only in back substitution.
 
 A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
@@ -23,7 +29,9 @@ real embeddings exactly, by Sturm's theorem on the defining polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 
 from .fields import QQ
 from .poly import (
@@ -33,7 +41,7 @@ from .poly import (
     is_irreducible_q,
     IrreducibilityUndecided,
 )
-from .linalg import Matrix, _integer_gauss_jordan
+from .linalg import Matrix, _cleared_rows, _integer_forward, _integer_upward
 
 
 class CompositumError(ValueError):
@@ -108,14 +116,99 @@ class NumberField:
 
     def _reduced(self, conv, den):
         """The element conv / den for an integer convolution conv of length
-        2d - 1: theta^k for k >= d is replaced by table rows over _int_den."""
+        2d - 1."""
+        return NumberFieldElement(self, self._reduced_ints(conv), den * self._int_den)
+
+    def _reduced_ints(self, conv):
+        """_int_den times the integer convolution conv of length 2d - 1,
+        taken mod min_poly: theta^k for k >= d is replaced by table rows
+        over _int_den."""
         d = self.degree
         D = self._int_den
         out = conv[:d] if D == 1 else [c * D for c in conv[:d]]
         for c, row in zip(conv[d:], self._int_table):
             if c:
                 out = [x + c * r for x, r in zip(out, row)]
-        return NumberFieldElement(self, out, den * D)
+        return out
+
+    def _times(self, a):
+        """The integer matrix, as a list of rows, of v -> _int_den * a * v
+        on integer coordinate vectors: column j is the convolution of a
+        with theta^j, a shift, reduced by the table."""
+        d = self.degree
+        return list(zip(*(self._reduced_ints([0] * j + list(a) + [0] * (d - 1 - j))
+                          for j in range(d))))
+
+    def solve_system(self, rows, n):
+        """Solution rows of the linear system whose augmented rows (n
+        unknowns, then the right-hand sides) are given, or None.
+
+        Each row stands for an equation, so it is kept as integer coordinate
+        vectors, cleared of its denominators and divided by its content.
+        Forward elimination scales each pivot row once, by the ``inverse``
+        of its lead entry, to a rational integer lead s.  A later row with
+        entry f in the pivot column becomes D*s*row - f*pivot (D = _int_den):
+        multiplication by f, the convolution reduced by the table, is built
+        once as an integer d x d matrix and applied to each nonzero entry of
+        the pivot row, and one gcd divides the row by its content.  No
+        element is built until back substitution, which computes the
+        unknowns at pivot columns from the last up, each as one ``dot``;
+        free unknowns are zero.
+        """
+        D = self._int_den
+        vrows = []
+        for r in rows:
+            den = lcm(*(e.den for e in r))
+            vrows.append(_primitive([e.num if e.den == den else
+                                     [c * (den // e.den) for c in e.num] for e in r]))
+        nrows, width = len(vrows), len(vrows[0])
+        pivots = []
+        for col in range(n):
+            rank = len(pivots)
+            if rank == nrows:
+                break
+            sel = None
+            for i in range(rank, nrows):
+                if any(vrows[i][col]):
+                    sel = i
+                    break
+            if sel is None:
+                continue
+            vrows[rank], vrows[sel] = vrows[sel], vrows[rank]
+            row = vrows[rank]
+            times = self._times(NumberFieldElement(self, row[col], 1).inverse().num)
+            # the pivot row times the inverse: lead D * inv.den, then content
+            pivot = _primitive([[sum(map(mul, t, v)) for t in times] if any(v) else v
+                                for v in row[col:]])
+            vrows[rank] = row[:col] + pivot
+            Ds = D * pivot[0][0]
+            support = [(k, v) for k, v in enumerate(pivot) if any(v)]
+            for i in range(rank + 1, nrows):
+                row = vrows[i]
+                f = row[col]
+                if not any(f):
+                    continue
+                times = self._times(f)
+                new = [[Ds * c for c in v] if any(v) else v for v in row[col:]]
+                for k, v in support:
+                    new[k] = [c - sum(map(mul, t, v)) for c, t in zip(new[k], times)]
+                vrows[i] = row[:col] + _primitive(new)
+            pivots.append(col)
+        if any(any(map(any, row[n:])) for row in vrows[len(pivots):]):
+            return None
+        zero, one = self.zero, self.one
+        m = width - n
+        sol = [[zero] * m for _ in range(n)]
+        for i in range(len(pivots) - 1, -1, -1):
+            row = vrows[i]
+            s = row[pivots[i]][0]
+            later = [(NumberFieldElement(self, [-c for c in row[q]], s), sol[q])
+                     for q in pivots[i + 1:] if any(row[q])]
+            sol[pivots[i]] = [
+                self.dot([NumberFieldElement(self, row[n + k], s)] + [c for c, _ in later],
+                         [one] + [x[k] for _, x in later])
+                for k in range(m)]
+        return sol
 
     def __call__(self, x):
         if isinstance(x, NumberFieldElement):
@@ -173,6 +266,14 @@ class NumberField:
 
     def __repr__(self):
         return f"Q[{self.name}]/({self.min_poly.to_str(self.name)})"
+
+
+def _primitive(vectors):
+    """The integer vectors divided by the gcd of all their entries."""
+    g = gcd(*chain.from_iterable(vectors))
+    if g > 1:
+        return [[c // g for c in v] for v in vectors]
+    return vectors
 
 
 class NumberFieldElement:
@@ -258,8 +359,8 @@ class NumberFieldElement:
         d x d system is D^j * a * theta^j, with D = _int_den, built by one
         shift and one table row per step; with right-hand side e_0 its
         solution w gives 1 / a = sum(D^j * w[j] * theta^j).  The system is
-        solved by the fraction-free elimination of rref over QQ, on the
-        integer rows as they are."""
+        solved as ``Matrix.solve`` solves one over QQ, on the integer rows as
+        they are: the forward pass, then the upward pass on column d."""
         if not self:
             raise ZeroDivisionError("number field zero division")
         K = self.field
@@ -270,8 +371,10 @@ class NumberFieldElement:
             c = prev[-1]
             cols.append([D * s + c * t for s, t in zip([0] + prev[:-1], K._int_table[0])])
         rows = [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))]
-        if _integer_gauss_jordan(rows, d + 1) != list(range(d)):
+        pivots = _integer_forward(rows, d)
+        if len(pivots) < d:
             raise ZeroDivisionError("element shares a factor with the modulus")
+        _integer_upward(rows, pivots, (d,))
         # pivot row j reads w[j] = row[d] / row[j]
         den = lcm(*(row[j] for j, row in enumerate(rows)))
         scale = self.den
@@ -350,12 +453,16 @@ def _first_dependency(vectors) -> Polynomial:
 
     The vectors are the orbit v, Av, A^2 v, ... of one linear map A, one
     more than their dimension, so the first k are independent and every
-    later one depends on them.  One row reduction of the matrix with these
-    columns finds k as its rank, and column k reduces to -c_0..-c_{k-1}.
+    later one depends on them.  The forward pass on the cleared integer
+    rows of the matrix with these columns finds k as its rank, and the
+    upward pass on column k alone gives -c_0..-c_{k-1}.
     """
-    red, pivots = Matrix(QQ, list(zip(*vectors))).rref()
+    rows = _cleared_rows(zip(*vectors))
+    pivots = _integer_forward(rows, len(vectors))
     k = len(pivots)
-    return Polynomial(QQ, [-red.entry(t, k) for t in range(k)] + [Fraction(1)])
+    _integer_upward(rows, pivots, (k,))
+    return Polynomial(QQ, [Fraction(-row[k], row[t]) for t, row in enumerate(rows[:k])]
+                      + [Fraction(1)])
 
 
 def is_algebraic_integer(e: NumberFieldElement) -> bool:
