@@ -410,15 +410,10 @@ class Matrix:
     def inverse(self):
         if not self.is_square():
             raise ValueError("inverse of a nonsquare matrix")
-        n = self.nrows
-        ident = Matrix.identity(self.ring, n)
-        aug = Matrix(self.ring, [
-            list(r) + list(ir) for r, ir in zip(self.rows, ident.rows)
-        ])
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
+        inv = self.solve(Matrix.identity(self.ring, self.nrows))
+        if inv is None:
             raise ValueError("matrix is singular")
-        return Matrix(self.ring, [list(r[n:]) for r in red.rows])
+        return inv
 
     def solve(self, rhs: "Matrix"):
         """One solution X of self * X = rhs, or None when there is none.

@@ -131,7 +131,7 @@ class NumberField:
                 out = [x + c * r for x, r in zip(out, row)]
         return out
 
-    def _times(self, a):
+    def _mul_rows(self, a):
         """The integer matrix, as a list of rows, of v -> _int_den * a * v
         on integer coordinate vectors: column j is the convolution of a
         with theta^j, a shift, reduced by the table."""
@@ -176,7 +176,7 @@ class NumberField:
                 continue
             vrows[rank], vrows[sel] = vrows[sel], vrows[rank]
             row = vrows[rank]
-            times = self._times(NumberFieldElement(self, row[col], 1).inverse().num)
+            times = self._mul_rows(NumberFieldElement(self, row[col], 1).inverse().num)
             # the pivot row times the inverse: lead D * inv.den, then content
             pivot = _primitive([[sum(map(mul, t, v)) for t in times] if any(v) else v
                                 for v in row[col:]])
@@ -188,7 +188,7 @@ class NumberField:
                 f = row[col]
                 if not any(f):
                     continue
-                times = self._times(f)
+                times = self._mul_rows(f)
                 new = [[Ds * c for c in v] if any(v) else v for v in row[col:]]
                 for k, v in support:
                     new[k] = [c - sum(map(mul, t, v)) for c, t in zip(new[k], times)]

@@ -466,3 +466,201 @@ def test_number_field_linear_algebra_matches_fraction_polynomials(name):
             with pytest.raises(ValueError):
                 M.inverse()
 
+
+
+# -- solve against the rref route ----------------------------------------------
+
+
+def solve_by_rref(A, rhs):
+    """One solution of A X = rhs read off the reduced row echelon form of
+    (A | rhs), with the free unknowns zero, or None when a pivot falls in a
+    rhs column: the route Matrix.solve took before it eliminated forward
+    only, kept as the oracle on top of rref_by_field_division."""
+    aug = Matrix(A.ring, [list(r) + list(b) for r, b in zip(A.rows, rhs.rows)])
+    red, pivots = rref_by_field_division(aug)
+    if any(p >= A.ncols for p in pivots):
+        return None
+    z = A.ring.zero
+    sol = [[z] * rhs.ncols for _ in range(A.ncols)]
+    for row, col in zip(red.rows, pivots):
+        sol[col] = list(row[A.ncols:])
+    return Matrix(A.ring, sol)
+
+
+def right_hand_sides(A, entry, rng):
+    """Consistent ones with one and three columns, a zero one, random ones
+    (inconsistent for most tall or rank-deficient A) and one whose second
+    column is random beside a consistent first."""
+    def random_matrix(nrows, ncols):
+        return Matrix(A.ring, [[entry(rng) for _ in range(ncols)] for _ in range(nrows)])
+    consistent = A * random_matrix(A.ncols, 3)
+    rand = random_matrix(A.nrows, 2)
+    mixed = Matrix(A.ring, [[c[0], r[0]] for c, r in zip(consistent.rows, rand.rows)])
+    return [A * random_matrix(A.ncols, 1), consistent, Matrix.zeros(A.ring, A.nrows, 1),
+            rand, mixed]
+
+
+def assert_solve_matches_rref_route(A, rhs):
+    """solve equals the oracle entry for entry; returns whether it solved."""
+    X = A.solve(rhs)
+    expected = solve_by_rref(A, rhs)
+    if expected is None:
+        assert X is None
+        return False
+    assert X is not None and X.shape() == (A.ncols, rhs.ncols)
+    assert X.rows == expected.rows
+    assert A * X == rhs
+    return True
+
+
+def qq_entry(rng):
+    return rand_fraction(rng, 9) if rng.random() < 0.7 else Fraction(0)
+
+
+def test_qq_solve_matches_rref_route_on_every_case():
+    rng = random.Random(6174)
+    outcomes = []
+    for name in sorted(_QQ_CASES):
+        A = Matrix(QQ, _QQ_CASES[name])
+        for rhs in right_hand_sides(A, qq_entry, rng):
+            outcomes.append(assert_solve_matches_rref_route(A, rhs))
+            X = A.solve(rhs)
+            assert X is None or all(type(e) is Fraction for r in X.rows for e in r)
+    assert True in outcomes and False in outcomes
+
+
+def nf_field(name):
+    from pcurvkit import NumberField
+
+    return NumberField(Polynomial(QQ, [Fraction(c) for c in NF_FIELDS[name]]), "w")
+
+
+@pytest.mark.parametrize("name", list(NF_FIELDS))
+def test_number_field_solve_matches_rref_route(name):
+    K = nf_field(name)
+    rng = random.Random(f"nf solve {name}")
+
+    def entry(r):
+        return nf_matrix(K, r, 1, 1).entry(0, 0)
+    outcomes = []
+    cases = nf_cases(K, rng) + [nf_matrix(K, rng, 6, 3), nf_matrix(K, rng, 2, 6, sparsity=0.6)]
+    for A in cases:
+        for rhs in right_hand_sides(A, entry, rng):
+            outcomes.append(assert_solve_matches_rref_route(A, rhs))
+    assert True in outcomes and False in outcomes
+
+
+def step_conjugate_systems(K, rng, count, monkeypatch):
+    """The 18 x 9 systems step_conjugate solves for rank-3 pairs over K."""
+    from pcurvkit.deformation import step_conjugate
+
+    systems = []
+    real = Matrix.solve
+
+    def capture(A, rhs):
+        systems.append((A, rhs))
+        return real(A, rhs)
+
+    def entry():
+        return K.element([rng.randint(-3, 3) for _ in range(K.degree)])
+
+    monkeypatch.setattr(Matrix, "solve", capture)
+    for _ in range(count):
+        sigma = [Matrix(K, [[entry() for _ in range(3)] for _ in range(3)]) for _ in range(2)]
+        M = Matrix(K, [[entry() for _ in range(3)] for _ in range(3)])
+        assert step_conjugate(sigma, [[s, M * s - s * M] for s in sigma], 1) is not None
+    monkeypatch.undo()
+    return systems
+
+
+@pytest.mark.parametrize("name", ["i", "quartic"])
+def test_step_conjugate_shaped_solves_match_rref_route(name, monkeypatch):
+    K = nf_field(name)
+    rng = random.Random(f"conjugate {name}")
+    systems = step_conjugate_systems(K, rng, 3, monkeypatch)
+    assert {A.shape() for A, _ in systems} == {(18, 9)}
+    for A, rhs in systems:
+        assert assert_solve_matches_rref_route(A, rhs)
+        # the commutator system always has the centraliser in its kernel
+        assert A.rank() < A.ncols
+        # each generator's block M sigma - sigma M has trace 0, so adding 1
+        # to every rhs entry makes the system inconsistent
+        inconsistent = Matrix(K, [[e + 1] for e, in rhs.rows])
+        assert not assert_solve_matches_rref_route(A, inconsistent)
+
+
+def test_generic_solve_matches_rref_route_over_gf_p_and_a_function_field():
+    rng = random.Random(1729)
+    F = GF(7)
+
+    def gf_entry(r):
+        return F(r.randint(0, 6)) if r.random() < 0.7 else F.zero
+    K = FunctionField(QQ, "x")
+    x = K.gen()
+
+    def ff_entry(r):
+        if r.random() < 0.3:
+            return K.zero
+        return (r.randint(-3, 3) + r.randint(-2, 2) * x) / (1 + r.randint(0, 2) * x)
+    outcomes = []
+    for ring, entry, shapes in ((F, gf_entry, [(4, 4), (6, 3), (3, 6), (5, 5)]),
+                                (K, ff_entry, [(3, 3), (4, 2), (2, 4)])):
+        for nrows, ncols in shapes:
+            for _ in range(3):
+                A = Matrix(ring, [[entry(rng) for _ in range(ncols)] for _ in range(nrows)])
+                for rhs in right_hand_sides(A, entry, rng):
+                    outcomes.append(assert_solve_matches_rref_route(A, rhs))
+        rows = [[entry(rng) for _ in range(4)] for _ in range(3)]
+        rows.append([a + b for a, b in zip(rows[0], rows[1])])   # rank-deficient
+        rows.append([ring.zero] * 4)                                # zero row
+        A = Matrix(ring, rows)
+        for rhs in right_hand_sides(A, entry, rng):
+            outcomes.append(assert_solve_matches_rref_route(A, rhs))
+    assert True in outcomes and False in outcomes
+
+
+def test_number_field_solve_inverts_once_per_pivot_and_dots_only_at_the_end(monkeypatch):
+    """Over Q(i) a solve calls NumberFieldElement.inverse once per pivot and
+    NumberField.dot at most ncols * rhs.ncols times, every dot after the
+    last inverse: the forward pass builds no sums of products."""
+    from pcurvkit.numberfield import NumberField, NumberFieldElement
+
+    K = nf_field("i")
+    rng = random.Random(314)
+    A = nf_matrix(K, rng, 7, 5)
+    rows = [list(r) for r in A.rows]
+    rows[4] = [a + K.gen * b for a, b in zip(rows[0], rows[1])]  # rank 4 or less
+    A = Matrix(K, rows)
+    rhs = A * nf_matrix(K, rng, 5, 2)
+    npivots = len(rref_by_field_division(A)[1])
+    expected = solve_by_rref(A, rhs)
+    events = []
+
+    def spy(name, real):
+        def call(*args):
+            events.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(NumberFieldElement, "inverse", spy("inverse", NumberFieldElement.inverse))
+    monkeypatch.setattr(NumberField, "dot", spy("dot", NumberField.dot))
+    X = A.solve(rhs)
+    monkeypatch.undo()
+    assert X == expected
+    assert events.count("inverse") == npivots
+    assert 0 < events.count("dot") <= A.ncols * rhs.ncols
+    assert "inverse" not in events[events.index("dot"):]
+
+
+def test_qq_solve_runs_no_rref(monkeypatch):
+    rng = random.Random(2025)
+    A = Matrix(QQ, low_rank(rng, 8, 6, 4))
+    rhs = A * Matrix(QQ, rand_qq(rng, 6, 2))
+    expected = solve_by_rref(A, rhs)
+    calls = []
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self))
+    monkeypatch.setattr(Matrix, "_rref_integer", lambda self: calls.append(self))
+    X = A.solve(rhs)
+    monkeypatch.undo()
+    assert calls == []
+    assert X == expected

@@ -1,11 +1,13 @@
-"""The benchmark's scan and analyze answers, checked in the fast suite.
+"""The benchmark's scan, analyze and deform answers, checked in the fast
+suite.
 
 perfbench/workloads.py builds seeded specs with planted answers and checks
 every report against them and against the answers recorded in
 perfbench/expected.json.  The benchmark runs those checks only when it is
-run; here the same operations go through pcurv_main in-process, so a
-p-curvature change that gets a table or a verdict wrong fails this suite
-too.  The perfbench modules are only imported and read.
+run; here the same operations go through pcurv_main and deform_main
+in-process, so a p-curvature change that gets a table or a verdict wrong,
+or a linear-algebra change that returns a wrong lift or gauge, fails this
+suite too.  The perfbench modules are only imported and read.
 """
 
 import importlib
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from pcurvkit.cli import pcurv_main
+from pcurvkit.cli import deform_main, pcurv_main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,7 +35,10 @@ workloads = load_workloads()
 EXPECTED = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("workload", ["scan", "analyze"])
+MAINS = {"pcurv": pcurv_main, "deform": deform_main}
+
+
+@pytest.mark.parametrize("workload", ["scan", "analyze", "deform"])
 @pytest.mark.parametrize("seed", [0, workloads.HOLDOUT_SEED])
 def test_reports_pass_the_benchmark_checks(workload, seed, tmp_path, capsys):
     ops = workloads.build(workload, seed)
@@ -42,7 +47,7 @@ def test_reports_pass_the_benchmark_checks(workload, seed, tmp_path, capsys):
     for i, (op, answer) in enumerate(zip(ops, recorded)):
         spec = tmp_path / f"{i:02d}.json"
         spec.write_text(json.dumps(op["spec"]), encoding="utf-8")
-        assert op["tool"] == "pcurv"
-        code = pcurv_main([str(spec) if a == "{spec}" else a for a in op["args"]])
+        main = MAINS[op["tool"]]
+        code = main([str(spec) if a == "{spec}" else a for a in op["args"]])
         results = json.loads(capsys.readouterr().out)["results"]
         assert workloads.check(workload, op, code, results, answer) is None, (i, results)
