@@ -402,6 +402,12 @@ NF_FIELDS = {
 }
 
 
+def nf_field(name):
+    from pcurvkit import NumberField
+
+    return NumberField(Polynomial(QQ, [Fraction(c) for c in NF_FIELDS[name]]), "w")
+
+
 def nf_matrix(K, rng, nrows, ncols, sparsity=0.3):
     """Entries with zero coordinates, zero entries and mixed denominators."""
     def entry():
@@ -442,9 +448,7 @@ def coords_of(M, d):
 
 @pytest.mark.parametrize("name", list(NF_FIELDS))
 def test_number_field_linear_algebra_matches_fraction_polynomials(name):
-    from pcurvkit import NumberField
-
-    K = NumberField(Polynomial(QQ, [Fraction(c) for c in NF_FIELDS[name]]), "w")
+    K = nf_field(name)
     R = PolyQuotient(K.min_poly)
     d = K.degree
     rng = random.Random(f"nf linalg {name}")
@@ -500,17 +504,17 @@ def right_hand_sides(A, entry, rng):
             rand, mixed]
 
 
-def assert_solve_matches_rref_route(A, rhs):
-    """solve equals the oracle entry for entry; returns whether it solved."""
+def solve_checked(A, rhs):
+    """A.solve(rhs), asserted equal to the oracle entry for entry."""
     X = A.solve(rhs)
     expected = solve_by_rref(A, rhs)
     if expected is None:
         assert X is None
-        return False
+        return None
     assert X is not None and X.shape() == (A.ncols, rhs.ncols)
     assert X.rows == expected.rows
     assert A * X == rhs
-    return True
+    return X
 
 
 def qq_entry(rng):
@@ -523,16 +527,10 @@ def test_qq_solve_matches_rref_route_on_every_case():
     for name in sorted(_QQ_CASES):
         A = Matrix(QQ, _QQ_CASES[name])
         for rhs in right_hand_sides(A, qq_entry, rng):
-            outcomes.append(assert_solve_matches_rref_route(A, rhs))
-            X = A.solve(rhs)
+            X = solve_checked(A, rhs)
+            outcomes.append(X is not None)
             assert X is None or all(type(e) is Fraction for r in X.rows for e in r)
     assert True in outcomes and False in outcomes
-
-
-def nf_field(name):
-    from pcurvkit import NumberField
-
-    return NumberField(Polynomial(QQ, [Fraction(c) for c in NF_FIELDS[name]]), "w")
 
 
 @pytest.mark.parametrize("name", list(NF_FIELDS))
@@ -546,7 +544,7 @@ def test_number_field_solve_matches_rref_route(name):
     cases = nf_cases(K, rng) + [nf_matrix(K, rng, 6, 3), nf_matrix(K, rng, 2, 6, sparsity=0.6)]
     for A in cases:
         for rhs in right_hand_sides(A, entry, rng):
-            outcomes.append(assert_solve_matches_rref_route(A, rhs))
+            outcomes.append(solve_checked(A, rhs) is not None)
     assert True in outcomes and False in outcomes
 
 
@@ -580,13 +578,13 @@ def test_step_conjugate_shaped_solves_match_rref_route(name, monkeypatch):
     systems = step_conjugate_systems(K, rng, 3, monkeypatch)
     assert {A.shape() for A, _ in systems} == {(18, 9)}
     for A, rhs in systems:
-        assert assert_solve_matches_rref_route(A, rhs)
+        assert solve_checked(A, rhs) is not None
         # the commutator system always has the centraliser in its kernel
         assert A.rank() < A.ncols
         # each generator's block M sigma - sigma M has trace 0, so adding 1
         # to every rhs entry makes the system inconsistent
         inconsistent = Matrix(K, [[e + 1] for e, in rhs.rows])
-        assert not assert_solve_matches_rref_route(A, inconsistent)
+        assert solve_checked(A, inconsistent) is None
 
 
 def test_generic_solve_matches_rref_route_over_gf_p_and_a_function_field():
@@ -609,13 +607,13 @@ def test_generic_solve_matches_rref_route_over_gf_p_and_a_function_field():
             for _ in range(3):
                 A = Matrix(ring, [[entry(rng) for _ in range(ncols)] for _ in range(nrows)])
                 for rhs in right_hand_sides(A, entry, rng):
-                    outcomes.append(assert_solve_matches_rref_route(A, rhs))
+                    outcomes.append(solve_checked(A, rhs) is not None)
         rows = [[entry(rng) for _ in range(4)] for _ in range(3)]
         rows.append([a + b for a, b in zip(rows[0], rows[1])])   # rank-deficient
         rows.append([ring.zero] * 4)                                # zero row
         A = Matrix(ring, rows)
         for rhs in right_hand_sides(A, entry, rng):
-            outcomes.append(assert_solve_matches_rref_route(A, rhs))
+            outcomes.append(solve_checked(A, rhs) is not None)
     assert True in outcomes and False in outcomes
 
 
