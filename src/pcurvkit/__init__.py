@@ -42,13 +42,10 @@ from .connection import (
     scan_primes,
 )
 from .valuation import (
-    IntegralityReport,
     NewtonPolygon,
     NonvanishingPrediction,
     PredictionNotApplicable,
-    SeriesDerivation,
     ValuationProfile,
-    check_nu_integrality,
     newton_polygon,
     predict_nonvanishing,
     q_valuation,

@@ -53,10 +53,6 @@ class TruncatedLaurentSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_coeff_list(cls, field, var, offset, coeffs, exact=True):
-        return cls(field, var, offset, list(coeffs), prec=len(coeffs), exact=exact)
-
-    @classmethod
     def zero(cls, field, var, exact=True, known_to=0):
         return cls(field, var, known_to, [], prec=0, exact=exact)
 
@@ -185,12 +181,6 @@ class TruncatedLaurentSeries:
         return TruncatedLaurentSeries(
             self.field, self.var, self.offset + k, list(self.coeffs),
             prec=self.prec, exact=self.exact,
-        )
-
-    def map_coefficients(self, fn, new_field=None):
-        return TruncatedLaurentSeries(
-            new_field or self.field, self.var, self.offset,
-            [fn(c) for c in self.coeffs], prec=self.prec, exact=self.exact,
         )
 
     # -- comparison / display --------------------------------------------------

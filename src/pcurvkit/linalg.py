@@ -10,23 +10,28 @@ once.  Products then build each entry with one ``dot``, and elimination
 does each row update ``a - f*b`` as ``dot((a, -f), (one, b))``.  Other
 rings sum their products one addition at a time.
 
-``rref`` is Gauss-Jordan.  Over QQ it runs fraction-free on integer rows
-(each row cleared of its denominators once, every row operation
-``a*row - f*pivot`` followed by removal of the row's content, in the spirit
-of Bareiss, Math. Comp. 1968): a forward pass below each pivot, then an
-upward pass that clears the pivot columns of each row with one combined
-update.  The pivot rows turn back into ``Fraction`` once at the end; the
-reduced row echelon form of a row space is unique, so the result is the
-one exact division would give.  Every other ring divides exactly at each
-pivot, and an entry of a row update that faces a zero of the pivot row is
-kept as it is.
+Elimination runs one forward pass per representation, and every operation
+reads off it:
 
-``solve`` runs no rref: it eliminates forward only and back-substitutes
-only the right-hand-side columns.  Over QQ that is the same integer
-forward pass, and the upward pass restricted to those columns.  A ring may
-provide ``solve_system(rows, n)`` for its own systems; ``NumberField``
-does, eliminating on cleared integer coordinate vectors (see numberfield).
-Every other ring divides exactly, once per pivot.
+- over QQ, ``_integer_forward`` on integer rows, each row cleared of its
+  denominators once, every row operation ``a*row - f*pivot`` followed by
+  removal of the row's content (in the spirit of Bareiss, Math. Comp.
+  1968).  ``rank`` counts its pivots, ``rref`` adds ``_integer_upward``
+  over whole rows and turns the pivot rows back into ``Fraction`` once,
+  and ``solve`` adds the upward pass on the right-hand-side columns alone;
+- over every other field, ``_forward_by_division``, which divides exactly
+  once per pivot and keeps an entry of a row update that faces a zero of
+  the pivot row as it is.  ``rank`` counts its pivots, ``rref`` adds an
+  upward pass that scales each pivot row to 1 and clears its column in the
+  rows above, and ``solve`` adds back substitution on the right-hand-side
+  columns.  ``det``, over QQ too, is the sign of its row permutation times
+  the product of its pivots;
+- inside ``NumberField.solve_system``, which ``solve`` calls over a number
+  field, on cleared integer coordinate vectors (see numberfield).
+
+The reduced row echelon form of a row space is unique, so every route gives
+the result exact division would; ``solve`` sets the free unknowns to zero,
+as the rref of the augmented matrix would.
 """
 
 from __future__ import annotations
@@ -141,16 +146,6 @@ def _integer_upward(rows, pivots, cols=None):
             row[k] = e // g
 
 
-def _integer_gauss_jordan(rows, ncols):
-    """Fraction-free Gauss-Jordan on a list of integer rows, in place: the
-    forward pass and then the upward pass over whole rows.  Returns the
-    pivot columns; pivot row i stands for row / row[pivots[i]], and the rows
-    past the pivots are zero."""
-    pivots = _integer_forward(rows, ncols)
-    _integer_upward(rows, pivots)
-    return pivots
-
-
 def _solve_integer(rows, n):
     """Solution rows of the system over QQ whose augmented rows (n unknowns,
     then the right-hand sides) are given, or None: the forward pass on the
@@ -170,15 +165,18 @@ def _solve_integer(rows, n):
     return sol
 
 
-def _solve_by_division(ring, rows, n):
-    """Solution rows of the system over a field whose augmented rows (n
-    unknowns, then the right-hand sides) are given, or None: forward
-    elimination dividing exactly by each pivot, then back substitution on
-    the right-hand-side columns."""
-    rows = [list(r) for r in rows]
-    nrows, width = len(rows), len(rows[0])
-    pivots, invs = [], []
-    for col in range(n):
+def _forward_by_division(ring, rows, ncols):
+    """Forward elimination over a field on a list of rows, in place, with
+    pivots in the first ncols columns, dividing exactly once per pivot.
+
+    Returns the pivot columns, the inverses of the pivot values and the
+    sign (1 or -1) of the row permutation.  Afterwards rows[i] is zero left
+    of pivots[i], and the rows past the pivots are zero in the first ncols
+    columns.
+    """
+    nrows = len(rows)
+    pivots, invs, sign = [], [], 1
+    for col in range(ncols):
         rank = len(pivots)
         if rank == nrows:
             break
@@ -189,7 +187,9 @@ def _solve_by_division(ring, rows, n):
                 break
         if sel is None:
             continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
+        if sel != rank:
+            rows[rank], rows[sel] = rows[sel], rows[rank]
+            sign = -sign
         pivot = rows[rank][col:]
         inv = ring.one / pivot[0]
         for i in range(rank + 1, nrows):
@@ -197,6 +197,16 @@ def _solve_by_division(ring, rows, n):
                 rows[i][col:] = _minus_multiple(ring, rows[i][col] * inv, rows[i][col:], pivot)
         pivots.append(col)
         invs.append(inv)
+    return pivots, invs, sign
+
+
+def _solve_by_division(ring, rows, n):
+    """Solution rows of the system over a field whose augmented rows (n
+    unknowns, then the right-hand sides) are given, or None: the forward
+    pass, then back substitution on the right-hand-side columns."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0])
+    pivots, invs, _ = _forward_by_division(ring, rows, n)
     if any(any(row[n:]) for row in rows[len(pivots):]):
         return None
     z = ring.zero
@@ -330,82 +340,46 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        if type(self.ring) is RationalField:
-            return self._rref_integer()
+        ring = self.ring
+        if type(ring) is RationalField:
+            rows = _cleared_rows(self.rows)
+            pivots = _integer_forward(rows, self.ncols)
+            _integer_upward(rows, pivots)
+            # pivot row i stands for row / row[pivots[i]]; the rest are zero
+            zero = Fraction(0)
+            out = [[Fraction(e, row[p]) if e else zero for e in row]
+                   for row, p in zip(rows, pivots)]
+            out += [[zero] * self.ncols for _ in range(self.nrows - len(pivots))]
+            return Matrix(ring, out), pivots
         rows = [list(r) for r in self.rows]
-        pivots = []
-        rank = 0
-        for col in range(self.ncols):
-            sel = None
-            for i in range(rank, self.nrows):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            # rows at or below rank are zero left of col, so the pivot row
-            # acts only from col on
-            pivot = rows[rank]
-            inv = self.ring.one / pivot[col]
-            pivot[col:] = [inv * e for e in pivot[col:]]
-            for i in range(self.nrows):
-                if i != rank and rows[i][col]:
-                    rows[i][col:] = _minus_multiple(
-                        self.ring, rows[i][col], rows[i][col:], pivot[col:])
-            pivots.append(col)
-            rank += 1
-            if rank == self.nrows:
-                break
-        return Matrix(self.ring, rows), pivots
-
-    def _rref_integer(self):
-        """rref over QQ by fraction-free Gauss-Jordan on cleared integer rows.
-
-        Each row is scaled by the lcm of its denominators and divided by its
-        content, ``_integer_gauss_jordan`` reduces them, and pivot row i is
-        converted back once, as row / row[pivots[i]].
-        """
-        rows = _cleared_rows(self.rows)
-        pivots = _integer_gauss_jordan(rows, self.ncols)
-        zero = Fraction(0)
-        out = []
-        for i, row in enumerate(rows):
-            if i < len(pivots):
-                a = row[pivots[i]]
-                out.append([Fraction(e, a) if e else zero for e in row])
-            else:
-                out.append([zero] * self.ncols)
-        return Matrix(self.ring, out), pivots
+        pivots, invs, _ = _forward_by_division(ring, rows, self.ncols)
+        for i in range(len(pivots) - 1, -1, -1):
+            p = pivots[i]
+            pivot = [invs[i] * e for e in rows[i][p:]]
+            rows[i][p:] = pivot
+            for row in rows[:i]:
+                if row[p]:
+                    row[p:] = _minus_multiple(ring, row[p], row[p:], pivot)
+        return Matrix(ring, rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots of the forward pass alone."""
+        if type(self.ring) is RationalField:
+            return len(_integer_forward(_cleared_rows(self.rows), self.ncols))
+        rows = [list(r) for r in self.rows]
+        return len(_forward_by_division(self.ring, rows, self.ncols)[0])
 
     def det(self):
+        """The sign of the forward pass's row permutation times the product
+        of its pivots, or zero when there are fewer than n."""
         if not self.is_square():
             raise ValueError("determinant of a nonsquare matrix")
         rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = self.ring.one
-        for col in range(n):
-            sel = None
-            for i in range(col, n):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                return self.ring.zero
-            if sel != col:
-                rows[col], rows[sel] = rows[sel], rows[col]
-                det = -det
-            pivot = rows[col][col]
-            det = det * pivot
-            inv = self.ring.one / pivot
-            for i in range(col + 1, n):
-                if rows[i][col]:
-                    rows[i] = _minus_multiple(
-                        self.ring, rows[i][col] * inv, rows[i], rows[col])
-        return det
+        pivots, _, sign = _forward_by_division(self.ring, rows, self.ncols)
+        if len(pivots) < self.nrows:
+            return self.ring.zero
+        det = reduce(mul, (row[i] for i, row in enumerate(rows)))
+        return det if sign == 1 else -det
 
     def inverse(self):
         if not self.is_square():

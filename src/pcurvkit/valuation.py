@@ -51,46 +51,6 @@ def q_valuation(f):
     raise TypeError(f"no q-adic valuation for {type(f).__name__}")
 
 
-class SeriesDerivation:
-    """multiplier(q) times an x-derivation, acting coefficient-wise on
-    series whose coefficients live in the x-field."""
-
-    __slots__ = ("multiplier", "inner")
-
-    def __init__(self, multiplier: TruncatedLaurentSeries, inner: Derivation):
-        self.multiplier = multiplier
-        self.inner = inner
-
-    @classmethod
-    def from_q_power(cls, k: int, inner: Derivation, qvar: str = "q"):
-        coeff_field = inner.field
-        mult = TruncatedLaurentSeries.from_coeff_list(
-            coeff_field, qvar, k, [coeff_field.one])
-        return cls(mult, inner)
-
-    def __call__(self, s: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-        return self.multiplier * s.map_coefficients(self.inner)
-
-    def __repr__(self):
-        return f"({self.multiplier!r})*[{self.inner!r}]"
-
-
-class IntegralityReport(NamedTuple):
-    integral: bool
-    witness: object | None
-    witness_valuations: tuple | None
-
-
-def check_nu_integrality(D, samples) -> IntegralityReport:
-    """Test nu(D(alpha)) >= nu(alpha) on each sample; first violation wins."""
-    for alpha in samples:
-        va = q_valuation(alpha)
-        vd = q_valuation(D(alpha))
-        if vd < va:
-            return IntegralityReport(False, alpha, (va, vd))
-    return IntegralityReport(True, None, None)
-
-
 class NewtonPolygon(NamedTuple):
     """Lower convex hull of (index, valuation) points of a companion column
     together with the point (rank, 0)."""

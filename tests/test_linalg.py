@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+from operator import mul
 
 import pytest
 
@@ -51,6 +54,70 @@ def test_det_frozen_values():
     assert Matrix(QQ, [[1, 2], [3, 4]]).det() == -2
     assert Matrix(QQ, [[2, 0, 0], [0, 3, 0], [0, 0, 5]]).det() == 30
     assert Matrix(GF(7), [[1, 2], [3, 4]]).det() == GF(7)(5)
+
+
+def det_leibniz(M):
+    """The determinant as the sum over permutations s of sign(s) times the
+    product of the entries M[i][s(i)]."""
+    n = M.nrows
+    total = M.ring.zero
+    for perm in permutations(range(n)):
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        term = reduce(mul, (M.rows[i][perm[i]] for i in range(n)))
+        total = total - term if odd else total + term
+    return total
+
+
+def field_entries():
+    """Nonzero random entries over GF(7), QQ, Q(x), Q(i) and a quartic field."""
+    from pcurvkit import NumberField
+
+    F = GF(7)
+    Qx = FunctionField(QQ, "x")
+    x = Qx.gen()
+    fields = {
+        "GF(7)": (F, lambda rng: F(rng.randint(1, 6))),
+        "QQ": (QQ, lambda rng: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                        rng.randint(1, 9))),
+        "Q(x)": (Qx, lambda rng: (rng.randint(1, 3) + rng.randint(-2, 2) * x)
+                 / (1 + rng.randint(0, 2) * x)),
+    }
+    for name, coeffs in (("Q(i)", (1, 0, 1)), ("quartic", (5, 0, 1, -2, 1))):
+        K = NumberField(Polynomial(QQ, list(coeffs)), "w")
+        fields[name] = (K, lambda rng, K=K: K.element(
+            [rng.randint(1, 4)] + [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                                   for _ in range(K.degree - 1)]))
+    return fields
+
+
+_FIELDS = field_entries()
+
+
+def random_rows(ring, entry, rng, nrows, ncols, sparsity=0.3):
+    return [[ring.zero if rng.random() < sparsity else entry(rng) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("name", ["GF(7)", "QQ", "Q(i)", "Q(x)"])
+def test_det_matches_leibniz_expansion(name):
+    """Sizes 1 to 4: generic matrices, matrices with a zero in the leading
+    position (so the first column needs a row swap), and singular ones with
+    a zero row or a row that is the sum of two others."""
+    ring, entry = _FIELDS[name]
+    rng = random.Random(f"det {name}")
+    for n in range(1, 5):
+        for _ in range(3):
+            rows = random_rows(ring, entry, rng, n, n)
+            assert Matrix(ring, rows).det() == det_leibniz(Matrix(ring, rows))
+            if n > 1:
+                rows[0][0], rows[1][0] = ring.zero, entry(rng)
+                M = Matrix(ring, rows)
+                assert M.det() == det_leibniz(M)
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[1])] if n > 2 else [ring.zero] * n
+            else:
+                rows = [[ring.zero]]
+            M = Matrix(ring, rows)
+            assert M.det() == det_leibniz(M) == ring.zero
 
 
 def test_det_multiplicative_random():
@@ -158,9 +225,10 @@ def test_map_entries_reduction():
 
 
 def rref_by_field_division(M):
-    """Gauss-Jordan with exact Fraction division at every pivot: the loop
-    Matrix.rref runs over every ring but QQ, kept as the oracle for the
-    fraction-free integer path."""
+    """Gauss-Jordan with exact division at every pivot, clearing each pivot
+    column above and below at once: the loop Matrix.rref ran over every ring
+    but QQ before it read the forward pass off, kept as the oracle for the
+    integer passes over QQ and the division passes over other fields."""
     rows = [list(r) for r in M.rows]
     pivots = []
     rank = 0
@@ -230,15 +298,67 @@ def qq_rref_cases():
 _QQ_CASES = qq_rref_cases()
 
 
-@pytest.mark.parametrize("name", sorted(_QQ_CASES))
+def field_rref_cases():
+    """The shapes of qq_rref_cases over GF(7), Q(x), Q(i) and the quartic."""
+    rng = random.Random(496)
+    cases = {}
+    for field in ("GF(7)", "Q(x)", "Q(i)", "quartic"):
+        ring, entry = _FIELDS[field]
+        z = ring.zero
+
+        def rows_of(nrows, ncols, sparsity=0.3):
+            return random_rows(ring, entry, rng, nrows, ncols, sparsity)
+        cases[f"{field} all zero"] = Matrix.zeros(ring, 3, 4)
+        for n in range(2):
+            cases[f"{field} square {n}"] = Matrix(ring, rows_of(4, 4))
+            cases[f"{field} wide {n}"] = Matrix(ring, rows_of(3, 6))
+            cases[f"{field} tall {n}"] = Matrix(ring, rows_of(6, 3))
+            r = rng.randint(1, 3)
+            cases[f"{field} rank-deficient {n}"] = (
+                Matrix(ring, rows_of(5, r, 0)) * Matrix(ring, rows_of(r, 6, 0)))
+            rows = rows_of(5, 5)
+            rows[3] = list(rows[1])                         # duplicated row
+            rows[4] = [z] * 5                               # zero row
+            rows[0] = [e + e for e in rows[2]]              # a multiple of another
+            cases[f"{field} duplicated and zero rows {n}"] = Matrix(ring, rows)
+            rows = rows_of(4, 6)
+            for row in rows:
+                row[0] = row[3] = z                         # zero columns
+            cases[f"{field} zero columns {n}"] = Matrix(ring, rows)
+    return cases
+
+
+_RREF_CASES = {name: Matrix(QQ, rows) for name, rows in _QQ_CASES.items()}
+_RREF_CASES.update(field_rref_cases())
+
+
+@pytest.mark.parametrize("name", sorted(_RREF_CASES))
 def test_integer_rref_matches_field_oracle(name):
-    M = Matrix(QQ, _QQ_CASES[name])
+    """rref on every field against Gauss-Jordan by division: over QQ the
+    integer passes, over GF(7), Q(x) and the number fields the forward and
+    upward division passes; rank counts the same pivots."""
+    M = _RREF_CASES[name]
     R, pivots = M.rref()
     R_ref, pivots_ref = rref_by_field_division(M)
     assert pivots == pivots_ref
     assert R.rows == R_ref.rows
-    assert all(type(e) is Fraction for r in R.rows for e in r)
-    assert M.rank() == len(pivots_ref)
+    if M.ring is QQ:
+        assert all(type(e) is Fraction for r in R.rows for e in r)
+    assert M.rank() == len(pivots)
+
+
+def test_rank_runs_no_upward_pass_and_no_rref(monkeypatch):
+    """rank over QQ counts the pivots of the integer forward pass alone."""
+    from pcurvkit import linalg
+
+    matrices = [Matrix(QQ, _QQ_CASES[name]) for name in sorted(_QQ_CASES)]
+    calls = []
+    monkeypatch.setattr(linalg, "_integer_upward", lambda *args: calls.append(args))
+    monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self))
+    ranks = [M.rank() for M in matrices]
+    monkeypatch.undo()
+    assert calls == []
+    assert ranks == [len(rref_by_field_division(M)[1]) for M in matrices]
 
 
 def test_solve_inconsistent_qq_systems_return_none():
@@ -430,17 +550,6 @@ def nf_cases(K, rng):
     return cases
 
 
-def det_ref(M):
-    """The determinant by cofactor expansion along the first row."""
-    if M.nrows == 1:
-        return M.entry(0, 0)
-    total = M.ring.zero
-    for j, a in enumerate(M.rows[0]):
-        minor = Matrix(M.ring, [r[:j] + r[j + 1:] for r in M.rows[1:]])
-        total = total + (a * det_ref(minor) if j % 2 == 0 else -(a * det_ref(minor)))
-    return total
-
-
 def coords_of(M, d):
     return [[e.coords(d) if isinstance(e, Residue) else e.coords for e in r]
             for r in M.rows]
@@ -463,7 +572,7 @@ def test_number_field_linear_algebra_matches_fraction_polynomials(name):
         if not M.is_square():
             continue
         det = M.det()
-        assert det.coords == det_ref(ref).coords(d)
+        assert det.coords == det_leibniz(ref).coords(d)
         if det:
             assert coords_of(M.inverse(), d) == coords_of(ref.inverse(), d)
         else:
@@ -651,14 +760,51 @@ def test_number_field_solve_inverts_once_per_pivot_and_dots_only_at_the_end(monk
 
 
 def test_qq_solve_runs_no_rref(monkeypatch):
+    """solve over QQ calls no rref, and its one upward pass runs on the
+    right-hand-side columns alone, never over whole rows as rref's does."""
+    from pcurvkit import linalg
+
     rng = random.Random(2025)
     A = Matrix(QQ, low_rank(rng, 8, 6, 4))
     rhs = A * Matrix(QQ, rand_qq(rng, 6, 2))
     expected = solve_by_rref(A, rhs)
-    calls = []
+    calls, upward_cols = [], []
+    real_upward = linalg._integer_upward
+
+    def upward(rows, pivots, cols=None):
+        upward_cols.append(cols)
+        real_upward(rows, pivots, cols)
+
     monkeypatch.setattr(Matrix, "rref", lambda self: calls.append(self))
-    monkeypatch.setattr(Matrix, "_rref_integer", lambda self: calls.append(self))
+    monkeypatch.setattr(linalg, "_integer_upward", upward)
     X = A.solve(rhs)
     monkeypatch.undo()
     assert calls == []
+    assert upward_cols == [range(6, 8)]
     assert X == expected
+
+
+def test_number_field_det_inverts_at_most_once_per_row(monkeypatch):
+    """An n x n det over the quartic calls NumberFieldElement.inverse at most
+    n times: once per pivot of the forward pass."""
+    from pcurvkit.numberfield import NumberFieldElement
+
+    K = nf_field("quartic")
+    rng = random.Random(4096)
+    matrices = [nf_matrix(K, rng, n, n, sparsity=s) for n in range(1, 5) for s in (0.0, 0.4)]
+    counts = []
+    real = NumberFieldElement.inverse
+
+    def inverse(self):
+        counts[-1] += 1
+        return real(self)
+
+    monkeypatch.setattr(NumberFieldElement, "inverse", inverse)
+    dets = []
+    for M in matrices:
+        counts.append(0)
+        dets.append(M.det())
+    monkeypatch.undo()
+    assert all(c <= M.nrows for c, M in zip(counts, matrices))
+    assert max(counts) == 4
+    assert dets == [det_leibniz(M) for M in matrices]

@@ -15,14 +15,12 @@ from pcurvkit import (
     NewtonPolygon,
     TruncatedLaurentSeries,
     ValuationProfile,
-    check_nu_integrality,
     newton_polygon,
     predict_nonvanishing,
     q_valuation,
     standard_tower,
     verify_prediction,
 )
-from pcurvkit.valuation import SeriesDerivation
 
 
 def test_q_valuation_plain_rational():
@@ -53,42 +51,6 @@ def test_q_valuation_series_passthrough():
 def test_q_valuation_rejects_junk():
     with pytest.raises(TypeError):
         q_valuation(7)
-
-
-def test_series_derivation_acts_coefficientwise():
-    K = FunctionField(QQ, "x")
-    D = Derivation.x_d_dx(K)
-    SD = SeriesDerivation.from_q_power(0, D)
-    x = K.gen()
-    s = TruncatedLaurentSeries.from_coeff_list(K, "q", 2, [x, x ** 3])
-    out = SD(s)
-    assert out.coeff(2) == x
-    assert out.coeff(3) == K(3) * x ** 3
-
-
-def test_series_derivation_with_q_pole_multiplier():
-    K = FunctionField(QQ, "x")
-    D = Derivation.x_d_dx(K)
-    SD = SeriesDerivation.from_q_power(-1, D)
-    x = K.gen()
-    s = TruncatedLaurentSeries.from_coeff_list(K, "q", 0, [x])
-    assert SD(s).valuation() == -1
-
-
-def test_check_nu_integrality():
-    K = FunctionField(QQ, "x")
-    D = Derivation.x_d_dx(K)
-    x = K.gen()
-    good = SeriesDerivation.from_q_power(0, D)
-    samples = [TruncatedLaurentSeries.from_coeff_list(K, "q", k, [x]) for k in (-1, 0, 2)]
-    assert check_nu_integrality(good, samples).integral
-
-    bad = SeriesDerivation.from_q_power(-2, D)
-    rep = check_nu_integrality(bad, samples)
-    assert not rep.integral
-    assert rep.witness is samples[0]
-    va, vd = rep.witness_valuations
-    assert vd == va - 2
 
 
 def companion(last_vals, p=5):
