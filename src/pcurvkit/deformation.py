@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .connection import ConnectionMatrix, Derivation, _at_prime, \
     frobenius_twist_multiplier, p_curvature
 from .linalg import Matrix
-from .poly import PolynomialRing
+from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunction, cleared, common_denominator
 
 
@@ -103,27 +103,35 @@ def _commutator_terms(P, i, j):
     return [(k, j, P[k][i]) for k in range(r)] + [(i, l, -P[j][l]) for l in range(r)]
 
 
-def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
-    """Linear system for B + A Y - Y A + D(Y) = 0 over the coefficient field.
-
-    With h the common denominator of u, A and B, the equation times h is
-    polynomial: hB + (hA)Y - Y(hA) + (hu) Y'.  Column (i*r + j)*(d+1) + t
-    is the coefficient of x^t in Y_ij; row (k*r + l)*width + s is the x^s
-    coefficient of entry (k, l).  Returns (system matrix, rhs column).
-    """
+def _cleared_equation(A: ConnectionMatrix, B: Matrix):
+    """(P, hu, hB): B + AY - YA + D(Y) = 0 times the common denominator h of
+    u, A and B, which is hB + PY - YP + (hu) Y' with P = hA, over k[x]."""
     field = A.field
-    r = A.rank
-    d = ansatz_degree
+    ring = PolynomialRing(field.base, field.var)
     u = A.derivation.u
     h = common_denominator([u] + [e for M in (A.matrix, B) for row in M.rows for e in row])
 
-    P = [[cleared(e, h) for e in row] for row in A.matrix.rows]
-    hu = cleared(u, h)
-    hB = [cleared(e, h) for row in B.rows for e in row]
+    def clear(M):
+        return Matrix(ring, [[cleared(e, h) for e in row] for row in M.rows])
+
+    return clear(A.matrix), cleared(u, h), clear(B)
+
+
+def _deformation_system(P: Matrix, hu, hB: Matrix, ansatz_degree: int):
+    """Linear system for hB + PY - YP + (hu) Y' = 0 over the coefficient field.
+
+    Column (i*r + j)*(d+1) + t is the coefficient of x^t in Y_ij; row
+    (k*r + l)*width + s is the x^s coefficient of entry (k, l).  Returns
+    (system matrix, rhs column).
+    """
+    base = P.ring.field
+    r, P = P.nrows, P.rows
+    d = ansatz_degree
+    hB = [f for row in hB.rows for f in row]
     width = 1 + max([0, d - 1 + hu.degree()] + [d + f.degree() for row in P for f in row]
                     + [f.degree() for f in hB])
 
-    zero = field.base.zero
+    zero = base.zero
     sys_rows = [[zero] * (r * r * (d + 1)) for _ in range(r * r * width)]
     for i in range(r):
         for j in range(r):
@@ -136,40 +144,47 @@ def _deformation_system(A: ConnectionMatrix, B: Matrix, ansatz_degree: int):
                     for s, c in enumerate(f.coeffs):
                         sys_rows[(k * r + l) * width + shift + s][col] += c
     rhs_rows = [[-f.coeff(s)] for f in hB for s in range(width)]
-    return Matrix(field.base, sys_rows), Matrix(field.base, rhs_rows)
+    return Matrix(base, sys_rows), Matrix(base, rhs_rows)
 
 
-def _ansatz_matrix(A: ConnectionMatrix, column: Matrix, ansatz_degree: int) -> Matrix:
-    """Y with Y_ij = sum_t column[(i*r + j)*(d+1) + t] x^t."""
-    field, r, w = A.field, A.rank, ansatz_degree + 1
+def _ansatz_matrix(ring, r: int, column: Matrix, ansatz_degree: int) -> Matrix:
+    """Y over k[x] with Y_ij = sum_t column[(i*r + j)*(d+1) + t] x^t."""
+    w = ansatz_degree + 1
     vec = [row[0] for row in column.rows]
-    polys = [field.from_poly(field.polynomial(vec[b * w:(b + 1) * w])) for b in range(r * r)]
-    return Matrix(field, [polys[i * r:(i + 1) * r] for i in range(r)])
+    polys = [Polynomial(ring.field, vec[b * w:(b + 1) * w]) for b in range(r * r)]
+    return Matrix(ring, [polys[i * r:(i + 1) * r] for i in range(r)])
 
 
 def solve_deformation(A: ConnectionMatrix, B: Matrix,
                       ansatz_degree: int) -> DeformationSolution | None:
     """Solve B + AY - YA + D(Y) = 0 with Y polynomial of degree <= d.
 
-    The row-reduced solve assigns zero to every free parameter, so the
+    The forward-only solve assigns zero to every free parameter, so the
     returned Y is deterministic.  None means no solution in this ansatz.
+    The answer is checked on the cleared equation hB + PY - YP + (hu) Y'
+    over k[x], which is zero exactly when the residual is, since h != 0.
     """
-    system, rhs = _deformation_system(A, B, ansatz_degree)
+    P, hu, hB = _cleared_equation(A, B)
+    system, rhs = _deformation_system(P, hu, hB, ansatz_degree)
     sol = system.solve(rhs)
     if sol is None:
         return None
-    Y = _ansatz_matrix(A, sol, ansatz_degree)
-    D = A.derivation
-    residual = B + A.matrix * Y - Y * A.matrix + D(Y)
+    Y = _ansatz_matrix(P.ring, A.rank, sol, ansatz_degree)
+    residual = hB + P * Y - Y * P + Y.map_entries(lambda e: e.derivative()).scale(hu)
     if not residual.is_zero():
         raise AssertionError("solver returned a nonzero residual")
-    return DeformationSolution(Y, residual, ansatz_degree)
+    field = A.field
+    return DeformationSolution(Y.map_entries(field.from_poly, field),
+                               Matrix.zeros(field, A.rank), ansatz_degree)
 
 
 def commutant_kernel(A: ConnectionMatrix, ansatz_degree: int) -> list[Matrix]:
     """Basis of {Y in the ansatz : AY - YA + D(Y) = 0}."""
-    system, _ = _deformation_system(A, Matrix.zeros(A.field, A.rank), ansatz_degree)
-    return [_ansatz_matrix(A, vec, ansatz_degree) for vec in system.kernel_basis()]
+    P, hu, hB = _cleared_equation(A, Matrix.zeros(A.field, A.rank))
+    system, _ = _deformation_system(P, hu, hB, ansatz_degree)
+    field = A.field
+    return [_ansatz_matrix(P.ring, A.rank, vec, ansatz_degree).map_entries(field.from_poly, field)
+            for vec in system.kernel_basis()]
 
 
 class TruncatedFamily:
@@ -219,66 +234,43 @@ class TruncatedFamily:
         return f"Family(order={self.order}, rank={self.rank})"
 
 
-def _layers_mul(a, b, m, ring, r):
-    out = [Matrix.zeros(ring, r) for _ in range(m)]
-    for i, Ai in enumerate(a):
-        if Ai.is_zero():
-            continue
-        for j, Bj in enumerate(b):
-            if i + j < m and not Bj.is_zero():
-                out[i + j] = out[i + j] + Ai * Bj
-    return out
-
-
 def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
     """Apply the gauge G = I + q^k Y to the family, truncating at its order.
 
     Y must be polynomial (every entry has denominator 1), as every Y from
     solve_deformation is; a rational Y raises ValueError.  With H the common
-    denominator of all layers and N_b = H L_b over k[x], the gauge, its
-    alternating-series inverse and D(G) = u G' are polynomial too, and layer
-    n of G^-1 A G + G^-1 D(G) is
+    denominator of all layers, N_n = H L_n over k[x] and u = u.num / u.den,
+    the layers of (A G + D(G)) H u.den are polynomial:
 
-        (sum G^-1_a N_b G_c u.den + u.num H sum G^-1_a G'_c) / (H u.den),
+        X_n = (N_n + N_{n-k} Y) u.den + [n = k] (u.num H) Y'.
 
-    summed over a + b + c = n and a + c = n, reduced once per entry.
+    G has only the layers I and Y, so Z = G^-1 X solves G Z = X layer by
+    layer: Z_n = X_n - Y Z_{n-k}, with 2(m - k) matrix products in all.
+    Layer n of G^-1 A G + G^-1 D(G) is Z_n / (H u.den), reduced once per entry.
     """
     if k < 1:
         raise ValueError("gauge layer must be positive")
     if not all(e.den.is_one() for row in Y.rows for e in row):
         raise ValueError("gauge entries must be polynomial")
-    m = F.order
     field = F.layers[0].ring
-    r = F.rank
     ring = PolynomialRing(field.base, field.var)
     H = common_denominator(e for L in F.layers for row in L.rows for e in row)
     N = [Matrix(ring, [[cleared(e, H) for e in row] for row in L.rows]) for L in F.layers]
     Yp = Y.map_entries(lambda e: e.num, ring)
-    ident = Matrix.identity(ring, r)
-    zero = Matrix.zeros(ring, r)
-
-    G = [zero] * m
-    G[0] = ident
-    dG = [zero] * m
-    if k < m:
-        G[k] = Yp
-        dG[k] = Yp.map_entries(lambda e: e.derivative())
-    # inverse of I + q^k Y is the alternating geometric series, truncated
-    Ginv = [zero] * m
-    Ginv[0] = ident
-    power = ident
-    for j in range(1, (m - 1) // k + 1):
-        power = power * Yp
-        Ginv[j * k] = power if j % 2 == 0 else -power
-
     u = F.derivation.u
-    uH, den = u.num * H, H * u.den
-    gauged = _layers_mul(Ginv, _layers_mul(N, G, m, ring, r), m, ring, r)
-    twist = _layers_mul(Ginv, dG, m, ring, r)
-    new_layers = [
-        Matrix(field, [[RationalFunction(field, a * u.den + uH * b, den)
-                        for a, b in zip(ra, rb)] for ra, rb in zip(S.rows, T.rows)])
-        for S, T in zip(gauged, twist)]
+    Z = []
+    for n, X in enumerate(N):
+        if n >= k:
+            X = X + N[n - k] * Yp
+        X = X.scale(u.den)
+        if n == k:
+            X = X + Yp.map_entries(lambda e: e.derivative()).scale(u.num * H)
+        if n >= k:
+            X = X - Yp * Z[n - k]
+        Z.append(X)
+    den = H * u.den
+    new_layers = [Matrix(field, [[RationalFunction(field, z, den) for z in row] for row in X.rows])
+                  for X in Z]
     return TruncatedFamily(F.derivation, new_layers, F.qvar)
 
 
@@ -337,7 +329,9 @@ def step_conjugate(sigma_gens, tau_gens, m: int):
     generator.  Requires tau = sigma mod q^m; the linearized system
     M sigma_i - sigma_i M = (tau_i - sigma_i)/q^m is solved exactly and the
     full conjugation identity is re-verified before returning.  None means
-    the layers are not conjugate.
+    the layers are not conjugate.  Any solution of the linearized system
+    passes the check, since 2m >= m+1, so a failed check is a solver bug
+    and raises AssertionError rather than reporting "not conjugate".
     """
     obstacle = conjugation_obstacle(sigma_gens, tau_gens, m)
     if obstacle is not None:
@@ -360,15 +354,15 @@ def step_conjugate(sigma_gens, tau_gens, m: int):
         return None
     M = Matrix(ring, [[sol.entry(i * n + j, 0) for j in range(n)] for i in range(n)])
 
-    # full verification mod q^{m+1}: since 2m >= m+1, the inverse gauge is
-    # exactly I - q^m M at this truncation
-    ident = Matrix.identity(ring, n)
+    # full verification mod q^{m+1}: with G = I + q^m M, T = tau G has
+    # T_j = tau_j + tau_{j-m} M, and Z = G^-1 T solves G Z = T, so
+    # Z_j = T_j - M Z_{j-m}; Z must be sigma alone
     for sigma, tau_layers in zip(sigma_gens, tau_gens):
-        glayers = [ident] + [Matrix.zeros(ring, n)] * (m - 1) + [M]
-        ginv_layers = [ident] + [Matrix.zeros(ring, n)] * (m - 1) + [-M]
-        t1 = _layers_mul(tau_layers, glayers, m + 1, ring, n)
-        t2 = _layers_mul(ginv_layers, t1, m + 1, ring, n)
-        expect = [sigma] + [Matrix.zeros(ring, n)] * m
-        if t2 != expect:
-            return None
+        Z = []
+        for j, T in enumerate(tau_layers):
+            if j >= m:
+                T = T + tau_layers[j - m] * M - M * Z[j - m]
+            Z.append(T)
+        if Z[0] != sigma or any(not L.is_zero() for L in Z[1:]):
+            raise AssertionError("conjugation check failed after a successful solve")
     return M

@@ -27,7 +27,6 @@ from pcurvkit import (
     solve_deformation,
     step_conjugate,
 )
-from pcurvkit.deformation import _layers_mul
 from pcurvkit.ratfunc import common_denominator
 
 
@@ -178,6 +177,24 @@ def test_solve_deformation_respects_ansatz_cap():
     assert solve_deformation(A, B, ansatz_degree=6) is not None
 
 
+
+def test_solve_deformation_check_catches_a_wrong_solution(monkeypatch):
+    """The answer is checked on the cleared equation over QQ[x]: a solver
+    that returns twice the solution leaves the residual -hB, not zero."""
+    rng = random.Random(321)
+    K = qq_line()
+    D = Derivation.d_dx(K)
+    A = ConnectionMatrix(poly_matrix(K, rng), D)
+    Y0 = poly_matrix(K, rng)
+    B = -(A.matrix * Y0 - Y0 * A.matrix + D(Y0))
+    assert not B.is_zero()
+    sol = solve_deformation(A, B, ansatz_degree=4)
+    assert sol.residual == Matrix.zeros(K, 2)
+    real = Matrix.solve
+    monkeypatch.setattr(Matrix, "solve", lambda self, rhs: real(self, rhs).scale(2))
+    with pytest.raises(AssertionError, match="residual"):
+        solve_deformation(A, B, ansatz_degree=4)
+
 def test_commutant_kernel_of_scalar_connection():
     """For A = scalar matrix the commutant condition D(Y) = 0 forces
     constant Y, so the kernel is all four constant matrix units."""
@@ -322,6 +339,22 @@ def test_step_conjugate_none_when_not_conjugate():
     tau = [[I, Matrix(F, [[0, 1], [0, 0]])]]
     assert step_conjugate(sigma, tau, 1) is None
 
+
+
+def test_step_conjugate_raises_when_its_check_fails(monkeypatch):
+    """Any solution of the linearized system passes the check mod q^(m+1),
+    so a failed check is a solver bug: it raises, and is never reported as
+    "not conjugate"."""
+    F = GF(7)
+    sigma = [Matrix(F, [[1, 2], [0, 3]])]
+    M = Matrix(F, [[0, 1], [4, 2]])
+    tau = [[sigma[0], Matrix.zeros(F, 2), M * sigma[0] - sigma[0] * M]]
+    assert not tau[0][2].is_zero()
+    assert step_conjugate(sigma, tau, 2) is not None
+    real = Matrix.solve
+    monkeypatch.setattr(Matrix, "solve", lambda self, rhs: real(self, rhs).scale(2))
+    with pytest.raises(AssertionError, match="conjugation check"):
+        step_conjugate(sigma, tau, 2)
 
 def test_step_conjugate_validates_input():
     F = GF(5)
@@ -540,8 +573,22 @@ def test_step_conjugate_matches_basis_product_oracle():
 # gauge_family works on numerators cleared over one common denominator and
 # reduces each new entry once.  The oracle below is the direct form: every
 # product and sum of the gauged series is RationalFunction arithmetic, with
-# a reduction per operation.  Reduced rational functions are canonical, so
-# the layers must be equal entry for entry.
+# a reduction per operation, and G^-1 is the alternating series
+# I - q^k Y + q^2k Y^2 - ..., multiplied in by the full truncated series
+# product.  Reduced rational functions are canonical, so the layers must be
+# equal entry for entry.
+
+
+def _layers_mul(a, b, m, ring, r):
+    """Layers 0..m-1 of the product of the truncated series a and b."""
+    out = [Matrix.zeros(ring, r) for _ in range(m)]
+    for i, Ai in enumerate(a):
+        if Ai.is_zero():
+            continue
+        for j, Bj in enumerate(b):
+            if i + j < m and not Bj.is_zero():
+                out[i + j] = out[i + j] + Ai * Bj
+    return out
 
 
 def gauge_family_by_ratfunc_products(F, Y, k):
@@ -605,6 +652,38 @@ def test_gauge_family_matches_ratfunc_oracle():
         assert gauge_family(F, Y, F.order) == F
     assert len(seen) >= 9
 
+
+
+def test_gauge_and_conjugation_check_make_few_products(monkeypatch):
+    """G = I + q^k Y has two layers, so gauge_family makes at most 2(m - k)
+    matrix products (N_{n-k} Y and Y Z_{n-k}) and step_conjugate's check
+    two per generator (tau_0 M and M Z_0), not one per pair of layers."""
+    gauges = list(gauge_oracle_cases())
+    rng = random.Random(17)
+    F7 = GF(7)
+    conjugations = []
+    for gens, m in ((1, 1), (2, 2), (3, 3)):
+        sigma = [Matrix(F7, [[rng.randrange(7) for _ in range(2)] for _ in range(2)])
+                 for _ in range(gens)]
+        M = Matrix(F7, [[rng.randrange(7) for _ in range(2)] for _ in range(2)])
+        tau = [[s] + [Matrix.zeros(F7, 2)] * (m - 1) + [M * s - s * M] for s in sigma]
+        conjugations.append((sigma, tau, m))
+    calls = []
+    real = Matrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    for F, Y, k in gauges:
+        calls.clear()
+        gauge_family(F, Y, k)
+        assert len(calls) <= 2 * max(F.order - k, 0), (F.order, k, len(calls))
+    for sigma, tau, m in conjugations:
+        calls.clear()
+        assert step_conjugate(sigma, tau, m) is not None
+        assert len(calls) == 2 * len(sigma), (len(sigma), m, len(calls))
 
 def test_gauge_family_rejects_rational_gauge():
     K = qq_line()
