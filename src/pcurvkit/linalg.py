@@ -18,16 +18,20 @@ reads off it:
   removal of the row's content (in the spirit of Bareiss, Math. Comp.
   1968).  ``rank`` counts its pivots, ``rref`` adds ``_integer_upward``
   over whole rows and turns the pivot rows back into ``Fraction`` once,
-  and ``solve`` adds the upward pass on the right-hand-side columns alone;
-- over every other field, ``_forward_by_division``, which divides exactly
-  once per pivot and keeps an entry of a row update that faces a zero of
-  the pivot row as it is.  ``rank`` counts its pivots, ``rref`` adds an
-  upward pass that scales each pivot row to 1 and clears its column in the
-  rows above, and ``solve`` adds back substitution on the right-hand-side
-  columns.  ``det``, over QQ too, is the sign of its row permutation times
-  the product of its pivots;
-- inside ``NumberField.solve_system``, which ``solve`` calls over a number
-  field, on cleared integer coordinate vectors (see numberfield).
+  and ``solve`` (``_solve_integer``) adds the upward pass on the
+  right-hand-side columns alone.  The same integer solve serves a number
+  field K: ``NumberField.solve_system``, which ``solve`` calls over K,
+  restricts scalars to QQ, one integer d x d block per entry, and hands
+  the integer rows to ``_solve_integer``; a solve over K runs no
+  elimination of its own (see numberfield);
+- over every other field, and over K for all but ``solve``,
+  ``_forward_by_division``, which divides exactly once per pivot and keeps
+  an entry of a row update that faces a zero of the pivot row as it is.
+  ``rank`` counts its pivots, ``rref`` adds an upward pass that scales
+  each pivot row to 1 and clears its column in the rows above, and
+  ``solve`` adds back substitution on the right-hand-side columns.
+  ``det``, over QQ too, is the sign of its row permutation times the
+  product of its pivots.
 
 The reduced row echelon form of a row space is unique, so every route gives
 the result exact division would; ``solve`` sets the free unknowns to zero,
@@ -147,11 +151,11 @@ def _integer_upward(rows, pivots, cols=None):
 
 
 def _solve_integer(rows, n):
-    """Solution rows of the system over QQ whose augmented rows (n unknowns,
-    then the right-hand sides) are given, or None: the forward pass on the
-    cleared integer rows, the upward pass on the right-hand-side columns,
-    and one Fraction per nonzero entry of the solution."""
-    rows = _cleared_rows(rows)
+    """Solution rows of the system over QQ whose augmented integer rows (n
+    unknowns, then the right-hand sides) are given, or None; the rows are
+    reduced in place.  The forward pass, then the upward pass on the
+    right-hand-side columns, and x[p] = row[c] / row[p] as one Fraction per
+    nonzero entry; free unknowns are zero."""
     pivots = _integer_forward(rows, n)
     if any(any(row[n:]) for row in rows[len(pivots):]):
         return None
@@ -396,15 +400,17 @@ class Matrix:
         set to zero, so X is the solution the reduced row echelon form of
         (self | rhs) reads off.  Elimination runs forward only, on the rows
         below each pivot, and back substitution computes only the rhs
-        columns: over QQ on cleared integer rows, over a ring with
-        ``solve_system`` by that, and over any other ring by exact division.
+        columns: over QQ by the integer passes on cleared rows, over a ring
+        with ``solve_system`` (a number field) by that, which runs the same
+        integer passes on the coordinates of the unknowns and no
+        elimination of its own, and over any other ring by exact division.
         """
         if rhs.nrows != self.nrows:
             raise ValueError("rhs height mismatch")
         ring = self.ring
         rows = [r + b for r, b in zip(self.rows, rhs.rows)]
         if type(ring) is RationalField:
-            sol = _solve_integer(rows, self.ncols)
+            sol = _solve_integer(_cleared_rows(rows), self.ncols)
         elif hasattr(ring, "solve_system"):
             sol = ring.solve_system(rows, self.ncols)
         else:

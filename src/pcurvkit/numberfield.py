@@ -12,11 +12,12 @@ reduction and one gcd.  ``inverse`` solves the d x d integer linear
 system of multiplication by the element with the fraction-free passes
 that ``Matrix.solve`` runs over QQ (``linalg._integer_forward`` and
 ``_integer_upward``).  ``NumberField.solve_system`` is ``Matrix.solve``
-over the field: each row of the system is kept as integer coordinate
-vectors, cleared of its denominators, each pivot row is scaled once by
-the inverse of its lead entry, and each row update is integer
-multiplication by one entry, reduced by the table, with one gcd for the
-row; elements are built only in back substitution.
+over the field, by restriction of scalars: a system in n unknowns over K
+is a system in n*d unknowns over QQ, their coordinates, with each entry
+the integer d x d matrix of multiplication by it (``_mul_rows``), and
+``linalg._solve_integer`` solves it as it solves a system over QQ.  The
+pivots over QQ come in whole blocks of d, one per pivot over K, so the
+answer is the one elimination over K gives.
 
 A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
@@ -29,9 +30,7 @@ real embeddings exactly, by Sturm's theorem on the defining polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from operator import mul
 
 from .fields import QQ
 from .poly import (
@@ -41,7 +40,8 @@ from .poly import (
     is_irreducible_q,
     IrreducibilityUndecided,
 )
-from .linalg import Matrix, _cleared_rows, _integer_forward, _integer_upward
+from .linalg import (
+    Matrix, _cleared_rows, _integer_forward, _integer_upward, _solve_integer)
 
 
 class CompositumError(ValueError):
@@ -143,72 +143,35 @@ class NumberField:
         """Solution rows of the linear system whose augmented rows (n
         unknowns, then the right-hand sides) are given, or None.
 
-        Each row stands for an equation, so it is kept as integer coordinate
-        vectors, cleared of its denominators and divided by its content.
-        Forward elimination scales each pivot row once, by the ``inverse``
-        of its lead entry, to a rational integer lead s.  A later row with
-        entry f in the pivot column becomes D*s*row - f*pivot (D = _int_den):
-        multiplication by f, the convolution reduced by the table, is built
-        once as an integer d x d matrix and applied to each nonzero entry of
-        the pivot row, and one gcd divides the row by its content.  No
-        element is built until back substitution, which computes the
-        unknowns at pivot columns from the last up, each as one ``dot``;
-        free unknowns are zero.
+        The system is solved over QQ on the coordinates of the unknowns
+        (restriction of scalars).  Each row, an equation, is cleared of its
+        denominators; an entry a becomes the integer d x d block
+        ``_mul_rows(a)`` of v -> D*a*v (D = _int_den), and a right-hand side
+        b becomes D times its numerator coordinates.  The (m*d) x (n*d)
+        integer system goes through the passes ``Matrix.solve`` runs over
+        QQ (``linalg._solve_integer``), and the d coordinates of each
+        unknown make one element.
+
+        The answer is the one elimination over the field would give.  The
+        column space is a subspace over the field, so the d columns of
+        unknown j are independent over QQ of the earlier columns exactly
+        when column j is independent of them over the field: the pivots
+        come in whole blocks, and a free unknown is zero in every
+        coordinate.
         """
-        D = self._int_den
-        vrows = []
+        d, D = self.degree, self._int_den
+        zero = [(0,) * d] * d
+        irows = []
         for r in rows:
             den = lcm(*(e.den for e in r))
-            vrows.append(_primitive([e.num if e.den == den else
-                                     [c * (den // e.den) for c in e.num] for e in r]))
-        nrows, width = len(vrows), len(vrows[0])
-        pivots = []
-        for col in range(n):
-            rank = len(pivots)
-            if rank == nrows:
-                break
-            sel = None
-            for i in range(rank, nrows):
-                if any(vrows[i][col]):
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            vrows[rank], vrows[sel] = vrows[sel], vrows[rank]
-            row = vrows[rank]
-            times = self._mul_rows(NumberFieldElement(self, row[col], 1).inverse().num)
-            # the pivot row times the inverse: lead D * inv.den, then content
-            pivot = _primitive([[sum(map(mul, t, v)) for t in times] if any(v) else v
-                                for v in row[col:]])
-            vrows[rank] = row[:col] + pivot
-            Ds = D * pivot[0][0]
-            support = [(k, v) for k, v in enumerate(pivot) if any(v)]
-            for i in range(rank + 1, nrows):
-                row = vrows[i]
-                f = row[col]
-                if not any(f):
-                    continue
-                times = self._mul_rows(f)
-                new = [[Ds * c for c in v] if any(v) else v for v in row[col:]]
-                for k, v in support:
-                    new[k] = [c - sum(map(mul, t, v)) for c, t in zip(new[k], times)]
-                vrows[i] = row[:col] + _primitive(new)
-            pivots.append(col)
-        if any(any(map(any, row[n:])) for row in vrows[len(pivots):]):
+            nums = [e.num if e.den == den else [c * (den // e.den) for c in e.num] for e in r]
+            blocks = [self._mul_rows(v) if any(v) else zero for v in nums[:n]]
+            for t in range(d):
+                irows.append([c for b in blocks for c in b[t]] + [D * v[t] for v in nums[n:]])
+        sol = _solve_integer(irows, n * d)
+        if sol is None:
             return None
-        zero, one = self.zero, self.one
-        m = width - n
-        sol = [[zero] * m for _ in range(n)]
-        for i in range(len(pivots) - 1, -1, -1):
-            row = vrows[i]
-            s = row[pivots[i]][0]
-            later = [(NumberFieldElement(self, [-c for c in row[q]], s), sol[q])
-                     for q in pivots[i + 1:] if any(row[q])]
-            sol[pivots[i]] = [
-                self.dot([NumberFieldElement(self, row[n + k], s)] + [c for c, _ in later],
-                         [one] + [x[k] for _, x in later])
-                for k in range(m)]
-        return sol
+        return [[self.element(x) for x in zip(*sol[j * d:(j + 1) * d])] for j in range(n)]
 
     def __call__(self, x):
         if isinstance(x, NumberFieldElement):
@@ -266,14 +229,6 @@ class NumberField:
 
     def __repr__(self):
         return f"Q[{self.name}]/({self.min_poly.to_str(self.name)})"
-
-
-def _primitive(vectors):
-    """The integer vectors divided by the gcd of all their entries."""
-    g = gcd(*chain.from_iterable(vectors))
-    if g > 1:
-        return [[c // g for c in v] for v in vectors]
-    return vectors
 
 
 class NumberFieldElement:

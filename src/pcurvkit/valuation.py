@@ -1,9 +1,8 @@
-"""q-adic valuation analysis for companion connections over Laurent-series bases.
+"""q-adic valuation analysis for companion connections over k(q)(x).
 
 Valuations are taken at q = 0.  Rational functions in q get exact orders;
 elements of a tower k(q)(x) get the Gauss valuation (minimum coefficient
-valuation, x a unit); truncated series report their tracked order or raise
-when the window cannot decide.  The Newton polygon of a companion column
+valuation, x a unit).  The Newton polygon of a companion column
 turns those orders into eigenvalue valuations, and the nonvanishing
 predictor pairs the polygon's verdict with an exact p-curvature oracle run
 over GF(p)(q)(x): a nonzero value of psi_p at one point, or else the whole
@@ -23,7 +22,6 @@ from .connection import (
     frobenius_twist_multiplier,
     scan_primes,
 )
-from .laurent import TruncatedLaurentSeries
 from .ratfunc import FunctionField, RationalFunction
 
 INF = math.inf
@@ -32,12 +30,9 @@ INF = math.inf
 def q_valuation(f):
     """Order of vanishing at q = 0; +inf for zero; negative at poles.
 
-    Accepts rational functions in q, elements of a tower k(q)(x) (Gauss
-    valuation), and truncated Laurent series (which may raise
-    ValuationUndecided).
+    Accepts rational functions in q and elements of a tower k(q)(x) (Gauss
+    valuation).
     """
-    if isinstance(f, TruncatedLaurentSeries):
-        return f.valuation()
     if isinstance(f, RationalFunction):
         if isinstance(f.field.base, FunctionField):
             if f.is_zero():

@@ -656,6 +656,23 @@ def test_number_field_solve_matches_rref_route(name):
             outcomes.append(solve_checked(A, rhs) is not None)
     assert True in outcomes and False in outcomes
 
+    # column 1 is theta * column 0 + column 2 / 2, so unknown 2 is free between
+    # the pivots 1 and 3: over QQ the pivots must come in whole blocks of d
+    # columns, and the free block must be zero
+    rows = [list(r) for r in nf_matrix(K, rng, 3, 4, sparsity=0.0).rows]
+    rows.append([a + b for a, b in zip(rows[0], rows[1])])
+    for r in rows:
+        r[1] = K.gen * r[0] + r[2] / 2
+    A = Matrix(K, rows)
+    assert rref_by_field_division(A)[1] == [0, 1, 3]
+    consistent = A * nf_matrix(K, rng, 4, 2, sparsity=0.0)
+    X = solve_checked(A, consistent)
+    assert X is not None and not any(X.rows[2])
+    # every vector of the column space has entry 3 = entry 0 + entry 1
+    inconsistent = Matrix(K, [[b] for b, _ in consistent.rows])
+    inconsistent = inconsistent + Matrix.column(K, [0, 0, 0, 1])
+    assert solve_checked(A, inconsistent) is None
+
 
 def step_conjugate_systems(K, rng, count, monkeypatch):
     """The 18 x 9 systems step_conjugate solves for rank-3 pairs over K."""
@@ -726,22 +743,24 @@ def test_generic_solve_matches_rref_route_over_gf_p_and_a_function_field():
     assert True in outcomes and False in outcomes
 
 
-def test_number_field_solve_inverts_once_per_pivot_and_dots_only_at_the_end(monkeypatch):
-    """Over Q(i) a solve calls NumberFieldElement.inverse once per pivot and
-    NumberField.dot at most ncols * rhs.ncols times, every dot after the
-    last inverse: the forward pass builds no sums of products."""
+def test_number_field_solve_runs_one_integer_solve(monkeypatch):
+    """Over Q(i) a solve calls no NumberFieldElement.inverse and no
+    NumberField.dot: it runs the integer forward pass once, on the n*d
+    columns of the coordinates of the unknowns, and the upward pass on the
+    right-hand-side columns alone, as over QQ."""
+    from pcurvkit import linalg
     from pcurvkit.numberfield import NumberField, NumberFieldElement
 
     K = nf_field("i")
+    d = K.degree
     rng = random.Random(314)
     A = nf_matrix(K, rng, 7, 5)
     rows = [list(r) for r in A.rows]
     rows[4] = [a + K.gen * b for a, b in zip(rows[0], rows[1])]  # rank 4 or less
     A = Matrix(K, rows)
     rhs = A * nf_matrix(K, rng, 5, 2)
-    npivots = len(rref_by_field_division(A)[1])
     expected = solve_by_rref(A, rhs)
-    events = []
+    events, forward_cols, upward_cols = [], [], []
 
     def spy(name, real):
         def call(*args):
@@ -749,14 +768,26 @@ def test_number_field_solve_inverts_once_per_pivot_and_dots_only_at_the_end(monk
             return real(*args)
         return call
 
+    real_forward, real_upward = linalg._integer_forward, linalg._integer_upward
+
+    def forward(rows, ncols):
+        forward_cols.append(ncols)
+        return real_forward(rows, ncols)
+
+    def upward(rows, pivots, cols=None):
+        upward_cols.append(cols)
+        real_upward(rows, pivots, cols)
+
     monkeypatch.setattr(NumberFieldElement, "inverse", spy("inverse", NumberFieldElement.inverse))
     monkeypatch.setattr(NumberField, "dot", spy("dot", NumberField.dot))
+    monkeypatch.setattr(linalg, "_integer_forward", forward)
+    monkeypatch.setattr(linalg, "_integer_upward", upward)
     X = A.solve(rhs)
     monkeypatch.undo()
     assert X == expected
-    assert events.count("inverse") == npivots
-    assert 0 < events.count("dot") <= A.ncols * rhs.ncols
-    assert "inverse" not in events[events.index("dot"):]
+    assert events == []
+    assert forward_cols == [A.ncols * d]
+    assert upward_cols == [range(A.ncols * d, A.ncols * d + rhs.ncols)]
 
 
 def test_qq_solve_runs_no_rref(monkeypatch):
