@@ -23,17 +23,14 @@ from .numberfield import (
     NumberField,
     NumberFieldElement,
     compositum,
-    is_algebraic_integer,
     is_root_of_unity,
     minimal_polynomial,
 )
 from .connection import (
     CompanionConnection,
     ConnectionMatrix,
-    CyclicVectorNotFound,
     Derivation,
     PCurvatureReport,
-    cyclic_vector,
     frobenius_twist_multiplier,
     gauge_transform,
     nabla_power_matrix,
@@ -57,9 +54,7 @@ from .deformation import (
     DeformationSolution,
     NormalizationResult,
     TruncatedFamily,
-    block_p_curvature_check,
     block_power_pair,
-    commutant_kernel,
     gauge_family,
     normalize_family,
     solve_deformation,
@@ -82,12 +77,10 @@ from .surface import (
     certify_finiteness,
     conjugate_representation,
     element_order,
-    evaluate,
     fricke_polynomial,
     nonarch_check,
     reduce_word,
     simple_loop_products,
-    trace_identity_check,
 )
 
 __version__ = "0.1.0"

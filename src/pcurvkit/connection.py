@@ -49,7 +49,6 @@ ordinary points.
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .fields import GF, PrimeField, ReductionError, primes_in
@@ -64,10 +63,6 @@ from .ratfunc import (
     lowest_terms,
     reduce_rational_mod_p,
 )
-
-
-class CyclicVectorNotFound(RuntimeError):
-    """The fixed search order ran out of candidates; enlarge and retry."""
 
 
 class Derivation:
@@ -518,67 +513,3 @@ def gauge_transform(A: ConnectionMatrix, G: Matrix) -> ConnectionMatrix:
     D = A.derivation
     return ConnectionMatrix(Ginv * A.matrix * G + Ginv * D(G), D)
 
-
-def _cyclic_candidates(A: ConnectionMatrix, seed: int):
-    """Fixed search order: standard basis, then low-degree polynomial
-    combinations, then random vectors of height at most 10."""
-    field = A.field
-    r = A.rank
-    z, o = field.zero, field.one
-    x = field.gen()
-
-    def basis_vec(i):
-        col = [z] * r
-        col[i] = o
-        return Matrix.column(field, col)
-
-    for i in range(r):
-        yield basis_vec(i)
-    yield Matrix.column(field, [x ** i for i in range(r)])
-    for t in range(1, r + 1):
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                col = [z] * r
-                col[i] = o
-                col[j] = x ** t
-                yield Matrix.column(field, col)
-    rng = random.Random(seed)
-    while True:
-        col = []
-        for _ in range(r):
-            coeffs = [rng.randint(-10, 10) for _ in range(r + 1)]
-            col.append(field.from_poly(field.polynomial(coeffs)))
-        yield Matrix.column(field, col)
-
-
-def cyclic_vector(A: ConnectionMatrix, max_attempts: int = 200,
-                  seed: int = 0) -> tuple[Matrix, CompanionConnection]:
-    """Search for v making v, nabla(v), ..., nabla^{r-1}(v) a basis.
-
-    Returns the gauge G with those columns and the resulting companion
-    form; gauge_transform(A, G) equals the companion matrix exactly.
-    """
-    D = A.derivation
-    r = A.rank
-    attempts = 0
-    for v in _cyclic_candidates(A, seed):
-        attempts += 1
-        if attempts > max_attempts:
-            break
-        cols = [v]
-        for _ in range(r - 1):
-            w = cols[-1]
-            cols.append(A.matrix * w + D(w))
-        G = Matrix(A.field, [[cols[j].entry(i, 0) for j in range(r)]
-                             for i in range(r)])
-        if not G.det():
-            continue
-        w = cols[-1]
-        nabla_top = A.matrix * w + D(w)
-        f = G.solve(nabla_top)
-        last_column = [f.entry(i, 0) for i in range(r)]
-        return G, CompanionConnection(last_column, D)
-    raise CyclicVectorNotFound(
-        f"no cyclic vector within {max_attempts} attempts at rank {r}")

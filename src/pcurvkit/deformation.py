@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .connection import ConnectionMatrix, Derivation, _at_prime, \
-    frobenius_twist_multiplier, p_curvature
+from .connection import ConnectionMatrix, Derivation
 from .linalg import Matrix
 from .poly import Polynomial, PolynomialRing
 from .ratfunc import RationalFunction, cleared, common_denominator
@@ -70,24 +69,6 @@ def block_power_pair(ext: BlockExtension, j: int):
     for _ in range(j - 1):
         P, Q = A * P + D(P), A * Q + B * P + D(Q)
     return P, Q
-
-
-def block_p_curvature_check(ext: BlockExtension, p: int) -> bool:
-    """Exact structural identity: psi_p of the block connection equals
-    [[psi_p(A), Q_p - twist*B], [0, psi_p(A)]].
-
-    ext.M is reduced mod p once (a characteristic-p ext is used as it is),
-    and A and B are its blocks."""
-    M = _at_prime(ext.M, p)
-    if M is None:
-        raise ValueError(f"p = {p} is a bad prime for the block connection")
-    r, rows, D = ext.rank, M.matrix.rows, M.derivation
-    A = ConnectionMatrix(Matrix(M.field, [row[:r] for row in rows[:r]]), D)
-    B = Matrix(M.field, [row[r:] for row in rows[:r]])
-    Pp, Qp = block_power_pair(BlockExtension(A, B), p)
-    twist = frobenius_twist_multiplier(D, p) / D.u
-    psi_A = ConnectionMatrix(Pp - A.matrix.scale(twist), D)
-    return p_curvature(M, p).psi == BlockExtension(psi_A, Qp - B.scale(twist)).M.matrix
 
 
 class DeformationSolution(NamedTuple):
@@ -178,15 +159,6 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
                                Matrix.zeros(field, A.rank), ansatz_degree)
 
 
-def commutant_kernel(A: ConnectionMatrix, ansatz_degree: int) -> list[Matrix]:
-    """Basis of {Y in the ansatz : AY - YA + D(Y) = 0}."""
-    P, hu, hB = _cleared_equation(A, Matrix.zeros(A.field, A.rank))
-    system, _ = _deformation_system(P, hu, hB, ansatz_degree)
-    field = A.field
-    return [_ansatz_matrix(P.ring, A.rank, vec, ansatz_degree).map_entries(field.from_poly, field)
-            for vec in system.kernel_basis()]
-
-
 class TruncatedFamily:
     """Connection family sum_k layers[k] * q^k, truncated at order m."""
 
@@ -217,13 +189,6 @@ class TruncatedFamily:
 
     def is_constant(self) -> bool:
         return all(L.is_zero() for L in self.layers[1:])
-
-    def constant_through(self) -> int:
-        """Largest order m' such that the family is constant mod q^{m'}."""
-        for k in range(1, self.order):
-            if not self.layers[k].is_zero():
-                return k
-        return self.order
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedFamily):

@@ -23,8 +23,7 @@ A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
 bounded primitive-element search over theta1 + k*theta2, powering the
 multiplication matrix of that element on the tensor product, and returns
-the joint field together with embedding maps.  ``signature`` counts the
-real embeddings exactly, by Sturm's theorem on the defining polynomial.
+the joint field together with embedding maps.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import QQ
-from .poly import (
-    Polynomial,
-    cauchy_bound,
-    count_real_roots_closed,
-    is_irreducible_q,
-    IrreducibilityUndecided,
-)
+from .poly import Polynomial, is_irreducible_q, IrreducibilityUndecided
 from .linalg import (
     Matrix, _cleared_rows, _integer_forward, _integer_upward, _solve_integer)
 
@@ -160,12 +153,17 @@ class NumberField:
         coordinate.
         """
         d, D = self.degree, self._int_den
-        zero = [(0,) * d] * d
+        # one block per distinct scaled numerator: entries repeat in a system
+        blocks_of = {(0,) * d: [(0,) * d] * d}
         irows = []
         for r in rows:
             den = lcm(*(e.den for e in r))
-            nums = [e.num if e.den == den else [c * (den // e.den) for c in e.num] for e in r]
-            blocks = [self._mul_rows(v) if any(v) else zero for v in nums[:n]]
+            nums = [e.num if e.den == den else tuple(c * (den // e.den) for c in e.num)
+                    for e in r]
+            for v in nums[:n]:
+                if v not in blocks_of:
+                    blocks_of[v] = self._mul_rows(v)
+            blocks = [blocks_of[v] for v in nums[:n]]
             for t in range(d):
                 irows.append([c for b in blocks for c in b[t]] + [D * v[t] for v in nums[n:]])
         sol = _solve_integer(irows, n * d)
@@ -193,16 +191,6 @@ class NumberField:
         den = lcm(*(c.denominator for c in coords))
         return NumberFieldElement(
             self, [c.numerator * (den // c.denominator) for c in coords], den)
-
-    # -- embeddings -------------------------------------------------------
-
-    def signature(self):
-        """(r1, r2): the number of real embeddings, by a Sturm count of the
-        roots of min_poly in its Cauchy bound, and of complex-conjugate
-        pairs."""
-        bound = cauchy_bound(self.min_poly)
-        r1 = count_real_roots_closed(self.min_poly, -bound, bound)
-        return r1, (self.degree - r1) // 2
 
     def automorphisms(self):
         """Field automorphisms as coordinate maps (complete for degree <= 2)."""
@@ -418,11 +406,6 @@ def _first_dependency(vectors) -> Polynomial:
     _integer_upward(rows, pivots, (k,))
     return Polynomial(QQ, [Fraction(-row[k], row[t]) for t, row in enumerate(rows[:k])]
                       + [Fraction(1)])
-
-
-def is_algebraic_integer(e: NumberFieldElement) -> bool:
-    m = minimal_polynomial(e)
-    return all(Fraction(m.coeff(i)).denominator == 1 for i in range(m.degree() + 1))
 
 
 def root_of_unity_candidates(d: int) -> list[int]:

@@ -147,11 +147,6 @@ class SurfacePresentation:
         names.extend(f"c{j}" for j in range(1, self.punctures + 1))
         return names
 
-    def free_rank(self) -> int:
-        if self.punctures == 0:
-            return 2 * self.genus
-        return 2 * self.genus + self.punctures - 1
-
     def free_generator_names(self) -> list[str]:
         names = self.generator_names()
         return names[:-1] if self.punctures >= 1 else names
@@ -279,10 +274,6 @@ class Representation:
         return self.presentation.generator_names()
 
 
-def evaluate(rho: Representation, w: Word) -> Matrix:
-    return rho.evaluate(w)
-
-
 def conjugate_representation(rho: Representation, field_map) -> Representation:
     """Apply a field automorphism entrywise to every generator."""
     gens = {
@@ -292,17 +283,6 @@ def conjugate_representation(rho: Representation, field_map) -> Representation:
         or rho.presentation.punctures == 0
     }
     return Representation(rho.field, rho.presentation, gens, rho.target)
-
-
-def trace_identity_check(rho: Representation, x: Word, y: Word) -> bool:
-    """tr(XY) + tr(XY^{-1}) = tr(X) tr(Y), exactly."""
-    X = rho.evaluate(x)
-    Y = rho.evaluate(y)
-    one = rho.field.one
-    if X.det() != one or Y.det() != one:
-        raise ValueError("trace identity requires determinant 1")
-    lhs = (X * Y).trace() + (X * Y.inverse()).trace()
-    return lhs == X.trace() * Y.trace()
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,6 @@ class NewtonPolygon(NamedTuple):
             return None
         return -segs[-1][2]
 
-    def dominance_bound(self, m: int) -> Fraction:
-        """The lower bound s*(r - m) that ties valuations to the min slope."""
-        r = self.vertices[-1][0]
-        return self.min_slope * (r - m)
-
 
 def _lower_hull(points):
     points = sorted(points)

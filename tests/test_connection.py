@@ -30,12 +30,13 @@ from pcurvkit import connection
 from pcurvkit import (
     GF,
     QQ,
+    CompanionConnection,
     ConnectionMatrix,
     Derivation,
     FunctionField,
+    IrreducibilityUndecided,
     Matrix,
     Polynomial,
-    cyclic_vector,
     frobenius_twist_multiplier,
     gauge_transform,
     nabla_power_matrix,
@@ -44,7 +45,7 @@ from pcurvkit import (
     poly_gcd,
     scan_primes,
 )
-from pcurvkit.connection import CyclicVectorNotFound, PCurvatureReport
+from pcurvkit.connection import PCurvatureReport
 from pcurvkit.deformation import BlockExtension, block_power_pair
 from pcurvkit.fields import ReductionError, primes_in
 from pcurvkit.ratfunc import common_denominator
@@ -662,7 +663,10 @@ def test_scan_primes_falls_back_when_no_pool_starts(monkeypatch):
 
 
 def test_scan_primes_worker_error_propagates(monkeypatch):
-    """An exception raised in a worker is not retried in sequence."""
+    """An exception raised in a worker is not retried in sequence: it comes
+    back with its own type.  IrreducibilityUndecided stands for any such
+    error; it is neither an OSError nor a BrokenProcessPool, the two the
+    fallback catches."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched p_curvature reaches the workers only by fork")
     parent = os.getpid()
@@ -670,7 +674,7 @@ def test_scan_primes_worker_error_propagates(monkeypatch):
 
     def fails_in_worker(A, p):
         if os.getpid() != parent:
-            raise CyclicVectorNotFound(f"raised in a worker at p = {p}")
+            raise IrreducibilityUndecided(f"raised in a worker at p = {p}")
         return real(A, p)
 
     monkeypatch.setattr(connection, "p_curvature", fails_in_worker)
@@ -678,46 +682,27 @@ def test_scan_primes_worker_error_propagates(monkeypatch):
     x = K.gen()
     # every x0 of GF(2) and GF(3) is a pole, so the kernel decides p = 2 and 3
     A = ConnectionMatrix(Matrix(K, [[K.one / (x ** 3 - x)]]), Derivation.d_dx(K))
-    with pytest.raises(CyclicVectorNotFound, match="raised in a worker"):
+    with pytest.raises(IrreducibilityUndecided, match="raised in a worker") as raised:
         scan_primes(A, 2, 13, jobs=2)
+    assert type(raised.value) is IrreducibilityUndecided
 
 
-# -- cyclic vectors ---------------------------------------------------------------
-
-
-def test_cyclic_vector_yields_companion_gauge():
-    rng = random.Random(7)
-    K = qq_line()
-    D = Derivation.d_dx(K)
-    for _ in range(5):
-        A = rand_connection(K, D, rng)
-        G, comp = cyclic_vector(A)
-        assert comp.rank == A.rank
-        assert gauge_transform(A, G) == comp.matrix()
-
-
-def test_cyclic_vector_on_diagonal_connection():
-    # a flat diagonal connection still admits a cyclic vector over k(x)
-    K = qq_line()
-    D = Derivation.d_dx(K)
-    A = ConnectionMatrix(Matrix(K, [[1, 0], [0, 2]]), D)
-    G, comp = cyclic_vector(A)
-    assert gauge_transform(A, G) == comp.matrix()
-    last = comp.matrix().matrix
-    assert last.entry(0, 1) != K.zero or last.entry(1, 1) != K.zero
+# -- companion connections -----------------------------------------------------
 
 
 def test_companion_shape():
     K = qq_line()
     D = Derivation.d_dx(K)
     rng = random.Random(11)
-    A = rand_connection(K, D, rng, n=3)
-    _, comp = cyclic_vector(A)
+    column = [rand_ratfunc(K, rng, denom=True) for _ in range(3)]
+    comp = CompanionConnection(column, D)
+    assert comp.rank == 3
     M = comp.matrix().matrix
     for i in range(3):
         for j in range(2):
             want = K.one if i == j + 1 else K.zero
             assert M.entry(i, j) == want
+        assert M.entry(i, 2) == column[i]
 
 
 # -- psi_p at one point -----------------------------------------------------------
@@ -868,8 +853,8 @@ def test_point_value_of_a_rank_three_companion_over_tower():
 
 def test_point_value_matches_block_assembly():
     """psi_p of [[A, B], [0, A]] at a point equals the block matrix that
-    block_p_curvature_check assembles from block_power_pair, which runs
-    the plain recursion and not the kernel."""
+    test_deformation.block_p_curvature_check assembles from
+    block_power_pair, which runs the plain recursion and not the kernel."""
     rng = random.Random(707)
     K = qq_line()
     for p in (5, 7, 11):

@@ -17,9 +17,8 @@ from pcurvkit import (
     NumberField,
     Polynomial,
     TruncatedFamily,
-    block_p_curvature_check,
     block_power_pair,
-    commutant_kernel,
+    frobenius_twist_multiplier,
     gauge_family,
     nabla_power_matrix,
     normalize_family,
@@ -27,6 +26,7 @@ from pcurvkit import (
     solve_deformation,
     step_conjugate,
 )
+from pcurvkit.connection import _at_prime
 from pcurvkit.ratfunc import common_denominator
 
 
@@ -94,6 +94,24 @@ def test_block_power_pair_diagonal_matches_plain_power():
     ext = BlockExtension(A, poly_matrix(K, rng))
     P, _ = block_power_pair(ext, 4)
     assert P == nabla_power_matrix(A, 4)
+
+
+def block_p_curvature_check(ext, p):
+    """Exact structural identity: psi_p of the block connection equals
+    [[psi_p(A), Q_p - twist*B], [0, psi_p(A)]].
+
+    ext.M is reduced mod p once (a characteristic-p ext is used as it is),
+    and A and B are its blocks."""
+    M = _at_prime(ext.M, p)
+    if M is None:
+        raise ValueError(f"p = {p} is a bad prime for the block connection")
+    r, rows, D = ext.rank, M.matrix.rows, M.derivation
+    A = ConnectionMatrix(Matrix(M.field, [row[:r] for row in rows[:r]]), D)
+    B = Matrix(M.field, [row[r:] for row in rows[:r]])
+    Pp, Qp = block_power_pair(BlockExtension(A, B), p)
+    twist = frobenius_twist_multiplier(D, p) / D.u
+    psi_A = ConnectionMatrix(Pp - A.matrix.scale(twist), D)
+    return p_curvature(M, p).psi == BlockExtension(psi_A, Qp - B.scale(twist)).M.matrix
 
 
 def test_block_p_curvature_identity():
@@ -195,29 +213,6 @@ def test_solve_deformation_check_catches_a_wrong_solution(monkeypatch):
     with pytest.raises(AssertionError, match="residual"):
         solve_deformation(A, B, ansatz_degree=4)
 
-def test_commutant_kernel_of_scalar_connection():
-    """For A = scalar matrix the commutant condition D(Y) = 0 forces
-    constant Y, so the kernel is all four constant matrix units."""
-    K = qq_line()
-    D = Derivation.d_dx(K)
-    A = ConnectionMatrix(Matrix(K, [[3, 0], [0, 3]]), D)
-    basis = commutant_kernel(A, ansatz_degree=3)
-    assert len(basis) == 4
-    for Y in basis:
-        assert (A.matrix * Y - Y * A.matrix + D(Y)).is_zero()
-
-
-def test_commutant_kernel_companion_is_smaller():
-    K = qq_line()
-    D = Derivation.d_dx(K)
-    x = K.gen()
-    A = ConnectionMatrix(Matrix(K, [[K.zero, x], [K.one, K.zero]]), D)
-    basis = commutant_kernel(A, ansatz_degree=4)
-    assert 1 <= len(basis) < 4
-    for Y in basis:
-        assert (A.matrix * Y - Y * A.matrix + D(Y)).is_zero()
-
-
 # -- truncated families -----------------------------------------------------------
 
 
@@ -233,7 +228,6 @@ def test_family_accessors():
     L2 = Matrix(K, [[0, 1], [0, 0]])
     F = TruncatedFamily(D, [L0, Z, L2])
     assert F.order == 3 and F.rank == 2
-    assert F.constant_through() == 2
     assert not F.is_constant()
     assert TruncatedFamily(D, [L0, Z, Z]).is_constant()
 
@@ -434,12 +428,6 @@ def solve_deformation_by_basis_products(A, B, d):
     return None if sol is None else combine_basis(A.field, A.rank, basis, sol)
 
 
-def commutant_kernel_by_basis_products(A, d):
-    system, _, basis = deformation_system_by_basis_products(
-        A, Matrix.zeros(A.field, A.rank), d)
-    return [combine_basis(A.field, A.rank, basis, v) for v in system.kernel_basis()]
-
-
 def step_conjugate_by_basis_products(sigma_gens, tau_gens, m):
     """The linearized solve alone: for m >= 1 (so 2m >= m+1) a solution of
     M sigma - sigma M = tau_m always passes the full check mod q^{m+1}."""
@@ -522,20 +510,6 @@ def test_solve_deformation_matches_basis_product_oracle():
                 assert got is not None and got.Y == expect, (A.matrix, A.derivation, B, d)
                 solved += 1
     assert solved >= 20 and unsolved >= 5
-
-
-def test_commutant_kernel_matches_basis_product_oracle():
-    sizes = set()
-    for A, d, _ in oracle_connections():
-        # f*I commutes with every constant Y, so its kernel is larger; for
-        # A = 0 the row count is set by the multiplier's term alone
-        scalar = Matrix.identity(A.field, A.rank).scale(A.matrix.entry(0, 0))
-        zero = Matrix.zeros(A.field, A.rank)
-        for C in (ConnectionMatrix(M, A.derivation) for M in (A.matrix, scalar, zero)):
-            expect = commutant_kernel_by_basis_products(C, d)
-            assert commutant_kernel(C, d) == expect, (C.matrix, C.derivation, d)
-            sizes.add(len(expect))
-    assert sizes == {1, 4, 9}
 
 
 def test_step_conjugate_matches_basis_product_oracle():

@@ -790,6 +790,36 @@ def test_number_field_solve_runs_one_integer_solve(monkeypatch):
     assert upward_cols == [range(A.ncols * d, A.ncols * d + rhs.ncols)]
 
 
+def test_number_field_solve_builds_one_block_per_distinct_entry(monkeypatch):
+    """Entries repeat in the systems deform solves: solve_system builds the
+    integer block of each distinct entry of the cleared rows once.  Row 0
+    is halved, so its entries have denominators, but clearing it gives the
+    numerators of the other rows back, and no new block."""
+    from pcurvkit.numberfield import NumberField
+
+    K = nf_field("i")
+    pool = [K.zero, K.gen, K.one + K.gen, K(2), K(3) - K.gen]
+    rng = random.Random(2718)
+    rows = [[rng.choice(pool) for _ in range(5)] for _ in range(7)]
+    b = [row[0] for row in (Matrix(K, rows) * Matrix(K, [[rng.choice(pool)] for _ in range(5)])).rows]
+    halved = Matrix(K, [[e / 2 for e in rows[0]]] + rows[1:])
+    rhs = Matrix.column(K, [b[0] / 2] + b[1:])
+    built = []
+    real = NumberField._mul_rows
+
+    def spy(self, a):
+        built.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(NumberField, "_mul_rows", spy)
+    X = halved.solve(rhs)
+    monkeypatch.undo()
+    assert X == solve_by_rref(halved, rhs) and X is not None
+    distinct = {e.num for row in rows for e in row if e}
+    assert sorted(built) == sorted(distinct)
+    assert len(distinct) < sum(1 for row in rows for e in row if e)
+
+
 def test_qq_solve_runs_no_rref(monkeypatch):
     """solve over QQ calls no rref, and its one upward pass runs on the
     right-hand-side columns alone, never over whole rows as rref's does."""

@@ -26,7 +26,6 @@ from pcurvkit import (
     nonarch_check,
     reduce_word,
     simple_loop_products,
-    trace_identity_check,
 )
 from pcurvkit.surface import (
     Finite,
@@ -38,7 +37,6 @@ from pcurvkit.surface import (
     _check_klein,
     _is_scalar,
     _projective_order,
-    evaluate,
 )
 
 
@@ -52,6 +50,10 @@ def gaussian():
 
 def rational_field():
     return NumberField(P(0, 1), "t")
+
+
+def golden():
+    return NumberField(P(-1, -1, 1), "w")
 
 
 # -- words -------------------------------------------------------------------
@@ -88,7 +90,6 @@ def test_word_names():
 def test_presentation_generator_names():
     pres = SurfacePresentation(2, 1)
     assert pres.generator_names() == ["a1", "b1", "a2", "b2", "c1"]
-    assert pres.free_rank() == 4
     assert pres.free_generator_names() == ["a1", "b1", "a2", "b2"]
 
 
@@ -108,7 +109,7 @@ def test_relation_word_shapes():
 
 def test_closed_surface_free_rank():
     pres = SurfacePresentation(2, 0)
-    assert pres.free_rank() == 4
+    assert pres.free_generator_names() == pres.generator_names() == ["a1", "b1", "a2", "b2"]
     with pytest.raises(ValueError):
         pres.last_puncture_word()
 
@@ -171,8 +172,19 @@ def test_evaluate_on_words():
     a = rho.generator_matrix("a1")
     b = rho.generator_matrix("b1")
     w = Word.parse("a1*b1^-1*a1")
-    assert evaluate(rho, w) == a * b.inverse() * a
+    assert rho.evaluate(w) == a * b.inverse() * a
     assert rho.evaluate(Word()) == Matrix.identity(K, 2)
+
+
+def trace_identity_check(rho, x, y):
+    """tr(XY) + tr(XY^{-1}) = tr(X) tr(Y), exactly."""
+    X = rho.evaluate(x)
+    Y = rho.evaluate(y)
+    one = rho.field.one
+    if X.det() != one or Y.det() != one:
+        raise ValueError("trace identity requires determinant 1")
+    lhs = (X * Y).trace() + (X * Y.inverse()).trace()
+    return lhs == X.trace() * Y.trace()
 
 
 def test_trace_identity_random_words():
@@ -312,21 +324,35 @@ def test_element_order_golden_rotations():
 # -- obstruction checks ----------------------------------------------------------------
 
 
+def golden_trace_rep(t):
+    """Over Q(phi): a1 the companion matrix of trace t and determinant 1,
+    b1 the identity."""
+    K = t.field
+    a = Matrix(K, [[K.zero, -K.one], [K.one, t]])
+    return Representation(K, SurfacePresentation(1, 1), {"a1": a, "b1": Matrix.identity(K, 2)})
+
+
 def test_nonarch_check_flags_rational_pole():
+    """A trace with 2 in its denominator fails: 5/2, and the irrational
+    phi/2, a root of X^2 - X/2 - 1/4."""
     K = rational_field()
     pres = SurfacePresentation(1, 1)
     a = Matrix(K, [[K(Fraction(1, 2)), K.zero], [K.zero, K(2)]])
     rho = Representation(K, pres, {"a1": a, "b1": Matrix.identity(K, 2)})
-    rep = nonarch_check(rho, simple_loop_products(pres))
-    assert not rep.passed
-    assert rep.witness == Word.parse("a1")
-    assert rep.witness_trace_min_poly == P(Fraction(-5, 2), 1)
+    cases = [(rho, P(Fraction(-5, 2), 1)),
+             (golden_trace_rep(golden().gen / 2), P(Fraction(-1, 4), Fraction(-1, 2), 1))]
+    for rho, witness_min_poly in cases:
+        rep = nonarch_check(rho, simple_loop_products(pres))
+        assert not rep.passed
+        assert rep.witness == Word.parse("a1")
+        assert rep.witness_trace_min_poly == witness_min_poly
 
 
 def test_nonarch_check_passes_integers():
-    rho = quaternion_rep()
-    rep = nonarch_check(rho, simple_loop_products(rho.presentation))
-    assert rep.passed and rep.witness is None
+    """Rational integer traces, and the irrational integral trace phi."""
+    for rho in (quaternion_rep(), golden_trace_rep(golden().gen)):
+        rep = nonarch_check(rho, simple_loop_products(rho.presentation))
+        assert rep.passed and rep.witness is None
 
 
 def test_arch_check_flags_large_trace():

@@ -68,8 +68,8 @@ def test_newton_polygon_frozen_pole_example():
     poly = newton_polygon(c)
     assert poly.vertices == ((0, -1), (2, 0))
     assert poly.min_slope == Fraction(-1, 2)
-    assert poly.dominance_bound(0) == -1
-    assert poly.dominance_bound(1) == Fraction(-1, 2)
+    # the dominance bound s * (r - m) at m = 0 and m = 1
+    assert [poly.min_slope * (2 - m) for m in (0, 1)] == [-1, Fraction(-1, 2)]
 
 
 def test_newton_polygon_keeps_only_hull():
@@ -107,11 +107,12 @@ def test_dominance_holds_on_random_columns():
         if poly.min_slope is None:
             continue
         prof = ValuationProfile.of(c)
+        s = poly.min_slope
         hit = False
         for m, v in enumerate(prof.valuations):
             if v == math.inf:
                 continue
-            bound = poly.dominance_bound(m)
+            bound = s * (r - m)
             assert v >= bound, (vals, m)
             if v == bound:
                 hit = True
