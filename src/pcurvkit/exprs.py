@@ -3,9 +3,11 @@
 Grammar: integers, named variables, + - * / ^ and parentheses, with ^
 restricted to nonnegative integer literal exponents, and at most
 MAX_DEPTH parenthesised atoms and unary signs open at once.  Expressions are
-evaluated directly into a caller-supplied environment of field elements,
-so the same parser serves QQ(x), GF(p)(q)(x) towers, and plain rationals.
-Errors carry line and column.
+evaluated on whatever values the caller supplies for the variables and for
+1: any objects with + - * / ^, unary minus and a zero test.  specdoc passes
+polynomials that enter the function field only at a nonconstant division;
+plain rationals and field elements work the same.  Errors carry line and
+column.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ class _Parser:
 def parse_expression(text: str, env: dict, one):
     """Evaluate an entry expression.
 
-    env maps variable names to field elements; ``one`` is the multiplicative
-    identity used to lift integer literals.
+    env maps variable names to values; ``one`` is the multiplicative
+    identity, and a literal n is read as ``one * n``.
     """
     return _Parser(_tokenize(text), env, one).parse()

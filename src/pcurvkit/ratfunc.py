@@ -97,9 +97,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.degree() == 0
-
     # -- arithmetic -----------------------------------------------------------
 
     def _wrap(self, other):

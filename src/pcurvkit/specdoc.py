@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .fields import GF, QQ, is_prime
 from .linalg import Matrix
 from .numberfield import NumberField
 from .poly import IrreducibilityUndecided, Polynomial, is_irreducible_q
-from .ratfunc import FunctionField
+from .ratfunc import FunctionField, clear_coefficients, lowest_terms
 from .surface import Representation, SurfacePresentation
 from .valuation import standard_tower
 
@@ -101,13 +102,74 @@ def parse_base(obj):
     raise SpecError(f'bad base field {obj!r} (use "QQ" or {{"p": N}})')
 
 
-def _field_env(field: FunctionField) -> dict:
-    env = {}
-    level = field
-    while isinstance(level, FunctionField):
-        env.setdefault(level.var, field(level.gen()))
-        level = level.base
-    return env
+class _Entry:
+    """A spec entry as exprs evaluates it: v is a polynomial over the ring
+    of clear_coefficients (k[x], or k[q][x] for field k(q)(x)) until a
+    division by a nonconstant enters field, and an element of field after
+    it.  Lowest terms are unique, so the value does not depend on where."""
+
+    __slots__ = ("field", "v")
+
+    def __init__(self, field: FunctionField, v):
+        self.field, self.v = field, v
+
+    def lift(self):
+        """v as an element of field."""
+        v, base = self.v, self.field.base
+        if type(v) is not Polynomial:
+            return v
+        if isinstance(base, FunctionField):
+            v = Polynomial(base, [base.from_poly(c) for c in v.coeffs])
+        return self.field.from_poly(v)
+
+    def _apply(self, op, other):
+        if type(other) is int:  # exprs reads a literal n as one * n
+            return _Entry(self.field, op(self.v, other))
+        a, b = self.v, other.v
+        if type(a) is not type(b):
+            a, b = self.lift(), other.lift()
+        return _Entry(self.field, op(a, b))
+
+    def __add__(self, other):
+        return self._apply(operator.add, other)
+
+    def __sub__(self, other):
+        return self._apply(operator.sub, other)
+
+    def __mul__(self, other):
+        return self._apply(operator.mul, other)
+
+    def __truediv__(self, other):
+        a, b = self.v, other.v
+        if type(a) is not Polynomial or type(b) is not Polynomial:
+            return _Entry(self.field, self.lift() / other.lift())
+        c = b
+        while type(c) is Polynomial and c.degree() == 0:
+            c = c.leading()
+        if type(c) is not Polynomial:  # a nonzero ground constant
+            return _Entry(self.field, a * (1 / c))
+        return _Entry(self.field, lowest_terms(self.field, a, b))
+
+    def __neg__(self):
+        return _Entry(self.field, -self.v)
+
+    def __pow__(self, e: int):
+        return _Entry(self.field, self.v ** e)
+
+    def __bool__(self):
+        return bool(self.v)
+
+
+def _ring_env(field: FunctionField):
+    """(env, one) for exprs over field: 1 and each variable of the tower,
+    the outermost where two levels share a name, as _Entry polynomials."""
+    levels = [field]
+    while isinstance(levels[-1].base, FunctionField):
+        levels.append(levels[-1].base)
+    one, *gens = clear_coefficients(
+        field.base, [field.one.num] + [field(L.gen()).num for L in levels])[1]
+    env = {L.var: _Entry(field, g) for L, g in reversed(list(zip(levels, gens)))}
+    return env, _Entry(field, one)
 
 
 # characters of a spec entry that an error message quotes
@@ -128,7 +190,7 @@ def parse_field_expression(text, field: FunctionField):
     if not isinstance(text, str):
         raise SpecError(f"expected an expression string, got {_excerpt(repr(text))}")
     try:
-        return parse_expression(text, _field_env(field), field.one)
+        return parse_expression(text, *_ring_env(field)).lift()
     except ParseError as exc:
         # the index of the reported column in text
         at = sum(len(line) + 1 for line in text.split("\n")[:exc.line - 1]) + exc.col - 1

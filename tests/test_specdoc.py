@@ -115,6 +115,131 @@ def test_printed_coefficients():
         == "(3*x^2 + 2)/(x + 2)"
 
 
+def oracle_entry(text, K):
+    """An entry evaluated on K's own arithmetic, one normalised
+    RationalFunction per operator: the reference parse_field_expression
+    must equal."""
+    env = {}
+    level = K
+    while isinstance(level, FunctionField):
+        env.setdefault(level.var, K(level.gen()))
+        level = level.base
+    return parse_expression(text, env, K.one)
+
+
+def random_entry(rng, names, depth=3):
+    """A seeded entry over the variables names: sums, products, quotients,
+    powers (^0 among them) and unary minus of literals and variables."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([str(rng.randint(0, 6))] + names)
+    a, b = random_entry(rng, names, depth - 1), random_entry(rng, names, depth - 1)
+    form = rng.choice(["({}) + ({})", "({}) - ({})", "({})*({})", "({})/({})",
+                       "({})^" + str(rng.randint(0, 3)), "-({})"])
+    return form.format(a, b)
+
+
+ORACLE_ENTRIES = [
+    "0", "x - x", "1/(x - x)", "-(x - q)", "(x + q)^0", "(1/x)^0", "(x + q + 1)^3",
+    "x/3", "(q*x + 2)/(2*q)", "(x^2 - 1)/(x - 1)", "(q^2 - 1)/(q + 1)*x",
+    "1/(1/(x + 1) + q)", "(x + q)/(x + q)", "(3+2*q^1+3*q^2)/(q^1*x)",
+    "-(2/(x*q))^2 - x/(x + 1/q)", "(1/(x + 1) - 1/(x + 1))/(x + q)",
+    "(x + 1/(q + x))*(q - x)/(2 - q)",
+]
+
+
+@pytest.mark.parametrize("K", [
+    FunctionField(QQ, "x"), FunctionField(GF(7), "x"),
+    FunctionField(FunctionField(GF(5), "q"), "x"),
+    FunctionField(FunctionField(QQ, "q"), "x"),
+], ids=["QQ(x)", "GF7(x)", "GF5(q)(x)", "QQ(q)(x)"])
+def test_entries_match_the_field_arithmetic_oracle(K):
+    """parse_field_expression keeps + - * ^ and division by a constant on
+    polynomials and enters K only at a nonconstant division; the value is
+    the oracle's, as an element and as printed, and an entry the oracle
+    rejects is rejected with the oracle's message."""
+    names = ["x", "q"] if isinstance(K.base, FunctionField) else ["x"]
+    rng = random.Random(2027)
+    entries = [e for e in ORACLE_ENTRIES if "q" in names or "q" not in e]
+    entries += [random_entry(rng, names) for _ in range(150)]
+    rejected = 0
+    for text in entries:
+        try:
+            want = oracle_entry(text, K)
+        except ParseError as exc:
+            rejected += 1
+            with pytest.raises(SpecError) as info:
+                parse_field_expression(text, K)
+            assert str(info.value.__cause__) == str(exc), text
+            continue
+        got = parse_field_expression(text, K)
+        assert (got.field, got.num, got.den) == (K, want.num, want.den), text
+        assert got.to_str() == want.to_str(), text
+    assert 0 < rejected < len(entries) // 4
+
+
+def test_outer_variable_wins_a_shared_name():
+    """A companion spec may name q and x alike; the name then means the
+    outer variable, as it did when the entry ran on the field."""
+    K = FunctionField(FunctionField(GF(5), "x"), "x")
+    for text in ("x^2 + 1/x", "(x + 2)/(3*x)"):
+        got = parse_field_expression(text, K)
+        assert got == oracle_entry(text, K) and got.den.degree() == 1
+
+
+T7 = FunctionField(FunctionField(GF(7), "q"), "x")
+
+
+@pytest.mark.parametrize("text, K, message, at", [
+    ("1/(x-x)", FunctionField(QQ, "x"), "'1/(x-x)': division by zero", (1, 2)),
+    ("x/(q-q)", T7, "'x/(q-q)': division by zero", (1, 2)),
+    ("1/5", FunctionField(GF(5), "x"), "'1/5': division by zero", (1, 2)),
+    ("(x+1)/(2-2)", T7, "'(x+1)/(2-2)': division by zero", (1, 6)),
+    ("x^-1", T7, "'x^-1': exponent must be a nonnegative integer literal", (1, 2)),
+    ("(" * 101 + "x" + ")" * 101, T7,
+     "'…" + "(" * 21 + "x" + ")" * 18 + "…': nesting deeper than 100 levels", (1, 101)),
+    ("x +\n (q^2 + 1)/(x - z)", T7,
+     "'x +\\n (q^2 + 1)/(x - z)': unknown variable 'z'", (2, 17)),
+])
+def test_entry_errors_name_the_same_fault_and_position(text, K, message, at):
+    """Each rejected entry gives the message, line and column it gave when
+    every operator ran on the field's arithmetic."""
+    with pytest.raises(SpecError) as info:
+        parse_field_expression(text, K)
+    assert str(info.value) == \
+        f"bad expression {message} (line {at[0]}, column {at[1]})"
+    assert (info.value.__cause__.line, info.value.__cause__.col) == at
+
+
+def test_entries_normalise_only_at_a_nonconstant_division(monkeypatch):
+    """A polynomial entry, also one divided by a constant, runs no gcd, and
+    one division by a nonconstant is one primitive gcd and a handful of
+    RationalFunctions."""
+    from pcurvkit import ratfunc
+    calls = {"primitive_gcd": 0, "poly_gcd": 0, "RationalFunction": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for name in ("primitive_gcd", "poly_gcd"):
+        monkeypatch.setattr(ratfunc, name, counted(name, getattr(ratfunc, name)))
+    monkeypatch.setattr(ratfunc.RationalFunction, "__init__", counted(
+        "RationalFunction", ratfunc.RationalFunction.__init__))
+    tower = FunctionField(FunctionField(GF(13), "q"), "x")
+    flat = FunctionField(QQ, "x")
+    for text, K in [("(2+3*q^1+3*q^2)*x", tower), ("(2+3*q^1)*x/(6-2)", tower),
+                    ("(-10/1)+(-4/1)*x^1+(2/1)*x^2", flat)]:
+        calls.update(dict.fromkeys(calls, 0))
+        parse_field_expression(text, K)
+        assert calls["primitive_gcd"] == calls["poly_gcd"] == 0, text
+    calls.update(dict.fromkeys(calls, 0))
+    parse_field_expression("(3+2*q^1+3*q^2)/(q^1*x)", tower)
+    assert calls["primitive_gcd"] <= 1
+    assert calls["RationalFunction"] <= 15
+
+
 def test_expression_errors_become_spec_errors():
     K = FunctionField(QQ, "x")
     for bad in ("x +", "y", "1/0", "x^x", 1.5):
