@@ -9,8 +9,9 @@ connections and the monodromy theorem", 1970, section 5),
 
 so it is computed on the d/dx form of the connection.  With h the lcm of
 the denominators of u and of every entry, H = h*u and M = h*A are
-polynomial and nabla(d/dx) = M/H; as (d/dx)^p = 0, psi_p(d/dx) is the
-matrix N_p/H^p of nabla(d/dx)^p, where N_1 = M and
+polynomial (_clear_denominators, which deformation.py uses too) and
+nabla(d/dx) = M/H; as (d/dx)^p = 0, psi_p(d/dx) is the matrix N_p/H^p of
+nabla(d/dx)^p, where N_1 = M and
 
     N_{k+1} = H N_k' - k H' N_k + M N_k,
 
@@ -243,16 +244,22 @@ def frobenius_twist_multiplier(D: Derivation, p: int) -> RationalFunction:
     return lowest_terms(D.field, a * Polynomial(a.field, s), b ** (p + 1))
 
 
+def _clear_denominators(u: RationalFunction, *matrices: Matrix):
+    """(h, h*u, h*M for each M), h the lcm of the denominators of u and of
+    every entry, all over k[x] (k(q)[x] over a tower): nabla(d/dx) = hA/hu."""
+    h = common_denominator([u] + [e for M in matrices for row in M.rows for e in row])
+    ring = PolynomialRing(u.field.base, u.field.var)
+    return (h, cleared(u, h),
+            *(M.map_entries(lambda e: cleared(e, h), ring) for M in matrices))
+
+
 def _cleared_form(A: ConnectionMatrix):
-    """(h, H, M) with h the lcm of the denominators of u and of every
-    entry, H = h*u and M = h*A as a list of rows, so nabla(d/dx) = M/H with
-    polynomial H and M.  Over a tower k(q)(x) all three are scaled by one
-    q-constant (clear_coefficients) and live over k[q][x]."""
-    u = A.derivation.u
-    entries = [e for row in A.matrix.rows for e in row]
-    h = common_denominator([u] + entries)
+    """(h, H, M) of _clear_denominators, M as a list of rows.  Over a tower
+    k(q)(x) all three are scaled by one q-constant (clear_coefficients)
+    and live over k[q][x]."""
+    h, H, M = _clear_denominators(A.derivation.u, A.matrix)
     _, (h, H, *hA) = clear_coefficients(
-        A.field.base, [h, cleared(u, h)] + [cleared(e, h) for e in entries])
+        A.field.base, [h, H] + [f for row in M.rows for f in row])
     n = A.rank
     return h, H, [hA[i * n:(i + 1) * n] for i in range(n)]
 

@@ -2,22 +2,22 @@
 normalization of q-families of connections.
 
 The deformation equation B + AY - YA + D(Y) = 0 is linear over the
-D-constants, so it is solved exactly by expressing the unknown Y in a
-finite polynomial ansatz, clearing denominators, and row-reducing.  A
-solution at layer k feeds the gauge I + q^k Y, which kills that layer of a
-truncated family while leaving lower layers alone.  Absence of a solution
-inside the ansatz is a reported outcome, not an error: the caller may widen
-the degree bound and retry.
+D-constants, so it is solved exactly with a polynomial ansatz for Y,
+cleared as p_curvature clears a connection (_clear_denominators), and
+row-reduced.  A solution at layer k feeds the gauge I + q^k Y, which kills
+that layer of a truncated family and leaves lower layers alone;
+gauge_family clears the layers alike.  No solution inside the ansatz is an
+outcome, not an error: the caller may widen the degree bound and retry.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .connection import ConnectionMatrix, Derivation
+from .connection import ConnectionMatrix, Derivation, _clear_denominators
 from .linalg import Matrix
-from .poly import Polynomial, PolynomialRing
-from .ratfunc import RationalFunction, cleared, common_denominator
+from .poly import Polynomial
+from .ratfunc import RationalFunction
 
 
 class BlockExtension:
@@ -45,18 +45,6 @@ class BlockExtension:
     def rank(self) -> int:
         return self.A.rank
 
-    def blocks(self):
-        """Round-trip accessor: (top-left, top-right, bottom-left, bottom-right)."""
-        r = self.rank
-        ring = self.A.field
-        rows = self.M.matrix.rows
-
-        def sub(r0, c0):
-            return Matrix(ring, [[rows[r0 + i][c0 + j] for j in range(r)]
-                                 for i in range(r)])
-
-        return sub(0, 0), sub(0, r), sub(r, 0), sub(r, r)
-
 
 def block_power_pair(ext: BlockExtension, j: int):
     """(P_j, Q_j) with P_1 = A, Q_1 = B and
@@ -82,20 +70,6 @@ def _commutator_terms(P, i, j):
     [l == j] P[k][i] - [k == i] P[j][l]."""
     r = len(P)
     return [(k, j, P[k][i]) for k in range(r)] + [(i, l, -P[j][l]) for l in range(r)]
-
-
-def _cleared_equation(A: ConnectionMatrix, B: Matrix):
-    """(P, hu, hB): B + AY - YA + D(Y) = 0 times the common denominator h of
-    u, A and B, which is hB + PY - YP + (hu) Y' with P = hA, over k[x]."""
-    field = A.field
-    ring = PolynomialRing(field.base, field.var)
-    u = A.derivation.u
-    h = common_denominator([u] + [e for M in (A.matrix, B) for row in M.rows for e in row])
-
-    def clear(M):
-        return Matrix(ring, [[cleared(e, h) for e in row] for row in M.rows])
-
-    return clear(A.matrix), cleared(u, h), clear(B)
 
 
 def _deformation_system(P: Matrix, hu, hB: Matrix, ansatz_degree: int):
@@ -143,9 +117,9 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
     The forward-only solve assigns zero to every free parameter, so the
     returned Y is deterministic.  None means no solution in this ansatz.
     The answer is checked on the cleared equation hB + PY - YP + (hu) Y'
-    over k[x], which is zero exactly when the residual is, since h != 0.
+    of _clear_denominators, which is zero exactly when the residual is.
     """
-    P, hu, hB = _cleared_equation(A, B)
+    _, hu, P, hB = _clear_denominators(A.derivation.u, A.matrix, B)
     system, rhs = _deformation_system(P, hu, hB, ansatz_degree)
     sol = system.solve(rhs)
     if sol is None:
@@ -184,12 +158,6 @@ class TruncatedFamily:
     def rank(self) -> int:
         return self.layers[0].nrows
 
-    def layer(self, k: int) -> Matrix:
-        return self.layers[k]
-
-    def is_constant(self) -> bool:
-        return all(L.is_zero() for L in self.layers[1:])
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedFamily):
             return NotImplemented
@@ -199,43 +167,42 @@ class TruncatedFamily:
         return f"Family(order={self.order}, rank={self.rank})"
 
 
+def _gauged_layers(L, Y, k: int, dY):
+    """Layers of Z = G^-1 (L G + q^k dY), G = I + q^k Y, truncated at len(L):
+    T = L G + q^k dY has T_n = L_n + L_{n-k} Y (+ dY at n = k), and G Z = T
+    gives Z_n = T_n - Y Z_{n-k}, 2(m - k) matrix products in all."""
+    Z = []
+    for n, T in enumerate(L):
+        if n >= k:
+            T = T + L[n - k] * Y - Y * Z[n - k]
+        if n == k:
+            T = T + dY
+        Z.append(T)
+    return Z
+
+
 def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
     """Apply the gauge G = I + q^k Y to the family, truncating at its order.
 
     Y must be polynomial (every entry has denominator 1), as every Y from
-    solve_deformation is; a rational Y raises ValueError.  With H the common
-    denominator of all layers, N_n = H L_n over k[x] and u = u.num / u.den,
-    the layers of (A G + D(G)) H u.den are polynomial:
+    solve_deformation is; a rational Y raises ValueError.  With h, hu and
+    N_n = h L_n from _clear_denominators over all layers, h (A G + D(G))
+    has the polynomial layers
 
-        X_n = (N_n + N_{n-k} Y) u.den + [n = k] (u.num H) Y'.
+        X_n = N_n + N_{n-k} Y + [n = k] (hu) Y',
 
-    G has only the layers I and Y, so Z = G^-1 X solves G Z = X layer by
-    layer: Z_n = X_n - Y Z_{n-k}, with 2(m - k) matrix products in all.
-    Layer n of G^-1 A G + G^-1 D(G) is Z_n / (H u.den), reduced once per entry.
+    the cleared equation solve_deformation solves, and layer n of
+    G^-1 A G + G^-1 D(G) is (G^-1 X)_n / h, reduced once per entry.
     """
     if k < 1:
         raise ValueError("gauge layer must be positive")
     if not all(e.den.is_one() for row in Y.rows for e in row):
         raise ValueError("gauge entries must be polynomial")
     field = F.layers[0].ring
-    ring = PolynomialRing(field.base, field.var)
-    H = common_denominator(e for L in F.layers for row in L.rows for e in row)
-    N = [Matrix(ring, [[cleared(e, H) for e in row] for row in L.rows]) for L in F.layers]
-    Yp = Y.map_entries(lambda e: e.num, ring)
-    u = F.derivation.u
-    Z = []
-    for n, X in enumerate(N):
-        if n >= k:
-            X = X + N[n - k] * Yp
-        X = X.scale(u.den)
-        if n == k:
-            X = X + Yp.map_entries(lambda e: e.derivative()).scale(u.num * H)
-        if n >= k:
-            X = X - Yp * Z[n - k]
-        Z.append(X)
-    den = H * u.den
-    new_layers = [Matrix(field, [[RationalFunction(field, z, den) for z in row] for row in X.rows])
-                  for X in Z]
+    h, hu, *N = _clear_denominators(F.derivation.u, *F.layers)
+    Yp = Y.map_entries(lambda e: e.num, N[0].ring)
+    Z = _gauged_layers(N, Yp, k, Yp.map_entries(lambda e: e.derivative()).scale(hu))
+    new_layers = [X.map_entries(lambda z: RationalFunction(field, z, h), field) for X in Z]
     return TruncatedFamily(F.derivation, new_layers, F.qvar)
 
 
@@ -319,15 +286,9 @@ def step_conjugate(sigma_gens, tau_gens, m: int):
         return None
     M = Matrix(ring, [[sol.entry(i * n + j, 0) for j in range(n)] for i in range(n)])
 
-    # full verification mod q^{m+1}: with G = I + q^m M, T = tau G has
-    # T_j = tau_j + tau_{j-m} M, and Z = G^-1 T solves G Z = T, so
-    # Z_j = T_j - M Z_{j-m}; Z must be sigma alone
+    # full verification mod q^{m+1}: G^-1 tau G must be sigma alone
     for sigma, tau_layers in zip(sigma_gens, tau_gens):
-        Z = []
-        for j, T in enumerate(tau_layers):
-            if j >= m:
-                T = T + tau_layers[j - m] * M - M * Z[j - m]
-            Z.append(T)
+        Z = _gauged_layers(tau_layers, M, m, Matrix.zeros(ring, n))
         if Z[0] != sigma or any(not L.is_zero() for L in Z[1:]):
             raise AssertionError("conjugation check failed after a successful solve")
     return M

@@ -184,17 +184,22 @@ def _excerpt(text: str, at: int = 0) -> str:
     return ("…" if lo else "") + text[lo:hi] + ("…" if hi < len(text) else "")
 
 
-def parse_field_expression(text, field: FunctionField):
+def _parse_entry(text, field: FunctionField, env):
+    """text as an element of field, with env = _ring_env(field)."""
     if isinstance(text, int) and not isinstance(text, bool):
         return field(text)
     if not isinstance(text, str):
         raise SpecError(f"expected an expression string, got {_excerpt(repr(text))}")
     try:
-        return parse_expression(text, *_ring_env(field)).lift()
+        return parse_expression(text, *env).lift()
     except ParseError as exc:
         # the index of the reported column in text
         at = sum(len(line) + 1 for line in text.split("\n")[:exc.line - 1]) + exc.col - 1
         raise SpecError(f"bad expression {_excerpt(text, at)!r}: {exc}") from exc
+
+
+def parse_field_expression(text, field: FunctionField):
+    return _parse_entry(text, field, _ring_env(field))
 
 
 def _require_rows(rows) -> None:
@@ -208,9 +213,8 @@ def parse_expression_matrix(rows, field: FunctionField) -> Matrix:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise SpecError("matrix rows have unequal lengths")
-    return Matrix(field, [
-        [parse_field_expression(e, field) for e in r] for r in rows
-    ])
+    env = _ring_env(field)
+    return Matrix(field, [[_parse_entry(e, field, env) for e in r] for r in rows])
 
 
 def parse_derivation(obj, field: FunctionField) -> Derivation:
@@ -268,7 +272,8 @@ def companion_from_spec(doc: dict):
     col = doc.get("last_column")
     if not isinstance(col, list) or not col:
         raise SpecError('companion spec needs a nonempty "last_column"')
-    entries = [parse_field_expression(e, tower) for e in col]
+    env = _ring_env(tower)
+    entries = [_parse_entry(e, tower, env) for e in col]
     return CompanionConnection(entries, D), p
 
 

@@ -241,9 +241,6 @@ class Representation:
             if rel != Matrix.identity(field, 2):
                 raise ValueError("surface relation does not map to the identity")
 
-    def generator_matrix(self, name: str) -> Matrix:
-        return self.gens[name]
-
     def _inverse(self, name: str) -> Matrix:
         if name not in self._inverses:
             self._inverses[name] = self.gens[name].inverse()

@@ -1126,3 +1126,33 @@ def test_scan_parallel_agrees_on_point_decided_primes():
     par = scan_primes(A, 2, 37, jobs=2)
     assert [(r.prime, r.good_prime, r.vanishes, r.psi) for r in seq] == \
            [(r.prime, r.good_prime, r.vanishes, r.psi) for r in par]
+
+
+def test_clear_denominators_takes_one_h_for_every_matrix():
+    """_clear_denominators gives u and every matrix one h, the lcm of all
+    their denominators, with h*u and each entry of h*M the polynomial
+    cleared(e, h); _cleared_form is that clearing followed by the tower
+    scaling of clear_coefficients, as it was written before the split."""
+    from pcurvkit.ratfunc import clear_coefficients, cleared
+    rng = random.Random(2828)
+    Kq = FunctionField(GF(5), "q")
+    for K in (FunctionField(QQ, "x"), FunctionField(GF(7), "x"), FunctionField(Kq, "x")):
+        x = K.gen()
+        for u in (K.one, x, K.one / (x + K(3)), (x * x + K.one) / (x + K.one)):
+            A, B = rand_matrix(K, rng), rand_matrix(K, rng)
+            h, hu, hA, hB = connection._clear_denominators(u, A, B)
+            assert h == common_denominator([u] + [e for M in (A, B) for row in M.rows
+                                                  for e in row])
+            assert hu == cleared(u, h) and K.from_poly(hu) == K.from_poly(h) * u
+            for M, N in ((A, hA), (B, hB)):
+                assert N.ring.field == K.base
+                for row, cleared_row in zip(M.rows, N.rows):
+                    for e, f in zip(row, cleared_row):
+                        assert f == cleared(e, h)
+                        assert K.from_poly(f) == K.from_poly(h) * e
+            entries = [e for row in A.rows for e in row]
+            h0 = common_denominator([u] + entries)
+            _, (h0, H0, *hA0) = clear_coefficients(
+                K.base, [h0, cleared(u, h0)] + [cleared(e, h0) for e in entries])
+            form = connection._cleared_form(ConnectionMatrix(A, Derivation(u)))
+            assert form == (h0, H0, [hA0[:2], hA0[2:]])

@@ -24,6 +24,7 @@ from pcurvkit import (
     normalize_family,
     p_curvature,
     solve_deformation,
+    standard_tower,
     step_conjugate,
 )
 from pcurvkit.connection import _at_prime
@@ -50,7 +51,12 @@ def test_block_layout_and_round_trip():
     A = ConnectionMatrix(Matrix(K, [[x, K.one], [K.zero, x]]), D)
     B = Matrix(K, [[K.one, K.zero], [x, K.one]])
     ext = BlockExtension(A, B)
-    tl, tr, bl, br = ext.blocks()
+    r, rows = ext.rank, ext.M.matrix.rows
+
+    def block(r0, c0):
+        return Matrix(K, [row[c0:c0 + r] for row in rows[r0:r0 + r]])
+
+    tl, tr, bl, br = block(0, 0), block(0, r), block(r, 0), block(r, r)
     assert tl == A.matrix and tr == B and br == A.matrix
     assert bl.is_zero()
     assert ext.M.rank == 4
@@ -228,8 +234,8 @@ def test_family_accessors():
     L2 = Matrix(K, [[0, 1], [0, 0]])
     F = TruncatedFamily(D, [L0, Z, L2])
     assert F.order == 3 and F.rank == 2
-    assert not F.is_constant()
-    assert TruncatedFamily(D, [L0, Z, Z]).is_constant()
+    assert not all(L.is_zero() for L in F.layers[1:])
+    assert all(L.is_zero() for L in TruncatedFamily(D, [L0, Z, Z]).layers[1:])
 
 
 def test_gauge_family_identity_gauge():
@@ -250,8 +256,8 @@ def test_gauge_family_kills_designed_layer():
     B1 = -(A0 * Y - Y * A0 + D(Y))
     F = TruncatedFamily(D, [A0, B1, Matrix.zeros(K, 2)])
     G = gauge_family(F, Y, 1)
-    assert G.layer(0) == A0
-    assert G.layer(1).is_zero()
+    assert G.layers[0] == A0
+    assert G.layers[1].is_zero()
 
 
 def test_normalize_family_round_trip():
@@ -265,11 +271,11 @@ def test_normalize_family_round_trip():
         F = F0
         for k in (1, 2):
             F = gauge_family(F, poly_matrix(K, rng), k)
-        assert F.layer(0) == A0
+        assert F.layers[0] == A0
         res = normalize_family(F, ansatz_degree=8)
         assert res.normalized
-        assert res.family.is_constant()
-        assert res.family.layer(0) == A0
+        assert all(L.is_zero() for L in res.family.layers[1:])
+        assert res.family.layers[0] == A0
 
 
 def test_normalize_family_reports_obstruction():
@@ -296,7 +302,7 @@ def test_normalize_family_partial_progress():
     assert not res.normalized
     assert res.obstructed_at == 2
     assert len(res.gauges) == 1
-    assert res.family.layer(1).is_zero()
+    assert res.family.layers[1].is_zero()
 
 
 # -- step conjugation of representation layers -------------------------------------
@@ -626,6 +632,40 @@ def test_gauge_family_matches_ratfunc_oracle():
         assert gauge_family(F, Y, F.order) == F
     assert len(seen) >= 9
 
+
+def test_deformation_over_a_tower():
+    """solve_deformation and gauge_family over GF(5)(q)(x), with u = 1, x
+    and 1/(x + q): a planted Y leaves a solvable B, the solver's answer
+    has zero residual, and the gauge at layers 1 and 2 gives the layers of
+    the RationalFunction oracle."""
+    rng = random.Random(5555)
+    base, K, _ = standard_tower(5)
+    x, q = K.gen(), K(base.gen())
+
+    def scalar():
+        return base(rng.randint(0, 4)) + base(rng.randint(0, 4)) * base.gen()
+
+    def poly_entry(d):
+        return K.from_poly(K.polynomial([scalar() for _ in range(d + 1)]))
+
+    def entry():
+        return poly_entry(1) / rng.choice([K.one, x, x + q])
+
+    for u in (K.one, x, K.one / (x + q)):
+        D = Derivation(u)
+        A = ConnectionMatrix(Matrix(K, [[entry() for _ in range(2)] for _ in range(2)]), D)
+        Y0 = Matrix(K, [[poly_entry(1) for _ in range(2)] for _ in range(2)])
+        B = -(A.matrix * Y0 - Y0 * A.matrix + D(Y0))
+        assert not B.is_zero()
+        sol = solve_deformation(A, B, ansatz_degree=1)
+        assert sol is not None and sol.residual.is_zero()
+        assert all(e.den.is_one() for row in sol.Y.rows for e in row)
+        assert (B + A.matrix * sol.Y - sol.Y * A.matrix + D(sol.Y)).is_zero()
+        F = TruncatedFamily(D, [A.matrix, B,
+                                Matrix(K, [[entry() for _ in range(2)] for _ in range(2)])])
+        for k in (1, 2):
+            assert gauge_family(F, Y0, k) == gauge_family_by_ratfunc_products(F, Y0, k), (u, k)
+        assert all(L.is_zero() for L in gauge_family(F, sol.Y, 1).layers[1:2])
 
 
 def test_gauge_and_conjugation_check_make_few_products(monkeypatch):

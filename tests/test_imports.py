@@ -12,7 +12,11 @@ left behind when its callers moved away.  A public top-level function or
 class must be named by another statement of a module (the re-exports of
 ``__init__.py`` do not count), by the acceptance criteria, by a console
 script of pyproject.toml or by a span target of the benchmark tracer:
-otherwise only its own tests reach it.
+otherwise only its own tests reach it.  A public method or property of a
+public class must likewise be named by another statement of a module, as
+an attribute (``obj.name``) or in a ``getattr``/``hasattr`` string, by the
+acceptance criteria or by a span target; a bare name or a docstring does
+not count, as the same words name locals and prose.
 """
 
 import ast
@@ -36,6 +40,10 @@ UNREACHED_MODULES = {
 UNREACHED_NAMES = {
     "p_curvature_at": "the public value of psi_p at one point, the reference "
                       "test_connection.py checks the point values and the kernel against",
+}
+UNREACHED_METHODS = {
+    "Matrix.kernel_basis": "the kernel of a matrix, the reference test_linalg.py "
+                           "checks rank and inconsistent solves against",
 }
 
 
@@ -127,6 +135,58 @@ def unreached_public_names(sources: dict, outside: set) -> list[str]:
                   and not any(name in used for other, used in statements if other is not node))
 
 
+def attribute_names(node) -> set:
+    """Names node uses as an attribute, or as the string of a getattr or
+    hasattr call."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+              and n.func.id in ("getattr", "hasattr") and len(n.args) > 1
+              and isinstance(n.args[1], ast.Constant)):
+            used.add(n.args[1].value)
+    return used
+
+
+def unreached_public_methods(sources: dict, outside: set) -> list[str]:
+    """'module: Class.name' for each public method or property of a public
+    top-level class of the modules in sources that no other statement uses
+    as an attribute (attribute_names) and that is not in outside.  Each
+    method of a class is a statement of its own, so a method reached only
+    from inside itself is flagged."""
+    defined, statements = [], []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                statements.append((node, attribute_names(node)))
+                continue
+            for item in node.body:
+                statements.append((item, attribute_names(item)))
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_") and not item.name.startswith("_")):
+                    defined.append((module, node.name, item))
+    return sorted(f"{module}: {cls}.{item.name}" for module, cls, item in defined
+                  if item.name not in outside
+                  and not any(item.name in used for other, used in statements if other is not item))
+
+
+def load_tracer():
+    """perfbench/tracer.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def attributes_reached_from_outside() -> set:
+    """Names the acceptance criteria use as attributes, and the last part
+    of each span target of the benchmark tracer."""
+    names = attribute_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    return names | {path.split(".")[-1] for _, path in load_tracer().SPAN_TARGETS}
+
+
 def names_reached_from_outside() -> set:
     """Names the acceptance criteria, the console scripts and the benchmark
     tracer's span targets mention."""
@@ -134,11 +194,7 @@ def names_reached_from_outside() -> set:
     names = mentioned_names(acceptance, imported_modules(acceptance))
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1].split("\n[")[0]
     names.update(re.findall(r':(\w+)"', scripts))
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    names.update(part for _, path in tracer.SPAN_TARGETS for part in path.split("."))
+    names.update(part for _, path in load_tracer().SPAN_TARGETS for part in path.split("."))
     return names
 
 
@@ -197,3 +253,29 @@ def test_scan_flags_unreached_public_names():
                "b.py": ("from . import a\n"
                         "def caller(rho):\n    return a.helper(), rho.orphan()\n")}
     assert unreached_public_names(sources, {"Traced"}) == ["a.py: orphan", "b.py: caller"]
+
+
+def test_every_public_method_is_reached():
+    sources = {p.name: p.read_text() for p in MODULES}
+    outside = attributes_reached_from_outside()
+    assert {"rref", "reduce_mod", "inverse"} <= outside
+    flagged = [f.split(": ") for f in unreached_public_methods(sources, outside)]
+    assert [f"{module}: {name}" for module, name in flagged
+            if module not in UNREACHED_MODULES and name not in UNREACHED_METHODS] == []
+    # an exemption goes when its method does
+    assert set(UNREACHED_METHODS) <= {name for _, name in flagged}
+
+
+def test_scan_flags_unreached_public_methods():
+    sources = {"a.py": ("class Family:\n"
+                        "    def layer(self, k):\n        return self.layer(k - 1)\n"
+                        "    @property\n    def order(self):\n        return 1\n"
+                        "    def traced(self):\n        pass\n"
+                        "    def probed(self):\n        pass\n"
+                        "    def _private(self):\n        pass\n"
+                        "class _Hidden:\n    def shown(self):\n        pass\n"),
+               "b.py": ("from .a import Family\n"
+                        "def size(F, blocks):\n"
+                        "    \"\"\"Each layer of F.\"\"\"\n"
+                        "    return F.order, blocks, hasattr(F, 'probed')\n")}
+    assert unreached_public_methods(sources, {"traced"}) == ["a.py: Family.layer"]

@@ -22,6 +22,7 @@ from pcurvkit.specdoc import (
     number_field_from_spec,
     parse_base,
     parse_derivation,
+    parse_expression_matrix,
     parse_field_expression,
     parse_frac,
     parse_nf_element,
@@ -240,6 +241,24 @@ def test_entries_normalise_only_at_a_nonconstant_division(monkeypatch):
     assert calls["RationalFunction"] <= 15
 
 
+def test_tower_env_is_built_once_per_matrix(monkeypatch):
+    """A matrix and a companion column build the env of their tower once,
+    not once per entry, and parse each entry as parse_field_expression does."""
+    from pcurvkit import specdoc
+    calls = []
+    real = specdoc._ring_env
+    monkeypatch.setattr(specdoc, "_ring_env", lambda field: calls.append(field) or real(field))
+    tower = FunctionField(FunctionField(GF(13), "q"), "x")
+    rows = [["x", "(3+2*q^1+3*q^2)/(q^1*x)"], ["1", "(q+1)*x^2"]]
+    M = parse_expression_matrix(rows, tower)
+    assert len(calls) == 1
+    assert M.rows == tuple(tuple(parse_field_expression(e, tower) for e in r) for r in rows)
+    calls.clear()
+    conn, p = companion_from_spec({"kind": "companion", "p": 13,
+                                   "last_column": ["q/x", "x + 1", "2"]})
+    assert len(calls) == 1 and conn.rank == 3 and p == 13
+
+
 def test_expression_errors_become_spec_errors():
     K = FunctionField(QQ, "x")
     for bad in ("x +", "y", "1/0", "x^x", 1.5):
@@ -429,7 +448,7 @@ def test_representation_from_spec_quaternion():
     assert caps == {"max_elements": 500, "max_order": 10000}
     assert projective is False
     i = rho.field.gen
-    assert rho.generator_matrix("a1").trace() == i - i  # i + (-i)
+    assert rho.gens["a1"].trace() == i - i  # i + (-i)
 
 
 def test_representation_spec_errors():

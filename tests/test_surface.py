@@ -137,7 +137,7 @@ def quaternion_rep(projective_target="SL2"):
 
 def test_representation_derives_last_puncture_generator():
     rho = quaternion_rep()
-    c1 = rho.generator_matrix("c1")
+    c1 = rho.gens["c1"]
     pres = rho.presentation
     assert c1 == rho.evaluate(pres.last_puncture_word())
     # the full relation evaluates to the identity by construction
@@ -169,8 +169,8 @@ def test_representation_enforces_closed_relation():
 def test_evaluate_on_words():
     rho = quaternion_rep()
     K = rho.field
-    a = rho.generator_matrix("a1")
-    b = rho.generator_matrix("b1")
+    a = rho.gens["a1"]
+    b = rho.gens["b1"]
     w = Word.parse("a1*b1^-1*a1")
     assert rho.evaluate(w) == a * b.inverse() * a
     assert rho.evaluate(Word()) == Matrix.identity(K, 2)
@@ -490,7 +490,7 @@ def test_conjugate_representation_preserves_verdicts():
     rho = quaternion_rep()
     conj = rho.field.automorphisms()[1]
     rho2 = conjugate_representation(rho, conj)
-    assert rho2.generator_matrix("a1") == rho.generator_matrix("a1").map_entries(conj)
+    assert rho2.gens["a1"] == rho.gens["a1"].map_entries(conj)
     c1 = certify_finiteness(rho)
     c2 = certify_finiteness(rho2)
     assert_record(c2.verdict, c1.verdict)
