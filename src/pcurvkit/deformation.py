@@ -4,18 +4,21 @@ normalization of q-families of connections.
 The deformation equation B + AY - YA + D(Y) = 0 is linear over the
 D-constants, so it is solved exactly with a polynomial ansatz for Y,
 cleared as p_curvature clears a connection (_clear_denominators), and
-row-reduced.  A solution at layer k feeds the gauge I + q^k Y, which kills
-that layer of a truncated family and leaves lower layers alone;
-gauge_family clears the layers alike.  No solution inside the ansatz is an
-outcome, not an error: the caller may widen the degree bound and retry.
+row-reduced, over QQ as integer rows.  A solution at layer k feeds the
+gauge I + q^k Y, which kills that layer of a truncated family and leaves
+lower layers alone; gauge_family clears the layers alike.  No solution
+inside the ansatz is an outcome, not an error: the caller may widen the
+degree bound and retry.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .connection import ConnectionMatrix, Derivation, _clear_denominators
-from .linalg import Matrix
+from .fields import RationalField
+from .linalg import Matrix, _solve_integer
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 
@@ -61,7 +64,6 @@ def block_power_pair(ext: BlockExtension, j: int):
 
 class DeformationSolution(NamedTuple):
     Y: Matrix
-    residual: Matrix
     ansatz_degree: int
 
 
@@ -73,21 +75,29 @@ def _commutator_terms(P, i, j):
 
 
 def _deformation_system(P: Matrix, hu, hB: Matrix, ansatz_degree: int):
-    """Linear system for hB + PY - YP + (hu) Y' = 0 over the coefficient field.
+    """Augmented rows of the linear system for hB + PY - YP + (hu) Y' = 0
+    over the coefficient field.
 
-    Column (i*r + j)*(d+1) + t is the coefficient of x^t in Y_ij; row
-    (k*r + l)*width + s is the x^s coefficient of entry (k, l).  Returns
-    (system matrix, rhs column).
+    Column (i*r + j)*(d+1) + t is the coefficient of x^t in Y_ij, and the
+    last column the right-hand side; row (k*r + l)*width + s is the x^s
+    coefficient of entry (k, l).  Over QQ, hu, P and hB are first scaled by
+    the lcm of their denominators, which leaves the homogeneous equation as
+    it is and makes every row integer.
     """
     base = P.ring.field
     r, P = P.nrows, P.rows
     d = ansatz_degree
     hB = [f for row in hB.rows for f in row]
+    zero = base.zero
+    if type(base) is RationalField:
+        m = lcm(hu.den, *(f.den for row in P for f in row), *(f.den for f in hB))
+        hu, P, hB = hu * m, [[f * m for f in row] for row in P], [f * m for f in hB]
+        zero = 0
     width = 1 + max([0, d - 1 + hu.degree()] + [d + f.degree() for row in P for f in row]
                     + [f.degree() for f in hB])
 
-    zero = base.zero
-    sys_rows = [[zero] * (r * r * (d + 1)) for _ in range(r * r * width)]
+    n = r * r * (d + 1)
+    rows = [[zero] * (n + 1) for _ in range(r * r * width)]
     for i in range(r):
         for j in range(r):
             terms = _commutator_terms(P, i, j)
@@ -97,15 +107,16 @@ def _deformation_system(P: Matrix, hu, hB: Matrix, ansatz_degree: int):
                 placed = [(k, l, f, t) for k, l, f in terms] + [(i, j, hu * t, t - 1)]
                 for k, l, f, shift in placed:
                     for s, c in enumerate(f.coeffs):
-                        sys_rows[(k * r + l) * width + shift + s][col] += c
-    rhs_rows = [[-f.coeff(s)] for f in hB for s in range(width)]
-    return Matrix(base, sys_rows), Matrix(base, rhs_rows)
+                        rows[(k * r + l) * width + shift + s][col] += c
+    for b, f in enumerate(hB):
+        for s, c in enumerate(f.coeffs):
+            rows[b * width + s][n] = -c
+    return rows
 
 
-def _ansatz_matrix(ring, r: int, column: Matrix, ansatz_degree: int) -> Matrix:
-    """Y over k[x] with Y_ij = sum_t column[(i*r + j)*(d+1) + t] x^t."""
+def _ansatz_matrix(ring, r: int, vec: list, ansatz_degree: int) -> Matrix:
+    """Y over k[x] with Y_ij = sum_t vec[(i*r + j)*(d+1) + t] x^t."""
     w = ansatz_degree + 1
-    vec = [row[0] for row in column.rows]
     polys = [Polynomial(ring.field, vec[b * w:(b + 1) * w]) for b in range(r * r)]
     return Matrix(ring, [polys[i * r:(i + 1) * r] for i in range(r)])
 
@@ -116,21 +127,29 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
 
     The forward-only solve assigns zero to every free parameter, so the
     returned Y is deterministic.  None means no solution in this ansatz.
-    The answer is checked on the cleared equation hB + PY - YP + (hu) Y'
-    of _clear_denominators, which is zero exactly when the residual is.
+    Over QQ the integer rows go straight to the integer solve of linalg,
+    over any other field through Matrix.solve.  The answer is checked on
+    the cleared equation hB + PY - YP + (hu) Y' of _clear_denominators,
+    which is zero exactly when the residual is.
     """
     _, hu, P, hB = _clear_denominators(A.derivation.u, A.matrix, B)
-    system, rhs = _deformation_system(P, hu, hB, ansatz_degree)
-    sol = system.solve(rhs)
+    rows = _deformation_system(P, hu, hB, ansatz_degree)
+    n = len(rows[0]) - 1
+    base = P.ring.field
+    if type(base) is RationalField:
+        sol = _solve_integer(rows, n)
+    else:
+        sol = Matrix(base, [row[:n] for row in rows]).solve(
+            Matrix(base, [row[n:] for row in rows]))
+        sol = None if sol is None else sol.rows
     if sol is None:
         return None
-    Y = _ansatz_matrix(P.ring, A.rank, sol, ansatz_degree)
+    Y = _ansatz_matrix(P.ring, A.rank, [row[0] for row in sol], ansatz_degree)
     residual = hB + P * Y - Y * P + Y.map_entries(lambda e: e.derivative()).scale(hu)
     if not residual.is_zero():
         raise AssertionError("solver returned a nonzero residual")
     field = A.field
-    return DeformationSolution(Y.map_entries(field.from_poly, field),
-                               Matrix.zeros(field, A.rank), ansatz_degree)
+    return DeformationSolution(Y.map_entries(field.from_poly, field), ansatz_degree)
 
 
 class TruncatedFamily:

@@ -282,8 +282,8 @@ def newton_refine_box(f: Polynomial, df: Polynomial, box: BoxC,
     Returns a box proven to contain exactly one root of f, strictly inside
     the input, or None when the containment test fails at this width.
     """
-    fc = [Fraction(c) for c in f.coeffs]
-    dfc = [Fraction(c) for c in df.coeffs]
+    fc = [f.coeff(i) for i in range(f.degree() + 1)]
+    dfc = [df.coeff(i) for i in range(df.degree() + 1)]
     mre, mim = box.mid()
     m = BoxC.point(mre, mim)
     deriv = eval_poly_box(dfc, box)
@@ -366,7 +366,7 @@ def certified_root_enclosures(f: Polynomial):
     if n_pairs == 0:
         return reals, []
 
-    floats = [float(Fraction(c)) for c in g.coeffs]
+    floats = [float(g.coeff(i)) for i in range(g.degree() + 1)]
     boxes = []
     seeds = _durand_kerner(floats)
     upper = sorted((z for z in seeds if z.imag > 1e-9),

@@ -23,7 +23,9 @@ reads off it:
   field K: ``NumberField.solve_system``, which ``solve`` calls over K,
   restricts scalars to QQ, one integer d x d block per entry, and hands
   the integer rows to ``_solve_integer``; a solve over K runs no
-  elimination of its own (see numberfield);
+  elimination of its own (see numberfield).  ``solve_deformation`` builds
+  its system over QQ as integer rows and enters ``_solve_integer``
+  directly, with no Matrix and no clearing;
 - over every other field, and over K for all but ``solve``,
   ``_forward_by_division``, which divides exactly once per pivot and keeps
   an entry of a row update that faces a zero of the pivot row as it is.

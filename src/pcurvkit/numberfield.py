@@ -213,7 +213,7 @@ class NumberField:
         return self.min_poly == other.min_poly
 
     def __hash__(self):
-        return hash(("nf", self.min_poly.coeffs))
+        return hash(("nf", self.min_poly))
 
     def __repr__(self):
         return f"Q[{self.name}]/({self.min_poly.to_str(self.name)})"

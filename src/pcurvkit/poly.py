@@ -2,10 +2,13 @@
 
 Coefficients live in any field object from ``fields`` (or a NumberField);
 they are stored ascending with no trailing zeros.  Over a prime field
-GF(p) they are plain ints in [0, p), and every method computes on those
-ints; ``coeff``, ``leading`` and evaluation hand back field elements, so
-scalar code sees GF(p) elements either way.  The module also carries the
-irreducibility test over the rationals: rational root test, Ben-Or
+GF(p) they are plain ints in [0, p).  Over QQ they are integer numerators
+over one denominator ``den`` > 0 with gcd(den, *coeffs) = 1, as Q(theta)
+stores its elements (Cohen, GTM 138, 4.2), so sums and products are
+integer convolutions with one gcd.  Every method computes on those ints;
+``coeff``, ``leading`` and evaluation hand back field elements, so scalar
+code sees GF(p) elements and Fractions either way.  The module also carries
+the irreducibility test over the rationals: rational root test, Ben-Or
 certificates mod several small primes, and a bounded Zassenhaus search
 (distinct- and equal-degree factoring mod p, Hensel lifting, subset
 recombination) for degrees up to 8.  The mod-p work runs on ``Polynomial``
@@ -20,18 +23,25 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
-from .fields import _COERCED, GF, QQ, GFElement, PrimeField, is_prime
+from .fields import _COERCED, GF, QQ, GFElement, PrimeField, RationalField, is_prime
 
 
 class Polynomial:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "den")
 
     def __init__(self, field, coeffs):
         self.field = field
+        self.den = 1
         if type(field) is PrimeField:
             p = field.p
             cs = [c % p if type(c) is int else field(c).v for c in coeffs]
+        elif type(field) is RationalField:
+            cs = [c if type(c) is int else field(c) for c in coeffs]
+            # the lcm of reduced denominators leaves the numerators coprime to it
+            den = self.den = lcm(*[c.denominator for c in cs])
+            cs = [c.numerator * (den // c.denominator) for c in cs]
         else:
             cs = [field(c) if type(c) in _COERCED else c for c in coeffs]
         while cs and not cs[-1]:
@@ -70,18 +80,21 @@ class Polynomial:
 
     def is_one(self) -> bool:
         cs = self.coeffs
-        return len(cs) == 1 and cs[0] == (
+        return len(cs) == 1 and self.den == 1 and cs[0] == (
             1 if type(self.field) is PrimeField else self.field.one)
 
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        c = self.coeffs[-1]
-        return self.field(c) if type(self.field) is PrimeField else c
+        return self.coeff(len(self.coeffs) - 1)
 
     def coeff(self, i: int):
-        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-        return self.field(c) if type(self.field) is PrimeField else c
+        if not 0 <= i < len(self.coeffs):
+            return self.field.zero
+        c, field = self.coeffs[i], self.field
+        if type(field) is PrimeField:
+            return field(c)
+        return Fraction(c, self.den) if type(field) is RationalField else c
 
     def order_at_zero(self) -> int:
         """Index of the first nonzero coefficient; -1 for the zero polynomial."""
@@ -104,7 +117,9 @@ class Polynomial:
                 other.field is self.field or other.field == self.field):
             return other
         try:
-            return Polynomial(self.field, (self.field(other),))
+            # the constructor coerces a plain scalar, over QQ an int to itself
+            c = other if type(other) in _COERCED else self.field(other)
+            return Polynomial(self.field, (c,))
         except (TypeError, ValueError):
             return None
 
@@ -122,8 +137,14 @@ class Polynomial:
         if o is None:
             return self._reflected(other, "__radd__")
         a, b = self.coeffs, o.coeffs
+        den = self.den
+        if den != o.den:  # over QQ: both numerators over the lcm
+            den = lcm(self.den, o.den)
+            a, b = [c * (den // self.den) for c in a], [c * (den // o.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
+        if type(self.field) is RationalField:
+            return _qq_reduced(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
         if type(self.field) is PrimeField:
             p = self.field.p
             return _stored(self.field, [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
@@ -138,7 +159,7 @@ class Polynomial:
         if type(self.field) is PrimeField:
             p = self.field.p
             return _stored(self.field, [-c % p for c in self.coeffs])
-        return _stored(self.field, [-c for c in self.coeffs])
+        return _stored(self.field, [-c for c in self.coeffs], self.den)
 
     def __sub__(self, other):
         o = self._wrap(other)
@@ -156,15 +177,22 @@ class Polynomial:
         return o + (-self)
 
     def __mul__(self, other):
+        field = self.field
+        if type(field) is RationalField and type(other) in (int, Fraction):
+            return _qq_reduced(field, [c * other.numerator for c in self.coeffs],
+                               self.den * other.denominator)
         o = self._wrap(other)
         if o is None:
             return self._reflected(other, "__rmul__")
         a, b = self.coeffs, o.coeffs
         if not a or not b:
-            return Polynomial.zero(self.field)
-        if type(self.field) is PrimeField:
-            p = self.field.p
-            return _stored(self.field, [c % p for c in int_poly_mul(a, b)])
+            return Polynomial.zero(field)
+        if type(field) is PrimeField:
+            p = field.p
+            return _stored(field, [c % p for c in int_poly_mul(a, b)])
+        if type(field) is RationalField:
+            # int_poly_mul by a constant operand is one scaled copy
+            return _qq_reduced(field, int_poly_mul(a, b), self.den * o.den)
         # each output coefficient starts from its first product, not from
         # zero, which over k(q) would cost one more normalised addition
         out = [None] * (len(a) + len(b) - 1)
@@ -174,8 +202,8 @@ class Polynomial:
             for j, bj in enumerate(b):
                 c = out[i + j]
                 out[i + j] = ai * bj if c is None else c + ai * bj
-        zero = self.field.zero
-        return _stored(self.field, [zero if c is None else c for c in out])
+        zero = field.zero
+        return _stored(field, [zero if c is None else c for c in out])
 
     __rmul__ = __mul__
 
@@ -208,6 +236,8 @@ class Polynomial:
             return Polynomial.zero(self.field), self
         if type(self.field) is PrimeField:
             return _divmod_mod_p(self.field, rem, o.coeffs)
+        if type(self.field) is RationalField:
+            return _divmod_qq(self.field, self, o)
         quot = [self.field.zero] * (dq + 1)
         inv_lead = self.field.one / o.leading()
         for k in range(dq, -1, -1):
@@ -231,28 +261,46 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
+        cs = self.coeffs
         if type(self.field) is PrimeField:
-            p, cs = self.field.p, self.coeffs
+            p = self.field.p
             if cs[-1] == 1:
                 return self
             inv = pow(cs[-1], -1, p)
             return _stored(self.field, [c * inv % p for c in cs])
+        if type(self.field) is RationalField:
+            if cs[-1] == self.den:
+                return self
+            ints = _int_primitive(self)  # over their leading one
+            return _stored(self.field, ints, ints[-1])
         inv = self.field.one / self.leading()
-        return _stored(self.field, [c * inv for c in self.coeffs])
+        return _stored(self.field, [c * inv for c in cs])
 
     def derivative(self) -> "Polynomial":
+        cs = [c * i for i, c in enumerate(self.coeffs)][1:]
         if type(self.field) is PrimeField:
             p = self.field.p
-            return _stored(self.field, [c * i % p for i, c in enumerate(self.coeffs)][1:])
-        return _stored(self.field, [c * i for i, c in enumerate(self.coeffs)][1:])
+            return _stored(self.field, [c % p for c in cs])
+        if type(self.field) is RationalField:
+            return _qq_reduced(self.field, cs, self.den)
+        return _stored(self.field, cs)
 
     def map_coefficients(self, fn, new_field) -> "Polynomial":
+        if (fn is new_field and type(new_field) is PrimeField
+                and type(self.field) is RationalField and self.den % new_field.p):
+            # QQ to GF(p): the numerators times the inverse of the one den
+            p = new_field.p
+            inv = pow(self.den, -1, p)
+            return _stored(new_field, [c * inv % p for c in self.coeffs])
         return Polynomial(new_field, [fn(c) for c in self._elements()])
 
     def _elements(self):
         """The coefficients as field elements."""
         if type(self.field) is PrimeField:
             return [self.field(c) for c in self.coeffs]
+        if type(self.field) is RationalField:
+            den = self.den
+            return [Fraction(c, den) for c in self.coeffs]
         return self.coeffs
 
     def __call__(self, x):
@@ -262,6 +310,13 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc = (acc * v + c) % p
             return GFElement(p, acc)
+        if type(field) is RationalField and type(x) in (int, Fraction) and self.coeffs:
+            # n/d as one integer Horner pass: sum c_i n^i d^(deg - i)
+            n, d, acc, dk = x.numerator, x.denominator, 0, 1
+            for c in reversed(self.coeffs):
+                acc = acc * n + c * dk
+                dk *= d
+            return Fraction(acc, self.den * (dk // d))
         acc = None
         for c in reversed(self._elements()):
             acc = c if acc is None else acc * x + c
@@ -271,45 +326,88 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (self.field == other.field and self.coeffs == other.coeffs
+                    and self.den == other.den)
         o = self._wrap(other)
-        return NotImplemented if o is None else self.coeffs == o.coeffs
+        return NotImplemented if o is None else self.coeffs == o.coeffs and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.coeffs, self.den))
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
+        cs = self.coeffs if self.den == 1 else self._elements()
         parts = []
         for i in range(self.degree(), -1, -1):
-            c = self.coeffs[i]
+            c = cs[i]
             if not c:
                 continue
-            cs = _coeff_str(c)
+            s = _coeff_str(c)
             if i == 0:
-                parts.append(cs)
+                parts.append(s)
             elif i == 1:
-                parts.append(f"{var}" if cs == "1" else f"{cs}*{var}")
+                parts.append(f"{var}" if s == "1" else f"{s}*{var}")
             else:
-                parts.append(f"{var}^{i}" if cs == "1" else f"{cs}*{var}^{i}")
+                parts.append(f"{var}^{i}" if s == "1" else f"{s}*{var}^{i}")
         return " + ".join(parts)
 
     def __repr__(self):
         return self.to_str()
 
 
-def _stored(field, cs: list) -> Polynomial:
+def _stored(field, cs: list, den: int = 1) -> Polynomial:
     """The Polynomial over field with ascending coefficients cs already in
-    stored form (ints in [0, p) over GF(p), field elements otherwise), as
-    arithmetic on stored coefficients returns them: trailing zeros are
-    dropped and nothing is coerced."""
+    stored form (ints in [0, p) over GF(p), numerators over den in lowest
+    terms over QQ, field elements otherwise), as arithmetic on stored
+    coefficients returns them: trailing zeros are dropped and nothing is
+    coerced."""
     while cs and not cs[-1]:
         cs.pop()
     f = object.__new__(Polynomial)
     f.field = field
     f.coeffs = tuple(cs)
+    f.den = den
     return f
+
+
+def _qq_reduced(field, cs: list, den: int) -> Polynomial:
+    """The Polynomial over QQ with integer numerators cs over den > 0, cut
+    to lowest terms by one gcd."""
+    while cs and not cs[-1]:
+        cs.pop()
+    g = gcd(den, *cs)
+    if g > 1:
+        cs, den = [c // g for c in cs], den // g
+    return _stored(field, cs, den)
+
+
+def _divmod_qq(field, a: Polynomial, b: Polynomial):
+    """(quotient, remainder) of a by b over QQ, deg a >= deg b >= 0, on the
+    numerators A of a and B of b.  The remainder of A by B is R/D, R integer:
+    R <- lc(B) R - t x^k B, D <- lc(B) D cancels its top t with the quotient
+    term (t/D) x^k, and R/D is cut to lowest terms.  Then a = (Q b.den/a.den)
+    b + R/(D a.den)."""
+    B = b.coeffs
+    m, lc = len(B) - 1, B[-1]
+    R, D = list(a.coeffs), 1
+    terms = [(0, 1)] * (len(R) - m)
+    for k in range(len(terms) - 1, -1, -1):
+        t = R.pop()
+        if t:
+            R = [lc * r for r in R]
+            for j in range(m):
+                R[k + j] -= t * B[j]
+            D *= lc
+            terms[k] = (t, D)
+            g = gcd(D, *R)
+            if g > 1:
+                R, D = [r // g for r in R], D // g
+    L = lcm(*[d for _, d in terms])
+    quot = _qq_reduced(field, [t * b.den * (L // d) for t, d in terms], L * a.den)
+    if D < 0:
+        R, D = [-r for r in R], -D
+    return quot, _qq_reduced(field, R, D * a.den)
 
 
 def _divmod_mod_p(field: PrimeField, rem: list, b: tuple):
@@ -511,8 +609,7 @@ def count_real_roots_closed(f: Polynomial, a: Fraction, b: Fraction) -> int:
 
 def cauchy_bound(f: Polynomial) -> Fraction:
     """Strict bound M with every root magnitude < M."""
-    lead = f.leading()
-    return Fraction(1) + max(abs(c / lead) for c in f.coeffs)
+    return Fraction(1) + Fraction(max(map(abs, f.coeffs)), abs(f.coeffs[-1]))
 
 
 def rational_roots(f: Polynomial) -> list[Fraction]:
@@ -611,18 +708,9 @@ class IrreducibilityUndecided(ValueError):
 
 
 def _int_primitive(f: Polynomial) -> list[int]:
-    """Scale a rational polynomial to a primitive integer list, lc > 0."""
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    """The numerators of a rational polynomial over their content, lc > 0."""
+    g = gcd(*f.coeffs) if f.coeffs[-1] > 0 else -gcd(*f.coeffs)
+    return [c // g for c in f.coeffs]
 
 
 def is_irreducible_q(f: Polynomial) -> bool:

@@ -549,7 +549,7 @@ def nonarch_check(rho: Representation, words) -> NonarchReport:
     """Every listed trace must be an algebraic integer."""
     for w in words:
         mp = rho._trace_min_poly(w)
-        if any(c.denominator != 1 for c in mp.coeffs):
+        if mp.den != 1:  # some coefficient is not an integer
             return NonarchReport(False, reduce_word(w), mp)
     return NonarchReport(True, None, None)
 

@@ -303,7 +303,6 @@ def test_criterion_08_deformation_round_trip():
             B = -(A.matrix * Y0 - Y0 * A.matrix + D(Y0))
             sol = solve_deformation(A, B, ansatz_degree=6)
             assert sol is not None
-            assert sol.residual.is_zero()
             Y = sol.Y
             assert (B + A.matrix * Y - Y * A.matrix + D(Y)).is_zero()
         # the classical obstruction: no rational antiderivative of 1/x

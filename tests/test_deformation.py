@@ -27,6 +27,7 @@ from pcurvkit import (
     standard_tower,
     step_conjugate,
 )
+from pcurvkit import deformation, linalg
 from pcurvkit.connection import _at_prime
 from pcurvkit.ratfunc import common_denominator
 
@@ -172,7 +173,6 @@ def test_solve_deformation_round_trip():
         sol = solve_deformation(A, B, ansatz_degree=4)
         assert sol is not None
         solved += 1
-        assert sol.residual.is_zero()
         Y = sol.Y
         assert (B + A.matrix * Y - Y * A.matrix + D(Y)).is_zero()
     assert solved == 10
@@ -203,8 +203,9 @@ def test_solve_deformation_respects_ansatz_cap():
 
 
 def test_solve_deformation_check_catches_a_wrong_solution(monkeypatch):
-    """The answer is checked on the cleared equation over QQ[x]: a solver
-    that returns twice the solution leaves the residual -hB, not zero."""
+    """The answer is checked on the cleared equation over QQ[x]: an integer
+    solve that returns twice the solution leaves the residual -hB, not
+    zero."""
     rng = random.Random(321)
     K = qq_line()
     D = Derivation.d_dx(K)
@@ -213,11 +214,58 @@ def test_solve_deformation_check_catches_a_wrong_solution(monkeypatch):
     B = -(A.matrix * Y0 - Y0 * A.matrix + D(Y0))
     assert not B.is_zero()
     sol = solve_deformation(A, B, ansatz_degree=4)
-    assert sol.residual == Matrix.zeros(K, 2)
-    real = Matrix.solve
-    monkeypatch.setattr(Matrix, "solve", lambda self, rhs: real(self, rhs).scale(2))
+    assert (B + A.matrix * sol.Y - sol.Y * A.matrix + D(sol.Y)).is_zero()
+    real = deformation._solve_integer
+    monkeypatch.setattr(deformation, "_solve_integer",
+                        lambda rows, n: [[2 * e for e in row] for row in real(rows, n)])
     with pytest.raises(AssertionError, match="residual"):
         solve_deformation(A, B, ansatz_degree=4)
+
+def test_qq_deformation_takes_integer_rows_to_the_integer_solve(monkeypatch):
+    """Over QQ the system is never a Matrix over QQ: solve_deformation makes
+    no _cleared_rows call and no Matrix(QQ, ...), and builds no Fraction
+    while it builds the rows, which it hands to the integer solve once."""
+    rng = random.Random(2929)
+    K = qq_line()
+    x = K.gen()
+    third = K(Fraction(1, 3))
+    D = Derivation(x / K(2) + third)
+    A = ConnectionMatrix(Matrix(K, [[x * third, K.one / K(4)], [K(Fraction(-2, 5)), x]]), D)
+    Y0 = poly_matrix(K, rng)
+    B = -(A.matrix * Y0 - Y0 * A.matrix + D(Y0))
+    counts = {"cleared_rows": 0, "qq_matrix": 0, "fraction_in_system": 0, "integer_solve": 0}
+    inside = []
+
+    def counting(name, real, when=lambda *a: True):
+        def spy(*args, **kwargs):
+            if when(*args):
+                counts[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    def system(*args):
+        inside.append(True)
+        try:
+            return real_system(*args)
+        finally:
+            inside.pop()
+
+    real_system = deformation._deformation_system
+    monkeypatch.setattr(linalg, "_cleared_rows", counting("cleared_rows", linalg._cleared_rows))
+    monkeypatch.setattr(Matrix, "__init__", counting(
+        "qq_matrix", Matrix.__init__, lambda self, ring, rows: ring == QQ))
+    monkeypatch.setattr(Fraction, "__new__", counting(
+        "fraction_in_system", Fraction.__new__, lambda *a: bool(inside)))
+    monkeypatch.setattr(deformation, "_deformation_system", system)
+    monkeypatch.setattr(deformation, "_solve_integer",
+                        counting("integer_solve", deformation._solve_integer))
+    sol = solve_deformation(A, B, ansatz_degree=3)
+    monkeypatch.undo()
+    assert counts == {"cleared_rows": 0, "qq_matrix": 0, "fraction_in_system": 0,
+                      "integer_solve": 1}
+    assert sol is not None
+    assert (B + A.matrix * sol.Y - sol.Y * A.matrix + D(sol.Y)).is_zero()
+
 
 # -- truncated families -----------------------------------------------------------
 
@@ -658,7 +706,7 @@ def test_deformation_over_a_tower():
         B = -(A.matrix * Y0 - Y0 * A.matrix + D(Y0))
         assert not B.is_zero()
         sol = solve_deformation(A, B, ansatz_degree=1)
-        assert sol is not None and sol.residual.is_zero()
+        assert sol is not None
         assert all(e.den.is_one() for row in sol.Y.rows for e in row)
         assert (B + A.matrix * sol.Y - sol.Y * A.matrix + D(sol.Y)).is_zero()
         F = TruncatedFamily(D, [A.matrix, B,

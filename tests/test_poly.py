@@ -77,8 +77,10 @@ def test_plain_scalars_are_coerced():
     assert f.coeffs == (1, 2, 3)
     assert all(type(c) is int for c in f.coeffs)
     g = Polynomial(QQ, [Fraction(1, 3), True, "2/5"])
-    assert g.coeffs == (Fraction(1, 3), Fraction(1), Fraction(2, 5))
-    assert all(type(c) is Fraction for c in g.coeffs)
+    assert (g.coeffs, g.den) == ((5, 15, 6), 15)
+    assert all(type(c) is int for c in g.coeffs)
+    assert [g.coeff(i) for i in range(3)] == [Fraction(1, 3), Fraction(1), Fraction(2, 5)]
+    assert all(type(g.coeff(i)) is Fraction for i in range(3))
 
 
 def test_arithmetic_ring_identities():
@@ -694,3 +696,136 @@ def test_product_over_a_function_field_starts_from_the_first_product(monkeypatch
     x = Polynomial.x(K)
     sparse = (x ** 3 + Polynomial.one(K)) * (x + Polynomial.one(K))
     assert sparse.coeffs == (K.one, K.one, K.zero, K.one, K.one)
+
+
+# QQ[x] stores integer numerators over one positive denominator in lowest
+# terms; the Fraction lists below, run through the same schoolbook oracles
+# as GF(p), are how the coefficients were stored before.
+
+
+def random_fractions(rng, degree):
+    """degree + 1 Fractions with a nonzero top, of either sign, over small
+    denominators that share factors, so sums and products cancel some."""
+    dens = (1, 2, 3, 4, 6, 9, 12)
+    cs = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(degree)]
+    return cs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(dens))]
+
+
+def as_qq_input(rng, c):
+    """The Fraction c as one of the inputs Polynomial accepts over QQ."""
+    kinds = [lambda: c, lambda: str(c)]
+    if c.denominator == 1:
+        kinds.append(lambda: int(c))
+    if c in (0, 1):
+        kinds.append(lambda: bool(c))
+    return rng.choice(kinds)()
+
+
+def assert_qq_stored(f, oracle):
+    """f stores ints over den > 0 in lowest terms, and means oracle."""
+    assert f.field == QQ
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int for c in f.coeffs), f.coeffs
+    assert math.gcd(f.den, *f.coeffs) == 1, (f.coeffs, f.den)
+    assert [Fraction(c, f.den) for c in f.coeffs] == list(oracle)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_qq_polynomial_matches_fraction_oracle(seed):
+    F = QQ
+    rng = random.Random(29000 + seed)
+    degrees = [0, 1, 2, 12] + [rng.randint(0, 12) for _ in range(8)]
+    for da in degrees:
+        A = random_fractions(rng, da)
+        B = random_fractions(rng, rng.choice([0, 1, 2, rng.randint(0, 12)]))
+        f = Polynomial(F, [as_qq_input(rng, c) for c in A])
+        g = Polynomial(F, [as_qq_input(rng, c) for c in B])
+        assert_qq_stored(f, A)
+        assert_qq_stored(g, B)
+        assert_qq_stored(f + g, o_add(F, A, B))
+        assert_qq_stored(f - g, o_sub(F, A, B))
+        assert_qq_stored(g - f, o_sub(F, B, A))
+        assert_qq_stored(-f, [-c for c in A])
+        assert_qq_stored(f - f, [])
+        assert_qq_stored(f * g, o_mul(F, A, B))
+        Q, R = o_divmod(F, A, B)
+        quot, rem = divmod(f, g)
+        assert_qq_stored(quot, Q)
+        assert_qq_stored(rem, R)
+        assert_qq_stored(f // g, Q)
+        assert_qq_stored(f % g, R)
+        assert_qq_stored(f.monic(), o_monic(F, A))
+        assert_qq_stored(f.derivative(), o_derivative(A))
+        assert_qq_stored(poly_gcd(f, g), o_gcd(F, A, B))
+        # scalars: Fraction, int, a degree-0 polynomial and the reflected forms
+        c = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+        cs = [c] if c else []
+        for scalar in (c, Polynomial(F, [c])) + ((int(c),) if c.denominator == 1 else ()):
+            assert_qq_stored(f * scalar, o_mul(F, A, cs))
+            assert_qq_stored(scalar * f, o_mul(F, A, cs))
+            assert_qq_stored(f + scalar, o_add(F, A, cs))
+            assert_qq_stored(scalar - f, o_sub(F, cs, A))
+        # evaluation, coefficients and the leading coefficient are Fractions
+        for point in (Fraction(rng.randint(-7, 7), rng.randint(1, 5)), rng.randint(-4, 4)):
+            value = f(point)
+            assert type(value) is Fraction and value == o_eval(F, A, Fraction(point))
+        for i in range(-2, len(A) + 3):
+            ci = f.coeff(i)
+            assert type(ci) is Fraction and ci == (A[i] if 0 <= i < len(A) else 0)
+        assert type(f.leading()) is Fraction and f.leading() == A[-1]
+        assert f.to_str() == o_to_str(A) and f.to_str("t") == o_to_str(A, "t")
+        # the same coefficients from other inputs: equal, with equal hashes
+        again = Polynomial(F, [as_qq_input(rng, c) for c in A])
+        assert again == f and hash(again) == hash(f)
+        scaled = Polynomial(F, [c * A[-1].denominator for c in A]) * Fraction(1, A[-1].denominator)
+        assert scaled == f and hash(scaled) == hash(f)
+        assert (f == g) == (A == B)
+
+
+def test_qq_results_are_cut_to_lowest_terms():
+    """Sums, differences, scalings, derivatives and quotients whose
+    numerators share a factor with den come back in lowest terms; the zero
+    polynomial is () over 1 however it is reached; a negative leading
+    coefficient keeps den positive."""
+    half = Polynomial(QQ, [Fraction(1, 2), Fraction(1, 2)])
+    assert (half + half).coeffs == (1, 1) and (half + half).den == 1
+    f = Polynomial(QQ, [Fraction(1, 6), Fraction(5, 6)])
+    g = Polynomial(QQ, [Fraction(1, 6), Fraction(1, 6)])
+    assert ((f - g).coeffs, (f - g).den) == ((0, 2), 3)
+    assert ((f * 3).coeffs, (f * 3).den) == ((1, 5), 2)
+    assert ((f * Polynomial(QQ, [6])).coeffs, (f * Polynomial(QQ, [6])).den) == ((1, 5), 1)
+    cube = Polynomial(QQ, [0, 0, 0, Fraction(1, 3)])
+    assert (cube.derivative().coeffs, cube.derivative().den) == ((0, 0, 1), 1)
+    quot, rem = divmod(Polynomial(QQ, [Fraction(3, 4), Fraction(3, 2)]), Polynomial(QQ, [1, 2]))
+    assert (quot.coeffs, quot.den, rem.coeffs) == ((3,), 4, ())
+    zeros = [Polynomial.zero(QQ), Polynomial(QQ, [Fraction(0, 5), 0]), f - f,
+             f * 0, half * Polynomial.zero(QQ), cube.derivative().derivative().derivative() - 2]
+    for z in zeros:
+        assert (z.coeffs, z.den) == ((), 1) and z == zeros[0] and hash(z) == hash(zeros[0])
+        assert z(Fraction(3, 7)) == 0 and z.to_str() == "0"
+    neg = Polynomial(QQ, [1, Fraction(-2, 3)])
+    assert (neg.coeffs, neg.den) == ((3, -2), 3)
+    assert (neg.monic().coeffs, neg.monic().den) == ((-3, 2), 2)
+    assert ((-neg).coeffs, (-neg).den) == ((-3, 2), 3)
+    assert neg.to_str() == "-2/3*x + 1" and neg.leading() == Fraction(-2, 3)
+    assert neg(Fraction(3, 2)) == 0 and neg(3) == -1
+
+
+def test_qq_products_and_sums_build_no_fraction(monkeypatch):
+    """+, - and * on QQ[x] polynomials, by each other and by an int or a
+    degree-0 polynomial, run on the stored ints alone."""
+    f = Polynomial(QQ, [Fraction(1, 6), Fraction(-5, 4), 2, Fraction(7, 9)])
+    g = Polynomial(QQ, [Fraction(2, 3), 1, Fraction(-1, 2)])
+    c = Polynomial(QQ, [Fraction(-3, 8)])
+    built = []
+    real = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    results = [f * g, g * f, f + g, f - g, f * c, c * f, f * 4, 4 * f, f + c, f + 4, 4 - f, -f]
+    monkeypatch.undo()
+    assert built == []
+    assert results[0] == results[1] and results[4] == results[5] and results[6] == results[7]

@@ -355,6 +355,22 @@ def test_nonarch_check_passes_integers():
         assert rep.passed and rep.witness is None
 
 
+def test_nonarch_check_reads_the_one_denominator(monkeypatch):
+    """QQ[x] stores integer numerators over one den: x^2 + 1/2 is (1, 0, 2)
+    over 2.  Every stored value is an int, with denominator 1, so the check
+    must read den; x^2 - 2, (-2, 0, 1) over 1, passes."""
+    rho = quaternion_rep()
+    words = simple_loop_products(rho.presentation)
+    half = P(Fraction(1, 2), 0, 1)
+    assert (half.coeffs, half.den) == ((1, 0, 2), 2)
+    assert all(type(c) is int for c in half.coeffs)
+    monkeypatch.setattr(Representation, "_trace_min_poly", lambda self, w: half)
+    rep = nonarch_check(rho, words)
+    assert not rep.passed and rep.witness_trace_min_poly == half
+    monkeypatch.setattr(Representation, "_trace_min_poly", lambda self, w: P(-2, 0, 1))
+    assert nonarch_check(rho, words).passed
+
+
 def test_arch_check_flags_large_trace():
     K = rational_field()
     pres = SurfacePresentation(1, 1)
