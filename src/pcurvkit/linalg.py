@@ -10,34 +10,31 @@ once.  Products then build each entry with one ``dot``, and elimination
 does each row update ``a - f*b`` as ``dot((a, -f), (one, b))``.  Other
 rings sum their products one addition at a time.
 
-Elimination runs one forward pass per representation, and every operation
-reads off it:
+Elimination runs in this module alone: other modules hand it the integer
+rows of a system through ``_solve_integer``, or a Krylov sequence v, Av,
+A^2 v, ... through ``_first_dependency``.  There are two forward passes:
 
-- over QQ, ``_integer_forward`` on integer rows, each row cleared of its
-  denominators once, every row operation ``a*row - f*pivot`` followed by
-  removal of the row's content (in the spirit of Bareiss, Math. Comp.
-  1968).  ``rank`` counts its pivots, ``rref`` adds ``_integer_upward``
-  over whole rows and turns the pivot rows back into ``Fraction`` once,
-  and ``solve`` (``_solve_integer``) adds the upward pass on the
-  right-hand-side columns alone.  The same integer solve serves a number
-  field K: ``NumberField.solve_system``, which ``solve`` calls over K,
-  restricts scalars to QQ, one integer d x d block per entry, and hands
-  the integer rows to ``_solve_integer``; a solve over K runs no
-  elimination of its own (see numberfield).  ``solve_deformation`` builds
-  its system over QQ as integer rows and enters ``_solve_integer``
-  directly, with no Matrix and no clearing;
-- over every other field, and over K for all but ``solve``,
-  ``_forward_by_division``, which divides exactly once per pivot and keeps
-  an entry of a row update that faces a zero of the pivot row as it is.
-  ``rank`` counts its pivots, ``rref`` adds an upward pass that scales
-  each pivot row to 1 and clears its column in the rows above, and
-  ``solve`` adds back substitution on the right-hand-side columns.
-  ``det``, over QQ too, is the sign of its row permutation times the
-  product of its pivots.
+- ``_integer_forward``, fraction-free on integer rows, every row operation
+  ``a*row - f*pivot`` followed by removal of the row's content (in the
+  spirit of Bareiss, Math. Comp. 1968), and ``_integer_upward`` on the
+  pivot column and the right-hand-side columns alone.  They serve
+  ``solve`` over QQ (``_solve_integer`` on rows cleared of their
+  denominators once, ``_cleared_rows``) and over a number field K
+  (``NumberField.solve_system`` restricts scalars to QQ, one integer
+  d x d block per entry), the integer rows of ``solve_deformation``, the
+  d x d system of a Q(theta) inverse, and ``_first_dependency``, which
+  gives minimal polynomials;
+- ``_forward_by_division``, on every field, QQ included, which divides
+  exactly once per pivot and keeps an entry of a row update that faces a
+  zero of the pivot row as it is.  ``rank`` counts its pivots, ``rref``
+  adds an upward pass that scales each pivot row to 1 and clears its
+  column in the rows above, ``det`` is the sign of its row permutation
+  times the product of its pivots, and ``solve`` off QQ and K adds back
+  substitution on the right-hand-side columns.
 
-The reduced row echelon form of a row space is unique, so every route gives
-the result exact division would; ``solve`` sets the free unknowns to zero,
-as the rref of the augmented matrix would.
+The reduced row echelon form of a row space is unique, so each route of
+``solve`` gives the result exact division would; it sets the free unknowns
+to zero, as the rref of the augmented matrix would.
 """
 
 from __future__ import annotations
@@ -118,21 +115,18 @@ def _integer_forward(rows, ncols):
     return pivots
 
 
-def _integer_upward(rows, pivots, cols=None):
+def _integer_upward(rows, pivots, cols):
     """Upward pass on rows reduced by ``_integer_forward``, in place, from
-    the last pivot row up.
+    the last pivot row up, on the pivot column and the columns ``cols``.
 
     Pivot row i meets the later pivot rows j at its entries c_j in their
     pivot columns; it becomes L*row - sum c_j * (L // a_j) * row_j, with a_j
     the pivot value of row j and L the lcm of those a_j, divided by its
     content.  The later rows are reduced already, so this clears every later
     pivot column at once, and afterwards x[pivots[i]] = row[c] / row[pivots[i]]
-    solves the system for a right-hand-side column c, with the free unknowns
-    zero.  Only the pivot column and ``cols`` are updated, or every column
-    from the pivot on when cols is None (then the rows are the reduced row
-    echelon form up to one scale per row).
+    solves the system for a right-hand-side column c in cols, with the free
+    unknowns zero.
     """
-    ncols = len(rows[0]) if rows else 0
     for i in range(len(pivots) - 1, -1, -1):
         row = rows[i]
         terms = []
@@ -144,8 +138,7 @@ def _integer_upward(rows, pivots, cols=None):
             continue
         L = lcm(*(a for _, _, a in terms))
         terms = [(c * (L // a), r) for c, r, a in terms]
-        p = pivots[i]
-        idx = range(p, ncols) if cols is None else (p, *cols)
+        idx = (pivots[i], *cols)
         new = [L * row[k] - sum(f * r[k] for f, r in terms) for k in idx]
         g = gcd(*new)
         for k, e in zip(idx, new):
@@ -169,6 +162,24 @@ def _solve_integer(rows, n):
         a = row[p]
         sol[p] = [Fraction(e, a) if e else zero for e in row[n:]]
     return sol
+
+
+def _first_dependency(vectors) -> list:
+    """[c_0, ..., c_{k-1}, 1] for the least k with
+    vectors[k] + c_{k-1} vectors[k-1] + ... + c_0 vectors[0] = 0, as
+    Fractions; the vectors hold ints and Fractions.
+
+    The vectors are the orbit v, Av, A^2 v, ... of one linear map A, one
+    more than their dimension, so the first k are independent and every
+    later one depends on them.  The forward pass on the cleared integer
+    rows of the matrix with these columns finds k as its rank, and the
+    upward pass on column k alone gives -c_0..-c_{k-1}.
+    """
+    rows = _cleared_rows(zip(*vectors))
+    pivots = _integer_forward(rows, len(vectors))
+    k = len(pivots)
+    _integer_upward(rows, pivots, (k,))
+    return [Fraction(-row[k], row[t]) for t, row in enumerate(rows[:k])] + [Fraction(1)]
 
 
 def _forward_by_division(ring, rows, ncols):
@@ -274,8 +285,8 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_shape(self, other, same=True):
-        if same and self.shape() != other.shape():
+    def _check_shape(self, other):
+        if self.shape() != other.shape():
             raise ValueError(f"shape mismatch {self.shape()} vs {other.shape()}")
 
     def __add__(self, other):
@@ -347,16 +358,6 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot column list)."""
         ring = self.ring
-        if type(ring) is RationalField:
-            rows = _cleared_rows(self.rows)
-            pivots = _integer_forward(rows, self.ncols)
-            _integer_upward(rows, pivots)
-            # pivot row i stands for row / row[pivots[i]]; the rest are zero
-            zero = Fraction(0)
-            out = [[Fraction(e, row[p]) if e else zero for e in row]
-                   for row, p in zip(rows, pivots)]
-            out += [[zero] * self.ncols for _ in range(self.nrows - len(pivots))]
-            return Matrix(ring, out), pivots
         rows = [list(r) for r in self.rows]
         pivots, invs, _ = _forward_by_division(ring, rows, self.ncols)
         for i in range(len(pivots) - 1, -1, -1):
@@ -370,8 +371,6 @@ class Matrix:
 
     def rank(self) -> int:
         """The number of pivots of the forward pass alone."""
-        if type(self.ring) is RationalField:
-            return len(_integer_forward(_cleared_rows(self.rows), self.ncols))
         rows = [list(r) for r in self.rows]
         return len(_forward_by_division(self.ring, rows, self.ncols)[0])
 

@@ -8,13 +8,16 @@ by one gcd; ``coords`` builds the Fraction coordinates on demand.
 ``NumberField.dot`` does the same for a whole sum of products: the
 convolutions of all pairs are added over one common denominator and
 reduced once, so a matrix entry or a row update ``a - f*b`` costs one
-reduction and one gcd.  ``inverse`` solves the d x d integer linear
-system of multiplication by the element with the fraction-free passes
-that ``Matrix.solve`` runs over QQ (``linalg._integer_forward`` and
-``_integer_upward``).  ``NumberField.solve_system`` is ``Matrix.solve``
-over the field, by restriction of scalars: a system in n unknowns over K
-is a system in n*d unknowns over QQ, their coordinates, with each entry
-the integer d x d matrix of multiplication by it (``_mul_rows``), and
+reduction and one gcd; a single product is the dot of one pair, and sums
+and differences share one body.  ``inverse`` solves the d x d integer
+linear system of multiplication by the element with the integer solve
+that ``Matrix.solve`` runs over QQ (``linalg._solve_integer``), and
+``minimal_polynomial`` reads the first linear dependency among powers off
+``linalg._first_dependency``: this module runs no elimination of its own.
+``NumberField.solve_system`` is ``Matrix.solve`` over the field, by
+restriction of scalars: a system in n unknowns over K is a system in n*d
+unknowns over QQ, their coordinates, with each entry the integer d x d
+matrix of multiplication by it (``_mul_rows``), and
 ``linalg._solve_integer`` solves it as it solves a system over QQ.  The
 pivots over QQ come in whole blocks of d, one per pivot over K, so the
 answer is the one elimination over K gives.
@@ -33,8 +36,7 @@ from math import gcd, lcm
 
 from .fields import QQ
 from .poly import Polynomial, is_irreducible_q, IrreducibilityUndecided
-from .linalg import (
-    Matrix, _cleared_rows, _integer_forward, _integer_upward, _solve_integer)
+from .linalg import Matrix, _first_dependency, _solve_integer
 
 
 class CompositumError(ValueError):
@@ -67,14 +69,11 @@ class NumberField:
         d = self.degree
         # theta^k for k = d..2d-2 as integer rows over one common denominator
         # _int_den, so products reduce by table lookup on integers.
-        top = [-min_poly.coeff(i) for i in range(d)]
-        high = [top] if d > 1 else []
-        while len(high) < d - 1:
-            prev = high[-1]
-            high.append([s + prev[d - 1] * t
-                         for s, t in zip([Fraction(0)] + prev[:d - 1], top)])
-        self._int_den = lcm(*(c.denominator for r in high for c in r))
-        self._int_table = [[int(c * self._int_den) for c in r] for r in high]
+        x = Polynomial.x(QQ)
+        high = [pow(x, k, min_poly) for k in range(d, 2 * d - 1)]
+        D = self._int_den = lcm(*(r.den for r in high))
+        self._int_table = [[c * (D // r.den) for c in r.coeffs] + [0] * (d - len(r.coeffs))
+                           for r in high]
         self.zero = NumberFieldElement(self, [0] * d, 1)
         self.one = NumberFieldElement(self, [1] + [0] * (d - 1), 1)
 
@@ -105,11 +104,6 @@ class NumberField:
                     a *= s
                     for j, b in enumerate(y.num, i):
                         conv[j] += a * b
-        return self._reduced(conv, den)
-
-    def _reduced(self, conv, den):
-        """The element conv / den for an integer convolution conv of length
-        2d - 1."""
         return NumberFieldElement(self, self._reduced_ints(conv), den * self._int_den)
 
     def _reduced_ints(self, conv):
@@ -252,13 +246,17 @@ class NumberFieldElement:
             return self.field(x)
         return None
 
-    def __add__(self, other):
+    def _combination(self, other, s, t):
+        """s*self + t*other for integers s and t, built as one element."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
         return NumberFieldElement(
-            self.field, [a * db + b * da for a, b in zip(self.num, o.num)], da * db)
+            self.field, [s * a * db + t * b * da for a, b in zip(self.num, o.num)], da * db)
+
+    def __add__(self, other):
+        return self._combination(other, 1, 1)
 
     __radd__ = __add__
 
@@ -266,34 +264,16 @@ class NumberFieldElement:
         return NumberFieldElement(self.field, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        da, db = self.den, o.den
-        return NumberFieldElement(
-            self.field, [a * db - b * da for a, b in zip(self.num, o.num)], da * db)
+        return self._combination(other, 1, -1)
 
     def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        da, db = self.den, o.den
-        return NumberFieldElement(
-            self.field, [b * da - a * db for a, b in zip(self.num, o.num)], da * db)
+        return self._combination(other, -1, 1)
 
     def __mul__(self, other):
-        """Integer convolution of the numerators, reduced by
-        ``NumberField._reduced``."""
         o = self._wrap(other)
         if o is None:
             return NotImplemented
-        K = self.field
-        conv = [0] * (2 * K.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num, i):
-                    conv[j] += a * b
-        return K._reduced(conv, self.den * o.den)
+        return self.field.dot((self,), (o,))
 
     __rmul__ = __mul__
 
@@ -303,7 +283,8 @@ class NumberFieldElement:
         shift and one table row per step; with right-hand side e_0 its
         solution w gives 1 / a = sum(D^j * w[j] * theta^j).  The system is
         solved as ``Matrix.solve`` solves one over QQ, on the integer rows as
-        they are: the forward pass, then the upward pass on column d."""
+        they are (``linalg._solve_integer``).  a * w = 1 has a solution only
+        when a is a unit, and then exactly one."""
         if not self:
             raise ZeroDivisionError("number field zero division")
         K = self.field
@@ -314,18 +295,10 @@ class NumberFieldElement:
             c = prev[-1]
             cols.append([D * s + c * t for s, t in zip([0] + prev[:-1], K._int_table[0])])
         rows = [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))]
-        pivots = _integer_forward(rows, d)
-        if len(pivots) < d:
+        w = _solve_integer(rows, d)
+        if w is None:
             raise ZeroDivisionError("element shares a factor with the modulus")
-        _integer_upward(rows, pivots, (d,))
-        # pivot row j reads w[j] = row[d] / row[j]
-        den = lcm(*(row[j] for j, row in enumerate(rows)))
-        scale = self.den
-        num = []
-        for j, row in enumerate(rows):
-            num.append(scale * row[d] * (den // row[j]))
-            scale *= D
-        return NumberFieldElement(K, num, den)
+        return K.element([self.den * D ** j * wj for j, (wj,) in enumerate(w)])
 
     def __truediv__(self, other):
         o = self._wrap(other)
@@ -387,25 +360,7 @@ def minimal_polynomial(e: NumberFieldElement) -> Polynomial:
     powers = [K.one]
     for _ in range(K.degree):
         powers.append(powers[-1] * e)
-    return _first_dependency([x.coords for x in powers])
-
-
-def _first_dependency(vectors) -> Polynomial:
-    """Monic X^k + c_{k-1} X^{k-1} + ... + c_0 for the least k with
-    vectors[k] + c_{k-1} vectors[k-1] + ... + c_0 vectors[0] = 0.
-
-    The vectors are the orbit v, Av, A^2 v, ... of one linear map A, one
-    more than their dimension, so the first k are independent and every
-    later one depends on them.  The forward pass on the cleared integer
-    rows of the matrix with these columns finds k as its rank, and the
-    upward pass on column k alone gives -c_0..-c_{k-1}.
-    """
-    rows = _cleared_rows(zip(*vectors))
-    pivots = _integer_forward(rows, len(vectors))
-    k = len(pivots)
-    _integer_upward(rows, pivots, (k,))
-    return Polynomial(QQ, [Fraction(-row[k], row[t]) for t, row in enumerate(rows[:k])]
-                      + [Fraction(1)])
+    return Polynomial(QQ, _first_dependency([x.coords for x in powers]))
 
 
 def root_of_unity_candidates(d: int) -> list[int]:
@@ -468,7 +423,7 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
         for _ in range(D):
             vectors.append([sum(a * b for a, b in zip(row, vectors[-1]))
                             for row in mu.rows])
-        m = _first_dependency(vectors)
+        m = Polynomial(QQ, _first_dependency(vectors))
         if m.degree() < D:
             continue
         try:

@@ -12,11 +12,15 @@ left behind when its callers moved away.  A public top-level function or
 class must be named by another statement of a module (the re-exports of
 ``__init__.py`` do not count), by the acceptance criteria, by a console
 script of pyproject.toml or by a span target of the benchmark tracer:
-otherwise only its own tests reach it.  A public method or property of a
-public class must likewise be named by another statement of a module, as
-an attribute (``obj.name``) or in a ``getattr``/``hasattr`` string, by the
-acceptance criteria or by a span target; a bare name or a docstring does
-not count, as the same words name locals and prose.
+otherwise only its own tests reach it.  A public method of a public class
+must likewise be called by another statement of a module (``obj.name(...)``)
+or named there in a ``getattr``/``hasattr`` string, or be used as an
+attribute by the acceptance criteria or by a span target; a property or
+classmethod counts as reached by any attribute use (``obj.name``).  A bare
+name or a docstring does not count, as the same words name locals and
+prose, and neither does a read of another class's property of the same
+name for a plain method.  Finally, only linalg.py runs elimination: no
+other module names its fraction-free passes.
 """
 
 import ast
@@ -44,7 +48,12 @@ UNREACHED_NAMES = {
 UNREACHED_METHODS = {
     "Matrix.kernel_basis": "the kernel of a matrix, the reference test_linalg.py "
                            "checks rank and inconsistent solves against",
+    "Matrix.rank": "the rank of a matrix, the reference test_linalg.py checks "
+                   "rref's pivots and the forward pass against",
 }
+# linalg's fraction-free elimination passes: other modules hand it rows
+# through _solve_integer or _first_dependency and never run a pass themselves.
+ELIMINATION_PASSES = {"_integer_forward", "_integer_upward", "_cleared_rows"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -135,40 +144,73 @@ def unreached_public_names(sources: dict, outside: set) -> list[str]:
                   and not any(name in used for other, used in statements if other is not node))
 
 
-def attribute_names(node) -> set:
-    """Names node uses as an attribute, or as the string of a getattr or
-    hasattr call."""
+def called_names(node) -> set:
+    """Names node calls as a method (``x.name(...)``), or uses as the string
+    of a getattr or hasattr call."""
     used = set()
     for n in ast.walk(node):
-        if isinstance(n, ast.Attribute):
-            used.add(n.attr)
-        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
-              and n.func.id in ("getattr", "hasattr") and len(n.args) > 1
-              and isinstance(n.args[1], ast.Constant)):
+        if not isinstance(n, ast.Call):
+            continue
+        if isinstance(n.func, ast.Attribute):
+            used.add(n.func.attr)
+        elif (isinstance(n.func, ast.Name) and n.func.id in ("getattr", "hasattr")
+              and len(n.args) > 1 and isinstance(n.args[1], ast.Constant)):
             used.add(n.args[1].value)
     return used
 
 
-def unreached_public_methods(sources: dict, outside: set) -> list[str]:
+def attribute_names(node) -> set:
+    """Names node uses as an attribute, or as the string of a getattr or
+    hasattr call."""
+    return called_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def unreached_public_methods(sources: dict, outside: tuple) -> list[str]:
     """'module: Class.name' for each public method or property of a public
-    top-level class of the modules in sources that no other statement uses
-    as an attribute (attribute_names) and that is not in outside.  Each
-    method of a class is a statement of its own, so a method reached only
-    from inside itself is flagged."""
-    defined, statements = [], []
+    top-level class of the modules in sources that no other statement
+    reaches: a plain method must be called (called_names), and a property
+    or classmethod, the decorated methods, may be used as any attribute
+    (attribute_names).  outside is one more statement's pair of those
+    sets, (attributes, calls).  Each method of a class is a statement of
+    its own, so a method reached only from inside itself is flagged."""
+    defined, statements = [], [(None, *outside)]
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if not isinstance(node, ast.ClassDef):
-                statements.append((node, attribute_names(node)))
-                continue
-            for item in node.body:
-                statements.append((item, attribute_names(item)))
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            items = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in items:
+                statements.append((item, attribute_names(item), called_names(item)))
+                if (isinstance(node, ast.ClassDef)
+                        and isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not node.name.startswith("_") and not item.name.startswith("_")):
                     defined.append((module, node.name, item))
+
+    def reached(item):
+        return any(item.name in (attributes if item.decorator_list else calls)
+                   for other, attributes, calls in statements if other is not item)
+
     return sorted(f"{module}: {cls}.{item.name}" for module, cls, item in defined
-                  if item.name not in outside
-                  and not any(item.name in used for other, used in statements if other is not item))
+                  if not reached(item))
+
+
+def elimination_outside_linalg(sources: dict) -> list[str]:
+    """'module: name' for each of ELIMINATION_PASSES that a module in
+    sources other than linalg.py names, as a name, an import (under its
+    own name or an alias) or an attribute; strings do not count."""
+    found = set()
+    for module, source in sources.items():
+        if module == "linalg.py":
+            continue
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name):
+                names = {n.id}
+            elif isinstance(n, ast.alias):
+                names = {n.name, n.asname}
+            elif isinstance(n, ast.Attribute):
+                names = {n.attr}
+            else:
+                continue
+            found.update(f"{module}: {name}" for name in names & ELIMINATION_PASSES)
+    return sorted(found)
 
 
 def load_tracer():
@@ -180,11 +222,14 @@ def load_tracer():
     return tracer
 
 
-def attributes_reached_from_outside() -> set:
-    """Names the acceptance criteria use as attributes, and the last part
-    of each span target of the benchmark tracer."""
-    names = attribute_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
-    return names | {path.split(".")[-1] for _, path in load_tracer().SPAN_TARGETS}
+def attributes_reached_from_outside() -> tuple:
+    """(attributes, calls): the names the acceptance criteria use as
+    attributes and those they call, each with the last part of each span
+    target of the benchmark tracer, which wraps a method however it is
+    reached."""
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    spans = {path.split(".")[-1] for _, path in load_tracer().SPAN_TARGETS}
+    return attribute_names(acceptance) | spans, called_names(acceptance) | spans
 
 
 def names_reached_from_outside() -> set:
@@ -258,7 +303,7 @@ def test_scan_flags_unreached_public_names():
 def test_every_public_method_is_reached():
     sources = {p.name: p.read_text() for p in MODULES}
     outside = attributes_reached_from_outside()
-    assert {"rref", "reduce_mod", "inverse"} <= outside
+    assert all({"rref", "reduce_mod", "inverse"} <= names for names in outside)
     flagged = [f.split(": ") for f in unreached_public_methods(sources, outside)]
     assert [f"{module}: {name}" for module, name in flagged
             if module not in UNREACHED_MODULES and name not in UNREACHED_METHODS] == []
@@ -273,9 +318,38 @@ def test_scan_flags_unreached_public_methods():
                         "    def traced(self):\n        pass\n"
                         "    def probed(self):\n        pass\n"
                         "    def _private(self):\n        pass\n"
+                        "    def rank(self):\n        return 2\n"
+                        "    def called(self):\n        pass\n"
+                        "    @classmethod\n    def build(cls):\n        return cls\n"
+                        "class Group:\n"
+                        "    @property\n    def rank(self):\n        return 3\n"
                         "class _Hidden:\n    def shown(self):\n        pass\n"),
                "b.py": ("from .a import Family\n"
-                        "def size(F, blocks):\n"
+                        "def size(F, G, blocks):\n"
                         "    \"\"\"Each layer of F.\"\"\"\n"
-                        "    return F.order, blocks, hasattr(F, 'probed')\n")}
-    assert unreached_public_methods(sources, {"traced"}) == ["a.py: Family.layer"]
+                        "    return F.order, blocks, hasattr(F, 'probed'), G.rank, F.called()\n"
+                        "make = Family.build\n")}
+    # Family.rank is only read as Group.rank, a property: a plain method
+    # is reached by a call, not by a read of an attribute of its name
+    assert unreached_public_methods(sources, ({"traced"}, {"traced"})) == [
+        "a.py: Family.layer", "a.py: Family.rank"]
+
+
+def test_only_linalg_eliminates():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert "linalg.py" in sources
+    assert elimination_outside_linalg(sources) == []
+
+
+def test_scan_flags_elimination_outside_linalg():
+    sources = {"linalg.py": ("def _cleared_rows(rows):\n    return rows\n"
+                             "def _integer_forward(rows, n):\n    return _cleared_rows(rows)\n"),
+               "a.py": ("\"\"\"Runs linalg._integer_upward by hand.\"\"\"\n"
+                        "from . import linalg\n"
+                        "from .linalg import _integer_forward as forward, _solve_integer\n"
+                        "def f(rows):\n"
+                        "    return forward(rows, 2), linalg._cleared_rows(rows)\n"),
+               "b.py": "step = _integer_upward\n",
+               "c.py": "from .linalg import _solve_integer\nsolve = _solve_integer\n"}
+    assert elimination_outside_linalg(sources) == [
+        "a.py: _cleared_rows", "a.py: _integer_forward", "b.py: _integer_upward"]

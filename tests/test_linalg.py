@@ -221,14 +221,15 @@ def test_map_entries_reduction():
     assert B.entry(0, 0) == F(3)  # 2^{-1} mod 5
 
 
-# -- integer rref over QQ against the field loop ---------------------------
+# -- rref on every field against the Gauss-Jordan loop ----------------------
 
 
 def rref_by_field_division(M):
     """Gauss-Jordan with exact division at every pivot, clearing each pivot
     column above and below at once: the loop Matrix.rref ran over every ring
     but QQ before it read the forward pass off, kept as the oracle for the
-    integer passes over QQ and the division passes over other fields."""
+    division passes on every field, QQ included, and through solve_by_rref
+    for the integer passes of solve."""
     rows = [list(r) for r in M.rows]
     pivots = []
     rank = 0
@@ -334,9 +335,9 @@ _RREF_CASES.update(field_rref_cases())
 
 @pytest.mark.parametrize("name", sorted(_RREF_CASES))
 def test_integer_rref_matches_field_oracle(name):
-    """rref on every field against Gauss-Jordan by division: over QQ the
-    integer passes, over GF(7), Q(x) and the number fields the forward and
-    upward division passes; rank counts the same pivots."""
+    """rref on every field, QQ, GF(7), Q(x) and the number fields, against
+    Gauss-Jordan by division: the forward and upward division passes, which
+    keep Fraction entries over QQ; rank counts the same pivots."""
     M = _RREF_CASES[name]
     R, pivots = M.rref()
     R_ref, pivots_ref = rref_by_field_division(M)
@@ -348,7 +349,8 @@ def test_integer_rref_matches_field_oracle(name):
 
 
 def test_rank_runs_no_upward_pass_and_no_rref(monkeypatch):
-    """rank over QQ counts the pivots of the integer forward pass alone."""
+    """rank over QQ counts the pivots of the forward pass alone: it runs no
+    upward pass and no rref."""
     from pcurvkit import linalg
 
     matrices = [Matrix(QQ, _QQ_CASES[name]) for name in sorted(_QQ_CASES)]
@@ -822,7 +824,7 @@ def test_number_field_solve_builds_one_block_per_distinct_entry(monkeypatch):
 
 def test_qq_solve_runs_no_rref(monkeypatch):
     """solve over QQ calls no rref, and its one upward pass runs on the
-    right-hand-side columns alone, never over whole rows as rref's does."""
+    right-hand-side columns alone."""
     from pcurvkit import linalg
 
     rng = random.Random(2025)
