@@ -20,7 +20,10 @@ unknowns over QQ, their coordinates, with each entry the integer d x d
 matrix of multiplication by it (``_mul_rows``), and
 ``linalg._solve_integer`` solves it as it solves a system over QQ.  The
 pivots over QQ come in whole blocks of d, one per pivot over K, so the
-answer is the one elimination over K gives.
+answer is the one elimination over K gives.  ``right_product_map`` builds
+the same blocks for right multiplication by a matrix over K: one integer
+map on the cleared coordinates of a row, which the closure of
+``surface.certify_finiteness`` applies at each step.
 
 A session works inside one fixed parent field; when two fields must be
 combined (adjoining i to a real quadratic field, say) ``compositum`` runs a
@@ -125,6 +128,25 @@ class NumberField:
         d = self.degree
         return list(zip(*(self._reduced_ints([0] * j + list(a) + [0] * (d - 1 - j))
                           for j in range(d))))
+
+    def right_product_map(self, rows):
+        """(R, E) for right multiplication by the square matrix S with the
+        given rows, by restriction of scalars.
+
+        A row (m_0, ..., m_{n-1}) over the field, cleared as the n*d integer
+        coordinates of its entries over one denominator, goes to E times the
+        coordinates of the row (m_0, ..., m_{n-1}) * S: R is that integer
+        (n*d) x (n*d) matrix, as a list of rows.  With L the lcm of S's
+        denominators and D = _int_den, block (k, j) of R is ``_mul_rows`` of
+        L * S[j][k], the map m_j -> D * L * S[j][k] * m_j, and E = D * L.
+        """
+        d, n = self.degree, len(rows)
+        L = lcm(*(e.den for r in rows for e in r))
+        blocks = [[self._mul_rows([c * (L // e.den) for c in e.num]) for e in r]
+                  for r in rows]
+        R = [[c for j in range(n) for c in blocks[j][k][t]]
+             for k in range(n) for t in range(d)]
+        return R, self._int_den * L
 
     def solve_system(self, rows, n):
         """Solution rows of the linear system whose augmented rows (n

@@ -8,12 +8,24 @@ of traces is decided through minimal polynomials, the archimedean bounds
 through Sturm counts on those same polynomials, and the final verdict
 through exhaustive closure of the exact matrix image with element-order
 tests along the way.
+
+The closure runs on cleared coordinates, the form a number field element
+is stored in: a 2x2 matrix is the integer coordinates of its four entries
+over one positive denominator, reduced by their gcd, so the pair is
+canonical and is its own hash key.  Right multiplication by a generator
+is linear over QQ on each row, so by restriction of scalars it is one
+integer matrix, built once per generator and inverse
+(``NumberField.right_product_map``), and a step of the closure is integer
+dot products and one gcd.  A ``Matrix`` is built only for a new element,
+to take its order.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
+from operator import mul, neg
 from typing import NamedTuple
 
 from .linalg import Matrix
@@ -600,14 +612,34 @@ class FinitenessCertificate(NamedTuple):
     det_orders: dict | None
 
 
-def _matrix_key(M: Matrix):
-    return tuple((e.num, e.den) for row in M.rows for e in row)
+def _cleared_entries(K: NumberField, coords, den):
+    """The four entries, row by row, of the 2x2 matrix whose cleared
+    coordinates over K are (coords, den): entry (i, k) is block 2i + k."""
+    d = K.degree
+    return [NumberFieldElement(K, coords[b * d:(b + 1) * d], den) for b in range(4)]
 
 
-def _matrix_key_projective(M: Matrix):
-    k1 = _matrix_key(M)
-    k2 = _matrix_key(-M)
-    return min(k1, k2)
+def _closure_key(K: NumberField, gl2: bool, projective: bool):
+    """The key of a closure element (coords, den) in its cleared form.  The
+    pair is canonical, so it is its own key.  Projectively an SL2 element is
+    identified with its negative only, the one other scalar of determinant
+    1: its first nonzero coordinate is made positive.  A GL2 element is
+    scaled so that its first nonzero entry is 1, which identifies it with
+    every scalar multiple over K."""
+    if not projective:
+        return lambda coords, den: (coords, den)
+    if not gl2:
+        def sign_key(coords, den):
+            if next(c for c in coords if c) > 0:
+                return coords, den
+            return tuple(map(neg, coords)), den
+        return sign_key
+
+    def scaled_key(coords, den):
+        entries = _cleared_entries(K, coords, den)
+        inv = next(e for e in entries if e).inverse()
+        return tuple(e * inv for e in entries)
+    return scaled_key
 
 
 def _cached_order(K: NumberField, gl2: bool, projective: bool):
@@ -667,14 +699,17 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
 
     Trace obstructions (non-integral trace, an embedding outside [-2, 2])
     on the simple-loop products short-circuit to Obstructed.  Otherwise a
-    breadth-first closure enumerates the image with canonical exact
-    hashing; every new element's order is tested, with infinite order again
-    giving Obstructed.  Caps turn into Inconclusive, never into a Finite
-    verdict.  A Finite verdict rests solely on the enumerated closure; the
+    breadth-first closure enumerates the image on cleared integer
+    coordinates, each step one precomputed integer map (restriction of
+    scalars), with the canonical (coords, den) pair as the hash key; every
+    new element's order is tested, with infinite order again giving
+    Obstructed.  Caps turn into Inconclusive, never into a Finite verdict.
+    A Finite verdict rests solely on the enumerated closure; the
     archimedean pass is recorded as supporting evidence.
 
-    In projective mode matrices are identified up to sign and the count is
-    the image's order in PSL2/PGL2.
+    In projective mode matrices are identified up to scalars, +-1 in SL2
+    and every scalar over the field in GL2, and the count is the image's
+    order in PSL2/PGL2.
     """
     K = rho.field
     det_orders = None
@@ -709,28 +744,35 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                            "an embedding sends a trace outside [-2, 2]"),
                 0, 0, True, False, None)
 
-    key_of = _matrix_key_projective if projective else _matrix_key
+    key_of = _closure_key(K, gl2, projective)
     order_of = _cached_order(K, gl2, projective)
-    ident = Matrix.identity(K, 2)
-    names = rho.bfs_generator_names()
-    steps = []
-    for name in names:
-        steps.append((Word.gen(name), rho.gens[name]))
-        steps.append((Word.gen(name, -1), rho._inverse(name)))
+    maps = []
+    for name in rho.bfs_generator_names():
+        for exp, mat in ((1, rho.gens[name]), (-1, rho._inverse(name))):
+            maps.append((Word.gen(name, exp), *K.right_product_map(mat.rows)))
 
-    seen = {key_of(ident): Word()}
-    frontier = [(ident, Word())]
+    # an element is (coords, den), and row i of it is coords[2di:2d(i+1)]
+    half = 2 * K.degree
+    ident = tuple(int(t in (0, 3 * K.degree)) for t in range(2 * half))
+    seen = {key_of(ident, 1): Word()}
+    frontier = [(ident, 1, Word())]
     max_order_seen = 1
     while frontier:
         new_frontier = []
-        for M, w in frontier:
-            for step_word, step_mat in steps:
-                N = M * step_mat
-                key = key_of(N)
+        for coords, den, w in frontier:
+            rows = coords[:half], coords[half:]
+            for step_word, R, E in maps:
+                prod = [sum(map(mul, r, row)) for row in rows for r in R]
+                pden = den * E
+                g = gcd(pden, *prod)
+                prod = tuple([c // g for c in prod])
+                pden //= g
+                key = key_of(prod, pden)
                 if key in seen:
                     continue
                 nw = w * step_word
-                res = order_of(N)
+                entries = _cleared_entries(K, prod, pden)
+                res = order_of(Matrix(K, [entries[:2], entries[2:]]))
                 if isinstance(res, InfiniteOrder):
                     return FinitenessCertificate(
                         Obstructed(nw.to_str(), res.reason),
@@ -748,7 +790,7 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                         Inconclusive(f"element count exceeds cap {max_elements}"),
                         len(seen), max_order_seen,
                         nonarch_passed, arch_passed, det_orders)
-                new_frontier.append((N, nw))
+                new_frontier.append((prod, pden, nw))
         frontier = new_frontier
     if not gl2 or projective:
         _check_klein(len(seen), max_order_seen, projective)

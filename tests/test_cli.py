@@ -257,6 +257,37 @@ def test_certify_projective_flag(tmp_path, capsys):
     assert report["results"]["projective"] is True
 
 
+def levelt_doc(min_poly, s, minus_p):
+    """Levelt's generators of a Gauss monodromy over Q(zeta_N) in GL2: c1 is
+    [[0, -p], [1, s]], the companion of X^2 - sX + p, and c2 that of X^2 - 1."""
+    return {
+        "field": {"min_poly": min_poly, "name": "z"},
+        "surface": {"genus": 0, "punctures": 3},
+        "target": "GL2",
+        "generators": {"c1": [["0", minus_p], ["1", s]],
+                       "c2": [["0", "1"], ["1", "0"]]},
+    }
+
+
+@pytest.mark.parametrize("doc, order", [
+    # (a, b, c) = (1/4, -1/12, 1/2) over Q(zeta_12): X^2 - zX + z^2
+    (levelt_doc(["1", "0", "-1", "0", "1"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"]), 12),
+    # (5/24, -1/24, 1/2) over Q(zeta_24): s = e(5/24) + e(-1/24) = z^3 + z^5 - z^7
+    # and p = e(1/6) = z^4
+    (levelt_doc(["1", "0", "0", "0", "-1", "0", "0", "0", "1"],
+                ["0", "0", "0", "1", "0", "1", "0", "-1"],
+                ["0", "0", "0", "0", "-1", "0", "0", "0"]), 24),
+], ids=["tetrahedral", "octahedral"])
+def test_certify_projective_gl2_levelt_images(tmp_path, capsys, doc, order):
+    """The tetrahedral and octahedral Gauss monodromies close to A4 and S4 in
+    PGL2, every scalar over the field identified."""
+    spec = write_spec(tmp_path, "rep.json", doc)
+    code, report = run(capsys, rep_main, ["certify", spec, "--projective"])
+    assert code == 0
+    assert report["results"]["verdict"] == {"kind": "finite", "order": order}
+    assert report["results"]["target"] == "GL2"
+
+
 def test_certify_obstructed_exit_2(tmp_path, capsys):
     spec = write_spec(tmp_path, "rep.json", PARABOLIC_DOC)
     code, report = run(capsys, rep_main, ["certify", spec])

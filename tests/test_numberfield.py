@@ -9,7 +9,7 @@ against the usual surd identities.
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul
 
 import pytest
@@ -432,6 +432,26 @@ def test_dot_matches_sum_of_products(name):
         assert list(got.coords) == want
     assert K.dot([K.zero], [K.one]) == K.zero and K.dot([K.zero], [K.one]).den == 1
 
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_right_product_map_matches_row_times_matrix(name):
+    """R times the cleared coordinates of a row m over K is E times those of
+    the row m * S, for square S of sizes 1 to 3 with zero entries and mixed
+    denominators."""
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    rng = random.Random(f"right product {name}")
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        S = [[sparse_element(K, rng) for _ in range(n)] for _ in range(n)]
+        m = [sparse_element(K, rng) for _ in range(n)]
+        R, E = K.right_product_map(S)
+        assert len(R) == n * K.degree and {len(r) for r in R} == {n * K.degree}
+        den = lcm(*(e.den for e in m))
+        coords = [c * (den // e.den) for e in m for c in e.num]
+        want = [K.dot(m, col) for col in zip(*S)]
+        assert [sum(map(mul, r, coords)) for r in R] == [
+            E * den * c for e in want for c in e.coords]
 
 def xgcd_inverse(e):
     """Coordinates of 1/e by the extended Euclidean algorithm on Fraction

@@ -4,6 +4,7 @@ trace obstructions, and the finiteness certifier."""
 import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,6 +30,7 @@ from pcurvkit import (
 )
 from pcurvkit.surface import (
     Finite,
+    FinitenessCertificate,
     FiniteOrder,
     Inconclusive,
     InfiniteOrder,
@@ -772,3 +774,192 @@ def test_trace_checks_compute_one_minimal_polynomial_per_loop(monkeypatch):
     assert nonarch_check(rho, loops).passed
     assert arch_check(rho, loops).passed
     assert len(calls) == len({reduce_word(w) for w in loops}) == len(loops)
+
+
+# -- Levelt's monodromy of the Gauss equation, a GL2 target ------------------------
+
+
+def cyclotomic(N):
+    """Phi_N over QQ: X^N - 1 divided by Phi_k for each proper divisor k."""
+    f = Polynomial(QQ, [-1] + [0] * (N - 1) + [1])
+    for k in range(1, N):
+        if N % k == 0:
+            f = f // cyclotomic(k)
+    return f
+
+
+def levelt_rep(a, b, c):
+    """Levelt's generators of the monodromy of 2F1(a, b; c) over Q(zeta_N),
+    with N the lcm of the denominators and Phi_N the min poly: c1 is the
+    companion matrix of (X - e(a))(X - e(b)) and c2 that of
+    (X - e(c))(X - 1), with e(t) = exp(2 pi i t) = zeta_N^(tN), on the
+    sphere with 3 punctures in GL2."""
+    a, b, c = (Fraction(t) for t in (a, b, c))
+    N = lcm(a.denominator, b.denominator, c.denominator)
+    K = NumberField(cyclotomic(N), "z")
+
+    def e(t):
+        return K.gen ** (int(t * N) % N)
+
+    def companion(x, y):
+        return Matrix(K, [[K.zero, -(x * y)], [K.one, x + y]])
+
+    return Representation(K, SurfacePresentation(0, 3), {
+        "c1": companion(e(a), e(b)), "c2": companion(e(c), K.one)}, target="GL2")
+
+
+# (a, b, c) of Schwarz's list, with the orders of the image in GL2 and PGL2
+LEVELT = {
+    "tetrahedral": (("1/4", "-1/12", "1/2"), 48, 12),
+    "octahedral": (("5/24", "-1/24", "1/2"), 144, 24),
+    "dihedral": (("1/6", "-1/6", "1/2"), 12, 6),
+}
+
+
+def test_levelt_tetrahedral_generators():
+    rho = levelt_rep(*LEVELT["tetrahedral"][0])
+    K, z = rho.field, rho.field.gen
+    assert K.min_poly == cyclotomic(12) == P(1, 0, -1, 0, 1)
+    assert rho.gens["c1"] == Matrix(K, [[K.zero, -z * z], [K.one, z]])  # X^2 - zX + z^2
+    assert rho.gens["c2"] == Matrix(K, [[K.zero, K.one], [K.one, K.zero]])
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["GL2", "PGL2"])
+@pytest.mark.parametrize("name", list(LEVELT))
+def test_certify_levelt_gl2_images(name, projective):
+    """The finite Levelt images close in GL2 and, with every scalar over the
+    field identified, in PGL2, where they are A4, S4 and S3 and pass Klein's
+    check."""
+    triple, order, projective_order = LEVELT[name]
+    cert = certify_finiteness(levelt_rep(*triple), projective=projective)
+    n = projective_order if projective else order
+    assert_record(cert.verdict, Finite(n))
+    assert cert.element_count == n
+    if projective:
+        _check_klein(n, cert.max_order_seen, True)
+
+
+# -- the closure on cleared coordinates against the Matrix closure ------------------
+
+
+def matrix_closure_certify(rho, max_elements=10000, max_order=10000, projective=False):
+    """certify_finiteness with the closure of Matrix products: an element is
+    keyed by its entries' (num, den), projectively by the smaller key of M
+    and -M.  That identifies M with -M only, so in PGL2 it is right only
+    when the image has no other scalars; it is not run there."""
+    K, gl2 = rho.field, rho.target == "GL2"
+    nonarch_passed = arch_passed = det_orders = None
+
+    def certificate(verdict, count=0, max_seen=0):
+        return FinitenessCertificate(verdict, count, max_seen,
+                                     nonarch_passed, arch_passed, det_orders)
+
+    if gl2:
+        det_orders = {name: numberfield.is_root_of_unity(rho.gens[name].det())
+                      for name in rho.presentation.generator_names()}
+        if None in det_orders.values() and not projective:
+            bad = next(name for name, v in det_orders.items() if v is None)
+            return certificate(Obstructed(bad, "determinant is not a root of unity"))
+    else:
+        loops = simple_loop_products(rho.presentation)
+        na = nonarch_check(rho, loops)
+        nonarch_passed = na.passed
+        if not na.passed:
+            return certificate(Obstructed(na.witness.to_str(), _NONINTEGRAL))
+        ar = arch_check(rho, loops)
+        arch_passed = ar.passed
+        if not ar.passed:
+            return certificate(Obstructed(ar.witness.to_str(), _ARCH))
+
+    def key(M):
+        return tuple((e.num, e.den) for row in M.rows for e in row)
+
+    key_of = (lambda M: min(key(M), key(-M))) if projective else key
+    order_of = surface._cached_order(K, gl2, projective)
+    steps = [(Word.gen(name, exp), rho.gens[name] if exp == 1 else rho.gens[name].inverse())
+             for name in rho.bfs_generator_names() for exp in (1, -1)]
+    ident = Matrix.identity(K, 2)
+    seen = {key_of(ident): Word()}
+    frontier = [(ident, Word())]
+    max_seen = 1
+    while frontier:
+        new_frontier = []
+        for M, w in frontier:
+            for step_word, S in steps:
+                N = M * S
+                if key_of(N) in seen:
+                    continue
+                nw = w * step_word
+                res = order_of(N)
+                if isinstance(res, InfiniteOrder):
+                    return certificate(Obstructed(nw.to_str(), res.reason), len(seen), max_seen)
+                if res.n > max_order:
+                    return certificate(Inconclusive(
+                        f"element order {res.n} exceeds cap {max_order}"), len(seen), max_seen)
+                max_seen = max(max_seen, res.n)
+                seen[key_of(N)] = nw
+                if len(seen) > max_elements:
+                    return certificate(Inconclusive(
+                        f"element count exceeds cap {max_elements}"), len(seen), max_seen)
+                new_frontier.append((N, nw))
+        frontier = new_frontier
+    if not gl2 or projective:
+        _check_klein(len(seen), max_seen, projective)
+    return certificate(Finite(len(seen)), len(seen), max_seen)
+
+
+DIFFERENTIAL_CASES = [(name, projective) for name in closure_reps()
+                      for projective in (False, True)] + [
+                     (f"levelt-{name}", False) for name in LEVELT]
+
+
+@pytest.mark.parametrize("caps", [{}, {"max_elements": 3}, {"max_order": 2}],
+                         ids=["uncapped", "max_elements=3", "max_order=2"])
+@pytest.mark.parametrize("name, projective", [
+    pytest.param(name, projective, id=f"{name}-{'P' if projective else ''}{target}")
+    for name, projective in DIFFERENTIAL_CASES
+    for target in ["GL2" if name.startswith("levelt") else "SL2"]])
+def test_closure_matches_matrix_closure(name, projective, caps):
+    """The whole certificate, the verdict with its witness word, the count,
+    the largest order and the evidence, equals the Matrix closure's."""
+    if name.startswith("levelt-"):
+        rho = levelt_rep(*LEVELT[name.removeprefix("levelt-")][0])
+    else:
+        rho = closure_reps()[name]
+    cert = certify_finiteness(rho, projective=projective, **caps)
+    want = matrix_closure_certify(rho, projective=projective, **caps)
+    assert_record(cert.verdict, want.verdict)
+    assert cert == want
+
+
+def test_closure_multiplies_no_matrices(monkeypatch):
+    """After the trace checks, certify_finiteness runs no Matrix product on
+    the icosahedral pair: each step of the closure is an integer map on
+    cleared coordinates, and one Matrix is built per new element, for its
+    order."""
+    counts = {"products": 0, "matrices": 0}
+    closing = []
+    real_arch, real_mul, real_init = surface.arch_check, Matrix.__mul__, Matrix.__init__
+
+    def arch_then_count(*args):
+        report = real_arch(*args)
+        closing.append(True)
+        return report
+
+    def mul_spy(self, other):
+        counts["products"] += bool(closing)
+        return real_mul(self, other)
+
+    def init_spy(self, ring, rows):
+        counts["matrices"] += bool(closing)
+        real_init(self, ring, rows)
+
+    rho = closure_reps()["icosahedral"]
+    monkeypatch.setattr(surface, "arch_check", arch_then_count)
+    monkeypatch.setattr(Matrix, "__mul__", mul_spy)
+    monkeypatch.setattr(Matrix, "__init__", init_spy)
+    cert = certify_finiteness(rho)
+    monkeypatch.undo()
+    assert closing
+    assert_record(cert.verdict, Finite(120))
+    assert counts == {"products": 0, "matrices": cert.element_count - 1}
