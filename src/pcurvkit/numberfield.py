@@ -305,8 +305,10 @@ class NumberFieldElement:
         shift and one table row per step; with right-hand side e_0 its
         solution w gives 1 / a = sum(D^j * w[j] * theta^j).  The system is
         solved as ``Matrix.solve`` solves one over QQ, on the integer rows as
-        they are (``linalg._solve_integer``).  a * w = 1 has a solution only
-        when a is a unit, and then exactly one."""
+        they are (``linalg._solve_integer``), and the element is built
+        straight from w: integer numerators over the lcm of its
+        denominators.  a * w = 1 has a solution only when a is a unit, and
+        then exactly one."""
         if not self:
             raise ZeroDivisionError("number field zero division")
         K = self.field
@@ -320,7 +322,9 @@ class NumberFieldElement:
         w = _solve_integer(rows, d)
         if w is None:
             raise ZeroDivisionError("element shares a factor with the modulus")
-        return K.element([self.den * D ** j * wj for j, (wj,) in enumerate(w)])
+        L = lcm(*(wj.denominator for (wj,) in w))
+        return NumberFieldElement(K, [self.den * D ** j * wj.numerator * (L // wj.denominator)
+                                      for j, (wj,) in enumerate(w)], L)
 
     def __truediv__(self, other):
         o = self._wrap(other)

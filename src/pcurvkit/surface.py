@@ -16,8 +16,10 @@ canonical and is its own hash key.  Right multiplication by a generator
 is linear over QQ on each row, so by restriction of scalars it is one
 integer matrix, built once per generator and inverse
 (``NumberField.right_product_map``), and a step of the closure is integer
-dot products and one gcd.  A ``Matrix`` is built only for a new element,
-to take its order.
+dot products and one gcd.  No ``Matrix`` is built: a new element's order
+comes from its four entries, through t = a + d and delta = ad - bc, by
+one rule for SL2, GL2, PSL2 and PGL2 (``_order_rule``) and one cache per
+closure.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ class Representation:
             raise ValueError(
                 f"need matrices for {free_names} (free) or {names} (all)")
         for name in names:
-            det = self.gens[name].det()
+            det = _det(field, self.gens[name].rows)
             if target == "SL2" and det != field.one:
                 raise ValueError(f"generator {name} has determinant {det}, not 1")
             if target == "GL2" and not det:
@@ -484,67 +486,52 @@ def _eigenvalue_power_order(t: NumberFieldElement, bound_degree: int):
 
 
 def element_order(M: Matrix):
-    """FiniteOrder(n) / InfiniteOrder(reason) for a determinant-1 matrix.
-
-    Central elements have order 1 or 2; trace = +-2 otherwise means a
-    noncentral parabolic (infinite); all remaining cases reduce to whether
-    an eigenvalue is a root of unity, decided exactly.
-    """
-    if M.det() != M.ring.one:
+    """FiniteOrder(n) / InfiniteOrder(reason) for a determinant-1 matrix,
+    by the certification closure's rule (``_order_rule``): central elements
+    have order 1 or 2; trace = +-2 otherwise means a noncentral parabolic
+    (infinite); all remaining cases reduce to whether an eigenvalue is a
+    root of unity, decided exactly."""
+    K = M.ring
+    if _det(K, M.rows) != K.one:
         raise ValueError("element_order requires determinant 1")
-    return _sl2_order(M)
+    return _closure_orders(K, False, False)(*M.rows[0], *M.rows[1])
 
 
-def _is_scalar(M: Matrix) -> bool:
-    (a, b), (c, d) = M.rows
-    return not b and not c and a == d
+def _det(K: NumberField, rows):
+    """ad - bc for the rows (a, b), (c, d), as one dot product."""
+    (a, b), (c, d) = rows
+    return K.dot((a, b), (d, -c))
 
 
-def _sl2_order(M: Matrix):
-    """element_order for an M already known to have determinant 1."""
-    K = M.ring
-    if _is_scalar(M):
-        return FiniteOrder(1 if M.rows[0][0] == K.one else 2)
-    t = M.trace()
+def _order_rule(t, delta, k, scalar, projective):
+    """The order of a 2x2 matrix M over a number field from t = tr M,
+    delta = det M and k, the order of delta (1 projectively), with scalar
+    telling whether M is scalar.
+
+    Projectively the order is that of the eigenvalue ratio, a root of
+    X^2 - sX + 1 with s = t^2/delta - 2.  Otherwise det M^k = 1 and s is
+    tr M^k, by t_j = t*t_{j-1} - delta*t_{j-2} from t_0 = 2 and t_1 = t;
+    the order of M is k times that of M^k.  s = +-2 makes M^k, or M
+    projectively, scalar when M is scalar or its eigenvalues differ, that
+    is t^2 != 4*delta, and a noncentral parabolic (infinite) otherwise.
+    Any other s is decided by ``_eigenvalue_power_order``."""
+    K = t.field
     two = K(2)
-    if t == two or t == -two:
-        return InfiniteOrder("parabolic noncentral")
-    d = minimal_polynomial(t).degree()
-    n = _eigenvalue_power_order(t, d)
+    if projective:
+        s = t * t / delta - two
+    else:
+        s, prev, minus_delta = t, two, -delta
+        for _ in range(k - 1):
+            s, prev = K.dot((t, minus_delta), (s, prev)), s
+    if s == two or s == -two:
+        if not scalar and t * t == 4 * delta:
+            return InfiniteOrder("parabolic noncentral")
+        return FiniteOrder(k if s == two else 2 * k)
+    n = _eigenvalue_power_order(s, minimal_polynomial(s).degree())
     if n is None:
-        return InfiniteOrder("eigenvalue not a root of unity")
-    return FiniteOrder(n)
-
-
-def _projective_order(M: Matrix):
-    """Order of the image of M in PGL2 (smallest n with M^n scalar)."""
-    K = M.ring
-    if _is_scalar(M):
-        return FiniteOrder(1)
-    det = M.det()
-    if not det:
-        raise ValueError("projective order of a singular matrix")
-    t = M.trace()
-    s = t * t / det - K(2)
-    if s == K(2):
-        return InfiniteOrder("parabolic noncentral")
-    if s == K(-2):
-        return FiniteOrder(2)
-    d = minimal_polynomial(s).degree()
-    n = _eigenvalue_power_order(s, d)
-    if n is None:
-        return InfiniteOrder("eigenvalue ratio not a root of unity")
-    return FiniteOrder(n)
-
-
-def _gl2_element_order(M: Matrix, det_order: int):
-    """Order in GL2 when det(M) has finite order: ord(M) = det_order * m
-    where m is the SL2-order of M^det_order."""
-    N = M ** det_order
-    res = element_order(N)
-    if isinstance(res, FiniteOrder):
-        return FiniteOrder(det_order * res.n)
-    return res
+        return InfiniteOrder("eigenvalue ratio not a root of unity" if projective
+                             else "eigenvalue not a root of unity")
+    return FiniteOrder(k * n)
 
 
 # ---------------------------------------------------------------------------
@@ -642,28 +629,31 @@ def _closure_key(K: NumberField, gl2: bool, projective: bool):
     return scaled_key
 
 
-def _cached_order(K: NumberField, gl2: bool, projective: bool):
-    """Element orders for one certification closure over K.  A noncentral
-    order depends only on the trace in SL2 and on (t^2, det) in PGL2, so it
-    is cached by that key.  Words in SL2 generators have determinant 1, so
-    that path never recomputes it."""
-    order = _projective_order if projective else _sl2_order
-    orders = {}
+def _closure_orders(K: NumberField, gl2: bool, projective: bool):
+    """order_of(a, b, c, d): the order of the closure element [[a, b], [c,
+    d]] over K by ``_order_rule``, with one cache for the closure.  A
+    noncentral order depends only on (t, delta), and projectively on (t^2,
+    delta), so it is cached by that key; a scalar element is not, since a
+    parabolic shares its key.  In GL2 the order of delta is cached too,
+    under delta itself; it is finite, since certification gets this far
+    only when every generator's determinant is a root of unity.  Words in
+    SL2 generators have determinant 1, so that path never computes it."""
+    cache = {}
 
-    def order_of(M):
+    def order_of(a, b, c, d):
+        t = a + d
+        delta = _det(K, ((a, b), (c, d))) if gl2 else K.one
+        k = 1
         if gl2 and not projective:
-            det = M.det()
-            dord = is_root_of_unity(det) if det != K.one else 1
-            if dord is None:
-                return InfiniteOrder("determinant is not a root of unity")
-            return _gl2_element_order(M, dord)
-        if _is_scalar(M):
-            return order(M)
-        t = M.trace()
-        key = (t * t, M.det() if gl2 else K.one) if projective else t
-        if key not in orders:
-            orders[key] = order(M)
-        return orders[key]
+            if delta not in cache:
+                cache[delta] = is_root_of_unity(delta)
+            k = cache[delta]
+        if not b and not c and a == d:
+            return _order_rule(t, delta, k, True, projective)
+        key = (t * t if projective else t, delta)
+        if key not in cache:
+            cache[key] = _order_rule(t, delta, k, False, projective)
+        return cache[key]
 
     return order_of
 
@@ -702,8 +692,9 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
     breadth-first closure enumerates the image on cleared integer
     coordinates, each step one precomputed integer map (restriction of
     scalars), with the canonical (coords, den) pair as the hash key; every
-    new element's order is tested, with infinite order again giving
-    Obstructed.  Caps turn into Inconclusive, never into a Finite verdict.
+    new element's order is taken from its entries' trace and determinant
+    alone, with infinite order again giving Obstructed.  Caps turn into
+    Inconclusive, never into a Finite verdict.
     A Finite verdict rests solely on the enumerated closure; the
     archimedean pass is recorded as supporting evidence.
 
@@ -720,8 +711,7 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
     if gl2:
         det_orders = {}
         for name in rho.presentation.generator_names():
-            det = rho.gens[name].det()
-            det_orders[name] = is_root_of_unity(det)
+            det_orders[name] = is_root_of_unity(_det(K, rho.gens[name].rows))
         if any(v is None for v in det_orders.values()) and not projective:
             return FinitenessCertificate(
                 Obstructed(
@@ -745,7 +735,7 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                 0, 0, True, False, None)
 
     key_of = _closure_key(K, gl2, projective)
-    order_of = _cached_order(K, gl2, projective)
+    order_of = _closure_orders(K, gl2, projective)
     maps = []
     for name in rho.bfs_generator_names():
         for exp, mat in ((1, rho.gens[name]), (-1, rho._inverse(name))):
@@ -771,8 +761,7 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                 if key in seen:
                     continue
                 nw = w * step_word
-                entries = _cleared_entries(K, prod, pden)
-                res = order_of(Matrix(K, [entries[:2], entries[2:]]))
+                res = order_of(*_cleared_entries(K, prod, pden))
                 if isinstance(res, InfiniteOrder):
                     return FinitenessCertificate(
                         Obstructed(nw.to_str(), res.reason),

@@ -269,15 +269,18 @@ def levelt_doc(min_poly, s, minus_p):
     }
 
 
-@pytest.mark.parametrize("doc, order", [
-    # (a, b, c) = (1/4, -1/12, 1/2) over Q(zeta_12): X^2 - zX + z^2
-    (levelt_doc(["1", "0", "-1", "0", "1"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"]), 12),
-    # (5/24, -1/24, 1/2) over Q(zeta_24): s = e(5/24) + e(-1/24) = z^3 + z^5 - z^7
-    # and p = e(1/6) = z^4
-    (levelt_doc(["1", "0", "0", "0", "-1", "0", "0", "0", "1"],
-                ["0", "0", "0", "1", "0", "1", "0", "-1"],
-                ["0", "0", "0", "0", "-1", "0", "0", "0"]), 24),
-], ids=["tetrahedral", "octahedral"])
+# (a, b, c) = (1/4, -1/12, 1/2) over Q(zeta_12): X^2 - zX + z^2
+LEVELT_TETRAHEDRAL = levelt_doc(["1", "0", "-1", "0", "1"], ["0", "1", "0", "0"],
+                                ["0", "0", "-1", "0"])
+# (5/24, -1/24, 1/2) over Q(zeta_24): s = e(5/24) + e(-1/24) = z^3 + z^5 - z^7
+# and p = e(1/6) = z^4
+LEVELT_OCTAHEDRAL = levelt_doc(["1", "0", "0", "0", "-1", "0", "0", "0", "1"],
+                               ["0", "0", "0", "1", "0", "1", "0", "-1"],
+                               ["0", "0", "0", "0", "-1", "0", "0", "0"])
+
+
+@pytest.mark.parametrize("doc, order", [(LEVELT_TETRAHEDRAL, 12), (LEVELT_OCTAHEDRAL, 24)],
+                         ids=["tetrahedral", "octahedral"])
 def test_certify_projective_gl2_levelt_images(tmp_path, capsys, doc, order):
     """The tetrahedral and octahedral Gauss monodromies close to A4 and S4 in
     PGL2, every scalar over the field identified."""
@@ -286,6 +289,32 @@ def test_certify_projective_gl2_levelt_images(tmp_path, capsys, doc, order):
     assert code == 0
     assert report["results"]["verdict"] == {"kind": "finite", "order": order}
     assert report["results"]["target"] == "GL2"
+
+
+@pytest.mark.parametrize("doc, order", [(LEVELT_TETRAHEDRAL, 48), (LEVELT_OCTAHEDRAL, 144)],
+                         ids=["tetrahedral", "octahedral"])
+def test_certify_gl2_levelt_images(tmp_path, capsys, doc, order):
+    """Without --projective the same monodromies close in GL2 itself."""
+    spec = write_spec(tmp_path, "rep.json", doc)
+    code, report = run(capsys, rep_main, ["certify", spec])
+    assert code == 0
+    assert report["results"]["verdict"] == {"kind": "finite", "order": order}
+    assert report["results"]["element_count"] == order
+    assert report["results"]["target"] == "GL2"
+
+
+def test_certify_gl2_levelt_obstructed_exit_2(tmp_path, capsys):
+    """(a, b, c) = (1/5, 2/5, 1/2) over Q(zeta_10), where z^5 = -1: s = z^2 + z^4
+    = z^3 + z - 1 and p = z^6 = -z.  The monodromy is infinite, and c1^2 c2
+    has an eigenvalue that is no root of unity."""
+    doc = levelt_doc(["1", "-1", "1", "-1", "1"], ["-1", "1", "0", "1"], ["0", "1", "0", "0"])
+    spec = write_spec(tmp_path, "rep.json", doc)
+    code, report = run(capsys, rep_main, ["certify", spec])
+    assert code == 2
+    verdict = report["results"]["verdict"]
+    assert verdict["kind"] == "obstructed"
+    assert verdict["reason"] == "eigenvalue not a root of unity"
+    assert verdict["witness"] == "c1*c1*c2"
 
 
 def test_certify_obstructed_exit_2(tmp_path, capsys):

@@ -26,6 +26,7 @@ from pcurvkit import (
     poly_xgcd,
 )
 from pcurvkit import numberfield
+from pcurvkit.linalg import _solve_integer
 from pcurvkit.numberfield import (
     CompositumError,
     NumberFieldElement,
@@ -477,6 +478,35 @@ def test_inverse_matches_xgcd_oracle(name):
         assert_canonical(inv)
         assert inv.coords == xgcd_inverse(e)
         assert e * inv == K.one
+
+
+def element_route_inverse(e):
+    """1/e from the system NumberFieldElement.inverse solves, read back
+    through NumberField.element, one Fraction per coordinate: the route the
+    inverse took before it kept the solution's numerators over one lcm."""
+    K = e.field
+    d, D = K.degree, K._int_den
+    cols = [list(e.num)]
+    for _ in range(d - 1):
+        prev = cols[-1]
+        cols.append([D * s + prev[-1] * t for s, t in zip([0] + prev[:-1], K._int_table[0])])
+    rows = [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))]
+    w = _solve_integer(rows, d)
+    return K.element([e.den * D ** j * wj for j, (wj,) in enumerate(w)])
+
+
+@pytest.mark.parametrize("name", list(CLEARED_FIELDS))
+def test_inverse_equals_the_element_route(name):
+    K = NumberField(P(*CLEARED_FIELDS[name]), "w")
+    rng = random.Random(f"inverse route {name}")
+    for _ in range(199):
+        e = random_element(K, rng)
+        if not e:
+            continue
+        inv = e.inverse()
+        want = element_route_inverse(e)
+        assert_canonical(inv)
+        assert (inv.num, inv.den) == (want.num, want.den)
 
 
 def test_inverse_of_a_zero_divisor_raises():

@@ -12,6 +12,9 @@ from conftest import assert_record
 from pcurvkit import intervals, numberfield, surface
 from pcurvkit import (
     QQ,
+    ConnectionMatrix,
+    Derivation,
+    FunctionField,
     Matrix,
     NumberField,
     Polynomial,
@@ -26,8 +29,10 @@ from pcurvkit import (
     fricke_polynomial,
     nonarch_check,
     reduce_word,
+    scan_primes,
     simple_loop_products,
 )
+from pcurvkit.fields import primes_in
 from pcurvkit.surface import (
     Finite,
     FinitenessCertificate,
@@ -37,8 +42,6 @@ from pcurvkit.surface import (
     Obstructed,
     TracePolynomial,
     _check_klein,
-    _is_scalar,
-    _projective_order,
 )
 
 
@@ -583,53 +586,6 @@ def closure_reps():
     return reps
 
 
-def certify_recording_orders(monkeypatch, rho, projective):
-    """certify_finiteness, plus every (M, order) its closure took from the
-    order cache and the number of uncached order computations behind them."""
-    drawn, computed = [], []
-    for name in ("_sl2_order", "_projective_order"):
-        real = getattr(surface, name)
-        monkeypatch.setattr(surface, name,
-                            lambda M, _real=real: computed.append(M) or _real(M))
-    real_cached = surface._cached_order
-
-    def cached(*args):
-        order_of = real_cached(*args)
-
-        def spy(M):
-            res = order_of(M)
-            drawn.append((M, res))
-            return res
-        return spy
-
-    monkeypatch.setattr(surface, "_cached_order", cached)
-    cert = certify_finiteness(rho, projective=projective)
-    monkeypatch.undo()
-    return cert, drawn, len(computed)
-
-
-@pytest.mark.parametrize("projective", [False, True], ids=["SL2", "PSL2"])
-@pytest.mark.parametrize("name", list(closure_reps()))
-def test_cached_orders_equal_uncached(monkeypatch, name, projective):
-    rho = closure_reps()[name]
-    cert, drawn, computed = certify_recording_orders(monkeypatch, rho, projective)
-    keys = set()
-    for M, res in drawn:
-        assert_record(res, _projective_order(M) if projective else element_order(M))
-        t = M.trace()
-        keys.add(id(M) if _is_scalar(M) else (t * t if projective else t))
-    # one computation per central element and per noncentral trace key
-    assert computed == len(keys)
-    if isinstance(cert.verdict, Finite):
-        assert cert.element_count == len(drawn) + 1
-        assert cert.max_order_seen == max(res.n for _, res in drawn)
-    if name == "central-first":
-        assert_record(cert.verdict, Obstructed("b1", "parabolic noncentral"))
-    if name.startswith("icosahedral"):
-        assert_record(cert.verdict, Finite(60) if projective else Finite(120))
-        assert computed < len(drawn) // 4
-
-
 # -- reduction mod p: an oracle for Finite(n) -----------------------------------------
 
 
@@ -720,7 +676,7 @@ def test_klein_check_rejects_wrong_pair(n, max_order, projective):
 
 def test_certify_raises_on_closure_that_fits_no_finite_subgroup(monkeypatch):
     """A wrong element order is an internal bug: no Finite verdict comes out."""
-    monkeypatch.setattr(surface, "_sl2_order", lambda M: FiniteOrder(3))
+    monkeypatch.setattr(surface, "_order_rule", lambda *args: FiniteOrder(3))
     with pytest.raises(AssertionError, match="order 8 with largest element order 3"):
         certify_finiteness(quaternion_rep())
 
@@ -839,6 +795,201 @@ def test_certify_levelt_gl2_images(name, projective):
         _check_klein(n, cert.max_order_seen, True)
 
 
+# (a, b, c) with infinite monodromy and the verdict on the GL2 image: (1/5,
+# 2/5, 1/2) closes on an element whose eigenvalue is no root of unity, and
+# with a = b the companion c1 of (X - e(a))^2 is a noncentral parabolic
+LEVELT_INFINITE = {
+    "(1/5, 2/5, 1/2)": (("1/5", "2/5", "1/2"),
+                        Obstructed("c1*c1*c2", "eigenvalue not a root of unity")),
+    "(1/3, 1/3, 1/2)": (("1/3", "1/3", "1/2"), Obstructed("c1", "parabolic noncentral")),
+    "(1/4, 1/4, 1/2)": (("1/4", "1/4", "1/2"), Obstructed("c1", "parabolic noncentral")),
+}
+
+
+def levelt_triple(name):
+    return (LEVELT.get(name) or LEVELT_INFINITE[name])[0]
+
+
+# -- the order rule against the Matrix-based oracle -------------------------------
+
+
+def is_scalar(M):
+    (a, b), (c, d) = M.rows
+    return not b and not c and a == d
+
+
+def sl2_order(M):
+    """The order of a determinant-1 matrix on Matrix arithmetic, from its
+    trace: the route the closure took before its one rule over (t, det)."""
+    K = M.ring
+    if M.det() != K.one:
+        raise ValueError("sl2_order requires determinant 1")
+    if is_scalar(M):
+        return FiniteOrder(1 if M.rows[0][0] == K.one else 2)
+    t = M.trace()
+    if t == K(2) or t == K(-2):
+        return InfiniteOrder("parabolic noncentral")
+    n = surface._eigenvalue_power_order(t, numberfield.minimal_polynomial(t).degree())
+    if n is None:
+        return InfiniteOrder("eigenvalue not a root of unity")
+    return FiniteOrder(n)
+
+
+def projective_order(M):
+    """The order of the image of M in PGL2 (smallest n with M^n scalar)."""
+    K = M.ring
+    if is_scalar(M):
+        return FiniteOrder(1)
+    det = M.det()
+    t = M.trace()
+    s = t * t / det - K(2)
+    if s == K(2):
+        return InfiniteOrder("parabolic noncentral")
+    if s == K(-2):
+        return FiniteOrder(2)
+    n = surface._eigenvalue_power_order(s, numberfield.minimal_polynomial(s).degree())
+    if n is None:
+        return InfiniteOrder("eigenvalue ratio not a root of unity")
+    return FiniteOrder(n)
+
+
+def gl2_element_order(M, det_order):
+    """The order in GL2 when det(M) has order det_order: det_order times the
+    SL2 order of the matrix power M^det_order."""
+    res = sl2_order(M ** det_order)
+    if isinstance(res, FiniteOrder):
+        return FiniteOrder(det_order * res.n)
+    return res
+
+
+def oracle_order(M, gl2, projective):
+    """The order of a closure element M by the Matrix routes above."""
+    if projective:
+        return projective_order(M)
+    if not gl2:
+        return sl2_order(M)
+    det_order = numberfield.is_root_of_unity(M.det())
+    if det_order is None:
+        return InfiniteOrder("determinant is not a root of unity")
+    return gl2_element_order(M, det_order)
+
+
+def certify_recording_orders(monkeypatch, rho, projective):
+    """certify_finiteness, plus every (M, order) its closure took from the
+    order cache, the number of order computations (``_order_rule`` calls)
+    behind them, and the number of determinant orders the closure computed."""
+    drawn, computed, roots = [], [], []
+    real_rule, real_orders = surface._order_rule, surface._closure_orders
+    real_root = surface.is_root_of_unity
+
+    def closure_orders(K, gl2, projective):
+        order_of = real_orders(K, gl2, projective)
+
+        def spy(a, b, c, d):
+            res = order_of(a, b, c, d)
+            drawn.append((Matrix(K, [[a, b], [c, d]]), res))
+            return res
+        return spy
+
+    monkeypatch.setattr(surface, "_order_rule",
+                        lambda *args: computed.append(args) or real_rule(*args))
+    monkeypatch.setattr(surface, "is_root_of_unity", lambda e: roots.append(e) or real_root(e))
+    monkeypatch.setattr(surface, "_closure_orders", closure_orders)
+    cert = certify_finiteness(rho, projective=projective)
+    monkeypatch.undo()
+    # the generators' determinant orders are taken before the closure
+    return cert, drawn, len(computed), len(roots) - len(cert.det_orders or {})
+
+
+ORDER_CASES = [(name, target) for name in closure_reps() for target in ("SL2", "PSL2")] + [
+    (name, target) for name in [*LEVELT, *LEVELT_INFINITE] for target in ("GL2", "PGL2")]
+
+
+@pytest.mark.parametrize("name, target", ORDER_CASES,
+                         ids=[f"{name}-{target}" for name, target in ORDER_CASES])
+def test_cached_orders_equal_uncached(monkeypatch, name, target):
+    """Every order the closure takes, with its reason, is the Matrix-based
+    oracle's, and each distinct cache key is computed exactly once: one
+    rule per scalar element and per noncentral (t, det) key, (t^2, det)
+    projectively, and in GL2 one determinant order per distinct det."""
+    gl2, projective = target.endswith("GL2"), target.startswith("P")
+    rho = levelt_rep(*levelt_triple(name)) if gl2 else closure_reps()[name]
+    cert, drawn, computed, roots = certify_recording_orders(monkeypatch, rho, projective)
+    keys, dets = set(), set()
+    for M, res in drawn:
+        assert_record(res, oracle_order(M, gl2, projective))
+        t, det = M.trace(), M.det()
+        dets.add(det)
+        keys.add(id(M) if is_scalar(M) else (t * t if projective else t, det))
+    assert computed == len(keys)
+    assert roots == (len(dets) if gl2 and not projective else 0)
+    if isinstance(cert.verdict, Finite):
+        assert cert.element_count == len(drawn) + 1
+        assert cert.max_order_seen == max(res.n for _, res in drawn)
+    if name == "central-first":
+        assert_record(cert.verdict, Obstructed("b1", "parabolic noncentral"))
+    if name.startswith("icosahedral"):
+        assert_record(cert.verdict, Finite(60) if projective else Finite(120))
+        assert computed < len(drawn) // 4
+    if name in LEVELT:
+        assert_record(cert.verdict, Finite(LEVELT[name][2 if projective else 1]))
+    if name in LEVELT_INFINITE and not projective:
+        assert_record(cert.verdict, LEVELT_INFINITE[name][1])
+
+
+def test_order_rule_matches_matrix_powers():
+    """The GL2 rule against M^n itself: for companions of (X - u)(X - v)
+    with u, v roots of unity in Q(zeta_12), distinct or equal, and for
+    scalars, a finite order n has M^n = I and M^m != I for 0 < m < n."""
+    K = NumberField(cyclotomic(12), "z")
+    z = K.gen
+    order_of = surface._closure_orders(K, True, False)
+    I = Matrix.identity(K, 2)
+    for i in range(12):
+        for j in range(12):
+            u, v = z ** i, z ** j
+            for M in (Matrix(K, [[K.zero, -(u * v)], [K.one, u + v]]), I.scale(u)):
+                res = order_of(*M.rows[0], *M.rows[1])
+                assert_record(res, oracle_order(M, True, False))
+                if isinstance(res, InfiniteOrder):
+                    assert i == j and not is_scalar(M)
+                    continue
+                power, m = M, 1
+                while power != I and m < res.n:
+                    power, m = power * M, m + 1
+                assert power == I and m == res.n, (i, j)
+
+
+# -- Grothendieck-Katz on the Gauss family -----------------------------------------
+
+
+def gauss_connection(a, b, c):
+    """The Gauss connection [[0, -1], [ab/(x^2 - x), (-c + (a+b+1)x)/(x^2 - x)]]
+    over QQ(x) with d/dx; its horizontal sections solve 2F1(a, b; c)."""
+    a, b, c = (Fraction(t) for t in (a, b, c))
+    F = FunctionField(QQ, "x")
+    x = F.gen()
+    den = x * x - x
+    return ConnectionMatrix(Matrix(F, [
+        [F.zero, -F.one],
+        [F(a * b) / den, (F(-c) + F(a + b + 1) * x) / den],
+    ]), Derivation.d_dx(F))
+
+
+@pytest.mark.parametrize("name", [*LEVELT, *LEVELT_INFINITE])
+def test_gauss_p_curvature_vanishes_exactly_when_monodromy_is_finite(name):
+    """Katz's theorem on the Gauss family (Invent. Math. 1972): psi_p = 0 at
+    almost every p exactly when the monodromy is finite.  Two independent
+    routes: pcurv scan's psi_p over GF(p)(x) for the good primes of 7..100,
+    and rep certify's closure of Levelt's GL2 generators over Q(zeta_N)."""
+    triple = levelt_triple(name)
+    good = [r for r in scan_primes(gauss_connection(*triple), 7, 100) if r.good_prime]
+    assert len(good) == len(primes_in(7, 100)) == 22
+    finite = isinstance(certify_finiteness(levelt_rep(*triple)).verdict, Finite)
+    assert finite == (name in LEVELT)
+    assert all(r.vanishes for r in good) == finite
+
+
 # -- the closure on cleared coordinates against the Matrix closure ------------------
 
 
@@ -875,7 +1026,10 @@ def matrix_closure_certify(rho, max_elements=10000, max_order=10000, projective=
         return tuple((e.num, e.den) for row in M.rows for e in row)
 
     key_of = (lambda M: min(key(M), key(-M))) if projective else key
-    order_of = surface._cached_order(K, gl2, projective)
+
+    def order_of(M):
+        return oracle_order(M, gl2, projective)
+
     steps = [(Word.gen(name, exp), rho.gens[name] if exp == 1 else rho.gens[name].inverse())
              for name in rho.bfs_generator_names() for exp in (1, -1)]
     ident = Matrix.identity(K, 2)
@@ -932,14 +1086,15 @@ def test_closure_matches_matrix_closure(name, projective, caps):
     assert cert == want
 
 
-def test_closure_multiplies_no_matrices(monkeypatch):
-    """After the trace checks, certify_finiteness runs no Matrix product on
-    the icosahedral pair: each step of the closure is an integer map on
-    cleared coordinates, and one Matrix is built per new element, for its
-    order."""
-    counts = {"products": 0, "matrices": 0}
-    closing = []
+def closure_counts(monkeypatch, rho):
+    """certify_finiteness on rho, with the number of Matrix products and of
+    Matrix objects built after the trace checks, and of Matrix.det calls in
+    the whole run.  A GL2 target has no trace checks, so there the first two
+    counts cover the whole run too."""
+    counts = {"products": 0, "matrices": 0, "dets": 0}
+    closing = [True] if rho.target == "GL2" else []
     real_arch, real_mul, real_init = surface.arch_check, Matrix.__mul__, Matrix.__init__
+    real_det = Matrix.det
 
     def arch_then_count(*args):
         report = real_arch(*args)
@@ -954,12 +1109,34 @@ def test_closure_multiplies_no_matrices(monkeypatch):
         counts["matrices"] += bool(closing)
         real_init(self, ring, rows)
 
-    rho = closure_reps()["icosahedral"]
+    def det_spy(self):
+        counts["dets"] += 1
+        return real_det(self)
+
     monkeypatch.setattr(surface, "arch_check", arch_then_count)
     monkeypatch.setattr(Matrix, "__mul__", mul_spy)
     monkeypatch.setattr(Matrix, "__init__", init_spy)
+    monkeypatch.setattr(Matrix, "det", det_spy)
     cert = certify_finiteness(rho)
     monkeypatch.undo()
     assert closing
+    return cert, counts
+
+
+def test_closure_multiplies_no_matrices(monkeypatch):
+    """After the trace checks, certify_finiteness runs no Matrix product and
+    builds no Matrix on the icosahedral pair, and it runs no Matrix.det:
+    each step of the closure is an integer map on cleared coordinates, and
+    a new element's order comes from its entries."""
+    cert, counts = closure_counts(monkeypatch, closure_reps()["icosahedral"])
     assert_record(cert.verdict, Finite(120))
-    assert counts == {"products": 0, "matrices": cert.element_count - 1}
+    assert counts == {"products": 0, "matrices": 0, "dets": 0}
+
+
+def test_gl2_closure_builds_no_matrices(monkeypatch):
+    """The same on the octahedral Levelt image in GL2, over the whole run:
+    the generators' determinants are ad - bc, and an element's order is
+    taken from its trace and determinant."""
+    cert, counts = closure_counts(monkeypatch, levelt_rep(*LEVELT["octahedral"][0]))
+    assert_record(cert.verdict, Finite(144))
+    assert counts == {"products": 0, "matrices": 0, "dets": 0}
