@@ -273,7 +273,8 @@ _PCURV = _parser("pcurv", "p-curvature computations for connections on affine "
         ("--primes", dict(type=_primes_range, default=(2, 50), metavar="A..B",
                           help="inclusive prime range (default 2..50)")),
         ("--jobs", dict(type=_at_least(1), default=1, metavar="N",
-                        help="parallel workers for the per-prime computations")),
+                        help="parallel workers for the per-prime computations, at "
+                             "most one per prime and per CPU")),
     )),
     "analyze": _Command("Newton polygon and nonvanishing prediction for a "
                         "companion connection over GF(p)(q)(x)", "companion",

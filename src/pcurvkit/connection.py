@@ -50,6 +50,7 @@ ordinary points.
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 from .fields import GF, PrimeField, ReductionError, primes_in
@@ -493,15 +494,17 @@ def scan_primes(A: ConnectionMatrix, p_min: int, p_max: int,
                 jobs: int = 1) -> list[PCurvatureReport]:
     """One report per prime of [p_min, p_max], each decided as _scan_prime
     decides it.  A nonvanishing prime decided at a point carries no psi
-    (see PCurvatureReport)."""
+    (see PCurvatureReport).  jobs > 1 forks at most one worker per prime
+    and per CPU, whatever jobs asks for."""
     if p_min > p_max:
         raise ValueError("empty prime range")
     primes = primes_in(p_min, p_max)
     if jobs > 1 and len(primes) > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
+        workers = min(jobs, len(primes), os.cpu_count() or 1)
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_scan_prime, [A] * len(primes), primes))
         except (OSError, BrokenProcessPool):
             # the pool could not start or lost a worker process: compute in

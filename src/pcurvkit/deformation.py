@@ -155,9 +155,9 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
 class TruncatedFamily:
     """Connection family sum_k layers[k] * q^k, truncated at order m."""
 
-    __slots__ = ("derivation", "qvar", "layers")
+    __slots__ = ("derivation", "layers")
 
-    def __init__(self, derivation: Derivation, layers, qvar: str = "q"):
+    def __init__(self, derivation: Derivation, layers):
         layers = list(layers)
         if not layers:
             raise ValueError("family needs at least the constant layer")
@@ -166,7 +166,6 @@ class TruncatedFamily:
             if L.shape() != shape or L.ring != derivation.field:
                 raise ValueError("inconsistent family layers")
         self.derivation = derivation
-        self.qvar = qvar
         self.layers = tuple(layers)
 
     @property
@@ -222,7 +221,7 @@ def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
     Yp = Y.map_entries(lambda e: e.num, N[0].ring)
     Z = _gauged_layers(N, Yp, k, Yp.map_entries(lambda e: e.derivative()).scale(hu))
     new_layers = [X.map_entries(lambda z: RationalFunction(field, z, h), field) for X in Z]
-    return TruncatedFamily(F.derivation, new_layers, F.qvar)
+    return TruncatedFamily(F.derivation, new_layers)
 
 
 class NormalizationResult(NamedTuple):

@@ -58,6 +58,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _power(x, e: int, one, mul):
+    """x**e for an integer e >= 0 by square-and-multiply: the one power
+    loop of the package, over any product mul with identity one.  The last
+    square, which nothing would read, is skipped."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc
+
+
 def primes_in(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi."""
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]

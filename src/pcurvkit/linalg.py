@@ -44,7 +44,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import add, mul, sub
 
-from .fields import _COERCED, RationalField
+from .fields import _COERCED, _power, RationalField
 
 
 def _minus_multiple(ring, f, row, pivot):
@@ -334,16 +334,8 @@ class Matrix:
     def __pow__(self, n: int):
         if not self.is_square():
             raise ValueError("power of a nonsquare matrix")
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = Matrix.identity(self.ring, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        return _power(self.inverse() if n < 0 else self, abs(n),
+                      Matrix.identity(self.ring, self.nrows), mul)
 
     def trace(self):
         if not self.is_square():

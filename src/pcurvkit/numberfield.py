@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
-from .fields import QQ
+from .fields import QQ, _power
 from .poly import Polynomial, is_irreducible_q, IrreducibilityUndecided
 from .linalg import Matrix, _first_dependency, _solve_integer
 
@@ -339,16 +340,7 @@ class NumberFieldElement:
         return o * self.inverse()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
+        return _power(self.inverse() if n < 0 else self, abs(n), self.field.one, mul)
 
     def __bool__(self):
         return any(self.num)
@@ -470,10 +462,7 @@ def compositum(F1: NumberField, F2: NumberField, k_range: int = 10):
 
         def make_embed(gen_img, _K=K):
             def embed(e):
-                acc = _K.zero
-                for c in reversed(e.coords):
-                    acc = acc * gen_img + _K(c)
-                return acc
+                return _K(Polynomial(QQ, e.coords)(gen_img))
             return embed
 
         return K, make_embed(g1), make_embed(g2)

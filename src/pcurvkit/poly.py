@@ -8,10 +8,11 @@ stores its elements (Cohen, GTM 138, 4.2), so sums and products are
 integer convolutions with one gcd.  Every method computes on those ints;
 ``coeff``, ``leading`` and evaluation hand back field elements, so scalar
 code sees GF(p) elements and Fractions either way.  The module also carries
-the irreducibility test over the rationals: rational root test, Ben-Or
-certificates mod several small primes, and a bounded Zassenhaus search
-(distinct- and equal-degree factoring mod p, Hensel lifting, subset
-recombination) for degrees up to 8.  The mod-p work runs on ``Polynomial``
+the irreducibility test over the rationals: rational root test, then a
+bounded Zassenhaus search (a Ben-Or certificate mod p, distinct- and
+equal-degree factoring mod p, Hensel lifting, subset recombination) for
+degrees up to 8, and Ben-Or certificates mod several small primes above
+that.  The mod-p work runs on ``Polynomial``
 over ``GF(p)``; the lifts mod p^k are int lists multiplied by the same
 ``int_poly_mul``.
 """
@@ -24,8 +25,9 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
-from .fields import _COERCED, GF, QQ, GFElement, PrimeField, RationalField, is_prime
+from .fields import _COERCED, _power, GF, QQ, GFElement, PrimeField, RationalField, is_prime
 
 
 class Polynomial:
@@ -211,18 +213,9 @@ class Polynomial:
         """self**e, or with a modulus self**e % mod (``pow(f, e, m)``)."""
         if e < 0:
             raise ValueError("negative polynomial power")
-
-        def reduce(f):
-            return f if mod is None else f % mod
-
-        result, base = reduce(Polynomial.one(self.field)), reduce(self)
-        while e:
-            if e & 1:
-                result = reduce(result * base)
-            e >>= 1
-            if e:
-                base = reduce(base * base)
-        return result
+        if mod is None:
+            return _power(self, e, Polynomial.one(self.field), mul)
+        return _power(self % mod, e, Polynomial.one(self.field) % mod, lambda a, b: a * b % mod)
 
     def __divmod__(self, other):
         o = self._wrap(other)
@@ -427,8 +420,6 @@ def _divmod_mod_p(field: PrimeField, rem: list, b: tuple):
 def _coeff_str(c) -> str:
     """c as a factor of a term: in brackets when it prints as a sum, so a
     coefficient q + 1 over k(q) gives (q + 1)*x and not q + 1*x."""
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
     s = str(c)
     depth = 0
     for k, ch in enumerate(s):
@@ -716,10 +707,10 @@ def _int_primitive(f: Polynomial) -> list[int]:
 def is_irreducible_q(f: Polynomial) -> bool:
     """Exact irreducibility over the rationals.
 
-    Strategy: rational root test (complete through degree 3), then modular
-    irreducibility certificates at several small primes, then the bounded
-    Zassenhaus search through degree 8.  Degrees above 8 without a modular
-    certificate raise IrreducibilityUndecided rather than guess.
+    Strategy: rational root test (complete through degree 3), then through
+    degree 8 the bounded Zassenhaus search, whose first step is a modular
+    certificate.  Above degree 8 only certificates at several small primes
+    decide; without one the test raises IrreducibilityUndecided.
     """
     if f.field != QQ:
         raise ValueError("irreducibility test expects rational coefficients")
@@ -735,14 +726,12 @@ def is_irreducible_q(f: Polynomial) -> bool:
     if poly_gcd(f, f.derivative()).degree() > 0:
         return False
     zf = _int_primitive(f)
+    if d <= 8:
+        return _zassenhaus_irreducible(zf)
     for fp in itertools.islice(_good_reductions(zf, 200), 10):
         if _is_irreducible_mod_p(fp):
             return True
-    if d > 8:
-        raise IrreducibilityUndecided(
-            f"degree {d} exceeds the bounded factorization fallback"
-        )
-    return _zassenhaus_irreducible(zf)
+    raise IrreducibilityUndecided(f"degree {d} exceeds the bounded factorization fallback")
 
 
 # -- factoring over GF(p) ---------------------------------------------------
@@ -877,9 +866,9 @@ def _zassenhaus_irreducible(zf: list[int]) -> bool:
     fp = next(_good_reductions(zf, 10000), None)
     if fp is None:  # disc has finitely many prime factors; unreachable
         raise IrreducibilityUndecided("no usable prime found")
-    factors = _factor_mod_p(fp, random.Random(0x5EED))
-    if len(factors) == 1:
+    if _is_irreducible_mod_p(fp):
         return True
+    factors = _factor_mod_p(fp, random.Random(0x5EED))
     p = fp.field.characteristic()
     norm2 = math.isqrt(sum(c * c for c in zf)) + 1
     bound = 2 * (2 ** d) * norm2 * abs(lc)

@@ -283,7 +283,6 @@ def family_from_spec(doc: dict):
     var = doc.get("variable", "x")
     field = FunctionField(base, var)
     D = parse_derivation(doc.get("derivation"), field)
-    qvar = doc.get("qvar", "q")
     layers_doc = doc.get("layers")
     if not isinstance(layers_doc, list) or not layers_doc:
         raise SpecError('family spec needs a nonempty "layers" list')
@@ -291,7 +290,7 @@ def family_from_spec(doc: dict):
     if layers[0].nrows != layers[0].ncols:
         raise SpecError("family layers must be square matrices")
     try:
-        fam = TruncatedFamily(D, layers, qvar)
+        fam = TruncatedFamily(D, layers)
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
     ansatz = doc.get("ansatz_degree")

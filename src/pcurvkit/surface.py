@@ -54,12 +54,6 @@ class Word:
         self.letters = _free_reduce(tuple(letters))
 
     @classmethod
-    def gen(cls, name: str, exp: int = 1):
-        if exp not in (1, -1):
-            raise ValueError("letter exponent must be +1 or -1")
-        return cls(((name, exp),))
-
-    @classmethod
     def parse(cls, text: str) -> "Word":
         """Parse 'a*b^-1*a' (also accepts whitespace separation and ^k).
         The bare token '1' is the identity, matching to_str()."""
@@ -121,9 +115,7 @@ def _free_reduce(letters):
 
 
 def reduce_word(w) -> Word:
-    if isinstance(w, Word):
-        return Word(w.letters)
-    return Word(tuple(w))
+    return Word(w.letters if isinstance(w, Word) else w)
 
 
 def _cyclic_reduce(letters):
@@ -178,13 +170,7 @@ class SurfacePresentation:
         """c_n expressed in the other generators via the relation."""
         if self.punctures == 0:
             raise ValueError("closed surface has no puncture loops")
-        letters = []
-        for i in range(1, self.genus + 1):
-            a, b = f"a{i}", f"b{i}"
-            letters.extend([(a, 1), (b, -1), (a, -1), (b, 1)])
-        for j in range(1, self.punctures):
-            letters.append((f"c{j}", 1))
-        return Word(letters).inverse()
+        return Word(self.relation_word().letters[:-1]).inverse()
 
     def __repr__(self):
         return f"Surface(genus={self.genus}, punctures={self.punctures})"
@@ -466,21 +452,28 @@ class InfiniteOrder(NamedTuple):
     reason: str
 
 
-def _eigenvalue_power_order(t: NumberFieldElement, bound_degree: int):
-    """Order of a root of X^2 - t*X + 1 when it is a root of unity.
-
-    Works in K[lam]/(lam^2 - t*lam + 1): lam^k = alpha + beta*lam, and
-    lam^k = 1 exactly when (alpha, beta) = (1, 0) (equivalently both
-    eigenvalues are k-th roots of unity, since they are inverse to each
-    other).  Returns the smallest such k, or None.
-    """
+def _power_traces(t, delta):
+    """tr M, tr M^2, ... for a 2x2 matrix M over a number field with
+    t = tr M and delta = det M, by t_j = t*t_{j-1} - delta*t_{j-2} from
+    t_0 = 2 and t_1 = t (Cayley-Hamilton)."""
     K = t.field
-    candidates = root_of_unity_candidates(2 * bound_degree)
-    n_max = candidates[-1]
-    alpha, beta = K.one, K.zero
-    for k in range(1, n_max + 1):
-        alpha, beta = -beta, alpha + t * beta
-        if alpha == K.one and not beta:
+    s, prev, minus_delta = t, K(2), -delta
+    while True:
+        yield s
+        s, prev = K.dot((t, minus_delta), (s, prev)), s
+
+
+def _eigenvalue_power_order(t: NumberFieldElement, bound_degree: int):
+    """Order of a root lam of X^2 - t*X + 1 when it is a root of unity.
+
+    lam^k + lam^-k = tr M^k for M of trace t and determinant 1 is 2 exactly
+    when lam^k = 1, as it is 2 + (lam^k - 1)^2 / lam^k.  Returns the
+    smallest such k, or None past the orders of degree 2 * bound_degree.
+    """
+    two = t.field(2)
+    n_max = root_of_unity_candidates(2 * bound_degree)[-1]
+    for k, s in zip(range(1, n_max + 1), _power_traces(t, t.field.one)):
+        if s == two:
             return k
     return None
 
@@ -510,19 +503,16 @@ def _order_rule(t, delta, k, scalar, projective):
 
     Projectively the order is that of the eigenvalue ratio, a root of
     X^2 - sX + 1 with s = t^2/delta - 2.  Otherwise det M^k = 1 and s is
-    tr M^k, by t_j = t*t_{j-1} - delta*t_{j-2} from t_0 = 2 and t_1 = t;
-    the order of M is k times that of M^k.  s = +-2 makes M^k, or M
-    projectively, scalar when M is scalar or its eigenvalues differ, that
-    is t^2 != 4*delta, and a noncentral parabolic (infinite) otherwise.
-    Any other s is decided by ``_eigenvalue_power_order``."""
-    K = t.field
-    two = K(2)
+    tr M^k (``_power_traces``); the order of M is k times that of M^k.
+    s = +-2 makes M^k, or M projectively, scalar when M is scalar or its
+    eigenvalues differ, that is t^2 != 4*delta, and a noncentral parabolic
+    (infinite) otherwise.  Any other s is decided by
+    ``_eigenvalue_power_order``."""
+    two = t.field(2)
     if projective:
         s = t * t / delta - two
     else:
-        s, prev, minus_delta = t, two, -delta
-        for _ in range(k - 1):
-            s, prev = K.dot((t, minus_delta), (s, prev)), s
+        s = next(itertools.islice(_power_traces(t, delta), k - 1, None))
     if s == two or s == -two:
         if not scalar and t * t == 4 * delta:
             return InfiniteOrder("parabolic noncentral")
@@ -739,19 +729,20 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
     maps = []
     for name in rho.bfs_generator_names():
         for exp, mat in ((1, rho.gens[name]), (-1, rho._inverse(name))):
-            maps.append((Word.gen(name, exp), *K.right_product_map(mat.rows)))
+            maps.append(((name, exp), *K.right_product_map(mat.rows)))
 
-    # an element is (coords, den), and row i of it is coords[2di:2d(i+1)]
+    # an element is (coords, den), row i of it coords[2di:2d(i+1)], and its
+    # breadth-first letters are reduced: a step back lands on a seen element
     half = 2 * K.degree
     ident = tuple(int(t in (0, 3 * K.degree)) for t in range(2 * half))
-    seen = {key_of(ident, 1): Word()}
-    frontier = [(ident, 1, Word())]
+    seen = {key_of(ident, 1)}
+    frontier = [(ident, 1, ())]
     max_order_seen = 1
     while frontier:
         new_frontier = []
-        for coords, den, w in frontier:
+        for coords, den, letters in frontier:
             rows = coords[:half], coords[half:]
-            for step_word, R, E in maps:
+            for letter, R, E in maps:
                 prod = [sum(map(mul, r, row)) for row in rows for r in R]
                 pden = den * E
                 g = gcd(pden, *prod)
@@ -760,11 +751,11 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                 key = key_of(prod, pden)
                 if key in seen:
                     continue
-                nw = w * step_word
+                word = letters + (letter,)
                 res = order_of(*_cleared_entries(K, prod, pden))
                 if isinstance(res, InfiniteOrder):
                     return FinitenessCertificate(
-                        Obstructed(nw.to_str(), res.reason),
+                        Obstructed(Word(word).to_str(), res.reason),
                         len(seen), max_order_seen,
                         nonarch_passed, arch_passed, det_orders)
                 if res.n > max_order:
@@ -773,13 +764,13 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
                         len(seen), max_order_seen,
                         nonarch_passed, arch_passed, det_orders)
                 max_order_seen = max(max_order_seen, res.n)
-                seen[key] = nw
+                seen.add(key)
                 if len(seen) > max_elements:
                     return FinitenessCertificate(
                         Inconclusive(f"element count exceeds cap {max_elements}"),
                         len(seen), max_order_seen,
                         nonarch_passed, arch_passed, det_orders)
-                new_frontier.append((prod, pden, nw))
+                new_frontier.append((prod, pden, word))
         frontier = new_frontier
     if not gl2 or projective:
         _check_klein(len(seen), max_order_seen, projective)

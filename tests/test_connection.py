@@ -662,6 +662,24 @@ def test_scan_primes_falls_back_when_no_pool_starts(monkeypatch):
     assert all(r.vanishes for r in reports)
 
 
+def test_scan_primes_bounds_the_pool(monkeypatch):
+    """The pool asks for at most one worker per prime and per CPU, since it
+    may fork every worker at its first task; no process starts here."""
+    asked = []
+
+    class NoPool:
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            raise OSError("no worker processes in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    K = qq_line()
+    A = ConnectionMatrix(Matrix(K, [[3]]), Derivation.x_d_dx(K))
+    reports = scan_primes(A, 2, 13, jobs=10 ** 6)
+    assert [r.prime for r in reports] == [2, 3, 5, 7, 11, 13]
+    assert asked == [min(6, os.cpu_count() or 1)]
+
+
 def test_scan_primes_worker_error_propagates(monkeypatch):
     """An exception raised in a worker is not retried in sequence: it comes
     back with its own type.  IrreducibilityUndecided stands for any such

@@ -642,7 +642,7 @@ def gauge_family_by_ratfunc_products(F, Y, k):
     AG = _layers_mul(list(F.layers), G, m, ring, r)
     new_layers = [a + b for a, b in
                   zip(_layers_mul(Ginv, AG, m, ring, r), _layers_mul(Ginv, DG, m, ring, r))]
-    return TruncatedFamily(D, new_layers, F.qvar)
+    return TruncatedFamily(D, new_layers)
 
 
 def gauge_oracle_cases():

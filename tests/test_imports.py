@@ -20,7 +20,8 @@ classmethod counts as reached by any attribute use (``obj.name``).  A bare
 name or a docstring does not count, as the same words name locals and
 prose, and neither does a read of another class's property of the same
 name for a plain method.  Finally, only linalg.py runs elimination: no
-other module names its fraction-free passes.
+other module names its fraction-free passes, and only fields.py runs a
+square-and-multiply loop (shifts an exponent right in place).
 """
 
 import ast
@@ -213,6 +214,16 @@ def elimination_outside_linalg(sources: dict) -> list[str]:
     return sorted(found)
 
 
+def power_loops_outside_fields(sources: dict) -> list[str]:
+    """Each module in sources, other than fields.py, that shifts a name
+    right in place (``e >>= 1``), the step of a square-and-multiply loop:
+    fields._power is the one power loop."""
+    return sorted(
+        module for module, source in sources.items() if module != "fields.py"
+        and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                for n in ast.walk(ast.parse(source))))
+
+
 def load_tracer():
     """perfbench/tracer.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
@@ -339,6 +350,18 @@ def test_only_linalg_eliminates():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert "linalg.py" in sources
     assert elimination_outside_linalg(sources) == []
+
+
+def test_only_fields_runs_a_power_loop():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert "fields.py" in sources
+    assert power_loops_outside_fields(sources) == []
+
+
+def test_scan_flags_power_loops_outside_fields():
+    loop = "def f(x, e):\n    while e:\n        e >>= 1\n    return x\n"
+    sources = {"fields.py": loop, "a.py": loop, "b.py": "y = x >> 1\ns = '>>='\n"}
+    assert power_loops_outside_fields(sources) == ["a.py"]
 
 
 def test_scan_flags_elimination_outside_linalg():

@@ -274,6 +274,23 @@ def test_irreducibility_known_cases():
     assert is_irreducible_q(f)
 
 
+def test_irreducibility_scans_one_prime_through_degree_8(monkeypatch):
+    """Through degree 8 the modular certificate runs once, as the first
+    step of Zassenhaus, even on a quartic that no prime certifies; the
+    certificate loop over several primes is left to higher degrees."""
+    calls = []
+    real = poly._is_irreducible_mod_p
+
+    def spy(fp):
+        calls.append(fp.field.characteristic())
+        return real(fp)
+
+    monkeypatch.setattr(poly, "_is_irreducible_mod_p", spy)
+    x = Polynomial.x(QQ)
+    assert is_irreducible_q(x ** 4 - 2 * x ** 3 + x ** 2 + 5)
+    assert len(calls) == 1
+
+
 def test_irreducibility_abstains_past_degree_bound():
     """Above degree 8 the test answers only when a modular certificate
     exists; a degree-10 product has none, so it must abstain rather than

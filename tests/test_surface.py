@@ -1030,7 +1030,7 @@ def matrix_closure_certify(rho, max_elements=10000, max_order=10000, projective=
     def order_of(M):
         return oracle_order(M, gl2, projective)
 
-    steps = [(Word.gen(name, exp), rho.gens[name] if exp == 1 else rho.gens[name].inverse())
+    steps = [(Word(((name, exp),)), rho.gens[name] if exp == 1 else rho.gens[name].inverse())
              for name in rho.bfs_generator_names() for exp in (1, -1)]
     ident = Matrix.identity(K, 2)
     seen = {key_of(ident): Word()}
