@@ -343,9 +343,16 @@ def p_curvature(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     Abar = _at_prime(A, p)
     if Abar is None:
         return PCurvatureReport(p, False, None, False)
-    h, H, M = _cleared_form(Abar)
+    return _kernel_report(Abar.field, _cleared_form(Abar), p)
+
+
+def _kernel_report(field: FunctionField, form, p: int) -> PCurvatureReport:
+    """The report of p_curvature from the cleared form (h, H, M) of a
+    connection over field, of characteristic p: the kernel and the
+    reduction of N_p/h^p."""
+    h, H, M = form
     N = _nabla_kernel(M, H, None, 1, p)
-    psi = _reduced(Abar.field, N, h ** p)
+    psi = _reduced(field, N, h ** p)
     return PCurvatureReport(p, True, psi, psi.is_zero())
 
 
@@ -365,53 +372,75 @@ def _shift(f: Polynomial, x0: int) -> list:
 
 def _value_at(h: Polynomial, H: Polynomial, hA: list, n: int, x0: int) -> Matrix:
     """psi_p at an ordinary point x0 of the cleared form (h, H, M) over
-    GF(p)[x], with hA the entries of M row by row (see _point_values)."""
+    GF(p)[x], with hA the entries of M row by row: the recurrence of
+    _point_values, on packed rows.
+
+    With P_i and Q_i the t^i coefficients of H(x0 + t) and M(x0 + t), the
+    t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1} is
+    unmatched(k) = sum over i >= 1 of P_i (k+1-i) Y_{k+1-i} plus the sum of
+    Q_i Y_{k-i}; then Y_{k+1} = -unmatched(k) / (P_0 (k+1)), and
+    psi_p(x0) = -unmatched(p-1) / h(x0).
+
+    Row r of each Y_k is one int, the sum of Y_k[r][l] 2^(l w) with every
+    entry in [0, p), so row r of unmatched(k) sums at most T products of a
+    scalar in [0, p) and a packed row: one per nonzero P_i, i >= 1, and one
+    per nonzero Q_i[r][l] (row l of Y_{k-i}).  A slot stays at most
+    T (p-1)^2 < 2^w with w = 2 bitlen(p) + bitlen(T), so no carry crosses
+    into the next slot, and once per step each row's n slots are unpacked,
+    scaled, reduced mod p and packed again."""
     p = h.field.p
     P = _shift(H, x0)
     Q = [_shift(f, x0) for f in hA]
-    Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
-          for k in range(max(map(len, Q)))]
-    Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    # (offset i, source row l, Q_i[r][l]) for row r, and (i, P_i) for i >= 1
+    terms = [[(i, l, c) for l in range(n) for i, c in enumerate(Q[r * n + l]) if c]
+             for r in range(n)]
+    P_terms = [(i, c) for i, c in enumerate(P) if i and c]
+    w = 2 * p.bit_length() + (len(P_terms) + max(map(len, terms))).bit_length()
+    mask = (1 << w) - 1
+    slots = range(0, n * w, w)
+    # Y[pad + k] is Y_k; the pad zero rows stand for Y_k with k < 0
+    pad = max(len(P), max(map(len, Q)))
+    Y = [[0] * n] * pad + [[1 << (r * w) for r in range(n)]]
+    # Y_{k+1} = c_k unmatched(k), and the last rows are psi_p(x0)
+    scales = [-pow(P[0] * (k + 1), -1, p) for k in range(p - 1)] + [-pow(h(x0).v, -1, p)]
+    for k, c in enumerate(scales):
+        top = pad + k
+        scaled = [(Y[top + 1 - i], d * (k + 1 - i) % p) for i, d in P_terms]
+        rows = []
+        for r in range(n):
+            s = 0                       # row r of unmatched(k), packed
+            for Yj, d in scaled:
+                s += d * Yj[r]
+            for i, l, d in terms[r]:
+                s += d * Y[top - i][l]
+            y = 0
+            for sh in slots:
+                y += ((s >> sh) & mask) * c % p << sh
+            rows.append(y)
+        Y.append(rows)
+    return Matrix(GF(p), [[(y >> sh) & mask for sh in slots] for y in Y[-1]])
 
-    def unmatched(k):
-        """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
-        S = [[0] * n for _ in range(n)]
-        for i in range(1, min(k, len(P) - 1) + 1):
-            c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
-            for r in range(n):
-                S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
-        for i in range(min(k, len(Qk) - 1) + 1):
-            Qi, Yj = Qk[i], Y[k - i]
-            for r in range(n):
-                for l, c in enumerate(Qi[r]):
-                    if c:
-                        S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
-        return S
 
-    for k in range(p - 1):
-        c = -pow(P[0] * (k + 1), -1, p)
-        Y.append([[s * c % p for s in row] for row in unmatched(k)])
-    c = -pow(h(x0).v, -1, p)
-    return Matrix(GF(p), [[e * c % p for e in row] for row in unmatched(p - 1)])
+def _point_values(A: ConnectionMatrix, p: int, form):
+    """(zeros, values) for A over GF(p)(x) or GF(p)(q)(x), with form its
+    (h, H, M) from _cleared_form: values yields (point, psi_p at the point)
+    at the ordinary points of A, (x0,) or (q0, x0), in lexicographic
+    order, and over GF(p)(x) zeros values equal to 0 at distinct ordinary
+    points prove psi_p = 0.
 
-
-def _point_values(A: ConnectionMatrix, p: int):
-    """(zeros, values) for A over GF(p)(x) or GF(p)(q)(x): values yields
-    (point, psi_p at the point) at the ordinary points of A, (x0,) or
-    (q0, x0), in lexicographic order, and over GF(p)(x) zeros values
-    equal to 0 at distinct ordinary points prove psi_p = 0.
-
-    With (h, H = hu, M = hA) from _cleared_form, nabla(d/dx) = M/H and x0
-    is ordinary when H(x0) h(x0) != 0.  The clearing is done once, on the
-    call.  Over a tower the three live over GF(p)[q][x]; a q0 where h
-    drops its x-degree (the clearing constant h.leading() vanishes) is
-    skipped, and at every other q0 in turn h, H and M are specialised to
-    GF(p)[x].  Specialising q commutes with d/dx and with the recursion
-    below, so the value at (q0, x0) is psi_p = N_p/h^p there.
+    With H = hu and M = hA, nabla(d/dx) = M/H and x0 is ordinary when
+    H(x0) h(x0) != 0.  The caller clears once (_scan_prime hands the same
+    form to the kernel).  Over a tower the three live over GF(p)[q][x]; a
+    q0 where h drops its x-degree (the clearing constant h.leading()
+    vanishes) is skipped, and at every other q0 in turn h, H and M are
+    specialised to GF(p)[x].  Specialising q commutes with d/dx and with
+    the recursion below, so the value at (q0, x0) is psi_p = N_p/h^p there.
 
     Y solves H(x0+t) Y' = -M(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E, the
     t^(p-1) coefficient of HY' + MY, is the one p*Y_p = 0 cannot cancel,
-    and psi_p(x0) = -u(x0) E / H(x0) = -E / h(x0).
+    and psi_p(x0) = -u(x0) E / H(x0) = -E / h(x0).  _value_at runs this
+    recurrence with each row of each Y_k packed into one int, its entries
+    in [0, p) in slots wide enough that a step's sums never carry.
 
     The bound: psi_p(d/dx) = N_p/H^p, with N_p from the recursion
     N_1 = M, N_{k+1} = H N_k' - k H' N_k + M N_k that p_curvature runs, so
@@ -426,7 +455,7 @@ def _point_values(A: ConnectionMatrix, p: int):
     if not isinstance(base, PrimeField) and not (
             isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
         raise ValueError(f"no point evaluation over {A.field}")
-    h, H, M = _cleared_form(A)
+    h, H, M = form
     hA = [f for row in M for f in row]
     deg_M = max(f.degree() for f in hA)
     bound = deg_M + (p - 1) * max(H.degree() - 1, deg_M)
@@ -463,7 +492,9 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
     them; over a tower it decides nothing.
     """
     Abar = _at_prime(A, p)
-    return None if Abar is None else next(_point_values(Abar, p)[1], None)
+    if Abar is None:
+        return None
+    return next(_point_values(Abar, p, _cleared_form(Abar))[1], None)
 
 
 def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
@@ -479,7 +510,8 @@ def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     Abar = _at_prime(A, p)
     if Abar is None:
         return PCurvatureReport(p, False, None, False)
-    zeros, values = _point_values(Abar, p)
+    form = _cleared_form(Abar)
+    zeros, values = _point_values(Abar, p, form)
     for count, (point, value) in enumerate(values, 1):
         if not value.is_zero():
             return PCurvatureReport(p, True, None, False)
@@ -487,7 +519,7 @@ def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
             break
         if count >= zeros:
             return PCurvatureReport(p, True, Matrix.zeros(Abar.field, Abar.rank), True)
-    return p_curvature(Abar, p)
+    return _kernel_report(Abar.field, form, p)
 
 
 def scan_primes(A: ConnectionMatrix, p_min: int, p_max: int,

@@ -1,13 +1,13 @@
 """Tiny expression language for matrix entries in spec documents.
 
 Grammar: integers, named variables, + - * / ^ and parentheses, with ^
-restricted to nonnegative integer literal exponents, and at most
-MAX_DEPTH parenthesised atoms and unary signs open at once.  Expressions are
-evaluated on whatever values the caller supplies for the variables and for
-1: any objects with + - * / ^, unary minus and a zero test.  specdoc passes
-polynomials that enter the function field only at a nonconstant division;
-plain rationals and field elements work the same.  Errors carry line and
-column.
+restricted to nonnegative integer literal exponents of at most
+MAX_EXPONENT, and at most MAX_DEPTH parenthesised atoms and unary signs
+open at once.  Expressions are evaluated on whatever values the caller
+supplies for the variables and for 1: any objects with + - * / ^, unary
+minus and a zero test.  specdoc passes polynomials that enter the
+function field only at a nonconstant division; plain rationals and field
+elements work the same.  Errors carry line and column.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from __future__ import annotations
 # Nesting bound: deeper input is rejected with a ParseError instead of
 # exhausting Python's recursion limit in the recursive-descent parser.
 MAX_DEPTH = 100
+# Exponent bound: a larger literal is rejected with a ParseError before
+# any power is evaluated, instead of asking for a result of that degree.
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -142,6 +145,9 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer literal",
                                  tok[2], tok[3])
             self.advance()
+            if exp[1] > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp[1]} exceeds {MAX_EXPONENT}",
+                                 exp[2], exp[3])
             return base ** exp[1]
         return base
 

@@ -775,12 +775,10 @@ def _is_irreducible_mod_p(f: Polynomial) -> bool:
     return next(_distinct_degree(f))[0] == f.degree()
 
 
-def _factor_mod_p(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Monic irreducible factors of a monic squarefree f over GF(p), p odd."""
-    out = []
-    for k, h in _distinct_degree(f):
-        out.extend(_split_equal_degree(h, k, rng))
-    return out
+def _factor_mod_p(steps, rng: random.Random) -> list[Polynomial]:
+    """Monic irreducible factors of a monic squarefree f over GF(p), p odd,
+    from the (k, h) pairs of its distinct-degree factorization."""
+    return [g for k, h in steps for g in _split_equal_degree(h, k, rng)]
 
 
 def _split_equal_degree(h: Polynomial, k: int, rng: random.Random):
@@ -866,9 +864,11 @@ def _zassenhaus_irreducible(zf: list[int]) -> bool:
     fp = next(_good_reductions(zf, 10000), None)
     if fp is None:  # disc has finitely many prime factors; unreachable
         raise IrreducibilityUndecided("no usable prime found")
-    if _is_irreducible_mod_p(fp):
+    steps = _distinct_degree(fp)
+    first = next(steps)
+    if first[0] == d:           # the certificate of _is_irreducible_mod_p
         return True
-    factors = _factor_mod_p(fp, random.Random(0x5EED))
+    factors = _factor_mod_p(itertools.chain([first], steps), random.Random(0x5EED))
     p = fp.field.characteristic()
     norm2 = math.isqrt(sum(c * c for c in zf)) + 1
     bound = 2 * (2 ** d) * norm2 * abs(lc)

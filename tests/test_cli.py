@@ -205,6 +205,8 @@ def test_analyze_checks_the_prediction_once(tmp_path, capsys, monkeypatch):
     (pcurv_main, ["scan", "--primes", "2..7"], dict(SCAN_DOC, matrix=[["-" * 1000 + "x"]]),
      f"bad expression '…{'-' * 40}…': "
      "nesting deeper than 100 levels (line 1, column 101)"),
+    (pcurv_main, ["scan", "--primes", "2..7"], dict(SCAN_DOC, matrix=[["x^999999999"]]),
+     "bad expression 'x^999999999': exponent 999999999 exceeds 1000 (line 1, column 3)"),
 ])
 def test_precondition_specs_exit_65(tmp_path, capsys, main, argv, doc, message):
     spec = write_spec(tmp_path, "spec.json", doc)

@@ -13,7 +13,9 @@ v = D^{p-1}(u) has the same kind of oracle: p - 1 applications of D, which
 the library's closed form replaces.
 
 The point value psi_p(x0) from a truncated series solution shares no code
-with the kernel, so kernel and point check each other at the point.
+with the kernel, so kernel and point check each other at the point.  The
+library runs that series on packed rows, one int per matrix row; its
+oracle is value_at_reference, the same recurrence on lists of ints.
 """
 
 import concurrent.futures
@@ -686,16 +688,16 @@ def test_scan_primes_worker_error_propagates(monkeypatch):
     error; it is neither an OSError nor a BrokenProcessPool, the two the
     fallback catches."""
     if multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched p_curvature reaches the workers only by fork")
+        pytest.skip("the patched kernel reaches the workers only by fork")
     parent = os.getpid()
-    real = connection.p_curvature
+    real = connection._kernel_report
 
-    def fails_in_worker(A, p):
+    def fails_in_worker(field, form, p):
         if os.getpid() != parent:
             raise IrreducibilityUndecided(f"raised in a worker at p = {p}")
-        return real(A, p)
+        return real(field, form, p)
 
-    monkeypatch.setattr(connection, "p_curvature", fails_in_worker)
+    monkeypatch.setattr(connection, "_kernel_report", fails_in_worker)
     K = qq_line()
     x = K.gen()
     # every x0 of GF(2) and GF(3) is a pole, so the kernel decides p = 2 and 3
@@ -941,13 +943,13 @@ def test_point_value_walks_past_a_q_line_of_poles(monkeypatch):
     assert point == tower_point(A, 3) == (1, 0)
     assert value == Matrix(GF(3), [[2]]) == psi_at(p_curvature(A, 3).psi, point)
     kernel_primes = []
-    real = connection.p_curvature
+    real = connection._kernel_report
 
-    def spy(A, p):
+    def spy(field, form, p):
         kernel_primes.append(p)
-        return real(A, p)
+        return real(field, form, p)
 
-    monkeypatch.setattr(connection, "p_curvature", spy)
+    monkeypatch.setattr(connection, "_kernel_report", spy)
     report, = scan_primes(A, 3, 3)
     assert kernel_primes == []
     assert report.good_prime and not report.vanishes
@@ -1018,13 +1020,13 @@ def test_scan_of_the_hypergeometric_connection_runs_no_kernel(monkeypatch):
     A = _hypergeometric(qq_line())
     full = [p_curvature(A, p) for p in primes_in(2, 37)]
     kernel_primes = []
-    real = connection.p_curvature
+    real = connection._kernel_report
 
-    def spy(A, p):
+    def spy(field, form, p):
         kernel_primes.append(p)
-        return real(A, p)
+        return real(field, form, p)
 
-    monkeypatch.setattr(connection, "p_curvature", spy)
+    monkeypatch.setattr(connection, "_kernel_report", spy)
     reports = scan_primes(A, 2, 37)
     assert kernel_primes == []
     assert [(r.prime, r.good_prime, r.vanishes) for r in reports] == \
@@ -1094,19 +1096,19 @@ def test_scan_prime_matches_the_kernel_and_the_residues(monkeypatch):
     too few ordinary points.  Every vanishing verdict also passes the
     residue check R^p = R of psi_p((x - c) d/dx) on the fibre at c."""
     rng = random.Random(20261018)
-    real = connection.p_curvature
+    real = connection._kernel_report
     kernel_calls = []
 
-    def spy(A, p):
+    def spy(field, form, p):
         kernel_calls.append(p)
-        return real(A, p)
+        return real(field, form, p)
 
-    monkeypatch.setattr(connection, "p_curvature", spy)
+    monkeypatch.setattr(connection, "_kernel_report", spy)
     outcomes = dict.fromkeys(("nonzero first", "zeros", "zero then nonzero", "kernel"), 0)
     vanishing = residues_checked = 0
     for _ in range(300):
         A, p = rand_scan_case(rng)
-        want = real(A, p)
+        want = p_curvature(A, p)
         kernel_calls.clear()
         got = connection._scan_prime(A, p)
         assert (got.prime, got.good_prime, got.vanishes) == \
@@ -1114,7 +1116,7 @@ def test_scan_prime_matches_the_kernel_and_the_residues(monkeypatch):
         if not want.good_prime:
             continue
         Abar = A.reduce_mod(p)
-        zeros, values = connection._point_values(Abar, p)
+        zeros, values = connection._point_values(Abar, p, connection._cleared_form(Abar))
         seen = [value.is_zero() for _, value in values]
         first_nonzero = seen.index(False) if False in seen else None
         if first_nonzero is None and len(seen) < max(zeros, 1):
@@ -1174,3 +1176,187 @@ def test_clear_denominators_takes_one_h_for_every_matrix():
                 K.base, [h0, cleared(u, h0)] + [cleared(e, h0) for e in entries])
             form = connection._cleared_form(ConnectionMatrix(A, Derivation(u)))
             assert form == (h0, H0, [hA0[:2], hA0[2:]])
+
+
+# -- the packed point recurrence ---------------------------------------------------
+
+
+def value_at_reference(h, H, hA, n, x0):
+    """psi_p at x0 from the cleared form over GF(p)[x], by the point
+    recurrence on lists of ints, one list per matrix row: the body
+    connection._value_at had before it packed each row into one int, kept
+    here as the oracle of the packed recurrence."""
+    p = h.field.p
+    P = connection._shift(H, x0)
+    Q = [connection._shift(f, x0) for f in hA]
+    Qk = [[[f[k] if k < len(f) else 0 for f in Q[i * n:(i + 1) * n]] for i in range(n)]
+          for k in range(max(map(len, Q)))]
+    Y = [[[int(i == j) for j in range(n)] for i in range(n)]]
+
+    def unmatched(k):
+        """The t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1}."""
+        S = [[0] * n for _ in range(n)]
+        for i in range(1, min(k, len(P) - 1) + 1):
+            c, Yj = P[i] * (k + 1 - i), Y[k + 1 - i]
+            for r in range(n):
+                S[r] = [s + c * y for s, y in zip(S[r], Yj[r])]
+        for i in range(min(k, len(Qk) - 1) + 1):
+            Qi, Yj = Qk[i], Y[k - i]
+            for r in range(n):
+                for l, c in enumerate(Qi[r]):
+                    if c:
+                        S[r] = [s + c * y for s, y in zip(S[r], Yj[l])]
+        return S
+
+    for k in range(p - 1):
+        c = -pow(P[0] * (k + 1), -1, p)
+        Y.append([[s * c % p for s in row] for row in unmatched(k)])
+    c = -pow(h(x0).v, -1, p)
+    return Matrix(GF(p), [[e * c % p for e in row] for row in unmatched(p - 1)])
+
+
+@pytest.fixture
+def checked_value_at(monkeypatch):
+    """Every connection._value_at call compared with value_at_reference;
+    the list collects the prime of each call."""
+    primes = []
+    real = connection._value_at
+
+    def both(h, H, hA, n, x0):
+        got = real(h, H, hA, n, x0)
+        assert got == value_at_reference(h, H, hA, n, x0), (h, H, hA, x0)
+        assert got.ring == GF(h.field.p) and got.shape() == (n, n)
+        primes.append(h.field.p)
+        return got
+
+    monkeypatch.setattr(connection, "_value_at", both)
+    return primes
+
+
+def first_point_values(A, p, count):
+    """The first count point values of A over GF(p)(x) or GF(p)(q)(x)."""
+    _, values = connection._point_values(A, p, connection._cleared_form(A))
+    return [value for _, value in zip(range(count), values)]
+
+
+PACKED_PRIMES = (2, 3, 5, 7, 11, 13, 31, 97, 211, 307, 397)
+
+
+def test_packed_point_values_match_the_list_recurrence(checked_value_at):
+    """Seeded differential over GF(p)(x): ranks 1, 2 and 3, with d/dx and
+    with a random rational multiplier, entries with and without
+    denominators, the first three ordinary points of each connection."""
+    rng = random.Random(20261021)
+    for p in PACKED_PRIMES:
+        K = FunctionField(GF(p), "x")
+        for n in (1, 2, 3):
+            for D in (Derivation.d_dx(K), Derivation(rand_multiplier(K, rng))):
+                rows = [[rand_ratfunc(K, rng, deg=3, denom=rng.random() < 0.5)
+                         for _ in range(n)] for _ in range(n)]
+                first_point_values(ConnectionMatrix(Matrix(K, rows), D), p, 3)
+    assert set(PACKED_PRIMES) <= set(checked_value_at) and len(checked_value_at) >= 150
+
+
+def test_packed_point_values_match_at_tower_specialisations(checked_value_at):
+    """The same differential at the q-specialisations of GF(p)(q)(x):
+    companion-shaped matrices with q-poles, rank 1 and 3 entries from
+    rand_ratfunc, u = 1 and a random rational multiplier with q in its
+    coefficients."""
+    rng = random.Random(1021)
+    calls = 0
+    for p in (2, 3, 5, 7, 11):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        for D in (Derivation.d_dx(K), Derivation(rand_multiplier(K, rng))):
+            for M in (rand_matrix(K, rng),
+                      Matrix(K, [[rand_ratfunc(K, rng, denom=True)]]),
+                      Matrix(K, [[rand_ratfunc(K, rng) for _ in range(3)] for _ in range(3)])):
+                first_point_values(ConnectionMatrix(M, D), p, 2 * p)
+        calls += p in checked_value_at
+    assert calls == 5 and len(checked_value_at) >= 100
+
+
+def test_packed_point_values_of_random_cleared_forms():
+    """_value_at on random h, H and entries over GF(p)[x] of degree up to
+    6, dense and sparse, at a random x0 with H(x0) h(x0) != 0: the
+    recurrence needs no relation between them."""
+    rng = random.Random(34)
+    for p in PACKED_PRIMES:
+        F = GF(p)
+        for _ in range(4):
+            n = rng.randint(1, 3)
+
+            def poly():
+                deg = rng.randint(0, 6)
+                return Polynomial(F, [rng.randrange(p) if rng.random() < 0.7 else 0
+                                      for _ in range(deg + 1)])
+
+            h, H = poly(), poly()
+            hA = [poly() for _ in range(n * n)]
+            ordinary = [x0 for x0 in range(p) if H(F(x0)) and h(F(x0))]
+            if not ordinary:
+                continue
+            x0 = rng.choice(ordinary)
+            assert connection._value_at(h, H, hA, n, x0) == \
+                value_at_reference(h, H, hA, n, x0), (p, h, H, hA, x0)
+
+
+def test_packed_slots_at_their_largest_sums():
+    """Every shifted coefficient p - 1.  With H and M constant, x0 = 0 and
+    rank n, each row of unmatched(k) has T = n terms, Y_1 = (p-1) J and each
+    slot of unmatched(1) is n (p-1)^2 = T (p-1)^2, the largest sum the
+    slot width allows for; at n = 3 and p = 2^m - 1 >= 31 a slot one bit
+    narrower would carry.  The other cases give H, or H and M, degree 3
+    with every coefficient p - 1, so the P_i terms count towards T."""
+    for p in (2, 3, 7, 31, 127, 8191):
+        F = GF(p)
+        for n in (1, 2, 3):
+            w = 2 * p.bit_length() + n.bit_length()
+            if n == 3 and p >= 31:
+                assert n * (p - 1) ** 2 >= 2 ** (w - 1)
+            for deg_H, deg_M in ((0, 0), (3, 0), (3, 3)):
+                H = Polynomial(F, [p - 1] * (deg_H + 1))
+                hA = [Polynomial(F, [p - 1] * (deg_M + 1))] * (n * n)
+                got = connection._value_at(H, H, hA, n, 0)
+                assert got == value_at_reference(H, H, hA, n, 0), (p, n, deg_H, deg_M)
+
+
+def test_scan_of_the_scan_connection_to_400(checked_value_at, monkeypatch):
+    """The scan connection over 2..400: every point value equals the list
+    recurrence's, no prime needs the kernel, and psi_p vanishes exactly at
+    the good primes p = +-1 mod 5."""
+    kernel = []
+    monkeypatch.setattr(connection, "_kernel_report",
+                        lambda field, form, p: kernel.append(p))
+    reports = scan_primes(_hypergeometric(qq_line()), 2, 400)
+    assert kernel == []
+    assert [r.prime for r in reports] == primes_in(2, 400)
+    assert [r.prime for r in reports if not r.good_prime] == [2]
+    for r in reports[1:]:
+        assert r.vanishes == (r.prime % 5 in (1, 4)), r.prime
+    assert set(checked_value_at) == set(primes_in(3, 400))
+
+
+def test_scan_fallback_clears_each_prime_once(monkeypatch):
+    """A kernel-decided prime, over GF(p)(x) with no ordinary point and over
+    a tower after a zero value, clears its connection once: the point
+    values and the kernel share the one (h, H, M)."""
+    clearings = []
+    real = connection._cleared_form
+
+    def counting(A):
+        clearings.append(A.field)
+        return real(A)
+
+    K = qq_line()
+    x = K.gen()
+    T = FunctionField(FunctionField(GF(5), "q"), "x")
+    cases = [(ConnectionMatrix(Matrix(K, [[K.one / (x ** 3 - x)]]), Derivation.d_dx(K)), 3),
+             (ConnectionMatrix(Matrix(T, [[T(3)]]), Derivation.x_d_dx(T)), 5)]
+    for A, p in cases:
+        want = p_curvature(A, p)
+        monkeypatch.setattr(connection, "_cleared_form", counting)
+        clearings.clear()
+        got = connection._scan_prime(A, p)
+        monkeypatch.setattr(connection, "_cleared_form", real)
+        assert len(clearings) == 1, (A, p)
+        assert got == want and got.psi is not None, (A, p)

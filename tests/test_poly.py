@@ -13,6 +13,7 @@ import pcurvkit.poly as poly
 from pcurvkit.poly import (
     IrreducibilityUndecided,
     PolynomialRing,
+    _distinct_degree,
     _factor_mod_p,
     _is_irreducible_mod_p,
     cauchy_bound,
@@ -275,17 +276,18 @@ def test_irreducibility_known_cases():
 
 
 def test_irreducibility_scans_one_prime_through_degree_8(monkeypatch):
-    """Through degree 8 the modular certificate runs once, as the first
-    step of Zassenhaus, even on a quartic that no prime certifies; the
-    certificate loop over several primes is left to higher degrees."""
+    """Through degree 8 one distinct-degree factorization at one prime is
+    both the modular certificate and the first step of Zassenhaus, even on
+    a quartic that no prime certifies; the certificate loop over several
+    primes is left to higher degrees."""
     calls = []
-    real = poly._is_irreducible_mod_p
+    real = poly._distinct_degree
 
     def spy(fp):
         calls.append(fp.field.characteristic())
         return real(fp)
 
-    monkeypatch.setattr(poly, "_is_irreducible_mod_p", spy)
+    monkeypatch.setattr(poly, "_distinct_degree", spy)
     x = Polynomial.x(QQ)
     assert is_irreducible_q(x ** 4 - 2 * x ** 3 + x ** 2 + 5)
     assert len(calls) == 1
@@ -370,7 +372,7 @@ def test_factor_mod_p_returns_irreducible_factors():
     for f in cases:
         if poly_gcd(f, f.derivative()).degree() > 0:
             continue
-        factors = _factor_mod_p(f, rng)
+        factors = _factor_mod_p(_distinct_degree(f), rng)
         product = Polynomial.one(f.field)
         for g in factors:
             assert g.leading() == 1

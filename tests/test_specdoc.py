@@ -311,6 +311,39 @@ def test_parse_expression_bounds_nesting():
             assert "nesting deeper than 100 levels" in str(info.value)
 
 
+def test_exponents_are_bounded_before_any_power():
+    """An exponent literal above MAX_EXPONENT is a ParseError at the
+    literal, raised before any power is taken; MAX_EXPONENT itself is
+    evaluated.  Through parse_field_expression it is a SpecError."""
+    from pcurvkit.exprs import MAX_EXPONENT
+
+    powers = []
+
+    class Value:
+        def __pow__(self, e):
+            powers.append(e)
+            return self
+
+    for text, at in [(f"x^{MAX_EXPONENT + 1}", (1, 3)), ("x^999999999", (1, 3)),
+                     ("x +\n (x ^ 123456789)", (2, 7))]:
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, {"x": Value()}, Value())
+        assert (info.value.line, info.value.col) == at
+        exponent = int(text.rsplit("^", 1)[1].strip(" )"))
+        assert f"exponent {exponent} exceeds {MAX_EXPONENT}" in str(info.value)
+    assert powers == []
+    parse_expression(f"x^{MAX_EXPONENT}", {"x": Value()}, Value())
+    assert powers == [MAX_EXPONENT]
+    for K in (FunctionField(QQ, "x"), T7):
+        x = K.gen()
+        assert parse_field_expression(f"x^{MAX_EXPONENT}", K) == x ** MAX_EXPONENT
+        with pytest.raises(SpecError) as info:
+            parse_field_expression("1 + x^999999999", K)
+        assert str(info.value) == ("bad expression '1 + x^999999999': exponent "
+                                   "999999999 exceeds 1000 (line 1, column 7)")
+        assert (info.value.__cause__.line, info.value.__cause__.col) == (1, 7)
+
+
 def test_parse_expression_digits_are_decimal():
     """Only decimal digits start a number: '²' passes str.isdigit but not
     int(); a non-ASCII decimal digit is a number as int() reads it."""
@@ -416,7 +449,7 @@ def test_number_field_spec_lets_internal_errors_through(monkeypatch):
     def broken(f):
         raise ValueError("mixed moduli")
 
-    monkeypatch.setattr(poly, "_is_irreducible_mod_p", broken)
+    monkeypatch.setattr(poly, "_distinct_degree", broken)
     with pytest.raises(ValueError, match="mixed moduli") as exc:
         number_field_from_spec({"min_poly": ["-1", "0", "-1", "0", "1"]})  # x^4-x^2-1
     assert not isinstance(exc.value, SpecError)
