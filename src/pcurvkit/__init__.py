@@ -15,8 +15,6 @@ from .poly import (
     squarefree_part,
 )
 from .ratfunc import FunctionField, RationalFunction, reduce_rational_mod_p
-from .laurent import INF, TruncatedLaurentSeries, ValuationUndecided
-from .intervals import BoxC, PrecisionExceeded, RatInterval, certified_root_enclosures
 from .linalg import Matrix
 from .numberfield import (
     CompositumError,
@@ -85,4 +83,24 @@ from .surface import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# No answer uses these two modules, so they load on first use (PEP 562)
+# instead of with every tool.
+_LAZY = {
+    "INF": "laurent",
+    "TruncatedLaurentSeries": "laurent",
+    "ValuationUndecided": "laurent",
+    "BoxC": "intervals",
+    "PrecisionExceeded": "intervals",
+    "RatInterval": "intervals",
+    "certified_root_enclosures": "intervals",
+}
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value

@@ -33,29 +33,31 @@ primes.
 psi_p is also read off point values.  At an ordinary point x0 of GF(p),
 the solution Y' = -(M/H)Y, Y(x0) = I, truncated at order p leaves one
 coefficient unmatched, because p*Y_p = 0, and that coefficient is
--psi(d/dx)(x0), and psi(u*d/dx)(x0) = u(x0)^p psi(d/dx)(x0), with
-u(x0)^p = u(x0) in GF(p).  _point_values takes h, H and M from the helper
-p_curvature uses (over a tower it specialises the three at each q0 in
-turn where h keeps its x-degree) and runs this series as a short
-recurrence on the Taylor coefficients at each ordinary point in turn;
-p_curvature_at takes the first value.  One nonzero
-value proves psi_p != 0.  Over GF(p)(x), psi_p is horizontal, so a zero
-value at x0 makes (x - x0)^p divide N_p, whose degree is bounded, and a
-few zero values prove psi_p = 0.
-scan_primes, which valuation.verify_prediction also calls, decides each
-prime this way and runs the kernel only where the points cannot decide:
-over a tower after a zero value, and over GF(p)(x) when GF(p) has too few
-ordinary points.
+-H(x0) psi(d/dx)(x0), and psi(u*d/dx)(x0) = u(x0)^p psi(d/dx)(x0).
+_point_values takes h, H and M from the helper p_curvature uses and runs
+this series as a short recurrence on the Taylor coefficients at each
+ordinary point in turn, over GF(p), or over GF(p)(q) with q kept symbolic
+(fraction-free, on polynomials in q).  Over a tower it also specialises
+the three at each q0 in turn where h keeps its x-degree, which gives
+cheap values over GF(p); p_curvature_at takes the first value over GF(p).
+One nonzero value proves psi_p != 0.  psi_p is horizontal over any base
+field of characteristic p, so a zero value at x0 in GF(p) makes
+(x - x0)^p divide N_p, whose degree is bounded, and a few zero values
+prove psi_p = 0; over a tower that needs values with q kept symbolic, as
+a zero at one q0 says nothing of the others.  scan_primes, which
+valuation.verify_prediction also calls, decides each prime this way and
+runs the kernel only where GF(p) has too few ordinary points.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
 from typing import NamedTuple
 
 from .fields import GF, PrimeField, ReductionError, primes_in
 from .linalg import Matrix
-from .poly import Polynomial, PolynomialRing
+from .poly import Polynomial, PolynomialRing, int_poly_mul
 from .ratfunc import (
     FunctionField,
     RationalFunction,
@@ -370,112 +372,192 @@ def _shift(f: Polynomial, x0: int) -> list:
     return f
 
 
+def _q_mul(a: tuple, b: tuple, p: int) -> tuple:
+    """The product of two q-coefficient tuples over GF(p); over a field the
+    top coefficient of a product stays, so nothing trails."""
+    return tuple(c % p for c in int_poly_mul(a, b))
+
+
+def _q_shift(f: Polynomial, x0: int) -> list:
+    """Coefficients of f(x0 + t) for f over GF(p)[q], each a tuple of
+    q-coefficients with no trailing zero.  x0 is a constant, so each
+    q-slice of f is shifted on its own."""
+    cs = [c.coeffs for c in f.coeffs]
+    slices = [_shift(Polynomial(f.field.field, [c[j] if j < len(c) else 0 for c in cs]), x0)
+              for j in range(max(map(len, cs), default=0))]
+    out = []
+    for i in range(len(cs)):
+        t = [s[i] if i < len(s) else 0 for s in slices]
+        while t and not t[-1]:
+            t.pop()
+        out.append(tuple(t))
+    return out
+
+
 def _value_at(h: Polynomial, H: Polynomial, hA: list, n: int, x0: int) -> Matrix:
-    """psi_p at an ordinary point x0 of the cleared form (h, H, M) over
-    GF(p)[x], with hA the entries of M row by row: the recurrence of
-    _point_values, on packed rows.
+    """psi_p at an ordinary point x0 of the cleared form (h, H, M), with hA
+    the entries of M row by row: over GF(p)[x] a matrix over GF(p), and
+    over GF(p)[q][x] a matrix over GF(p)(q), q kept symbolic.  This is the
+    recurrence of _point_values, on packed rows.
 
     With P_i and Q_i the t^i coefficients of H(x0 + t) and M(x0 + t), the
     t^k coefficient of P Y' + Q Y without its P_0 (k+1) Y_{k+1} is
     unmatched(k) = sum over i >= 1 of P_i (k+1-i) Y_{k+1-i} plus the sum of
     Q_i Y_{k-i}; then Y_{k+1} = -unmatched(k) / (P_0 (k+1)), and
-    psi_p(x0) = -unmatched(p-1) / h(x0).
+    psi_p(x0) = -P_0^(p-1) unmatched(p-1) / h(x0)^p.  Over GF(p), P_0 is a
+    unit, P_0^(p-1) = 1 and h(x0)^p = h(x0), and the loop runs on Y_k
+    itself.  Over GF(p)[q] P_0 is no unit, and the loop runs fraction-free
+    on Z_k = P_0^k Y_k: with the multipliers P_i P_0^(i-1) and Q_i P_0^i in
+    unmatched, Z_{k+1} = -unmatched(k) / (k+1), and psi_p(x0) is
+    -unmatched(p-1) over the denominator h(x0)^p.
 
-    Row r of each Y_k is one int, the sum of Y_k[r][l] 2^(l w) with every
-    entry in [0, p), so row r of unmatched(k) sums at most T products of a
-    scalar in [0, p) and a packed row: one per nonzero P_i, i >= 1, and one
-    per nonzero Q_i[r][l] (row l of Y_{k-i}).  A slot stays at most
-    T (p-1)^2 < 2^w with w = 2 bitlen(p) + bitlen(T), so no carry crosses
-    into the next slot, and once per step each row's n slots are unpacked,
-    scaled, reduced mod p and packed again."""
-    p = h.field.p
-    P = _shift(H, x0)
-    Q = [_shift(f, x0) for f in hA]
+    Every scalar is a polynomial in q over GF(p): an int over GF(p)[x], a
+    tuple of q-coefficients (_q_shift) over GF(p)[q][x].  With c the
+    largest q-degree of a multiplier's factor P_i or Q_i (0 over GF(p)),
+    Z_k has q-degree at most k c and unmatched(p-1) at most p c, so each
+    entry takes S = p c + 1 slots.  Row r of each Z_k is one int, the sum
+    of the q^j coefficient of Z_k[r][l] times 2^((l S + j) w), every
+    coefficient in [0, p); a multiplier is packed the same way, so its
+    product with a row is one int product.  Row r of unmatched(k) sums at
+    most T such products: one per nonzero P_i, 1 <= i <= p, and one per
+    nonzero Q_i[r][l], i < p (times row l of Z_{k-i}); a larger i only
+    ever meets Z_k with k < 0.  A slot of a product sums at most
+    S products of two coefficients, so a slot of the sum stays at most
+    T S (p-1)^2 < 2^w with w = 2 bitlen(p) + bitlen(T S), and no carry
+    crosses into the next slot; no q-degree reaches S, so no entry runs
+    into the next.  Once per step each row's slots are unpacked, scaled,
+    reduced mod p and packed again."""
+    ring = H.field
+    flat = type(ring) is PrimeField
+    if flat:
+        p, c, S = ring.p, 0, 1
+        P, Q = _shift(H, x0), [_shift(f, x0) for f in hA]
+        unit = P[0]
+
+        def packed_table(a):        # m a for each m in GF(p)
+            return [m * a % p for m in range(p)]
+    else:
+        F, p = ring.field, ring.field.p
+        P, Q = _q_shift(H, x0), [_q_shift(f, x0) for f in hA]
+        c = max(map(len, chain(P, *Q))) - 1
+        S = p * c + 1
+        powers = [(1,)]             # P_0^i
+        for _ in range(max(len(P), max(map(len, Q)))):
+            powers.append(_q_mul(powers[-1], P[0], p))
+        P = [P[0]] + [_q_mul(a, powers[i], p) for i, a in enumerate(P[1:])]
+        Q = [[_q_mul(a, powers[i], p) for i, a in enumerate(f)] for f in Q]
+        unit = 1
+
+        def packed(a):
+            return sum(b << (j * w) for j, b in enumerate(a))
+
+        def packed_table(a):
+            return [packed([m * b % p for b in a]) for m in range(p)]
     # (offset i, source row l, Q_i[r][l]) for row r, and (i, P_i) for i >= 1
-    terms = [[(i, l, c) for l in range(n) for i, c in enumerate(Q[r * n + l]) if c]
+    terms = [[(i, l, a) for l in range(n) for i, a in enumerate(Q[r * n + l][:p]) if a]
              for r in range(n)]
-    P_terms = [(i, c) for i, c in enumerate(P) if i and c]
-    w = 2 * p.bit_length() + (len(P_terms) + max(map(len, terms))).bit_length()
+    P_terms = [(i, a) for i, a in enumerate(P[:p + 1]) if i and a]
+    w = 2 * p.bit_length() + ((len(P_terms) + max(map(len, terms))) * S).bit_length()
     mask = (1 << w) - 1
-    slots = range(0, n * w, w)
-    # Y[pad + k] is Y_k; the pad zero rows stand for Y_k with k < 0
+    slots = range(0, n * S * w, w)
+    # the slots Z_{k+1} can fill: q^j in each entry for j <= (k+1) c
+    live = [slots] * p if c == 0 else [
+        [(l * S + j) * w for l in range(n) for j in range(min((k + 1) * c, S - 1) + 1)]
+        for k in range(p)]
+    if not flat:                    # an int of GF(p) is its own packing
+        terms = [[(i, l, packed(a)) for i, l, a in row] for row in terms]
+    # (i, the packed m P_i for each m in GF(p)): step k takes m = k+1-i,
+    # which is negative only where Z_{k+1-i} is a zero row of the pad
+    P_terms = [(i, packed_table(a)) for i, a in P_terms]
+    # Z[pad + k] is Z_k; the pad zero rows stand for Z_k with k < 0
     pad = max(len(P), max(map(len, Q)))
-    Y = [[0] * n] * pad + [[1 << (r * w) for r in range(n)]]
-    # Y_{k+1} = c_k unmatched(k), and the last rows are psi_p(x0)
-    scales = [-pow(P[0] * (k + 1), -1, p) for k in range(p - 1)] + [-pow(h(x0).v, -1, p)]
-    for k, c in enumerate(scales):
+    Z = [[0] * n] * pad + [[1 << (r * S * w) for r in range(n)]]
+    hx0 = h(x0)
+    # Z_{k+1} = e_k unmatched(k); the last e scales unmatched(p-1) to
+    # psi_p(x0) over GF(p), and to its numerator over h(x0)^p over GF(p)[q]
+    last = -pow(hx0.v, -1, p) if flat else -1
+    scales = [-pow(unit * (k + 1), -1, p) for k in range(p - 1)] + [last]
+    for k, (e, filled) in enumerate(zip(scales, live)):
         top = pad + k
-        scaled = [(Y[top + 1 - i], d * (k + 1 - i) % p) for i, d in P_terms]
+        scaled = [(Z[top + 1 - i], d[k + 1 - i]) for i, d in P_terms]
         rows = []
         for r in range(n):
             s = 0                       # row r of unmatched(k), packed
-            for Yj, d in scaled:
-                s += d * Yj[r]
+            for Zj, d in scaled:
+                s += d * Zj[r]
             for i, l, d in terms[r]:
-                s += d * Y[top - i][l]
+                s += d * Z[top - i][l]
             y = 0
-            for sh in slots:
-                y += ((s >> sh) & mask) * c % p << sh
+            for sh in filled:
+                y += ((s >> sh) & mask) * e % p << sh
             rows.append(y)
-        Y.append(rows)
-    return Matrix(GF(p), [[(y >> sh) & mask for sh in slots] for y in Y[-1]])
+        Z.append(rows)
+    if flat:
+        return Matrix(ring, [[(y >> sh) & mask for sh in slots] for y in Z[-1]])
+    K = FunctionField(F, ring.var)
+    den = hx0 ** p
+    return Matrix(K, [[RationalFunction(K, Polynomial(F, [(y >> sh) & mask for sh in
+                                                          slots[l * S:(l + 1) * S]]), den)
+                       for l in range(n)] for y in Z[-1]])
 
 
 def _point_values(A: ConnectionMatrix, p: int, form):
-    """(zeros, values) for A over GF(p)(x) or GF(p)(q)(x), with form its
-    (h, H, M) from _cleared_form: values yields (point, psi_p at the point)
-    at the ordinary points of A, (x0,) or (q0, x0), in lexicographic
-    order, and over GF(p)(x) zeros values equal to 0 at distinct ordinary
-    points prove psi_p = 0.
+    """(zeros, values, specialised) for A over GF(p)(x) or GF(p)(q)(x),
+    with form its (h, H, M) from _cleared_form.  values yields ((x0,),
+    psi_p at x0) at the ordinary points x0 of GF(p) in order, over GF(p),
+    or over GF(p)(q) with q kept symbolic, and zeros values equal to 0
+    prove psi_p = 0.  specialised is None over GF(p)(x); over a tower it
+    yields ((q0, x0), psi_p at (q0, x0) over GF(p)) in lexicographic
+    order, the cheap witnesses of psi_p != 0.
 
     With H = hu and M = hA, nabla(d/dx) = M/H and x0 is ordinary when
-    H(x0) h(x0) != 0.  The caller clears once (_scan_prime hands the same
-    form to the kernel).  Over a tower the three live over GF(p)[q][x]; a
-    q0 where h drops its x-degree (the clearing constant h.leading()
-    vanishes) is skipped, and at every other q0 in turn h, H and M are
-    specialised to GF(p)[x].  Specialising q commutes with d/dx and with
-    the recursion below, so the value at (q0, x0) is psi_p = N_p/h^p there.
+    H(x0) h(x0) != 0, over a tower in GF(p)[q].  The caller clears once
+    (_scan_prime hands the same form to the kernel).  Over a tower the
+    three live over GF(p)[q][x]; for specialised, a q0 where h drops its
+    x-degree (the clearing constant h.leading() vanishes) is skipped, and
+    at every other q0 in turn h, H and M are specialised to GF(p)[x].
+    Specialising q commutes with d/dx and with the recursion below, so the
+    value at (q0, x0) is psi_p = N_p/h^p there.  A zero there proves
+    nothing about psi_p, as other q0 may give other values.
 
     Y solves H(x0+t) Y' = -M(x0+t) Y, Y(0) = I, for t^0..t^(p-2); E, the
     t^(p-1) coefficient of HY' + MY, is the one p*Y_p = 0 cannot cancel,
-    and psi_p(x0) = -u(x0) E / H(x0) = -E / h(x0).  _value_at runs this
-    recurrence with each row of each Y_k packed into one int, its entries
-    in [0, p) in slots wide enough that a step's sums never carry.
+    and psi_p(x0) = -u(x0)^p E / H(x0), which is -E / h(x0) over GF(p).
+    _value_at runs this recurrence with each row of each Y_k packed into
+    one int, its coefficients in [0, p) in slots wide enough that a step's
+    sums never carry; over a tower fraction-free, on polynomials in q.
 
     The bound: psi_p(d/dx) = N_p/H^p, with N_p from the recursion
     N_1 = M, N_{k+1} = H N_k' - k H' N_k + M N_k that p_curvature runs, so
     deg N_p <= B = deg M + (p-1) max(deg H - 1, deg M), with deg M the
-    largest degree of an entry of M.  psi_p is horizontal, so with Y as
-    above psi_p = Y psi_p(x0) Y^-1 mod (x - x0)^p (Katz 1970, section 5): a
-    zero value at x0 gives (x - x0)^p | N_p, and B // p + 1 of them give
+    largest x-degree of an entry of M.  psi_p is horizontal over any base
+    field of characteristic p, GF(p)(q) included, so with Y as above
+    psi_p = Y psi_p(x0) Y^-1 mod (x - x0)^p (Katz 1970, section 5): a zero
+    value at x0 gives (x - x0)^p | N_p, and B // p + 1 of them give
     N_p = 0.  psi_p(u*d/dx) = u^p psi_p(d/dx), and u(x0) != 0, so both
     statements hold for the derivation of A.
     """
     base = A.field.base
-    if not isinstance(base, PrimeField) and not (
-            isinstance(base, FunctionField) and isinstance(base.base, PrimeField)):
+    tower = isinstance(base, FunctionField) and isinstance(base.base, PrimeField)
+    if not (tower or isinstance(base, PrimeField)):
         raise ValueError(f"no point evaluation over {A.field}")
     h, H, M = form
     hA = [f for row in M for f in row]
     deg_M = max(f.degree() for f in hA)
     bound = deg_M + (p - 1) * max(H.degree() - 1, deg_M)
 
-    def lines():
-        polys = [h, H] + hA
-        if isinstance(base, PrimeField):
-            yield (), polys
-            return
+    def values(line, h0, H0, *M0):
+        for x0 in range(p):
+            if H0(x0) * h0(x0):
+                yield line + (x0,), _value_at(h0, H0, M0, A.rank, x0)
+
+    def specialised():
         for q0 in range(p):
             if h.leading()(q0):
-                yield (q0,), [f.map_coefficients(lambda c: c(q0), base.base) for f in polys]
+                yield from values((q0,), *[f.map_coefficients(lambda c: c(q0), base.base)
+                                           for f in [h, H] + hA])
 
-    def values():
-        for q, (h0, H0, *M0) in lines():
-            for x0 in range(p):
-                if H0(x0) * h0(x0):
-                    yield q + (x0,), _value_at(h0, H0, M0, A.rank, x0)
-
-    return bound // p + 1, values()
+    return bound // p + 1, values((), h, H, *hA), specialised() if tower else None
 
 
 def p_curvature_at(A: ConnectionMatrix, p: int):
@@ -484,39 +566,44 @@ def p_curvature_at(A: ConnectionMatrix, p: int):
 
     A may have characteristic 0 (it is reduced mod p as in p_curvature) or
     p, over k(x) or over a tower k(q)(x).  The point and its value are the
-    first ones of _point_values: (x0,), or (q0, x0) over a tower, the
-    smallest in lexicographic order with H(x0) h(x0) != 0 for h and H = hu
-    as in _cleared_form, specialised at q0 over a tower.  A nonzero value
-    proves psi_p != 0.  A zero value proves psi_p = 0 only together with
-    enough zero values at other points over GF(p)(x), as _scan_prime uses
-    them; over a tower it decides nothing.
+    first ones over GF(p) of _point_values: (x0,), or (q0, x0) over a
+    tower, the smallest in lexicographic order with H(x0) h(x0) != 0 for h
+    and H = hu as in _cleared_form, specialised at q0 over a tower.  A
+    nonzero value proves psi_p != 0.  A zero value proves psi_p = 0 only
+    together with enough zero values at other points: over GF(p)(x) at
+    other x0, and over a tower at x0 with q kept symbolic, as _scan_prime
+    uses them.
     """
     Abar = _at_prime(A, p)
     if Abar is None:
         return None
-    return next(_point_values(Abar, p, _cleared_form(Abar))[1], None)
+    _, values, specialised = _point_values(Abar, p, _cleared_form(Abar))
+    return next(values if specialised is None else specialised, None)
 
 
 def _scan_prime(A: ConnectionMatrix, p: int) -> PCurvatureReport:
     """One row of scan_primes, decided by point values where they can.
 
-    A nonzero value of psi_p at one point decides nonvanishing.  Over
-    GF(p)(x), as many zero values at distinct ordinary points as
-    _point_values asks for decide vanishing, and the report carries the
-    zero matrix.  The kernel decides the rest: a zero value over a tower,
-    where a q-specialisation proves nothing, and a GF(p) with too few
-    ordinary points.
+    Over a tower the value at the first specialised point (q0, x0) comes
+    first: it is cheap, and when nonzero it decides nonvanishing.  Then
+    the values at x0 in GF(p), with q kept symbolic over a tower, decide
+    as they do over GF(p)(x): a nonzero one nonvanishing, and as many zero
+    values as _point_values asks for vanishing, with the zero matrix in the
+    report.  The kernel decides only where GF(p) has too few ordinary
+    points.
     """
     Abar = _at_prime(A, p)
     if Abar is None:
         return PCurvatureReport(p, False, None, False)
     form = _cleared_form(Abar)
-    zeros, values = _point_values(Abar, p, form)
-    for count, (point, value) in enumerate(values, 1):
+    zeros, values, specialised = _point_values(Abar, p, form)
+    if specialised is not None:
+        witness = next(specialised, None)
+        if witness is not None and not witness[1].is_zero():
+            return PCurvatureReport(p, True, None, False)
+    for count, (_, value) in enumerate(values, 1):
         if not value.is_zero():
             return PCurvatureReport(p, True, None, False)
-        if len(point) > 1:
-            break
         if count >= zeros:
             return PCurvatureReport(p, True, Matrix.zeros(Abar.field, Abar.rank), True)
     return _kernel_report(Abar.field, form, p)

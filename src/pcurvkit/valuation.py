@@ -5,8 +5,7 @@ elements of a tower k(q)(x) get the Gauss valuation (minimum coefficient
 valuation, x a unit).  The Newton polygon of a companion column
 turns those orders into eigenvalue valuations, and the nonvanishing
 predictor pairs the polygon's verdict with an exact p-curvature oracle run
-over GF(p)(q)(x): a nonzero value of psi_p at one point, or else the whole
-psi_p.
+over GF(p)(q)(x): values of psi_p at points, or else the whole psi_p.
 """
 
 from __future__ import annotations
@@ -152,8 +151,10 @@ def predict_nonvanishing(c: CompanionConnection, p: int) -> NonvanishingPredicti
 def verify_prediction(c: CompanionConnection, p: int) -> bool:
     """Exact oracle for nonvanishing of psi_p over GF(p)(q)(x), decided as
     scan_primes decides one prime over a tower: a nonzero value of psi_p
-    at one point proves it, and otherwise the whole psi_p decides, since a
-    zero value at a q-specialisation proves nothing."""
+    at one point proves it, at a q-specialisation or with q kept symbolic.
+    A zero at a q-specialisation proves nothing, but enough zero values at
+    x0 in GF(p) with q kept symbolic prove psi_p = 0, and the whole psi_p
+    decides only where GF(p) has too few such points."""
     report, = scan_primes(c.matrix(), p, p)
     if not report.good_prime:
         raise ValueError(f"p = {p} is bad for this companion connection")

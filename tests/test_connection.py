@@ -50,7 +50,8 @@ from pcurvkit import (
 from pcurvkit.connection import PCurvatureReport
 from pcurvkit.deformation import BlockExtension, block_power_pair
 from pcurvkit.fields import ReductionError, primes_in
-from pcurvkit.ratfunc import common_denominator
+from pcurvkit.poly import PolynomialRing
+from pcurvkit.ratfunc import RationalFunction, common_denominator
 
 
 def qq_line():
@@ -965,10 +966,59 @@ def rand_qpole_entry(K, rng):
     return num / rng.choice([K.one, x + c, x * x + c])
 
 
-def test_tower_point_values_and_scan_match_the_kernel():
+@pytest.fixture
+def kernel_primes(monkeypatch):
+    """The prime of every connection._kernel_report call."""
+    primes = []
+    real = connection._kernel_report
+
+    def spy(field, form, p):
+        primes.append(p)
+        return real(field, form, p)
+
+    monkeypatch.setattr(connection, "_kernel_report", spy)
+    return primes
+
+
+def scan_prime_matches_the_kernel(A, p, kernel_primes):
+    """Run _scan_prime on A over GF(p)(q)(x) against the kernel: psi_p is
+    N_p/h^p, with N_p from the recursion p_curvature runs before it
+    reduces, so psi_p = 0 exactly when N_p = 0, and each value with q kept
+    symbolic must be N_p(x0)/h(x0)^p.  The kernel runs only where GF(p)
+    has fewer ordinary x0 than the zero count.  Returns how the prime was
+    decided."""
+    kernel_primes.clear()
+    got = connection._scan_prime(A, p)
+    form = connection._cleared_form(A)
+    h, H, M = form
+    N = connection._nabla_kernel(M, H, None, 1, p)
+    assert got.good_prime and got.vanishes == N.is_zero(), (p, A)
+    zeros, values, specialised = connection._point_values(A, p, form)
+    base = A.field.base
+    symbolic = []
+    for (x0,), value in values:
+        den = h(x0) ** p
+        want = Matrix(base, [[RationalFunction(base, f(x0), den) for f in row] for row in N.rows])
+        assert value.ring == base and value == want, (p, A, x0)
+        symbolic.append(value.is_zero())
+    if len(symbolic) >= zeros:
+        assert kernel_primes == [], (p, A)
+    if got.vanishes:
+        assert got.psi == Matrix.zeros(A.field, A.rank), (p, A)
+    witness = next(specialised, None)
+    if witness is not None and not witness[1].is_zero():
+        return "witness"
+    if False in symbolic[:zeros]:
+        return "symbolic nonzero"
+    return "symbolic zeros" if len(symbolic) >= zeros else "kernel"
+
+
+def test_tower_point_values_and_scan_match_the_kernel(kernel_primes):
     """Differential test at p = 3 with q-poles inside the x-denominators and
-    five multipliers: every point value is the kernel's psi at that point,
-    and every _scan_prime verdict is the kernel's."""
+    five multipliers: every point value, specialised or with q kept
+    symbolic, is the kernel's psi at that point, every _scan_prime verdict
+    is the kernel's, and the kernel runs only where GF(3) has too few
+    ordinary points."""
     rng = random.Random(1803)
     K = FunctionField(FunctionField(GF(3), "q"), "x")
     q, x = K(K.base.gen()), K.gen()
@@ -981,6 +1031,7 @@ def test_tower_point_values_and_scan_match_the_kernel():
             want = p_curvature(A, 3)
             got = connection._scan_prime(A, 3)
             assert (got.good_prime, got.vanishes) == (want.good_prime, want.vanishes), (u, A)
+            scan_prime_matches_the_kernel(A, 3, kernel_primes)
             found = p_curvature_at(A, 3)
             if found is not None:
                 point, value = found
@@ -988,6 +1039,51 @@ def test_tower_point_values_and_scan_match_the_kernel():
                 checked += 1
                 nonzero += not value.is_zero()
     assert checked >= 25 and nonzero >= 15, (checked, nonzero)
+
+
+def rand_gauge_of_zero(K, D, rng):
+    """G^-1 D(G), the gauge of the zero connection by G = U L over
+    GF(p)(q)(x): U = [[1, f], [0, 1]] with f from rand_qpole_entry, so
+    q-poles sit in the x-denominators, and L lower triangular with unit
+    diagonal entries a, d and b = b0 + b1*x below.  G^-1 = L^-1 U^-1 in
+    closed form."""
+    f = rand_qpole_entry(K, rng)
+    a, d = K(rand_unit(K.base, rng)), K(rand_unit(K.base, rng))
+    b = K.from_poly(K.polynomial([rand_scalar(K.base, rng) for _ in range(2)]))
+    U, L = Matrix(K, [[K.one, f], [K.zero, K.one]]), Matrix(K, [[a, K.zero], [b, d]])
+    inverse = (Matrix(K, [[K.one / a, K.zero], [-b / (a * d), K.one / d]])
+               * Matrix(K, [[K.one, -f], [K.zero, K.one]]))
+    return inverse * D(U * L)
+
+
+def test_tower_scan_of_gauges_decides_without_the_kernel(kernel_primes):
+    """Seeded differential at p = 3, 5 and 7 with the multipliers 1, x and
+    x + q.  A pure gauge G^-1 D(G) of the zero connection has psi_p = 0; a
+    perturbed one adds s in the lower left corner, with s a unit of GF(p)(q)
+    or s = q - q0 for the q0 of the gauge's first specialised point, where
+    the perturbed connection is the gauge again: its value there is zero,
+    and values with q kept symbolic decide.  Every verdict is the kernel's,
+    and the kernel runs only where GF(p) has too few ordinary points; each
+    way to decide occurs.  The kernel's N_p stands in for p_curvature, whose
+    reduction of N_p/h^p takes seconds on some of these connections."""
+    rng = random.Random(2035)
+    outcomes = dict.fromkeys(("witness", "symbolic nonzero", "symbolic zeros", "kernel"), 0)
+    for p in (3, 5, 7):
+        K = FunctionField(FunctionField(GF(p), "q"), "x")
+        q, x = K(K.base.gen()), K.gen()
+        for u in (K.one, x, x + q):
+            D = Derivation(u)
+            for kind in ("gauge", "unit", "q - q0"):
+                for _ in range(4):
+                    A = ConnectionMatrix(rand_gauge_of_zero(K, D, rng), D)
+                    if kind != "gauge":
+                        found = p_curvature_at(A, p)
+                        s = (K(rand_unit(K.base, rng)) if kind == "unit" or found is None
+                             else q - K(found[0][0]))
+                        A = ConnectionMatrix(
+                            A.matrix + Matrix(K, [[K.zero, K.zero], [s, K.zero]]), D)
+                    outcomes[scan_prime_matches_the_kernel(A, p, kernel_primes)] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_report_without_psi_cannot_vanish():
@@ -1116,7 +1212,7 @@ def test_scan_prime_matches_the_kernel_and_the_residues(monkeypatch):
         if not want.good_prime:
             continue
         Abar = A.reduce_mod(p)
-        zeros, values = connection._point_values(Abar, p, connection._cleared_form(Abar))
+        zeros, values, _ = connection._point_values(Abar, p, connection._cleared_form(Abar))
         seen = [value.is_zero() for _, value in values]
         first_nonzero = seen.index(False) if False in seen else None
         if first_nonzero is None and len(seen) < max(zeros, 1):
@@ -1234,9 +1330,10 @@ def checked_value_at(monkeypatch):
 
 
 def first_point_values(A, p, count):
-    """The first count point values of A over GF(p)(x) or GF(p)(q)(x)."""
-    _, values = connection._point_values(A, p, connection._cleared_form(A))
-    return [value for _, value in zip(range(count), values)]
+    """The first count point values over GF(p) of A over GF(p)(x) or
+    GF(p)(q)(x), at q-specialisations over a tower."""
+    _, values, specialised = connection._point_values(A, p, connection._cleared_form(A))
+    return [value for _, value in zip(range(count), specialised or values)]
 
 
 PACKED_PRIMES = (2, 3, 5, 7, 11, 13, 31, 97, 211, 307, 397)
@@ -1320,6 +1417,102 @@ def test_packed_slots_at_their_largest_sums():
                 assert got == value_at_reference(H, H, hA, n, 0), (p, n, deg_H, deg_M)
 
 
+def tower_value_reference(h, H, hA, n, x0):
+    """psi_p at x0 from a cleared form over GF(p)[q][x], by the point
+    recurrence on lists of elements of GF(p)(q), with a division by P_0 at
+    every step: the oracle of the fraction-free packed recurrence, sharing
+    neither its shift nor its packing."""
+    F = h.field.field
+    p = F.p
+    Kq = FunctionField(F, h.field.var)
+
+    def shifted(f):
+        cs = [Kq.from_poly(c) for c in f.coeffs]
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] = cs[j] + cs[j + 1] * x0
+        return cs
+
+    P, Q = shifted(H), [shifted(f) for f in hA]
+    Y = [[[Kq.one if i == j else Kq.zero for j in range(n)] for i in range(n)]]
+
+    def unmatched(k):
+        S = [[Kq.zero] * n for _ in range(n)]
+        for i in range(1, min(k, len(P) - 1) + 1):
+            for r in range(n):
+                S[r] = [s + P[i] * (k + 1 - i) * y for s, y in zip(S[r], Y[k + 1 - i][r])]
+        for r in range(n):
+            for l in range(n):
+                f = Q[r * n + l]
+                for i in range(min(k, len(f) - 1) + 1):
+                    S[r] = [s + f[i] * y for s, y in zip(S[r], Y[k - i][l])]
+        return S
+
+    for k in range(p - 1):
+        c = -Kq.one / (P[0] * (k + 1))
+        Y.append([[s * c for s in row] for row in unmatched(k)])
+    c = -P[0] ** (p - 1) / shifted(h)[0] ** p
+    return Matrix(Kq, [[e * c for e in row] for row in unmatched(p - 1)])
+
+
+def test_packed_q_slots_at_their_widest():
+    """Over GF(p)[q][x] with every q-coefficient p - 1 and q-degree c.  With
+    h = H = 1 and M constant, psi_p = M^p, and for rank 1 that is a^p of
+    q-degree p c, which fills the last of an entry's S = p c + 1 slots.
+    With H = h and the entries of M of x-degree 3, every coefficient of
+    every multiplier's factors p - 1, the values equal tower_value_reference.
+    Over GF(p)[q] no data reaches the slot bound T S (p-1)^2 itself: Z_k is
+    computed, not chosen, and a multiplier and an entry of Z_k overlap in
+    fewer than S coefficients."""
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        ring = PolynomialRing(F, "q")
+        Kq = FunctionField(F, "q")
+        for c in (1, 2, 3):
+            a = Polynomial(F, [p - 1] * (c + 1))
+            one = Polynomial(ring, [Polynomial.one(F)])
+            for n in (1, 2, 3):
+                hA = [Polynomial(ring, [a])] * (n * n)
+                got = connection._value_at(one, one, hA, n, 0)
+                M = Matrix(Kq, [[Kq.from_poly(a)] * n] * n)
+                assert got == M ** p, (p, c, n)
+                if n == 1:
+                    assert got.entry(0, 0).num.degree() == p * c
+                H = Polynomial(ring, [a] * 4)
+                hA = [Polynomial(ring, [a] * 4)] * (n * n)
+                for x0 in range(p):
+                    if H(x0):
+                        got = connection._value_at(H, H, hA, n, x0)
+                        assert got == tower_value_reference(H, H, hA, n, x0), (p, c, n, x0)
+
+
+def test_packed_tower_values_of_random_cleared_forms():
+    """_value_at over GF(p)[q][x] on random h, H and entries of x-degree up
+    to 3 and q-degree up to 2, dense and sparse, at every x0 with
+    H(x0) h(x0) != 0 in GF(p)[q]: the values equal tower_value_reference."""
+    rng = random.Random(3535)
+    checked = 0
+    for p in (2, 3, 5, 7):
+        F = GF(p)
+        ring = PolynomialRing(F, "q")
+
+        def poly():
+            return Polynomial(ring, [Polynomial(F, [rng.randrange(p) if rng.random() < 0.7
+                                                    else 0 for _ in range(rng.randint(1, 3))])
+                                     for _ in range(rng.randint(1, 4))])
+
+        for _ in range(4):
+            n = rng.randint(1, 2)
+            h, H = poly(), poly()
+            hA = [poly() for _ in range(n * n)]
+            for x0 in range(p):
+                if H(x0) * h(x0):
+                    assert connection._value_at(h, H, hA, n, x0) == \
+                        tower_value_reference(h, H, hA, n, x0), (p, h, H, hA, x0)
+                    checked += 1
+    assert checked >= 20, checked
+
+
 def test_scan_of_the_scan_connection_to_400(checked_value_at, monkeypatch):
     """The scan connection over 2..400: every point value equals the list
     recurrence's, no prime needs the kernel, and psi_p vanishes exactly at
@@ -1337,9 +1530,11 @@ def test_scan_of_the_scan_connection_to_400(checked_value_at, monkeypatch):
 
 
 def test_scan_fallback_clears_each_prime_once(monkeypatch):
-    """A kernel-decided prime, over GF(p)(x) with no ordinary point and over
-    a tower after a zero value, clears its connection once: the point
-    values and the kernel share the one (h, H, M)."""
+    """A prime clears its connection once, whether point values or the
+    kernel decide it: over GF(p)(x) and over a tower with no ordinary point
+    the kernel decides, and over a tower zero values with q kept symbolic
+    prove psi_5 = 0 after a zero specialised value.  The point values and
+    the kernel share the one (h, H, M)."""
     clearings = []
     real = connection._cleared_form
 
@@ -1350,8 +1545,11 @@ def test_scan_fallback_clears_each_prime_once(monkeypatch):
     K = qq_line()
     x = K.gen()
     T = FunctionField(FunctionField(GF(5), "q"), "x")
+    T3 = FunctionField(FunctionField(GF(3), "q"), "x")
+    y = T3.gen()
     cases = [(ConnectionMatrix(Matrix(K, [[K.one / (x ** 3 - x)]]), Derivation.d_dx(K)), 3),
-             (ConnectionMatrix(Matrix(T, [[T(3)]]), Derivation.x_d_dx(T)), 5)]
+             (ConnectionMatrix(Matrix(T, [[T(3)]]), Derivation.x_d_dx(T)), 5),
+             (ConnectionMatrix(Matrix(T3, [[T3.one / (y ** 3 - y)]]), Derivation.d_dx(T3)), 3)]
     for A, p in cases:
         want = p_curvature(A, p)
         monkeypatch.setattr(connection, "_cleared_form", counting)

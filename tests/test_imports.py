@@ -21,12 +21,17 @@ name or a docstring does not count, as the same words name locals and
 prose, and neither does a read of another class's property of the same
 name for a plain method.  Finally, only linalg.py runs elimination: no
 other module names its fraction-free passes, and only fields.py runs a
-square-and-multiply loop (shifts an exponent right in place).
+square-and-multiply loop (shifts an exponent right in place).  And the
+two modules no answer uses, intervals.py and laurent.py, stay out of a
+tool's start-up: ``import pcurvkit.cli`` neither compiles nor runs them.
 """
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -376,3 +381,22 @@ def test_scan_flags_elimination_outside_linalg():
                "c.py": "from .linalg import _solve_integer\nsolve = _solve_integer\n"}
     assert elimination_outside_linalg(sources) == [
         "a.py: _cleared_rows", "a.py: _integer_forward", "b.py: _integer_upward"]
+
+
+LAZY_PROBE = """
+import sys
+import pcurvkit.cli
+print(sorted(m for m in ("pcurvkit.intervals", "pcurvkit.laurent") if m in sys.modules))
+from pcurvkit import RatInterval, TruncatedLaurentSeries
+print(RatInterval.__module__, TruncatedLaurentSeries.__module__)
+"""
+
+
+def test_cli_start_up_leaves_intervals_and_laurent_unloaded():
+    """A fresh interpreter that imports the CLI has loaded neither module;
+    the package still exports their names, and the first use loads them."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "pcurvkit.intervals pcurvkit.laurent"]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pcurvkit import connection, specdoc
 from pcurvkit import (
     GF,
     QQ,
@@ -176,3 +177,25 @@ def test_standard_tower_characteristics():
     base5, tower5, D5 = standard_tower(5)
     assert tower5.characteristic() == 5
     assert D5.u == tower5.gen()
+
+
+def test_a_tower_prime_of_the_long_reduction_needs_no_kernel(monkeypatch):
+    """The p = 23 companion with planted valuations (-1, 1), whose whole
+    psi_p takes about a second in the kernel and its reduction: its first
+    specialised value is zero, and values with q kept symbolic decide
+    psi_23 != 0 without the kernel."""
+    kernel = []
+    real = connection._kernel_report
+
+    def spy(field, form, p):
+        kernel.append(p)
+        return real(field, form, p)
+
+    monkeypatch.setattr(connection, "_kernel_report", spy)
+    c, p = specdoc.companion_from_spec({
+        "kind": "companion", "p": 23,
+        "last_column": ["(15+13*q^1+8*q^2)/(q^1)", "(22+20*q^1+4*q^2)*q^1/(x)"]})
+    assert ValuationProfile.of(c).valuations == (-1, 1)
+    assert connection.p_curvature_at(c.matrix(), p)[1].is_zero()
+    assert verify_prediction(c, p) is True
+    assert kernel == []
