@@ -9,6 +9,14 @@ gauge I + q^k Y, which kills that layer of a truncated family and leaves
 lower layers alone; gauge_family clears the layers alike.  No solution
 inside the ansatz is an outcome, not an error: the caller may widen the
 degree bound and retry.
+
+normalize_family clears a family once and works on the numerators over
+that one denominator throughout: each layer is solved from its numerator,
+and the gauged numerators (_gauged_layers) carry the check of each solve,
+since their layer k is the cleared equation of layer k at the solution.
+solve_deformation and gauge_family are the same steps for one layer and
+one gauge.  step_conjugate writes the entries of its linearized system
+straight from the sigmas and solves it once.
 """
 
 from __future__ import annotations
@@ -121,18 +129,12 @@ def _ansatz_matrix(ring, r: int, vec: list, ansatz_degree: int) -> Matrix:
     return Matrix(ring, [polys[i * r:(i + 1) * r] for i in range(r)])
 
 
-def solve_deformation(A: ConnectionMatrix, B: Matrix,
-                      ansatz_degree: int) -> DeformationSolution | None:
-    """Solve B + AY - YA + D(Y) = 0 with Y polynomial of degree <= d.
+def _solve_cleared(P: Matrix, hu, hB: Matrix, ansatz_degree: int) -> Matrix | None:
+    """Y over k[x] of degree <= d with hB + PY - YP + (hu) Y' = 0, or None.
 
-    The forward-only solve assigns zero to every free parameter, so the
-    returned Y is deterministic.  None means no solution in this ansatz.
     Over QQ the integer rows go straight to the integer solve of linalg,
-    over any other field through Matrix.solve.  The answer is checked on
-    the cleared equation hB + PY - YP + (hu) Y' of _clear_denominators,
-    which is zero exactly when the residual is.
+    over any other field through Matrix.solve; free parameters are zero.
     """
-    _, hu, P, hB = _clear_denominators(A.derivation.u, A.matrix, B)
     rows = _deformation_system(P, hu, hB, ansatz_degree)
     n = len(rows[0]) - 1
     base = P.ring.field
@@ -144,10 +146,36 @@ def solve_deformation(A: ConnectionMatrix, B: Matrix,
         sol = None if sol is None else sol.rows
     if sol is None:
         return None
-    Y = _ansatz_matrix(P.ring, A.rank, [row[0] for row in sol], ansatz_degree)
-    residual = hB + P * Y - Y * P + Y.map_entries(lambda e: e.derivative()).scale(hu)
-    if not residual.is_zero():
+    return _ansatz_matrix(P.ring, P.nrows, [row[0] for row in sol], ansatz_degree)
+
+
+def _gauged_and_checked(N: list, hu, Y: Matrix, k: int) -> list:
+    """_gauged_cleared for Y a solution at layer k.  Layer k of the result
+    is N_k + N_0 Y - Y N_0 + (hu) Y', the cleared deformation equation of
+    N_k, so it is zero exactly when Y solves it; a nonzero one is a solver
+    bug and raises AssertionError."""
+    Z = _gauged_cleared(N, hu, Y, k)
+    if not Z[k].is_zero():
         raise AssertionError("solver returned a nonzero residual")
+    return Z
+
+
+def solve_deformation(A: ConnectionMatrix, B: Matrix,
+                      ansatz_degree: int) -> DeformationSolution | None:
+    """Solve B + AY - YA + D(Y) = 0 with Y polynomial of degree <= d.
+
+    The forward-only solve assigns zero to every free parameter, so the
+    returned Y is deterministic.  None means no solution in this ansatz.
+    The equation is solved and checked in the cleared form
+    hB + PY - YP + (hu) Y' of _clear_denominators, which is zero exactly
+    when the residual is: the check is layer 1 of the family (A, B) gauged
+    by I + qY.
+    """
+    _, hu, P, hB = _clear_denominators(A.derivation.u, A.matrix, B)
+    Y = _solve_cleared(P, hu, hB, ansatz_degree)
+    if Y is None:
+        return None
+    _gauged_and_checked([P, hB], hu, Y, 1)
     field = A.field
     return DeformationSolution(Y.map_entries(field.from_poly, field), ansatz_degree)
 
@@ -199,6 +227,19 @@ def _gauged_layers(L, Y, k: int, dY):
     return Z
 
 
+def _gauged_cleared(N: list, hu, Y: Matrix, k: int) -> list:
+    """_gauged_layers of the cleared layers N_n = h L_n under I + q^k Y, Y
+    over k[x]: the numerators over h of the gauged family's layers."""
+    return _gauged_layers(N, Y, k, Y.map_entries(lambda e: e.derivative()).scale(hu))
+
+
+def _uncleared(F: TruncatedFamily, Z: list, h) -> TruncatedFamily:
+    """The family with layers Z_n / h, each entry reduced once."""
+    field = F.layers[0].ring
+    return TruncatedFamily(F.derivation, [
+        X.map_entries(lambda z: RationalFunction(field, z, h), field) for X in Z])
+
+
 def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
     """Apply the gauge G = I + q^k Y to the family, truncating at its order.
 
@@ -216,12 +257,9 @@ def gauge_family(F: TruncatedFamily, Y: Matrix, k: int) -> TruncatedFamily:
         raise ValueError("gauge layer must be positive")
     if not all(e.den.is_one() for row in Y.rows for e in row):
         raise ValueError("gauge entries must be polynomial")
-    field = F.layers[0].ring
     h, hu, *N = _clear_denominators(F.derivation.u, *F.layers)
     Yp = Y.map_entries(lambda e: e.num, N[0].ring)
-    Z = _gauged_layers(N, Yp, k, Yp.map_entries(lambda e: e.derivative()).scale(hu))
-    new_layers = [X.map_entries(lambda z: RationalFunction(field, z, h), field) for X in Z]
-    return TruncatedFamily(F.derivation, new_layers)
+    return _uncleared(F, _gauged_cleared(N, hu, Yp, k), h)
 
 
 class NormalizationResult(NamedTuple):
@@ -240,20 +278,31 @@ def normalize_family(F: TruncatedFamily, ansatz_degree: int) -> NormalizationRes
 
     Stops at the first layer whose deformation equation has no solution in
     the ansatz, reporting that layer and its inhomogeneity.
+
+    The family is cleared once, h and hu and N_n = h L_n by
+    _clear_denominators over u and every layer.  A polynomial gauge keeps
+    the denominators of every layer dividing h, so all later work stays on
+    the numerators over this one h: layer k is solved from N_k with
+    P = N_0 (the cleared equation of solve_deformation, times a polynomial
+    factor, so with the same solutions), the gauged numerators come from
+    _gauged_layers, whose layer k checks the solve, and RationalFunctions
+    are built once, for the result.
     """
-    A0 = ConnectionMatrix(F.layers[0], F.derivation)
-    current = F
+    if not F.layers[0].is_square():
+        raise ValueError("connection matrix must be square")
+    field = F.layers[0].ring
+    h, hu, *N = _clear_denominators(F.derivation.u, *F.layers)
     gauges = []
     for k in range(1, F.order):
-        Bk = current.layers[k]
-        if Bk.is_zero():
+        if N[k].is_zero():
             continue
-        sol = solve_deformation(A0, Bk, ansatz_degree)
-        if sol is None:
-            return NormalizationResult(tuple(gauges), current, k, Bk)
-        current = gauge_family(current, sol.Y, k)
-        gauges.append((k, sol.Y))
-    return NormalizationResult(tuple(gauges), current, None, None)
+        Y = _solve_cleared(N[0], hu, N[k], ansatz_degree)
+        if Y is None:
+            family = _uncleared(F, N, h)
+            return NormalizationResult(tuple(gauges), family, k, family.layers[k])
+        N = _gauged_and_checked(N, hu, Y, k)
+        gauges.append((k, Y.map_entries(field.from_poly, field)))
+    return NormalizationResult(tuple(gauges), _uncleared(F, N, h), None, None)
 
 
 def conjugation_obstacle(sigma_gens, tau_gens, m: int) -> str | None:
@@ -289,15 +338,21 @@ def step_conjugate(sigma_gens, tau_gens, m: int):
     ring = sigma_gens[0].ring
     n = sigma_gens[0].nrows
 
-    # M sigma - sigma M = PM - MP with P = -sigma; row g*n*n + k*n + l is
-    # entry (k, l) for generator g, column i*n + j the unknown M_ij
+    # row g*n*n + k*n + l is entry (k, l) of M sigma - sigma M for generator
+    # g, column i*n + j the unknown M_ij, with coefficient
+    # [k == i] sigma_jl - [l == j] sigma_ki: sigma_jl along row block i,
+    # -sigma_ki down column j, and sigma_jj - sigma_ii where they meet
     sys_rows = [[ring.zero] * (n * n) for _ in range(len(sigma_gens) * n * n)]
     for g, sigma in enumerate(sigma_gens):
-        P = [[-e for e in row] for row in sigma.rows]
+        S = sigma.rows
+        neg = [[-e for e in row] for row in S]
         for i in range(n):
             for j in range(n):
-                for k, l, c in _commutator_terms(P, i, j):
-                    sys_rows[(g * n + k) * n + l][i * n + j] += c
+                col = i * n + j
+                for t in range(n):
+                    sys_rows[(g * n + i) * n + t][col] = S[j][t]
+                    sys_rows[(g * n + t) * n + j][col] = neg[t][i]
+                sys_rows[(g * n + i) * n + j][col] = S[j][j] - S[i][i]
     rhs_rows = [[e] for tau_layers in tau_gens for row in tau_layers[m].rows for e in row]
     sol = Matrix(ring, sys_rows).solve(Matrix(ring, rhs_rows))
     if sol is None:

@@ -16,14 +16,19 @@ A^2 v, ... through ``_first_dependency``.  There are two forward passes:
 
 - ``_integer_forward``, fraction-free on integer rows, every row operation
   ``a*row - f*pivot`` followed by removal of the row's content (in the
-  spirit of Bareiss, Math. Comp. 1968), and ``_integer_upward`` on the
-  pivot column and the right-hand-side columns alone.  They serve
-  ``solve`` over QQ (``_solve_integer`` on rows cleared of their
-  denominators once, ``_cleared_rows``) and over a number field K
-  (``NumberField.solve_system`` restricts scalars to QQ, one integer
-  d x d block per entry), the integer rows of ``solve_deformation``, the
-  d x d system of a Q(theta) inverse, and ``_first_dependency``, which
-  gives minimal polynomials;
+  spirit of Bareiss, Math. Comp. 1968), with the pivot row of least
+  |pivot|, then fewest nonzeros, among the candidates (after Markowitz,
+  Management Science 1957), and each other row updated in place right of
+  the pivot column; and ``_integer_upward`` on the pivot column and the
+  right-hand-side columns alone.  The pivot columns, and so every answer,
+  depend only on the column order, not on that choice of rows.  The
+  passes work in place, so the rows must be distinct lists; every caller
+  builds fresh ones.  They serve ``solve`` over QQ (``_solve_integer`` on
+  rows cleared of their denominators once, ``_cleared_rows``) and over a
+  number field K (``NumberField.solve_system`` restricts scalars to QQ,
+  one integer d x d block per entry), the integer rows of the deformation
+  equation, the d x d system of a Q(theta) inverse, and
+  ``_first_dependency``, which gives minimal polynomials;
 - ``_forward_by_division``, on every field, QQ included, which divides
   exactly once per pivot and keeps an entry of a row update that faces a
   zero of the pivot row as it is.  ``rank`` counts its pivots, ``rref``
@@ -77,11 +82,22 @@ def _integer_forward(rows, ncols):
     place, with pivots in the first ncols columns; returns the pivot
     columns.
 
-    Eliminating with pivot value a replaces each later row with entry f in
-    the pivot column by (a*row - f*pivot) / gcd(a, f), from the pivot column
-    on (both rows are zero left of it), and divides it by its content.
-    Afterwards rows[i] is zero left of pivots[i], and the rows past the
-    pivots are zero in the first ncols columns.
+    The pivot row for a column is the candidate (a row at or below the
+    current rank with a nonzero entry there) of smallest |pivot|, then of
+    fewest nonzeros (Markowitz, Management Science 1957): a pivot of
+    +-1 leaves the other rows unscaled, and a short pivot row touches few
+    of their entries.  The choice moves no pivot column, since column j is
+    a pivot exactly when it is independent of the columns before it; so
+    the answers of ``_solve_integer`` and ``_first_dependency`` do not
+    depend on it.
+
+    Eliminating with pivot value a replaces each other candidate, with
+    entry f in the pivot column, by (|a|*row - sgn(a)*f*pivot) / gcd(a, f)
+    and divides it by its content; both rows are zero left of the pivot
+    column, and the row becomes zero in it, so the update and the content
+    touch only the entries right of it.  Rows are updated in place, so they
+    must be distinct lists.  Afterwards rows[i] is zero left of pivots[i],
+    and the rows past the pivots are zero in the first ncols columns.
     """
     nrows = len(rows)
     pivots = []
@@ -89,28 +105,31 @@ def _integer_forward(rows, ncols):
         rank = len(pivots)
         if rank == nrows:
             break
-        sel = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
+        cands = [i for i in range(rank, nrows) if rows[i][col]]
+        if not cands:
             continue
+        sel = cands[0] if len(cands) == 1 else min(
+            cands, key=lambda i: (abs(rows[i][col]), len(rows[i]) - rows[i].count(0)))
+        others = [rows[i] for i in cands if i != sel]
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        tail = rows[rank][col:]
-        a = tail[0]
-        support = [(k, b) for k, b in enumerate(tail) if b]
-        for i in range(rank + 1, nrows):
-            row = rows[i]
+        pivot = rows[rank]
+        a = pivot[col]
+        nxt = col + 1
+        support = [(k, b) for k, b in enumerate(pivot[nxt:], nxt) if b]
+        for row in others:
             f = row[col]
-            if f:
-                g = gcd(a, f)
-                s, t = a // g, f // g
-                new = row[col:] if s == 1 else [s * e for e in row[col:]]
-                for k, b in support:
-                    new[k] -= t * b
-                g = gcd(*new)
-                rows[i] = row[:col] + ([e // g for e in new] if g > 1 else new)
+            g = gcd(a, f)
+            s, t = a // g, f // g
+            if s < 0:
+                s, t = -s, -t
+            row[col] = 0
+            if s != 1:
+                row[nxt:] = [s * e for e in row[nxt:]]
+            for k, b in support:
+                row[k] -= t * b
+            g = gcd(*row[nxt:])
+            if g > 1:
+                row[nxt:] = [e // g for e in row[nxt:]]
         pivots.append(col)
     return pivots
 

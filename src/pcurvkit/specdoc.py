@@ -18,7 +18,7 @@ from .deformation import TruncatedFamily, conjugation_obstacle
 from .exprs import ParseError, parse_expression
 from .fields import GF, QQ, is_prime
 from .linalg import Matrix
-from .numberfield import NumberField
+from .numberfield import NumberField, NumberFieldElement
 from .poly import IrreducibilityUndecided, Polynomial, is_irreducible_q
 from .ratfunc import FunctionField, clear_coefficients, lowest_terms
 from .surface import Representation, SurfacePresentation
@@ -57,20 +57,25 @@ def frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s) -> Fraction:
-    if isinstance(s, bool):
-        raise SpecError(f"bad rational literal {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
+def _int_ratio(s) -> tuple[int, int]:
+    """(num, den), den > 0, of a 'num/den' string or a JSON integer (a
+    boolean is not): the numerator and denominator of the Fraction it
+    names, before any common factor is removed."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s, 1
     if isinstance(s, str):
         num, slash, den = s.partition("/")
         try:
-            if slash:
-                return Fraction(int(num.strip()), int(den.strip()))
-            return Fraction(int(num.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
+            n, d = int(num.strip()), int(den.strip()) if slash else 1
+        except ValueError as exc:
             raise SpecError(f"bad rational literal {s!r}") from exc
+        if d:
+            return (n, d) if d > 0 else (-n, -d)
     raise SpecError(f"bad rational literal {s!r}")
+
+
+def parse_frac(s) -> Fraction:
+    return Fraction(*_int_ratio(s))
 
 
 def _integer(value, lo: int, message: str, prime: bool = False) -> int:
@@ -324,16 +329,19 @@ def number_field_from_spec(obj) -> NumberField:
 
 
 def parse_nf_element(obj, K: NumberField):
-    """A 'num/den' string, an integer, or a coordinate array of them."""
+    """A 'num/den' string, an integer, or a coordinate array of them, read
+    straight into integer numerators over the lcm of their denominators."""
     if isinstance(obj, (str, int)):
-        return K(parse_frac(obj))
-    if isinstance(obj, list):
-        if len(obj) != K.degree:
-            raise SpecError(
-                f"coordinate array of length {len(obj)} for a degree "
-                f"{K.degree} field")
-        return K.element([parse_frac(c) for c in obj])
-    raise SpecError(f"bad field element {obj!r}")
+        obj = [obj] + [0] * (K.degree - 1)
+    elif not isinstance(obj, list):
+        raise SpecError(f"bad field element {obj!r}")
+    elif len(obj) != K.degree:
+        raise SpecError(
+            f"coordinate array of length {len(obj)} for a degree "
+            f"{K.degree} field")
+    pairs = [_int_ratio(c) for c in obj]
+    den = math.lcm(*(d for _, d in pairs))
+    return NumberFieldElement(K, [n * (den // d) for n, d in pairs], den)
 
 
 def nf_element_coords(e) -> list[str]:

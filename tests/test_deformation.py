@@ -756,3 +756,154 @@ def test_gauge_family_rejects_rational_gauge():
         gauge_family(F, Y, 1)
     with pytest.raises(ValueError, match="positive"):
         gauge_family(F, Matrix.zeros(K, 2), 0)
+
+
+# -- normalize_family against the per-layer loop ------------------------------
+#
+# normalize_family clears the family once and solves every layer from its
+# numerator over that one denominator h.  The oracle is the loop it
+# replaced: solve_deformation on the current layer, cleared over its own
+# denominator, then gauge_family, which clears and reduces every layer
+# again.  Both clearings give the same equation up to a polynomial factor,
+# so the gauges, the verdict and the final family must agree entry for entry.
+
+
+def normalize_family_by_layers(F, ansatz_degree):
+    """(gauges, family, obstructed_at, obstruction) by the per-layer loop."""
+    A0 = ConnectionMatrix(F.layers[0], F.derivation)
+    current = F
+    gauges = []
+    for k in range(1, F.order):
+        Bk = current.layers[k]
+        if Bk.is_zero():
+            continue
+        sol = solve_deformation(A0, Bk, ansatz_degree)
+        if sol is None:
+            return tuple(gauges), current, k, Bk
+        current = gauge_family(current, sol.Y, k)
+        gauges.append((k, sol.Y))
+    return tuple(gauges), current, None, None
+
+
+def normalize_cases():
+    """(F, d): constant families gauged at layers 1 and 2 by random
+    polynomial gauges, over QQ(x), GF(7)(x) and GF(5)(q)(x), with u = 1,
+    x + 1 or x, and A0 polynomial or with a pole at x + 2.  Every other
+    family has c/x added to its last layer: the family-wide h then has a
+    factor x that the earlier layers' own denominators lack, and no
+    polynomial gauge removes it, so the family is obstructed there."""
+    rng = random.Random(36)
+    base, tower, _ = standard_tower(5)
+    fields = [(qq_line(), lambda: QQ(rng.randint(-2, 2)), 8),
+              (FunctionField(GF(7), "x"), lambda: GF(7)(rng.randint(0, 6)), 6),
+              (tower, lambda: base(rng.randint(0, 4)) + base(rng.randint(0, 4)) * base.gen(), 4)]
+    for K, scalar, count in fields:
+        x = K.gen()
+
+        def poly(d):
+            return K.from_poly(K.polynomial([scalar() for _ in range(d + 1)]))
+
+        for c in range(count):
+            u = (K.one, x + K.one, x)[c % 3]
+            r, order = (2, 4) if c % 4 < 2 else (1, 3)
+            A0 = Matrix(K, [[poly(1) for _ in range(r)] for _ in range(r)])
+            if c % 3 != 1:
+                A0 = A0 + Matrix.identity(K, r).scale(K.one / (x + K(2)))
+            F = TruncatedFamily(Derivation(u), [A0] + [Matrix.zeros(K, r)] * (order - 1))
+            for k in (1, 2):
+                F = gauge_family(F, Matrix(K, [[poly(1) for _ in range(r)] for _ in range(r)]), k)
+            if c % 2:
+                layers = list(F.layers)
+                layers[-1] = layers[-1] + Matrix.identity(K, r).scale(K(rng.randint(1, 4)) / x)
+                F = TruncatedFamily(F.derivation, layers)
+            yield F, 3
+
+
+def test_normalize_family_matches_the_per_layer_loop():
+    outcomes = []
+    for F, d in normalize_cases():
+        gauges, family, obstructed_at, obstruction = normalize_family_by_layers(F, d)
+        res = normalize_family(F, d)
+        where = (F.layers, F.derivation)
+        assert res.gauges == gauges, where
+        assert res.obstructed_at == obstructed_at, where
+        assert res.obstruction == obstruction, where
+        assert res.family == family, where
+        assert [L.rows for L in res.family.layers] == [L.rows for L in family.layers]
+        outcomes.append((F.layers[0].ring.base, obstructed_at is None, len(gauges)))
+    for K in {K for K, _, _ in outcomes}:
+        assert {ok for base, ok, _ in outcomes if base == K} == {True, False}, K
+    assert any(n > 0 for _, ok, n in outcomes if not ok)
+
+
+def test_normalize_family_check_catches_a_wrong_solution(monkeypatch):
+    """normalize_family checks each solve on layer k of the gauged
+    numerators: an integer solve that returns twice the solution leaves
+    -N_k there, not zero."""
+    rng = random.Random(654)
+    K = qq_line()
+    D = Derivation.d_dx(K)
+    A0 = poly_matrix(K, rng)
+    F = gauge_family(TruncatedFamily(D, [A0, Matrix.zeros(K, 2)]), poly_matrix(K, rng), 1)
+    assert not F.layers[1].is_zero()
+    assert normalize_family(F, 4).normalized
+    real = deformation._solve_integer
+    monkeypatch.setattr(deformation, "_solve_integer",
+                        lambda rows, n: [[2 * e for e in row] for row in real(rows, n)])
+    with pytest.raises(AssertionError, match="residual"):
+        normalize_family(F, 4)
+
+
+def test_normalize_family_clears_once_and_solves_once_per_nonzero_layer(monkeypatch):
+    """One _clear_denominators per normalize_family, and over QQ one
+    integer solve per nonzero layer it reaches (the obstructed layer
+    included); no solve_deformation or gauge_family call."""
+    cases = [(F, d) for F, d in normalize_cases() if F.layers[0].ring.base == QQ]
+    events = []
+
+    def spy(name, real):
+        def call(*args):
+            events.append(name)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(deformation, "_clear_denominators",
+                        spy("clear", deformation._clear_denominators))
+    monkeypatch.setattr(deformation, "_solve_integer", spy("solve", deformation._solve_integer))
+    monkeypatch.setattr(deformation, "solve_deformation", spy("public", solve_deformation))
+    monkeypatch.setattr(deformation, "gauge_family", spy("public", gauge_family))
+    seen = []
+    for F, d in cases:
+        events.clear()
+        res = deformation.normalize_family(F, d)
+        reached = len(res.gauges) + (res.obstructed_at is not None)
+        assert events == ["clear"] + ["solve"] * reached
+        seen.append(reached)
+    assert max(seen) >= 2
+
+
+def test_step_conjugate_solves_once(monkeypatch):
+    """One integer solve per step_conjugate over Q(i): the restricted
+    system of NumberField.solve_system, and no inverse."""
+    from pcurvkit import numberfield
+
+    K = NumberField(Polynomial(QQ, [1, 0, 1]), "i")
+    rng = random.Random(99)
+
+    def mat():
+        return Matrix(K, [[K.element([rng.randint(-2, 2), rng.randint(-2, 2)])
+                           for _ in range(3)] for _ in range(3)])
+
+    calls = []
+    for module in (linalg, numberfield):
+        real = module._solve_integer
+        monkeypatch.setattr(module, "_solve_integer",
+                            lambda rows, n, real=real: calls.append(n) or real(rows, n))
+    for m, conjugate in ((1, True), (2, True), (1, False)):
+        sigma = [mat(), mat()]
+        M = mat()
+        tau = [[s] + [Matrix.zeros(K, 3)] * (m - 1) + [M * s - s * M if conjugate else mat()]
+               for s in sigma]
+        calls.clear()
+        assert (step_conjugate(sigma, tau, m) is not None) == conjugate
+        assert calls == [18]

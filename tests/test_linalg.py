@@ -871,3 +871,127 @@ def test_number_field_det_inverts_at_most_once_per_row(monkeypatch):
     assert all(c <= M.nrows for c, M in zip(counts, matrices))
     assert max(counts) == 4
     assert dets == [det_leibniz(M) for M in matrices]
+
+
+# -- the integer passes against Gauss-Jordan over Fraction --------------------
+#
+# _integer_forward picks as pivot row the candidate of least |pivot|, then of
+# fewest nonzeros, and updates the other rows in place.  The oracle below
+# takes the first nonzero row and divides exactly, so it agrees with the
+# integer passes only because the pivot columns, and with them the solution
+# with free unknowns zero, do not depend on which rows are chosen.
+
+
+def gauss_jordan_by_fractions(rows, n):
+    """(pivot columns among the first n, solution rows or None) of the
+    augmented rows: Gauss-Jordan over Fraction with the first nonzero row as
+    pivot, free unknowns zero."""
+    rows = [[Fraction(e) for e in r] for r in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        sel = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = 1 / rows[rank][col]
+        pivot = rows[rank] = [e * inv for e in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, pivot)]
+        pivots.append(col)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return pivots, None
+    sol = [[Fraction(0)] * (len(rows[0]) - n) for _ in range(n)]
+    for row, p in zip(rows, pivots):
+        sol[p] = row[n:]
+    return pivots, sol
+
+
+def integer_entry(rng, sparsity, values):
+    return 0 if rng.random() < sparsity else rng.choice(values)
+
+
+def integer_system_cases():
+    """(name, augmented integer rows, number of unknowns), seeded."""
+    rng = random.Random(1957)
+    small = [v for v in range(-4, 5) if v]
+    wide = [v for v in range(-40, 41) if v]
+    no_unit = [s * v for v in (2, 3, 4, 6, 9) for s in (1, -1)]
+    for t in range(8):
+        m, n = rng.randint(3, 14), rng.randint(2, 12)
+        for kind, sparsity, values in (("sparse", 0.8, small), ("dense", 0.0, wide),
+                                       ("no unit pivots", 0.3, no_unit)):
+            rows = [[integer_entry(rng, sparsity, values) for _ in range(n + 2)]
+                    for _ in range(m)]
+            yield f"{kind} {t}", rows, n
+        # rank-deficient: every row a combination of r base rows, so the
+        # system is consistent; one changed right-hand side usually is not
+        r = rng.randint(1, min(m, n) - 1) if min(m, n) > 1 else 1
+        base = [[integer_entry(rng, 0.5, small) for _ in range(n + 1)] for _ in range(r)]
+        rows = [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(n + 1)]
+                for coeffs in ([rng.randint(-2, 2) for _ in range(r)] for _ in range(m))]
+        yield f"rank-deficient {t}", rows, n
+        bad = [list(row) for row in rows]
+        bad[rng.randrange(m)][n] += rng.choice((1, -1))
+        yield f"inconsistent {t}", bad, n
+        rows = [[integer_entry(rng, 0.4, small) for _ in range(n + 1)] for _ in range(m)]
+        rows[0] = list(rows[-1])                     # a duplicate row
+        rows[1] = [0] * (n + 1)                      # a zero row
+        rows[2 % m] = [3 * e for e in rows[-1]]      # a multiple of another
+        yield f"duplicate and zero rows {t}", rows, n
+
+
+def test_integer_solve_matches_fraction_gauss_jordan():
+    from pcurvkit import linalg
+
+    outcomes = set()
+    for name, rows, n in integer_system_cases():
+        pivots, expected = gauss_jordan_by_fractions(rows, n)
+        assert linalg._integer_forward([list(r) for r in rows], n) == pivots, name
+        got = linalg._solve_integer([list(r) for r in rows], n)
+        assert got == expected, name
+        outcomes.add((name.rsplit(" ", 1)[0], got is None))
+    kinds = {kind for kind, _ in outcomes}
+    assert {("rank-deficient", False), ("inconsistent", True), ("sparse", True),
+            ("dense", True), ("no unit pivots", False)} <= outcomes
+    assert kinds == {"sparse", "dense", "no unit pivots", "rank-deficient",
+                     "inconsistent", "duplicate and zero rows"}
+
+
+def krylov_cases():
+    """Orbits v, Av, ..., A^n v of n x n integer matrices A, one more vector
+    than the dimension: dense ones, sparse ones, and A with a repeated block
+    so that the orbit stops short of n."""
+    rng = random.Random(1968)
+    for t in range(12):
+        n = rng.randint(1, 7)
+        sparsity = (0.0, 0.75, 0.5)[t % 3]
+        A = [[integer_entry(rng, sparsity, [v for v in range(-5, 6) if v]) for _ in range(n)]
+             for _ in range(n)]
+        if t % 3 == 2 and n > 1:
+            A[-1] = list(A[0])
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        if t % 4 == 0:
+            v = [Fraction(int(i == 0)) for i in range(n)]
+        orbit = [v]
+        for _ in range(n):
+            orbit.append([sum(a * x for a, x in zip(row, orbit[-1])) for row in A])
+        yield orbit
+
+
+def test_first_dependency_matches_fraction_gauss_jordan():
+    from pcurvkit import linalg
+
+    lengths = set()
+    for orbit in krylov_cases():
+        columns = [list(r) for r in zip(*orbit)]
+        pivots, _ = gauss_jordan_by_fractions([c + [0] for c in columns], len(orbit))
+        k = len(pivots)
+        assert pivots == list(range(k))
+        _, sol = gauss_jordan_by_fractions(
+            [[c[j] for j in range(k)] + [-c[k]] for c in columns], k)
+        assert linalg._first_dependency(orbit) == [x for x, in sol] + [Fraction(1)]
+        lengths.add(k < len(orbit) - 1)
+    assert lengths == {True, False}

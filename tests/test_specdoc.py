@@ -466,6 +466,63 @@ def test_parse_nf_element_forms():
         parse_nf_element(1.5, K)
 
 
+def parse_nf_element_by_fractions(obj, K):
+    """The route parse_nf_element took before it read integer numerators:
+    each literal a Fraction, then K(Fraction) or K.element."""
+    def frac(s):
+        if isinstance(s, bool):
+            raise SpecError(f"bad rational literal {s!r}")
+        if isinstance(s, int):
+            return Fraction(s)
+        if isinstance(s, str):
+            num, slash, den = s.partition("/")
+            try:
+                if slash:
+                    return Fraction(int(num.strip()), int(den.strip()))
+                return Fraction(int(num.strip()))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SpecError(f"bad rational literal {s!r}") from exc
+        raise SpecError(f"bad rational literal {s!r}")
+
+    if isinstance(obj, (str, int)):
+        return K(frac(obj))
+    if isinstance(obj, list):
+        if len(obj) != K.degree:
+            raise SpecError(
+                f"coordinate array of length {len(obj)} for a degree "
+                f"{K.degree} field")
+        return K.element([frac(c) for c in obj])
+    raise SpecError(f"bad field element {obj!r}")
+
+
+def outcome(parse, obj, K):
+    try:
+        e = parse(obj, K)
+    except SpecError as exc:
+        return "error", str(exc)
+    return "element", e, e.num, e.den
+
+
+def test_parse_nf_element_matches_the_fraction_route():
+    fields = [number_field_from_spec(doc) for doc in (
+        None, {"min_poly": ["1", "0", "1"], "name": "i"},
+        {"min_poly": ["5", "0", "1", "-2", "1"], "name": "t"})]
+    good = ["3/-4", " 5 ", "-6/4", "0/7", " -2 / 3 ", 0, -7, 12, 10 ** 20]
+    bad = ["1/0", "x", "", "1/2/3", True, 1.5, None, "1.5", [1]]
+    rng = random.Random(27)
+    errors = 0
+    for K in fields:
+        d = K.degree
+        inputs = good + bad + [["1"] * (d + 1), {"a": 1}]
+        inputs += [[rng.choice(good) for _ in range(d)] for _ in range(6)]
+        inputs += [[rng.choice(good) for _ in range(d - 1)] + [rng.choice(bad)] for _ in range(4)]
+        for obj in inputs:
+            expect = outcome(parse_nf_element_by_fractions, obj, K)
+            assert outcome(parse_nf_element, obj, K) == expect, (obj, K)
+            errors += expect[0] == "error"
+    assert errors >= 3 * len(bad)
+
+
 def test_representation_from_spec_quaternion():
     doc = {
         "field": {"min_poly": ["1", "0", "1"], "name": "i"},
