@@ -12,14 +12,20 @@ tests along the way.
 The closure runs on cleared coordinates, the form a number field element
 is stored in: a 2x2 matrix is the integer coordinates of its four entries
 over one positive denominator, reduced by their gcd, so the pair is
-canonical and is its own hash key.  Right multiplication by a generator
-is linear over QQ on each row, so by restriction of scalars it is one
-integer matrix, built once per generator and inverse
-(``NumberField.right_product_map``), and a step of the closure is integer
-dot products and one gcd.  No ``Matrix`` is built: a new element's order
-comes from its four entries, through t = a + d and delta = ad - bc, by
-one rule for SL2, GL2, PSL2 and PGL2 (``_order_rule``) and one cache per
-closure.
+canonical and is its own hash key.  The closure runs over positive words
+in the generators, with no inverse letters.  A finite closure under right
+multiplication by the generators is a finite monoid inside a group, where
+s^i = s^j with i < j makes s^-1 = s^(j-i-1) a positive word, so it is the
+group they generate; an infinite image holds an element of infinite order
+among its positive words, since a finitely generated periodic linear
+group is finite (Schur).  Right multiplication by a generator is linear
+over QQ on each row, so by restriction of scalars it is one integer
+matrix, built once per generator (``NumberField.right_product_map``), and
+a step of the closure is integer dot products and one gcd.  Each element
+is stepped once by each generator.  No ``Matrix`` is built: a new
+element's order comes from its four entries, through t = a + d and
+delta = ad - bc, by one rule for SL2, GL2, PSL2 and PGL2 (``_order_rule``)
+and one cache per closure.
 """
 
 from __future__ import annotations
@@ -242,8 +248,16 @@ class Representation:
                 raise ValueError("surface relation does not map to the identity")
 
     def _inverse(self, name: str) -> Matrix:
+        """The inverse of a generator, adj(M) / det(M): the adjugate alone
+        when det(M) = 1, as in SL2."""
         if name not in self._inverses:
-            self._inverses[name] = self.gens[name].inverse()
+            K = self.field
+            (a, b), (c, d) = rows = self.gens[name].rows
+            det = _det(K, rows)
+            if not det:
+                raise ValueError(f"generator {name} is singular")
+            adj = Matrix(K, [[d, -b], [-c, a]])
+            self._inverses[name] = adj if det == K.one else adj.scale(det.inverse())
         return self._inverses[name]
 
     def _trace_min_poly(self, w: Word):
@@ -602,7 +616,8 @@ def _closure_key(K: NumberField, gl2: bool, projective: bool):
     identified with its negative only, the one other scalar of determinant
     1: its first nonzero coordinate is made positive.  A GL2 element is
     scaled so that its first nonzero entry is 1, which identifies it with
-    every scalar multiple over K."""
+    every scalar multiple over K; the inverse of that entry is computed
+    once per distinct entry in the closure."""
     if not projective:
         return lambda coords, den: (coords, den)
     if not gl2:
@@ -612,9 +627,14 @@ def _closure_key(K: NumberField, gl2: bool, projective: bool):
             return tuple(map(neg, coords)), den
         return sign_key
 
+    inverses = {}
+
     def scaled_key(coords, den):
         entries = _cleared_entries(K, coords, den)
-        inv = next(e for e in entries if e).inverse()
+        first = next(e for e in entries if e)
+        inv = inverses.get((first.num, first.den))
+        if inv is None:
+            inv = inverses[first.num, first.den] = first.inverse()
         return tuple(e * inv for e in entries)
     return scaled_key
 
@@ -680,10 +700,14 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
     Trace obstructions (non-integral trace, an embedding outside [-2, 2])
     on the simple-loop products short-circuit to Obstructed.  Otherwise a
     breadth-first closure enumerates the image on cleared integer
-    coordinates, each step one precomputed integer map (restriction of
-    scalars), with the canonical (coords, den) pair as the hash key; every
-    new element's order is taken from its entries' trace and determinant
-    alone, with infinite order again giving Obstructed.  Caps turn into
+    coordinates, over positive words in the generators, each step one
+    precomputed integer map (restriction of scalars), with the canonical
+    (coords, den) pair as the hash key; every new element's order is taken
+    from its entries' trace and determinant alone, with infinite order
+    again giving Obstructed, at the first such positive word in
+    breadth-first order.  Positive words suffice: when the closure is
+    finite each generator has finite order, so its inverse is a positive
+    power of it, and the closure is the whole image.  Caps turn into
     Inconclusive, never into a Finite verdict.
     A Finite verdict rests solely on the enumerated closure; the
     archimedean pass is recorded as supporting evidence.
@@ -726,13 +750,11 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
 
     key_of = _closure_key(K, gl2, projective)
     order_of = _closure_orders(K, gl2, projective)
-    maps = []
-    for name in rho.bfs_generator_names():
-        for exp, mat in ((1, rho.gens[name]), (-1, rho._inverse(name))):
-            maps.append(((name, exp), *K.right_product_map(mat.rows)))
+    maps = [((name, 1), *K.right_product_map(rho.gens[name].rows))
+            for name in rho.bfs_generator_names()]
 
-    # an element is (coords, den), row i of it coords[2di:2d(i+1)], and its
-    # breadth-first letters are reduced: a step back lands on a seen element
+    # an element is (coords, den), row i of it coords[2di:2d(i+1)], reached
+    # by a positive word
     half = 2 * K.degree
     ident = tuple(int(t in (0, 3 * K.degree)) for t in range(2 * half))
     seen = {key_of(ident, 1)}

@@ -17,6 +17,7 @@ from pcurvkit import (
     FunctionField,
     Matrix,
     NumberField,
+    NumberFieldElement,
     Polynomial,
     Representation,
     SurfacePresentation,
@@ -1086,15 +1087,45 @@ def test_closure_matches_matrix_closure(name, projective, caps):
     assert cert == want
 
 
-def closure_counts(monkeypatch, rho):
+def closure_counts(monkeypatch, rho, work=None):
     """certify_finiteness on rho, with the number of Matrix products and of
     Matrix objects built after the trace checks, and of Matrix.det calls in
     the whole run.  A GL2 target has no trace checks, so there the first two
-    counts cover the whole run too."""
+    counts cover the whole run too.
+
+    It also checks the closure's own work: one ``right_product_map`` per BFS
+    generator, |G|*|S| steps on a finite image G with generators S (each
+    element stepped once per generator), and on an SL2 target no
+    Matrix.solve or Matrix.inverse in the whole run.  ``work``, when given,
+    receives those three counts as "maps", "steps" and "solves"."""
     counts = {"products": 0, "matrices": 0, "dets": 0}
+    work = {} if work is None else work
+    work.update(maps=0, steps=-1, solves=0)  # the identity's key is no step
     closing = [True] if rho.target == "GL2" else []
     real_arch, real_mul, real_init = surface.arch_check, Matrix.__mul__, Matrix.__init__
     real_det = Matrix.det
+    real_key, real_map = surface._closure_key, NumberField.right_product_map
+    real_solve, real_inverse = Matrix.solve, Matrix.inverse
+
+    def key_spy(*args):
+        key_of = real_key(*args)
+
+        def counted(coords, den):
+            work["steps"] += 1
+            return key_of(coords, den)
+        return counted
+
+    def map_spy(self, rows):
+        work["maps"] += 1
+        return real_map(self, rows)
+
+    def solve_spy(self, rhs):
+        work["solves"] += 1
+        return real_solve(self, rhs)
+
+    def inverse_spy(self):
+        work["solves"] += 1
+        return real_inverse(self)
 
     def arch_then_count(*args):
         report = real_arch(*args)
@@ -1117,9 +1148,18 @@ def closure_counts(monkeypatch, rho):
     monkeypatch.setattr(Matrix, "__mul__", mul_spy)
     monkeypatch.setattr(Matrix, "__init__", init_spy)
     monkeypatch.setattr(Matrix, "det", det_spy)
+    monkeypatch.setattr(surface, "_closure_key", key_spy)
+    monkeypatch.setattr(NumberField, "right_product_map", map_spy)
+    monkeypatch.setattr(Matrix, "solve", solve_spy)
+    monkeypatch.setattr(Matrix, "inverse", inverse_spy)
     cert = certify_finiteness(rho)
     monkeypatch.undo()
     assert closing
+    assert work["maps"] == len(rho.bfs_generator_names())
+    if isinstance(cert.verdict, Finite):
+        assert work["steps"] == cert.element_count * work["maps"]
+    if rho.target == "SL2":
+        assert work["solves"] == 0
     return cert, counts
 
 
@@ -1140,3 +1180,130 @@ def test_gl2_closure_builds_no_matrices(monkeypatch):
     cert, counts = closure_counts(monkeypatch, levelt_rep(*LEVELT["octahedral"][0]))
     assert_record(cert.verdict, Finite(144))
     assert counts == {"products": 0, "matrices": 0, "dets": 0}
+
+
+@pytest.mark.parametrize("name, order, steps", [("icosahedral", 120, 240),
+                                                ("octahedral", 144, 288)])
+def test_closure_steps_each_element_once_per_generator(monkeypatch, name, order, steps):
+    """The closure runs over positive words: one integer map per generator,
+    no map for an inverse, and each of the |G| elements stepped once by
+    each of the |S| = 2 generators, on the icosahedral pair in SL2 and the
+    octahedral Levelt image in GL2."""
+    rho = levelt_rep(*LEVELT[name][0]) if name in LEVELT else closure_reps()[name]
+    work = {}
+    cert, _ = closure_counts(monkeypatch, rho, work)
+    assert_record(cert.verdict, Finite(order))
+    assert work == {"maps": 2, "steps": steps, "solves": 0}
+
+
+def test_sl2_representation_and_certify_solve_nothing(monkeypatch):
+    """From free generators to verdict, an SL2 image runs no Matrix.solve or
+    Matrix.inverse and no number-field system solve: the last puncture
+    word's inverse letters are adjugates, since every generator has
+    determinant 1."""
+    K, s, t = icosahedral_pair()
+    calls = []
+    for cls, name in ((Matrix, "solve"), (Matrix, "inverse"), (NumberField, "solve_system")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, _real=real, _name=name:
+                            calls.append(_name) or _real(*args))
+    for rho in (Representation(K, SurfacePresentation(1, 1), {"a1": s, "b1": t}),
+                quaternion_rep()):
+        assert_record(certify_finiteness(rho).verdict,
+                      Finite(120 if rho.field is K else 8))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["icosahedral", "octahedral"])
+def test_generator_inverses_are_the_adjugate_over_the_determinant(name):
+    """Representation._inverse equals Matrix.inverse on every generator, the
+    derived last puncture loop included, in SL2 and in GL2."""
+    rho = levelt_rep(*LEVELT[name][0]) if name in LEVELT else closure_reps()[name]
+    for g in rho.presentation.generator_names():
+        assert rho._inverse(g) == rho.gens[g].inverse()
+        assert rho._inverse(g) * rho.gens[g] == Matrix.identity(rho.field, 2)
+
+
+def test_pgl2_key_inverts_each_scaling_entry_once(monkeypatch):
+    """The projective GL2 key scales by the inverse of the first nonzero
+    entry, and computes that inverse once per distinct entry in a closure:
+    the octahedral Levelt image in PGL2 revisits many entries."""
+    real_key, real_inverse = surface._closure_key, NumberFieldElement.inverse
+    firsts, inverted, keying = [], [], []
+
+    def closure_key(K, gl2, projective):
+        key_of = real_key(K, gl2, projective)
+
+        def spy(coords, den):
+            first = next(e for e in surface._cleared_entries(K, coords, den) if e)
+            firsts.append((first.num, first.den))
+            keying.append(True)
+            try:
+                return key_of(coords, den)
+            finally:
+                keying.pop()
+        return spy
+
+    def inverse_spy(self):
+        if keying:
+            inverted.append((self.num, self.den))
+        return real_inverse(self)
+
+    monkeypatch.setattr(surface, "_closure_key", closure_key)
+    monkeypatch.setattr(NumberFieldElement, "inverse", inverse_spy)
+    cert = certify_finiteness(levelt_rep(*LEVELT["octahedral"][0]), projective=True)
+    monkeypatch.undo()
+    assert_record(cert.verdict, Finite(24))
+    assert len(inverted) == len(set(inverted)) == len(set(firsts))
+    assert len(firsts) > 2 * len(set(firsts))
+
+
+# -- infinite images: the closure over positive words still finds a witness ---------
+
+
+def triangular_rep(seed):
+    """An infinite SL2 image over Q(zeta_12) that passes both trace checks:
+    upper triangular generators with roots of unity other than +-1 on the
+    diagonal, so every trace is z^k + z^-k, and seeded upper-right entries,
+    conjugated by a seeded unimodular matrix.  The generators do not
+    commute, so their commutator is a noncentral unipotent, of infinite
+    order."""
+    K = NumberField(cyclotomic(12), "z")
+    z = K.gen
+    rng = random.Random(seed)
+    gens = {}
+    for name in ("a1", "b1"):
+        k = rng.choice([1, 2, 3, 4, 5, 7, 8, 9, 10, 11])
+        u = K.element([rng.randint(-2, 2) for _ in range(3)] + [rng.choice([-1, 1])])
+        gens[name] = Matrix(K, [[z ** k, u], [K.zero, z ** (12 - k)]])
+    a, b = gens["a1"], gens["b1"]
+    assert a * b != b * a
+    C = unimodular(K, rng)
+    Cinv = C.inverse()
+    return Representation(K, SurfacePresentation(1, 1),
+                          {name: C * g * Cinv for name, g in gens.items()})
+
+
+INFINITE_CASES = [f"triangular-{seed}" for seed in range(4)] + list(LEVELT_INFINITE)
+
+
+@pytest.mark.parametrize("name", INFINITE_CASES)
+def test_infinite_image_is_obstructed_at_a_positive_word(name):
+    """An infinite image gives Obstructed, as the Matrix closure over
+    generators and inverses does, and the witness is a positive word whose
+    matrix, evaluated afresh, element_order finds of infinite order, for
+    the reason the verdict gives.  In GL2 that is the matrix's power M^k
+    with det 1, k the order of det M: M and M^k are of infinite order
+    together."""
+    if name.startswith("triangular-"):
+        rho = triangular_rep(int(name.removeprefix("triangular-")))
+    else:
+        rho = levelt_rep(*LEVELT_INFINITE[name][0])
+    cert = certify_finiteness(rho)
+    assert type(cert.verdict) is Obstructed
+    assert type(matrix_closure_certify(rho).verdict) is Obstructed
+    witness = cert.verdict.witness
+    assert "^" not in witness
+    M = rho.evaluate(Word.parse(witness))
+    k = numberfield.is_root_of_unity(M.det())
+    assert_record(element_order(M ** k), InfiniteOrder(cert.verdict.reason))
