@@ -12,20 +12,19 @@ tests along the way.
 The closure runs on cleared coordinates, the form a number field element
 is stored in: a 2x2 matrix is the integer coordinates of its four entries
 over one positive denominator, reduced by their gcd, so the pair is
-canonical and is its own hash key.  The closure runs over positive words
-in the generators, with no inverse letters.  A finite closure under right
-multiplication by the generators is a finite monoid inside a group, where
-s^i = s^j with i < j makes s^-1 = s^(j-i-1) a positive word, so it is the
-group they generate; an infinite image holds an element of infinite order
-among its positive words, since a finitely generated periodic linear
-group is finite (Schur).  Right multiplication by a generator is linear
-over QQ on each row, so by restriction of scalars it is one integer
-matrix, built once per generator (``NumberField.right_product_map``), and
-a step of the closure is integer dot products and one gcd.  Each element
-is stepped once by each generator.  No ``Matrix`` is built: a new
-element's order comes from its four entries, through t = a + d and
-delta = ad - bc, by one rule for SL2, GL2, PSL2 and PGL2 (``_order_rule``)
-and one cache per closure.
+canonical and is its own hash key.  Right multiplication by a generator
+is linear over QQ on each row, so by restriction of scalars it is one
+integer matrix, built once per generator and inverse
+(``NumberField.right_product_map``), and a step of the closure is integer
+dot products and one gcd.  An element is stepped by every generator and
+inverse but the inverse of the letter that reached it, a step that would
+land on its parent.  Inverse letters stay: a finite image needs none,
+since each generator's inverse is a positive power of it, but an infinite
+one may hold short words of infinite order only with them (a1*b1^-1 for
+two upper triangular generators with the same diagonal).  No ``Matrix``
+is built: a new element's order comes from its four entries, through
+t = a + d and delta = ad - bc, by one rule for SL2, GL2, PSL2 and PGL2
+(``_order_rule``) and one cache per closure.
 """
 
 from __future__ import annotations
@@ -269,12 +268,15 @@ class Representation:
         return self._trace_min_polys[w]
 
     def _evaluate_letters(self, letters) -> Matrix:
-        acc = Matrix.identity(self.field, 2)
+        """The product of the letters' matrices, starting from the first
+        letter's, not from a product with the identity."""
+        acc = None
         for g, e in letters:
             if g not in self.gens:
                 raise ValueError(f"word uses unknown generator {g!r}")
-            acc = acc * (self.gens[g] if e == 1 else self._inverse(g))
-        return acc
+            m = self.gens[g] if e == 1 else self._inverse(g)
+            acc = m if acc is None else acc * m
+        return Matrix.identity(self.field, 2) if acc is None else acc
 
     def evaluate(self, w: Word) -> Matrix:
         return self._evaluate_letters(reduce_word(w).letters)
@@ -616,8 +618,7 @@ def _closure_key(K: NumberField, gl2: bool, projective: bool):
     identified with its negative only, the one other scalar of determinant
     1: its first nonzero coordinate is made positive.  A GL2 element is
     scaled so that its first nonzero entry is 1, which identifies it with
-    every scalar multiple over K; the inverse of that entry is computed
-    once per distinct entry in the closure."""
+    every scalar multiple over K."""
     if not projective:
         return lambda coords, den: (coords, den)
     if not gl2:
@@ -627,14 +628,9 @@ def _closure_key(K: NumberField, gl2: bool, projective: bool):
             return tuple(map(neg, coords)), den
         return sign_key
 
-    inverses = {}
-
     def scaled_key(coords, den):
         entries = _cleared_entries(K, coords, den)
-        first = next(e for e in entries if e)
-        inv = inverses.get((first.num, first.den))
-        if inv is None:
-            inv = inverses[first.num, first.den] = first.inverse()
+        inv = next(e for e in entries if e).inverse()
         return tuple(e * inv for e in entries)
     return scaled_key
 
@@ -700,15 +696,14 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
     Trace obstructions (non-integral trace, an embedding outside [-2, 2])
     on the simple-loop products short-circuit to Obstructed.  Otherwise a
     breadth-first closure enumerates the image on cleared integer
-    coordinates, over positive words in the generators, each step one
-    precomputed integer map (restriction of scalars), with the canonical
-    (coords, den) pair as the hash key; every new element's order is taken
-    from its entries' trace and determinant alone, with infinite order
-    again giving Obstructed, at the first such positive word in
-    breadth-first order.  Positive words suffice: when the closure is
-    finite each generator has finite order, so its inverse is a positive
-    power of it, and the closure is the whole image.  Caps turn into
-    Inconclusive, never into a Finite verdict.
+    coordinates, over reduced words in the generators and their inverses,
+    each step one precomputed integer map (restriction of scalars), with
+    the canonical (coords, den) pair as the hash key; no element is
+    stepped back by the inverse of its last letter.  Every new element's
+    order is taken from its entries' trace and determinant alone, with
+    infinite order again giving Obstructed, at the first such word in
+    breadth-first order.  Caps turn into Inconclusive, never into a
+    Finite verdict.
     A Finite verdict rests solely on the enumerated closure; the
     archimedean pass is recorded as supporting evidence.
 
@@ -750,11 +745,14 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
 
     key_of = _closure_key(K, gl2, projective)
     order_of = _closure_orders(K, gl2, projective)
-    maps = [((name, 1), *K.right_product_map(rho.gens[name].rows))
-            for name in rho.bfs_generator_names()]
+    maps = []
+    for name in rho.bfs_generator_names():
+        for exp, mat in ((1, rho.gens[name]), (-1, rho._inverse(name))):
+            maps.append(((name, exp), (name, -exp), *K.right_product_map(mat.rows)))
 
-    # an element is (coords, den), row i of it coords[2di:2d(i+1)], reached
-    # by a positive word
+    # an element is (coords, den), row i of it coords[2di:2d(i+1)], and its
+    # breadth-first letters are reduced: the step back by the inverse of
+    # the last letter would land on the parent, so it is not taken
     half = 2 * K.degree
     ident = tuple(int(t in (0, 3 * K.degree)) for t in range(2 * half))
     seen = {key_of(ident, 1)}
@@ -764,7 +762,10 @@ def certify_finiteness(rho: Representation, max_elements: int = 10000,
         new_frontier = []
         for coords, den, letters in frontier:
             rows = coords[:half], coords[half:]
-            for letter, R, E in maps:
+            last = letters[-1] if letters else None
+            for letter, back, R, E in maps:
+                if back == last:
+                    continue
                 prod = [sum(map(mul, r, row)) for row in rows for r in R]
                 pden = den * E
                 g = gcd(pden, *prod)

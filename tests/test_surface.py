@@ -17,7 +17,6 @@ from pcurvkit import (
     FunctionField,
     Matrix,
     NumberField,
-    NumberFieldElement,
     Polynomial,
     Representation,
     SurfacePresentation,
@@ -180,6 +179,24 @@ def test_evaluate_on_words():
     w = Word.parse("a1*b1^-1*a1")
     assert rho.evaluate(w) == a * b.inverse() * a
     assert rho.evaluate(Word()) == Matrix.identity(K, 2)
+
+
+def test_evaluate_multiplies_once_per_letter_after_the_first(monkeypatch):
+    """A word of n letters costs n - 1 Matrix products: the product starts
+    from the first letter's matrix, not from the identity."""
+    rho = closure_reps()["icosahedral"]
+    real_mul = Matrix.__mul__
+    products = []
+
+    def mul_spy(self, other):
+        products.append(True)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", mul_spy)
+    for text, n in (("a1", 1), ("a1*b1^-1*a1", 3), ("b1^-1*a1*b1*a1^-1", 4)):
+        products.clear()
+        rho.evaluate(Word.parse(text))
+        assert len(products) == n - 1, text
 
 
 def trace_identity_check(rho, x, y):
@@ -1087,20 +1104,21 @@ def test_closure_matches_matrix_closure(name, projective, caps):
     assert cert == want
 
 
-def closure_counts(monkeypatch, rho, work=None):
+def closure_counts(monkeypatch, rho):
     """certify_finiteness on rho, with the number of Matrix products and of
     Matrix objects built after the trace checks, and of Matrix.det calls in
     the whole run.  A GL2 target has no trace checks, so there the first two
     counts cover the whole run too.
 
     It also checks the closure's own work: one ``right_product_map`` per BFS
-    generator, |G|*|S| steps on a finite image G with generators S (each
-    element stepped once per generator), and on an SL2 target no
-    Matrix.solve or Matrix.inverse in the whole run.  ``work``, when given,
-    receives those three counts as "maps", "steps" and "solves"."""
+    generator and per inverse, and on a finite image G with generators S,
+    |G|*2|S| - (|G| - 1) steps: each element is stepped by every generator
+    and inverse but the one that leads back to its parent, which the
+    identity does not have.  No Matrix.solve or Matrix.inverse runs in the
+    whole run, since a generator's inverse is its adjugate over its
+    determinant."""
     counts = {"products": 0, "matrices": 0, "dets": 0}
-    work = {} if work is None else work
-    work.update(maps=0, steps=-1, solves=0)  # the identity's key is no step
+    work = {"maps": 0, "steps": -1, "solves": 0}  # the identity's key is no step
     closing = [True] if rho.target == "GL2" else []
     real_arch, real_mul, real_init = surface.arch_check, Matrix.__mul__, Matrix.__init__
     real_det = Matrix.det
@@ -1155,11 +1173,11 @@ def closure_counts(monkeypatch, rho, work=None):
     cert = certify_finiteness(rho)
     monkeypatch.undo()
     assert closing
-    assert work["maps"] == len(rho.bfs_generator_names())
+    assert work["maps"] == 2 * len(rho.bfs_generator_names())
     if isinstance(cert.verdict, Finite):
-        assert work["steps"] == cert.element_count * work["maps"]
-    if rho.target == "SL2":
-        assert work["solves"] == 0
+        n = cert.element_count
+        assert work["steps"] == n * work["maps"] - (n - 1)
+    assert work["solves"] == 0
     return cert, counts
 
 
@@ -1180,20 +1198,6 @@ def test_gl2_closure_builds_no_matrices(monkeypatch):
     cert, counts = closure_counts(monkeypatch, levelt_rep(*LEVELT["octahedral"][0]))
     assert_record(cert.verdict, Finite(144))
     assert counts == {"products": 0, "matrices": 0, "dets": 0}
-
-
-@pytest.mark.parametrize("name, order, steps", [("icosahedral", 120, 240),
-                                                ("octahedral", 144, 288)])
-def test_closure_steps_each_element_once_per_generator(monkeypatch, name, order, steps):
-    """The closure runs over positive words: one integer map per generator,
-    no map for an inverse, and each of the |G| elements stepped once by
-    each of the |S| = 2 generators, on the icosahedral pair in SL2 and the
-    octahedral Levelt image in GL2."""
-    rho = levelt_rep(*LEVELT[name][0]) if name in LEVELT else closure_reps()[name]
-    work = {}
-    cert, _ = closure_counts(monkeypatch, rho, work)
-    assert_record(cert.verdict, Finite(order))
-    assert work == {"maps": 2, "steps": steps, "solves": 0}
 
 
 def test_sl2_representation_and_certify_solve_nothing(monkeypatch):
@@ -1224,41 +1228,7 @@ def test_generator_inverses_are_the_adjugate_over_the_determinant(name):
         assert rho._inverse(g) * rho.gens[g] == Matrix.identity(rho.field, 2)
 
 
-def test_pgl2_key_inverts_each_scaling_entry_once(monkeypatch):
-    """The projective GL2 key scales by the inverse of the first nonzero
-    entry, and computes that inverse once per distinct entry in a closure:
-    the octahedral Levelt image in PGL2 revisits many entries."""
-    real_key, real_inverse = surface._closure_key, NumberFieldElement.inverse
-    firsts, inverted, keying = [], [], []
-
-    def closure_key(K, gl2, projective):
-        key_of = real_key(K, gl2, projective)
-
-        def spy(coords, den):
-            first = next(e for e in surface._cleared_entries(K, coords, den) if e)
-            firsts.append((first.num, first.den))
-            keying.append(True)
-            try:
-                return key_of(coords, den)
-            finally:
-                keying.pop()
-        return spy
-
-    def inverse_spy(self):
-        if keying:
-            inverted.append((self.num, self.den))
-        return real_inverse(self)
-
-    monkeypatch.setattr(surface, "_closure_key", closure_key)
-    monkeypatch.setattr(NumberFieldElement, "inverse", inverse_spy)
-    cert = certify_finiteness(levelt_rep(*LEVELT["octahedral"][0]), projective=True)
-    monkeypatch.undo()
-    assert_record(cert.verdict, Finite(24))
-    assert len(inverted) == len(set(inverted)) == len(set(firsts))
-    assert len(firsts) > 2 * len(set(firsts))
-
-
-# -- infinite images: the closure over positive words still finds a witness ---------
+# -- infinite images: the closure finds a short witness ------------------------------
 
 
 def triangular_rep(seed):
@@ -1284,26 +1254,52 @@ def triangular_rep(seed):
                           {name: C * g * Cinv for name, g in gens.items()})
 
 
-INFINITE_CASES = [f"triangular-{seed}" for seed in range(4)] + list(LEVELT_INFINITE)
+def same_diagonal_rep(N):
+    """a1 = [[z, 1], [0, 1/z]] and b1 = [[z, 2], [0, 1/z]] over Q(zeta_N):
+    an infinite SL2 image whose traces all pass both checks.  a1*b1^-1 is
+    a noncentral unipotent, but a word in a1 and b1 without inverse letters
+    has diagonal z^L, L its length, so none is of infinite order before
+    z^L = +-1, at L = N/2 for N even."""
+    K = NumberField(cyclotomic(N), "z")
+    z = K.gen
+    return Representation(K, SurfacePresentation(1, 1), {
+        "a1": Matrix(K, [[z, K.one], [K.zero, z ** (N - 1)]]),
+        "b1": Matrix(K, [[z, K(2)], [K.zero, z ** (N - 1)]])})
+
+
+INFINITE_CASES = ([f"triangular-{seed}" for seed in range(4)] + ["same-diagonal-30"]
+                  + list(LEVELT_INFINITE))
+
+
+def infinite_rep(name):
+    if name.startswith("triangular-"):
+        return triangular_rep(int(name.removeprefix("triangular-")))
+    if name.startswith("same-diagonal-"):
+        return same_diagonal_rep(int(name.removeprefix("same-diagonal-")))
+    return levelt_rep(*LEVELT_INFINITE[name][0])
 
 
 @pytest.mark.parametrize("name", INFINITE_CASES)
-def test_infinite_image_is_obstructed_at_a_positive_word(name):
-    """An infinite image gives Obstructed, as the Matrix closure over
-    generators and inverses does, and the witness is a positive word whose
-    matrix, evaluated afresh, element_order finds of infinite order, for
-    the reason the verdict gives.  In GL2 that is the matrix's power M^k
-    with det 1, k the order of det M: M and M^k are of infinite order
-    together."""
-    if name.startswith("triangular-"):
-        rho = triangular_rep(int(name.removeprefix("triangular-")))
-    else:
-        rho = levelt_rep(*LEVELT_INFINITE[name][0])
+def test_infinite_image_is_obstructed_as_by_the_matrix_closure(name):
+    """An infinite image gives the Matrix closure's certificate, Obstructed
+    with the same witness and count, and the witness's matrix, evaluated
+    afresh, is of infinite order by element_order, for the reason the
+    verdict gives.  In GL2 that is the matrix's power M^k with det 1, k the
+    order of det M: M and M^k are of infinite order together."""
+    rho = infinite_rep(name)
     cert = certify_finiteness(rho)
     assert type(cert.verdict) is Obstructed
-    assert type(matrix_closure_certify(rho).verdict) is Obstructed
-    witness = cert.verdict.witness
-    assert "^" not in witness
-    M = rho.evaluate(Word.parse(witness))
+    assert cert == matrix_closure_certify(rho)
+    M = rho.evaluate(Word.parse(cert.verdict.witness))
     k = numberfield.is_root_of_unity(M.det())
     assert_record(element_order(M ** k), InfiniteOrder(cert.verdict.reason))
+
+
+def test_inverse_letters_keep_the_witness_short():
+    """Over Q(zeta_30) every word in a1 and b1 without inverse letters up to
+    length 14 is of finite order, and they give more than 10000 elements;
+    with inverse letters the closure meets a1*b1^-1 among its first
+    elements, well inside the default caps."""
+    cert = certify_finiteness(same_diagonal_rep(30))
+    assert_record(cert.verdict, Obstructed("a1*b1^-1", "parabolic noncentral"))
+    assert cert.element_count < 10
